@@ -23,6 +23,8 @@
 #include "mem/cache.hh"
 #include "mem/simd.hh"
 #include "sram/ecc.hh"
+#include "sram/fault_injection.hh"
+#include "sram/vmodel.hh"
 #include "trace/markov_stream.hh"
 #include "trace/replay.hh"
 #include "trace/spec_profiles.hh"
@@ -255,6 +257,36 @@ BM_SecDedDecodeCorrected(benchmark::State &state)
         benchmark::DoNotOptimize(sram::SecDed72::decode(cw).data);
 }
 BENCHMARK(BM_SecDedDecodeCorrected);
+
+/**
+ * One Monte-Carlo fault-map campaign as the hierarchy Vdd sweep runs
+ * it on its 8T 256 KB/8-way L2: 1024 rows of 32 words, interleave
+ * degree 4. Arg 0 is the 6T array at 0.50 V, where most words take
+ * several faults; arg 1 is the 8T array at 0.70 V, a sparse map where
+ * most rows take one fault. items/s is words evaluated.
+ */
+void
+BM_FaultMapCampaign(benchmark::State &state)
+{
+    const bool six_t = state.range(0) == 0;
+    sram::FaultMapConfig cfg;
+    cfg.cell = six_t ? sram::CellType::SixT : sram::CellType::EightT;
+    cfg.vdd = six_t ? 0.50 : 0.70;
+    cfg.pfailCell = sram::VddModel().at(cfg.vdd, cfg.cell).pfailCell;
+    cfg.rows = 1024;
+    cfg.wordsPerRow = 32;
+    cfg.degree = 4;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            sram::runFaultMapCampaign(cfg).silentCorruptions);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            cfg.rows * cfg.wordsPerRow);
+    state.SetLabel(six_t ? "6T@0.50V" : "8T@0.70V");
+}
+BENCHMARK(BM_FaultMapCampaign)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Append one kind:"micro" perf record per supported dispatch level

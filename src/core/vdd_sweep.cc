@@ -64,6 +64,14 @@ sweptShape(const VddSweepSpec &spec)
                                     : spec.lowerLevels.front().cache;
 }
 
+/** The cell flavour @p scheme's data array is built from. */
+sram::CellType
+cellOf(WriteScheme scheme)
+{
+    return schemeTraits(scheme).requiresEightT ? sram::CellType::EightT
+                                               : sram::CellType::SixT;
+}
+
 /** The data-array geometry the controller would build for @p scheme
  *  (mirrors the CacheController constructor) on the swept shape. */
 sram::ArrayGeometry
@@ -318,12 +326,39 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
     }
     const sram::VddModel model(spec.model);
 
+    const bool hier = !spec.lowerLevels.empty();
+
+    // Fault maps depend on (seed, vdd, geometry, cell); schemes of the
+    // same cell flavour and interleave degree share one evaluation,
+    // and the process-global memo shares it across requests too (a
+    // warm c8td daemon re-serves known operating points for free).
+    const std::uint32_t words_per_row =
+        std::max<std::uint32_t>(1, sweptShape(spec).setBytes() / 8);
+    const auto faultsAt = [&](WriteScheme scheme, double vdd) {
+        sram::FaultMapConfig fmc;
+        fmc.runSeed = spec.runSeed;
+        fmc.vdd = vdd;
+        fmc.cell = cellOf(scheme);
+        fmc.pfailCell = model.at(fmc.vdd, fmc.cell).pfailCell;
+        fmc.rows = spec.faultRows;
+        fmc.wordsPerRow = words_per_row;
+        fmc.degree = geometryFor(spec, scheme).interleaveDegree;
+        return globalFaultMapCache().evaluate(fmc);
+    };
+
     // One job per grid point; every job replays the identical stream
     // (shared through streamKey) with one controller per scheme, the
-    // model attached at that point's voltage.
+    // model attached at that point's voltage. Its inspect hook then
+    // evaluates the point's fault maps on the same worker, so the
+    // campaigns overlap the other points' replay; each job writes
+    // only its own row of @c faults.
+    std::vector<std::vector<sram::FaultMapStats>> faults(
+        spec.grid.size(),
+        std::vector<sram::FaultMapStats>(spec.schemes.size()));
     std::vector<SweepJob> jobs;
     jobs.reserve(spec.grid.size());
-    for (const double vdd : spec.grid) {
+    for (std::size_t gi = 0; gi < spec.grid.size(); ++gi) {
+        const double vdd = spec.grid[gi];
         SweepJob job;
         job.makeGenerator = spec.makeGenerator;
         job.streamKey = spec.streamKey;
@@ -333,7 +368,7 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
             ControllerConfig cfg;
             cfg.cache = spec.cache;
             cfg.vmodel = spec.model;
-            if (spec.lowerLevels.empty()) {
+            if (!hier) {
                 cfg.scheme = s;
                 cfg.vdd = vdd;
             } else {
@@ -347,10 +382,12 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
             }
             job.configs.push_back(cfg);
         }
+        job.inspect = [&, gi, vdd](MultiSchemeRunner &) {
+            for (std::size_t si = 0; si < spec.schemes.size(); ++si)
+                faults[gi][si] = faultsAt(spec.schemes[si], vdd);
+        };
         jobs.push_back(std::move(job));
     }
-
-    const bool hier = !spec.lowerLevels.empty();
 
     VddSweepResult result;
     result.workload = spec.makeGenerator()->name();
@@ -367,32 +404,10 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
     const ParallelSweeper sweeper(workers);
     const auto runs = sweeper.run(jobs, rc, label);
 
-    // Fault maps depend on (seed, vdd, geometry, cell); schemes of the
-    // same cell flavour and interleave degree share one evaluation,
-    // and the process-global memo shares it across requests too (a
-    // warm c8td daemon re-serves known operating points for free).
-    const std::uint32_t words_per_row =
-        std::max<std::uint32_t>(1, sweptShape(spec).setBytes() / 8);
-    const auto faultsAt = [&](sram::CellType cell, std::uint32_t degree,
-                              std::size_t grid_index) {
-        sram::FaultMapConfig fmc;
-        fmc.runSeed = spec.runSeed;
-        fmc.vdd = spec.grid[grid_index];
-        fmc.cell = cell;
-        fmc.pfailCell = model.at(fmc.vdd, cell).pfailCell;
-        fmc.rows = spec.faultRows;
-        fmc.wordsPerRow = words_per_row;
-        fmc.degree = degree;
-        return globalFaultMapCache().evaluate(fmc);
-    };
-
     result.curves.reserve(spec.schemes.size());
     for (std::size_t si = 0; si < spec.schemes.size(); ++si) {
         const WriteScheme scheme = spec.schemes[si];
-        const SchemeTraits traits = schemeTraits(scheme);
-        const sram::CellType cell = traits.requiresEightT
-                                        ? sram::CellType::EightT
-                                        : sram::CellType::SixT;
+        const sram::CellType cell = cellOf(scheme);
         const sram::ArrayGeometry geom = geometryFor(spec, scheme);
         const sram::EnergyModel em(geom, ControllerConfig{}.tech);
         const double leak_nominal = em.leakagePower();
@@ -403,9 +418,7 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
         double leak_top_fixed = 0.0;
         if (hier) {
             const SchemeTraits top_traits = schemeTraits(spec.topScheme);
-            const sram::CellType top_cell =
-                top_traits.requiresEightT ? sram::CellType::EightT
-                                          : sram::CellType::SixT;
+            const sram::CellType top_cell = cellOf(spec.topScheme);
             const ControllerConfig defaults;
             const sram::ArrayGeometry top_geom{
                 spec.cache.numSets(), spec.cache.setBytes(),
@@ -431,7 +444,7 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
             VddPointResult pt;
             pt.vdd = spec.grid[gi];
             pt.point = model.at(pt.vdd, cell);
-            pt.faults = faultsAt(cell, geom.interleaveDegree, gi);
+            pt.faults = faults[gi][si];
             pt.operational =
                 pt.faults.postEccFailureRate() <= spec.failureThreshold;
             pt.run = runs[gi][si];

@@ -11,9 +11,9 @@
  *
  *  * the simulated run (dynamic energy, cycles) at that voltage,
  *  * the analytic operating point (leakage scale, delay factor),
- *  * a Monte-Carlo SEC-DED fault map for the scheme's cell type
- *    (sram::buildFaultMap), whose post-ECC word failure rate decides
- *    whether the point is *operational*.
+ *  * a Monte-Carlo SEC-DED fault-map campaign for the scheme's cell
+ *    type (sram::runFaultMapCampaign), whose post-ECC word failure
+ *    rate decides whether the point is *operational*.
  *
  * The curve's min-Vdd is the lowest grid voltage reachable from
  * nominal through operational points only — the paper's claim is that
@@ -21,9 +21,10 @@
  * while WG/WG+RB recoup the 8T RMW energy tax along the way.
  *
  * Fault maps depend only on (run seed, Vdd, geometry, cell type), so
- * they are evaluated once per (cell, Vdd) on the calling thread and
- * shared across schemes; results are bit-identical for any sweep
- * worker count.
+ * each grid point's job evaluates its campaigns on its own worker,
+ * right after its replay, through the process-global FaultMapCache:
+ * once per (cell, degree, Vdd), shared across schemes. Results are
+ * bit-identical for any sweep worker count.
  */
 
 #ifndef C8T_CORE_VDD_SWEEP_HH
@@ -240,8 +241,10 @@ class VddSweepResult
  * Run the sweep: one parallel SweepJob per grid point (label
  * "vdd_sweep:<workload>" for the bench/trace plumbing, with a "+l2"
  * suffix in hierarchy mode so the records never pair with a
- * single-level sweep's in bench_diff), fault maps per
- * (cell, Vdd) on the calling thread, curves assembled per scheme.
+ * single-level sweep's in bench_diff). Each job evaluates its grid
+ * point's fault maps per (cell, degree) on its worker after the
+ * replay (SweepJob::inspect); the calling thread then assembles the
+ * curves per scheme.
  *
  * Arms one kind:"vdd" JSON record (per-scheme min-Vdd plus the
  * sweep's simulation throughput) for C8T_BENCH_JSON when set; the

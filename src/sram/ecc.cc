@@ -5,6 +5,7 @@
 
 #include "sram/ecc.hh"
 
+#include <bit>
 #include <cassert>
 
 namespace c8t::sram
@@ -49,97 +50,130 @@ toString(EccStatus s)
     return "?";
 }
 
-bool
-SecDed72::isCheckPosition(std::uint32_t pos)
+namespace
 {
-    return (pos & (pos - 1)) == 0; // powers of two: 1, 2, 4, ..., 64
+
+/** Parity of @p x. */
+constexpr bool
+parity(std::uint64_t x)
+{
+    return std::popcount(x) & 1;
 }
+
+/**
+ * Syndrome masks: entry j selects the codeword positions 1..71 whose
+ * index has bit j set, as {positions 0..63, positions 64..71}. The
+ * check bit at position 2^j is the only check position in mask j.
+ */
+constexpr auto kSyndromeMasks = [] {
+    std::array<std::array<std::uint64_t, 2>, 7> masks{};
+    for (std::uint32_t j = 0; j < 7; ++j) {
+        for (std::uint32_t pos = 1; pos < Codeword72::bits; ++pos) {
+            if ((pos >> j) & 1)
+                masks[j][pos >> 6] |= 1ull << (pos & 63);
+        }
+    }
+    return masks;
+}();
+
+/**
+ * The data positions between check positions 2^j and 2^(j+1) form one
+ * run: positions 2^j+1 .. 2^(j+1)-1 hold data bits 2^j-j-1 onwards.
+ * Runs j = 1..5 lie in the low word (runMask(j) is their width); run 6
+ * is positions 65..71, data bits 57..63, bits 1..7 of the high word.
+ */
+constexpr std::uint64_t
+runMask(std::uint32_t j)
+{
+    return (1ull << ((1u << j) - 1)) - 1;
+}
+
+constexpr std::uint32_t
+runDataShift(std::uint32_t j)
+{
+    return (1u << j) - j - 1;
+}
+
+static_assert(runDataShift(6) == 57);
+
+/** The Hamming syndrome of the codeword words @p lo / @p hi: the xor
+ *  of the indices of its set positions 1..71. */
+std::uint32_t
+syndromeOf(std::uint64_t lo, std::uint64_t hi)
+{
+    std::uint32_t syndrome = 0;
+    for (std::uint32_t j = 0; j < 7; ++j) {
+        syndrome |= static_cast<std::uint32_t>(parity(
+                        (lo & kSyndromeMasks[j][0]) ^
+                        (hi & kSyndromeMasks[j][1])))
+                    << j;
+    }
+    return syndrome;
+}
+
+} // namespace
 
 Codeword72
 SecDed72::encode(std::uint64_t data)
 {
-    Codeword72 cw;
+    // Scatter the data bits into the non-power-of-two positions.
+    std::uint64_t lo = 0;
+    for (std::uint32_t j = 1; j <= 5; ++j)
+        lo |= ((data >> runDataShift(j)) & runMask(j)) << ((1u << j) + 1);
+    std::uint64_t hi = (data >> runDataShift(6)) << 1;
 
-    // Scatter data bits into non-power-of-two positions 1..71.
-    std::uint32_t data_idx = 0;
-    for (std::uint32_t pos = 1; pos <= 71; ++pos) {
-        if (isCheckPosition(pos))
-            continue;
-        cw.set(pos, (data >> data_idx) & 1);
-        ++data_idx;
-    }
-    assert(data_idx == 64);
-
-    // Hamming check bits: check bit at position p covers every position
-    // whose index has bit p set.
-    for (std::uint32_t p = 1; p <= 64; p <<= 1) {
-        bool parity = false;
-        for (std::uint32_t pos = 1; pos <= 71; ++pos) {
-            if (pos != p && (pos & p))
-                parity ^= cw.get(pos);
-        }
-        cw.set(p, parity);
-    }
+    // Check bit 2^j is the parity of the positions under mask j; it
+    // is the only check position in its own mask, so the order of the
+    // assignments does not matter.
+    const std::uint32_t checks = syndromeOf(lo, hi);
+    for (std::uint32_t j = 0; j < 6; ++j)
+        lo |= static_cast<std::uint64_t>((checks >> j) & 1) << (1u << j);
+    hi |= checks >> 6;
 
     // Overall parity over positions 1..71 stored at position 0.
-    bool overall = false;
-    for (std::uint32_t pos = 1; pos <= 71; ++pos)
-        overall ^= cw.get(pos);
-    cw.set(0, overall);
+    lo |= parity(lo ^ hi);
 
+    Codeword72 cw;
+    cw._w = {lo, hi};
     return cw;
 }
 
 EccDecodeResult
 SecDed72::decode(const Codeword72 &cw)
 {
-    // Syndrome: xor of the indices of all set positions.
-    std::uint32_t syndrome = 0;
-    for (std::uint32_t pos = 1; pos <= 71; ++pos) {
-        if (cw.get(pos))
-            syndrome ^= pos;
-    }
+    std::uint64_t lo = cw._w[0];
+    std::uint64_t hi = cw._w[1];
+    const std::uint32_t syndrome = syndromeOf(lo, hi);
+    // Parity of all 72 bits: set when positions 1..71 disagree with
+    // the stored overall parity.
+    const bool parity_error = parity(lo ^ hi);
 
-    bool overall = cw.get(0);
-    for (std::uint32_t pos = 1; pos <= 71; ++pos)
-        overall ^= cw.get(pos);
-    const bool parity_error = overall; // nonzero xor => parity mismatch
-
-    Codeword72 fixed = cw;
-    EccStatus status;
-
+    EccDecodeResult result;
     if (syndrome == 0 && !parity_error) {
-        status = EccStatus::Ok;
+        result.status = EccStatus::Ok;
     } else if (parity_error) {
         // Odd number of errors; assume one and correct it. A syndrome
-        // of zero means the overall-parity bit itself flipped.
-        if (syndrome != 0) {
-            if (syndrome <= 71) {
-                fixed.flip(syndrome);
-                status = EccStatus::Corrected;
-            } else {
-                status = EccStatus::DetectedUncorrectable;
-            }
+        // of zero means the overall-parity bit itself flipped, which
+        // carries no data.
+        if (syndrome <= 71) {
+            if (syndrome < 64)
+                lo ^= 1ull << syndrome;
+            else
+                hi ^= 1ull << (syndrome - 64);
+            result.status = EccStatus::Corrected;
         } else {
-            fixed.set(0, !fixed.get(0));
-            status = EccStatus::Corrected;
+            result.status = EccStatus::DetectedUncorrectable;
         }
     } else {
         // Even number of errors with a non-zero syndrome: double error.
-        status = EccStatus::DetectedUncorrectable;
+        result.status = EccStatus::DetectedUncorrectable;
     }
 
     // Gather the (possibly corrected) data bits.
-    EccDecodeResult result;
-    result.status = status;
-    std::uint32_t data_idx = 0;
-    for (std::uint32_t pos = 1; pos <= 71; ++pos) {
-        if (isCheckPosition(pos))
-            continue;
-        if (fixed.get(pos))
-            result.data |= 1ull << data_idx;
-        ++data_idx;
-    }
+    for (std::uint32_t j = 1; j <= 5; ++j)
+        result.data |= ((lo >> ((1u << j) + 1)) & runMask(j))
+                       << runDataShift(j);
+    result.data |= ((hi >> 1) & 0x7f) << runDataShift(6);
     return result;
 }
 

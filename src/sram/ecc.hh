@@ -42,6 +42,8 @@ class Codeword72
     bool operator==(const Codeword72 &other) const = default;
 
   private:
+    friend class SecDed72;
+
     std::array<std::uint64_t, 2> _w{0, 0};
 };
 
@@ -72,6 +74,11 @@ struct EccDecodeResult
  * construction (positions that are powers of two hold check bits, the
  * remaining 64 positions hold data bits in ascending order); codeword
  * bit 0 holds the overall parity of positions 1..71.
+ *
+ * The codec is word-parallel: the data positions form six contiguous
+ * runs between the check positions, so scatter and gather are six
+ * shift-and-mask steps, and every check bit and syndrome bit is the
+ * parity of the codeword under one constant position mask.
  */
 class SecDed72
 {
@@ -87,9 +94,6 @@ class SecDed72
      * alias — exactly the regime bit interleaving exists to avoid.
      */
     static EccDecodeResult decode(const Codeword72 &cw);
-
-  private:
-    static bool isCheckPosition(std::uint32_t pos);
 };
 
 } // namespace c8t::sram

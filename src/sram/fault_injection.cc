@@ -98,9 +98,6 @@ runUpsetCampaign(const UpsetCampaign &cfg)
     return out;
 }
 
-namespace
-{
-
 /**
  * Derive the fault-map draw seed. Each component is folded through one
  * splitmix64 step so the seed changes completely when any component
@@ -125,59 +122,87 @@ faultMapSeed(const FaultMapConfig &cfg)
     return trace::splitmix64(state);
 }
 
+namespace
+{
+
+/**
+ * The fault-map draw: the faulty physical cells of @p cfg's array in
+ * ascending order, one at a time. buildFaultMap collects them and
+ * runFaultMapCampaign consumes them row by row, so both see the same
+ * map.
+ */
+class FaultSampler
+{
+  public:
+    explicit FaultSampler(const FaultMapConfig &cfg)
+        : _rng(faultMapSeed(cfg)), _p(cfg.pfailCell),
+          _log1mp(_p > 0.0 && _p < 1.0 ? std::log1p(-_p) : 0.0),
+          _total(static_cast<std::uint64_t>(cfg.rows) * cfg.wordsPerRow *
+                 Codeword72::bits),
+          _cell(_p > 0.0 ? 0 : _total)
+    {
+        assert(cfg.rows >= 1 && cfg.wordsPerRow >= 1 && cfg.degree >= 1);
+    }
+
+    /** Total physical cells in the array. */
+    std::uint64_t total() const { return _total; }
+
+    /** The next faulty cell (flattened row * columns + column), or
+     *  total() once the map is exhausted. */
+    std::uint64_t next()
+    {
+        if (_cell >= _total)
+            return _total;
+        if (_p >= 1.0)
+            return _cell++;
+        // Skip-ahead sampling: instead of one Bernoulli draw per cell,
+        // draw the geometric gap to the next faulty cell. One RNG draw
+        // per *fault* keeps the draw O(faults) — at the high-Vdd end
+        // of a sweep p is ~1e-12 and a per-cell loop would dominate.
+        const double u = std::max(_rng.uniform(), 1e-18);
+        const double gap = std::floor(std::log(u) / _log1mp);
+        if (gap >= static_cast<double>(_total - _cell)) {
+            _cell = _total;
+            return _total;
+        }
+        const std::uint64_t cell = _cell + static_cast<std::uint64_t>(gap);
+        _cell = cell + 1;
+        return cell;
+    }
+
+  private:
+    trace::Rng _rng;
+    const double _p;
+    const double _log1mp;
+    const std::uint64_t _total;
+    std::uint64_t _cell; ///< first cell not yet drawn
+};
+
 } // namespace
 
 FaultMap
 buildFaultMap(const FaultMapConfig &cfg)
 {
-    assert(cfg.rows >= 1 && cfg.wordsPerRow >= 1 && cfg.degree >= 1);
+    FaultSampler sampler(cfg);
     FaultMap map;
     map.config = cfg;
-
-    const std::uint64_t columns =
-        static_cast<std::uint64_t>(cfg.wordsPerRow) * Codeword72::bits;
-    map.totalCells = static_cast<std::uint64_t>(cfg.rows) * columns;
-
-    trace::Rng rng(faultMapSeed(cfg));
-    const double p = cfg.pfailCell;
-    if (p <= 0.0)
-        return map;
-
-    if (p >= 1.0) {
-        map.faultyCells.resize(map.totalCells);
-        for (std::uint64_t i = 0; i < map.totalCells; ++i)
-            map.faultyCells[i] = i;
-        return map;
-    }
-
-    // Skip-ahead sampling: instead of one Bernoulli draw per cell, draw
-    // the geometric gap to the next faulty cell. One RNG draw per
-    // *fault* keeps the build O(faults) — at the high-Vdd end of a
-    // sweep p is ~1e-12 and a per-cell loop would dominate the sweep.
-    const double log1mp = std::log1p(-p);
-    std::uint64_t cell = 0;
-    while (true) {
-        const double u = std::max(rng.uniform(), 1e-18);
-        const double gap = std::floor(std::log(u) / log1mp);
-        if (gap >= static_cast<double>(map.totalCells - cell))
-            break;
-        cell += static_cast<std::uint64_t>(gap);
+    map.totalCells = sampler.total();
+    for (std::uint64_t cell = sampler.next(); cell < map.totalCells;
+         cell = sampler.next())
         map.faultyCells.push_back(cell);
-        if (++cell >= map.totalCells)
-            break;
-    }
     return map;
 }
 
 FaultMapStats
-evaluateFaultMap(const FaultMap &map)
+runFaultMapCampaign(const FaultMapConfig &cfg)
 {
-    const FaultMapConfig &cfg = map.config;
+    FaultSampler sampler(cfg);
     FaultMapStats out;
     out.words = static_cast<std::uint64_t>(cfg.rows) * cfg.wordsPerRow;
 
-    const std::uint64_t columns =
-        static_cast<std::uint64_t>(cfg.wordsPerRow) * Codeword72::bits;
+    const InterleaveMap layout(cfg.wordsPerRow, Codeword72::bits,
+                               cfg.degree);
+    const std::uint64_t columns = layout.columns();
 
     // Row fill data is deterministic but independent of the fault
     // pattern, so the same logical contents are evaluated at every
@@ -185,45 +210,57 @@ evaluateFaultMap(const FaultMap &map)
     std::uint64_t fill_state = faultMapSeed(cfg) ^ 0x9e3779b97f4a7c15ull;
     trace::Rng fill_rng(trace::splitmix64(fill_state));
 
+    // Per-row buffers, reused: the fill data, the codewords of the
+    // struck words (encoded on their first strike) and the struck
+    // words in order of first strike.
     std::vector<std::uint64_t> original(cfg.wordsPerRow);
-    std::size_t next_fault = 0;
+    std::vector<Codeword72> codewords(cfg.wordsPerRow);
+    std::vector<bool> struck(cfg.wordsPerRow, false);
+    std::vector<std::uint32_t> struck_words;
+    struck_words.reserve(cfg.wordsPerRow);
+    // Physical column -> (word << 7) | bit, built on the first struck
+    // row: the layout's divisions run once per column, not per fault.
+    std::vector<std::uint32_t> column_slot;
 
+    std::uint64_t fault = sampler.next();
     for (std::uint32_t r = 0; r < cfg.rows; ++r) {
         const std::uint64_t row_base = static_cast<std::uint64_t>(r) * columns;
         const std::uint64_t row_end = row_base + columns;
 
         // Fault-free rows decode trivially; skip the codec work but
         // keep the fill stream position independent of the fault map.
-        if (next_fault >= map.faultyCells.size() ||
-            map.faultyCells[next_fault] >= row_end) {
+        if (fault >= row_end) {
             for (std::uint32_t w = 0; w < cfg.wordsPerRow; ++w)
                 fill_rng.next();
             out.cleanWords += cfg.wordsPerRow;
             continue;
         }
 
-        EccProtectedRow row(cfg.wordsPerRow, cfg.degree);
-        for (std::uint32_t w = 0; w < cfg.wordsPerRow; ++w) {
+        for (std::uint32_t w = 0; w < cfg.wordsPerRow; ++w)
             original[w] = fill_rng.next();
-            row.writeWord(w, original[w]);
-        }
 
-        std::vector<std::uint32_t> hits_per_word(cfg.wordsPerRow, 0);
-        while (next_fault < map.faultyCells.size() &&
-               map.faultyCells[next_fault] < row_end) {
-            const auto col = static_cast<std::uint32_t>(
-                map.faultyCells[next_fault] - row_base);
-            row.strike(col);
-            ++hits_per_word[row.wordOfColumn(col)];
-            ++next_fault;
-        }
-
-        for (std::uint32_t w = 0; w < cfg.wordsPerRow; ++w) {
-            if (hits_per_word[w] == 0) {
-                ++out.cleanWords;
-                continue;
+        if (column_slot.empty()) {
+            column_slot.resize(columns);
+            for (std::uint32_t col = 0; col < columns; ++col) {
+                column_slot[col] =
+                    layout.wordOf(col) << 7 | layout.bitOf(col);
             }
-            const EccDecodeResult res = row.readWord(w);
+        }
+        for (; fault < row_end; fault = sampler.next()) {
+            const std::uint32_t slot = column_slot[fault - row_base];
+            const std::uint32_t w = slot >> 7;
+            if (!struck[w]) {
+                struck[w] = true;
+                struck_words.push_back(w);
+                codewords[w] = SecDed72::encode(original[w]);
+            }
+            codewords[w].flip(slot & 127);
+        }
+
+        out.cleanWords += cfg.wordsPerRow - struck_words.size();
+        for (const std::uint32_t w : struck_words) {
+            struck[w] = false;
+            const EccDecodeResult res = SecDed72::decode(codewords[w]);
             if (res.status == EccStatus::DetectedUncorrectable) {
                 ++out.detectedUncorrectable;
             } else if (res.data != original[w]) {
@@ -232,14 +269,9 @@ evaluateFaultMap(const FaultMap &map)
                 ++out.corrected;
             }
         }
+        struck_words.clear();
     }
     return out;
-}
-
-FaultMapStats
-runFaultMapCampaign(const FaultMapConfig &cfg)
-{
-    return evaluateFaultMap(buildFaultMap(cfg));
 }
 
 } // namespace c8t::sram

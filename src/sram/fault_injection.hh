@@ -213,22 +213,29 @@ struct FaultMapStats
 };
 
 /**
+ * The fault-map draw seed of @p cfg, derived from (runSeed, vdd, rows,
+ * wordsPerRow, degree, cell) via splitmix64, so the same operating
+ * point always yields the same map regardless of which sweep worker
+ * asks.
+ */
+std::uint64_t faultMapSeed(const FaultMapConfig &cfg);
+
+/**
  * Draw the fault map for @p cfg: each of the rows * wordsPerRow * 72
- * physical cells fails independently with probability cfg.pfailCell.
- * The draw seed is derived from (runSeed, vdd, rows, wordsPerRow,
- * degree, cell) via splitmix64, so the same operating point always
- * yields the same map regardless of which sweep worker asks.
+ * physical cells fails independently with probability cfg.pfailCell,
+ * from the draw seeded by faultMapSeed(cfg).
  */
 FaultMap buildFaultMap(const FaultMapConfig &cfg);
 
 /**
- * Evaluate @p map through the interleaved SEC-DED layout: fill every
- * row with deterministic pseudo-random data, flip the mapped faulty
- * cells, decode every word and classify the outcome.
+ * Evaluate the fault map of @p cfg through the interleaved SEC-DED
+ * layout: fill every row with deterministic pseudo-random data, flip
+ * the faulty cells, decode every struck word and classify the outcome.
+ *
+ * The campaign streams the draw buildFaultMap(cfg) collects row by row
+ * and never materialises the map, so it runs in O(wordsPerRow) memory
+ * at any failure probability; only struck words are encoded.
  */
-FaultMapStats evaluateFaultMap(const FaultMap &map);
-
-/** buildFaultMap + evaluateFaultMap in one step. */
 FaultMapStats runFaultMapCampaign(const FaultMapConfig &cfg);
 
 } // namespace c8t::sram

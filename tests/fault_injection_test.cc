@@ -2,12 +2,16 @@
  * @file
  * Tests for the multi-bit-upset campaign: interleaving + SEC-DED must
  * recover every burst up to the interleave degree; non-interleaved
- * rows must not.
+ * rows must not. Also pins the streamed fault-map campaign to the
+ * materialised map evaluated row by row.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
+
+#include "trace/rng.hh"
 
 #include "sram/fault_injection.hh"
 
@@ -132,6 +136,115 @@ TEST(UpsetCampaign, SingleBitBurstAlwaysCorrectedAnyDegree)
         const UpsetStats s = runUpsetCampaign(cfg);
         EXPECT_EQ(s.fullyRecoveredTrials, 500u) << "degree " << degree;
         EXPECT_EQ(s.silentCorruptions, 0u);
+    }
+}
+
+/**
+ * Reference fault-map evaluation: materialise the whole map with
+ * buildFaultMap, then strike and decode every faulted row through an
+ * EccProtectedRow. runFaultMapCampaign streams the same draw and must
+ * agree field for field.
+ */
+FaultMapStats
+evaluateMaterialised(const FaultMapConfig &cfg)
+{
+    const FaultMap map = buildFaultMap(cfg);
+    FaultMapStats out;
+    out.words = static_cast<std::uint64_t>(cfg.rows) * cfg.wordsPerRow;
+    const std::uint64_t columns =
+        static_cast<std::uint64_t>(cfg.wordsPerRow) * Codeword72::bits;
+
+    std::uint64_t fill_state = faultMapSeed(cfg) ^ 0x9e3779b97f4a7c15ull;
+    c8t::trace::Rng fill_rng(c8t::trace::splitmix64(fill_state));
+    std::vector<std::uint64_t> original(cfg.wordsPerRow);
+    std::size_t next_fault = 0;
+    for (std::uint32_t r = 0; r < cfg.rows; ++r) {
+        const std::uint64_t row_base = r * columns;
+        const std::uint64_t row_end = row_base + columns;
+        EccProtectedRow row(cfg.wordsPerRow, cfg.degree);
+        for (std::uint32_t w = 0; w < cfg.wordsPerRow; ++w) {
+            original[w] = fill_rng.next();
+            row.writeWord(w, original[w]);
+        }
+        std::vector<std::uint32_t> hits(cfg.wordsPerRow, 0);
+        for (; next_fault < map.faultyCells.size() &&
+               map.faultyCells[next_fault] < row_end;
+             ++next_fault) {
+            const auto col = static_cast<std::uint32_t>(
+                map.faultyCells[next_fault] - row_base);
+            row.strike(col);
+            ++hits[row.wordOfColumn(col)];
+        }
+        for (std::uint32_t w = 0; w < cfg.wordsPerRow; ++w) {
+            const EccDecodeResult res = row.readWord(w);
+            if (hits[w] == 0)
+                ++out.cleanWords;
+            else if (res.status == EccStatus::DetectedUncorrectable)
+                ++out.detectedUncorrectable;
+            else if (res.data != original[w])
+                ++out.silentCorruptions;
+            else
+                ++out.corrected;
+        }
+    }
+    return out;
+}
+
+TEST(FaultMapCampaign, StreamedMatchesMaterialisedMap)
+{
+    c8t::trace::Rng rng(5);
+    int configs = 0;
+    for (const double p : {0.0, 1e-4, 3e-3, 0.02, 0.3, 0.45, 1.0}) {
+        for (const std::uint32_t degree : {1u, 2u, 4u, 8u}) {
+            FaultMapConfig cfg;
+            cfg.runSeed = rng.next();
+            cfg.vdd = 0.5 + 0.5 * rng.uniform();
+            cfg.cell = rng.chance(0.5) ? CellType::SixT : CellType::EightT;
+            cfg.pfailCell = p;
+            cfg.rows = static_cast<std::uint32_t>(rng.between(1, 300));
+            cfg.wordsPerRow = degree * static_cast<std::uint32_t>(
+                                           rng.between(1, 32 / degree));
+            cfg.degree = degree;
+
+            const FaultMapStats got = runFaultMapCampaign(cfg);
+            const FaultMapStats want = evaluateMaterialised(cfg);
+            SCOPED_TRACE(::testing::Message()
+                         << "p=" << p << " degree=" << degree
+                         << " rows=" << cfg.rows
+                         << " words=" << cfg.wordsPerRow);
+            EXPECT_EQ(got.words, want.words);
+            EXPECT_EQ(got.cleanWords, want.cleanWords);
+            EXPECT_EQ(got.corrected, want.corrected);
+            EXPECT_EQ(got.detectedUncorrectable,
+                      want.detectedUncorrectable);
+            EXPECT_EQ(got.silentCorruptions, want.silentCorruptions);
+            if (p == 0.0)
+                EXPECT_EQ(got.cleanWords, got.words);
+            if (p == 1.0)
+                EXPECT_EQ(got.cleanWords, 0u);
+            ++configs;
+        }
+    }
+    EXPECT_EQ(configs, 28);
+}
+
+TEST(FaultMapCampaign, SingleRowSingleWord)
+{
+    // The smallest array: one row of one word, at every extreme.
+    for (const double p : {0.0, 0.01, 0.5, 1.0}) {
+        FaultMapConfig cfg;
+        cfg.rows = 1;
+        cfg.wordsPerRow = 1;
+        cfg.degree = 1;
+        cfg.pfailCell = p;
+        const FaultMapStats got = runFaultMapCampaign(cfg);
+        const FaultMapStats want = evaluateMaterialised(cfg);
+        EXPECT_EQ(got.words, 1u);
+        EXPECT_EQ(got.cleanWords, want.cleanWords) << p;
+        EXPECT_EQ(got.corrected, want.corrected) << p;
+        EXPECT_EQ(got.detectedUncorrectable, want.detectedUncorrectable)
+            << p;
+        EXPECT_EQ(got.silentCorruptions, want.silentCorruptions) << p;
     }
 }
 

@@ -14,12 +14,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "core/controller.hh"
+#include "core/fault_cache.hh"
+#include "core/policies.hh"
 #include "core/vdd_sweep.hh"
+#include "core/worker_pool.hh"
 #include "mem/functional_mem.hh"
 #include "obs/event_ring.hh"
 #include "stats/registry.hh"
@@ -216,15 +220,40 @@ TEST(VddSweep, ResultIsIdenticalForAnyWorkerCount)
     spec.grid = {1.0, 0.85, 0.7, 0.6}; // keep the matrix small
     const RunConfig rc{1'000, 10'000};
 
+    // Every run evaluates its campaigns itself: one per distinct
+    // (cell, interleave degree, Vdd), on the sweep workers.
+    std::set<std::pair<bool, bool>> shapes;
+    for (const WriteScheme s : spec.schemes) {
+        const core::SchemeTraits t = core::schemeTraits(s);
+        shapes.emplace(t.requiresEightT, t.requiresNonInterleaved);
+    }
+    const std::uint64_t keys = shapes.size() * spec.grid.size();
+
     std::vector<std::string> dumps;
-    for (unsigned workers : {1u, 2u, 8u}) {
+    const auto sweep = [&](unsigned workers) {
+        core::globalFaultMapCache().clear();
+        const std::uint64_t misses0 =
+            core::globalFaultMapCache().stats().misses;
         const VddSweepResult r = core::runVddSweep(spec, rc, workers);
+        EXPECT_EQ(core::globalFaultMapCache().stats().misses - misses0,
+                  keys)
+            << workers << " workers";
         std::ostringstream os;
         r.dumpJson(os);
         dumps.push_back(os.str());
+    };
+    for (const unsigned workers : {1u, 2u, 4u, 8u})
+        sweep(workers);
+    {
+        // The daemon path: jobs run on an installed shared pool.
+        core::SweepPool pool(4);
+        core::setGlobalSweepPool(&pool);
+        sweep(4);
+        core::setGlobalSweepPool(nullptr);
     }
-    EXPECT_EQ(dumps[0], dumps[1]);
-    EXPECT_EQ(dumps[0], dumps[2]);
+    ASSERT_EQ(dumps.size(), 5u);
+    for (std::size_t i = 1; i < dumps.size(); ++i)
+        EXPECT_EQ(dumps[0], dumps[i]) << "run " << i;
 }
 
 TEST(VddSweep, DumpJsonIsVersionedAndWellFormed)
