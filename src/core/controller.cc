@@ -32,10 +32,8 @@ CacheController::CacheController(const ControllerConfig &config,
                                  mem::FunctionalMemory &memory)
     : _config(config), _traits(schemeTraits(config.scheme)),
       _mem(memory), _tags(config.cache),
-      _array(sram::ArrayGeometry{
-          config.cache.numSets(), config.cache.setBytes(),
-          _traits.requiresNonInterleaved ? 1u : config.interleaveDegree,
-          config.scheme == WriteScheme::WordGranular}),
+      _array(dataArrayGeometry(config.cache, config.scheme,
+                               config.interleaveDegree)),
       _energy(_array.geometry(), config.tech)
 {
     if (_config.bufferEntries == 0)

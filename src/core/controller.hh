@@ -265,11 +265,7 @@ class CacheController
 
     /** The cell flavour the configured scheme runs on (6T only for the
      *  direct-write baseline; everything else needs 8T). */
-    sram::CellType cellType() const
-    {
-        return _traits.requiresEightT ? sram::CellType::EightT
-                                      : sram::CellType::SixT;
-    }
+    sram::CellType cellType() const { return cellOf(_config.scheme); }
 
     // --- hierarchy (DESIGN.md §14) ----------------------------------------
 

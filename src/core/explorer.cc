@@ -6,26 +6,22 @@
 #include "core/explorer.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "core/fault_cache.hh"
 #include "core/policies.hh"
 #include "core/stream_cache.hh"
 #include "core/sweep.hh"
+#include "core/vdd_sweep.hh"
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
-#include "sram/energy.hh"
-#include "sram/fault_injection.hh"
 #include "stats/json.hh"
 #include "stats/registry.hh"
 #include "trace/markov_stream.hh"
@@ -70,77 +66,95 @@ splitmix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-/** Decoded cross-product coordinates of one cell (workload-major so
- *  adjacent cells share the workload stream). */
-struct CellCoord
+/** One cell of the cross-product: its workload and the
+ *  operating-point sweep that evaluates it. */
+struct CellSweep
 {
-    std::size_t workload = 0;
-    std::size_t size = 0;
-    std::size_t ways = 0;
-    std::size_t block = 0;
-    std::size_t repl = 0;
-    std::size_t l2 = 0; ///< index into l2SizesKb; 0 when axis empty
+    std::string workload;
+    VddSweepSpec sweep;
 };
 
-CellCoord
+/**
+ * Cell @p index of the cross-product, decoded workload-major so that
+ * adjacent cells share the workload stream. The L2 axis is the
+ * innermost coordinate, so a single-level spec decodes exactly as it
+ * always did. A hierarchy cell adds an L2 of the axis capacity, 8
+ * ways, the L1's block and replacement policy: the L1 stays a 6T
+ * direct-write cache at nominal supply while the scheme axis and the
+ * grid ride on the L2. An empty grid is the nominal-only mode.
+ */
+CellSweep
 decodeCell(const ExplorerSpec &spec, std::uint64_t index)
 {
-    CellCoord c;
-    // The L2 axis is the innermost coordinate, so a single-level spec
-    // (axis size 1 below) decodes exactly as it always did.
-    const std::size_t n_l2 =
-        std::max<std::size_t>(1, spec.l2SizesKb.size());
-    c.l2 = index % n_l2;
-    index /= n_l2;
-    c.repl = index % spec.replacements.size();
-    index /= spec.replacements.size();
-    c.block = index % spec.blocks.size();
-    index /= spec.blocks.size();
-    c.ways = index % spec.ways.size();
-    index /= spec.ways.size();
-    c.size = index % spec.sizesKb.size();
-    index /= spec.sizesKb.size();
-    c.workload = index;
-    return c;
+    const auto coord = [&index](std::size_t axis) {
+        const std::size_t i = index % axis;
+        index /= axis;
+        return i;
+    };
+    const std::size_t l2 =
+        coord(std::max<std::size_t>(1, spec.l2SizesKb.size()));
+    CellSweep cell;
+    VddSweepSpec &v = cell.sweep;
+    v.cache.replacement = spec.replacements[coord(spec.replacements.size())];
+    v.cache.blockBytes = spec.blocks[coord(spec.blocks.size())];
+    v.cache.ways = spec.ways[coord(spec.ways.size())];
+    v.cache.sizeBytes = spec.sizesKb[coord(spec.sizesKb.size())] * 1024;
+    cell.workload = spec.workloads[index];
+
+    v.grid = spec.vddGrid;
+    v.model = spec.model;
+    v.failureThreshold = spec.failureThreshold;
+    v.runSeed = spec.runSeed;
+    v.faultRows = spec.faultRows;
+    v.schemes = spec.schemes;
+    if (!spec.l2SizesKb.empty()) {
+        LevelConfig lower;
+        lower.cache.sizeBytes = spec.l2SizesKb[l2] * 1024;
+        lower.cache.ways = 8;
+        lower.cache.blockBytes = v.cache.blockBytes;
+        lower.cache.replacement = v.cache.replacement;
+        v.lowerLevels = {lower};
+    }
+    const trace::StreamParams profile = trace::specProfile(cell.workload);
+    v.makeGenerator = [profile]() {
+        return std::make_unique<trace::MarkovStream>(profile);
+    };
+    v.streamKey = trace::streamSignature(profile);
+    return cell;
 }
 
-mem::CacheConfig
-cacheFor(const ExplorerSpec &spec, const CellCoord &c)
+/** Append one summary per scheme of @p cell, each taken at its curve's
+ *  min-Vdd point (the highest grid point when none is operational). */
+void
+summarizeCell(const CellSweep &cell, const std::vector<VddCurve> &curves,
+              std::vector<DesignPointSummary> &out)
 {
-    mem::CacheConfig cache;
-    cache.sizeBytes = spec.sizesKb[c.size] * 1024;
-    cache.ways = spec.ways[c.ways];
-    cache.blockBytes = spec.blocks[c.block];
-    cache.replacement = spec.replacements[c.repl];
-    return cache;
-}
-
-/** The L2 level of a hierarchy cell (spec.l2SizesKb non-empty): axis
- *  capacity, 8 ways, the L1's block, the cell's replacement policy.
- *  Scheme/Vdd are stamped in per config-run. */
-LevelConfig
-lowerFor(const ExplorerSpec &spec, const CellCoord &c,
-         const mem::CacheConfig &l1)
-{
-    LevelConfig l2;
-    l2.cache.sizeBytes = spec.l2SizesKb[c.l2] * 1024;
-    l2.cache.ways = 8;
-    l2.cache.blockBytes = l1.blockBytes;
-    l2.cache.replacement = l1.replacement;
-    return l2;
-}
-
-/** The data-array geometry the controller would build (mirrors
- *  runVddSweep / the CacheController constructor). */
-sram::ArrayGeometry
-geometryFor(const mem::CacheConfig &cache, WriteScheme scheme)
-{
-    const SchemeTraits traits = schemeTraits(scheme);
-    const ControllerConfig defaults;
-    return sram::ArrayGeometry{
-        cache.numSets(), cache.setBytes(),
-        traits.requiresNonInterleaved ? 1u : defaults.interleaveDegree,
-        scheme == WriteScheme::WordGranular};
+    const mem::CacheConfig &cache = cell.sweep.cache;
+    for (const VddCurve &c : curves) {
+        const VddPointResult *at_min = minVddPoint(c);
+        const VddPointResult &pt = at_min ? *at_min : c.points.front();
+        DesignPointSummary p;
+        p.workload = cell.workload;
+        p.sizeBytes = cache.sizeBytes;
+        p.ways = cache.ways;
+        p.blockBytes = cache.blockBytes;
+        p.l2SizeBytes = cell.sweep.lowerLevels.empty()
+                            ? 0
+                            : cell.sweep.lowerLevels.front().cache.sizeBytes;
+        p.repl = cache.replacement;
+        p.scheme = c.scheme;
+        p.cell = c.cell;
+        p.operational = at_min != nullptr;
+        p.minVdd = c.minVdd;
+        p.energyPerAccess = pt.energyPerAccess;
+        p.edpPerAccess = pt.edpPerAccess;
+        p.cyclesPerAccess = pt.cyclesPerAccess;
+        if (pt.run.requests > 0) {
+            p.missRate = static_cast<double>(pt.run.misses) /
+                         static_cast<double>(pt.run.requests);
+        }
+        out.push_back(std::move(p));
+    }
 }
 
 std::string
@@ -259,10 +273,7 @@ loadShardCheckpoint(const std::string &path,
             tag != "p")
             throw fail("bad point line");
         p.repl = mem::parseReplKind(repl_name);
-        const WriteScheme scheme = parseWriteScheme(p.scheme);
-        p.cell = schemeTraits(scheme).requiresEightT
-                     ? sram::CellType::EightT
-                     : sram::CellType::SixT;
+        p.cell = cellOf(parseWriteScheme(p.scheme));
         p.operational = op_tok == "1";
         p.minVdd = parseDoubleToken(min_vdd);
         p.energyPerAccess = parseDoubleToken(energy);
@@ -408,8 +419,7 @@ struct ExploreResult::Pending
 {
     RunConfig rc;
     unsigned workers = 0;
-    obs::prof::PhaseTimes phasesBefore;
-    bool profOn = false;
+    obs::PhaseWindow phases;
 };
 
 ExploreResult::ExploreResult() = default;
@@ -516,77 +526,37 @@ ExploreResult::emitBenchRecord()
     if (!_pending)
         return;
     const std::unique_ptr<Pending> p = std::move(_pending);
-    obs::prof::PhaseTimes run_phases;
-    if (p->profOn) {
-        // Fold in everything this thread did since the explore started
-        // — including the caller's dumpJson/table Serialize scopes —
-        // and diff against the entry snapshot.
-        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
-        const obs::prof::PhaseTimes after =
-            obs::globalMetrics().phaseTimes();
-        for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
-            run_phases.ns[i] = after.ns[i] - p->phasesBefore.ns[i];
-            run_phases.scopes[i] =
-                after.scopes[i] - p->phasesBefore.scopes[i];
-        }
-    }
-
-    const char *path = std::getenv("C8T_BENCH_JSON");
-    if (path && *path) {
-        std::ofstream os(path, std::ios::app);
-        if (!os) {
-            static std::atomic<bool> warned{false};
-            if (!warned.exchange(true)) {
-                std::cerr << "explorer: cannot open C8T_BENCH_JSON=\""
-                          << path
-                          << "\" for append; perf records disabled\n";
-            }
-        } else {
-            const double simulated =
-                static_cast<double>(configRunsExecuted) *
-                static_cast<double>(p->rc.warmupAccesses +
-                                    p->rc.measureAccesses);
-            os << "{\"kind\":\"explore\",\"label\":\""
-               << stats::jsonEscape(label) << "\""
-               << ",\"workers\":" << p->workers
-               << ",\"cells\":" << cellsTotal
-               << ",\"cells_skipped\":" << cellsSkipped
-               << ",\"shards\":" << shardsTotal
-               << ",\"shards_executed\":" << shardsExecuted
-               << ",\"shards_resumed\":" << shardsResumed
-               << ",\"config_runs\":" << configRunsExecuted
-               << ",\"config_runs_total\":" << configRunsTotal
-               << ",\"warmup_accesses\":" << p->rc.warmupAccesses
-               << ",\"measure_accesses\":" << p->rc.measureAccesses
-               << ",\"simulated_accesses\":"
-               << static_cast<std::uint64_t>(simulated)
-               << ",\"wall_seconds\":" << wallSeconds
-               << ",\"accesses_per_sec\":"
-               << (wallSeconds > 0.0 ? simulated / wallSeconds : 0.0)
-               << ",\"config_runs_per_sec\":";
-            stats::jsonNumber(os, configRunsPerSec);
-            os << ",\"stream_cache_hit_rate\":";
-            stats::jsonNumber(os, streamCacheHitRate);
-            os << ",\"completed\":" << (completed ? "true" : "false");
-            if (p->profOn) {
-                os << ",\"phases\":{";
-                for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
-                    os << "\""
-                       << obs::prof::toString(
-                              static_cast<obs::prof::Phase>(i))
-                       << "\":";
-                    stats::jsonNumber(
-                        os, static_cast<double>(run_phases.ns[i]) * 1e-9);
-                    os << ",";
-                }
-                os << "\"total\":";
-                stats::jsonNumber(
-                    os, static_cast<double>(run_phases.totalNs()) * 1e-9);
-                os << "}";
-            }
-            os << "}\n";
-        }
-    }
+    // The window spans the caller's dumpJson/table Serialize scopes.
+    const auto phases = p->phases.close();
+    appendBenchRecord("explorer", phases ? &*phases : nullptr,
+                      [&](std::ostream &os) {
+        const double simulated =
+            static_cast<double>(configRunsExecuted) *
+            static_cast<double>(p->rc.warmupAccesses +
+                                p->rc.measureAccesses);
+        os << "{\"kind\":\"explore\",\"label\":\""
+           << stats::jsonEscape(label) << "\""
+           << ",\"workers\":" << p->workers
+           << ",\"cells\":" << cellsTotal
+           << ",\"cells_skipped\":" << cellsSkipped
+           << ",\"shards\":" << shardsTotal
+           << ",\"shards_executed\":" << shardsExecuted
+           << ",\"shards_resumed\":" << shardsResumed
+           << ",\"config_runs\":" << configRunsExecuted
+           << ",\"config_runs_total\":" << configRunsTotal
+           << ",\"warmup_accesses\":" << p->rc.warmupAccesses
+           << ",\"measure_accesses\":" << p->rc.measureAccesses
+           << ",\"simulated_accesses\":"
+           << static_cast<std::uint64_t>(simulated)
+           << ",\"wall_seconds\":" << wallSeconds
+           << ",\"accesses_per_sec\":"
+           << (wallSeconds > 0.0 ? simulated / wallSeconds : 0.0)
+           << ",\"config_runs_per_sec\":";
+        stats::jsonNumber(os, configRunsPerSec);
+        os << ",\"stream_cache_hit_rate\":";
+        stats::jsonNumber(os, streamCacheHitRate);
+        os << ",\"completed\":" << (completed ? "true" : "false");
+    });
     obs::writeGlobalMetrics();
 }
 
@@ -595,24 +565,22 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
 {
     spec.validate();
     const auto t0 = std::chrono::steady_clock::now();
-    const bool prof_on = obs::prof::enabled();
-    obs::prof::PhaseTimes phases_before;
-    if (prof_on) {
-        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
-        phases_before = obs::globalMetrics().phaseTimes();
-    }
+    const obs::PhaseWindow phases;
+    // Jobs per cell: one per grid point (nominal-only: one).
+    const std::size_t points_per_cell =
+        std::max<std::size_t>(1, spec.vddGrid.size());
 
-    const sram::VddModel model(spec.model);
-    const bool vdd_mode = !spec.vddGrid.empty();
-    const bool hier_mode = !spec.l2SizesKb.empty();
-    // Nominal-only mode is a one-point "grid" at the nominal supply
-    // with the voltage model detached (cfg.vdd = 0) and no fault maps.
-    const std::vector<double> grid =
-        vdd_mode ? spec.vddGrid
-                 : std::vector<double>{spec.model.nominalVdd};
-    const double period = model.clockPeriod();
-
+    // Stream-cache hit rate of this explore's lookups so far.
     const StreamCache::Stats cache_before = globalStreamCache().stats();
+    const auto stream_hit_rate = [&cache_before] {
+        const StreamCache::Stats now = globalStreamCache().stats();
+        const std::uint64_t hits = now.hits - cache_before.hits;
+        const std::uint64_t lookups =
+            hits + (now.misses - cache_before.misses);
+        return lookups ? static_cast<double>(hits) /
+                             static_cast<double>(lookups)
+                       : 0.0;
+    };
 
     ExploreResult result;
     result.label = spec.label;
@@ -648,122 +616,6 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
     sweeper.setProgress(false); // the explorer heartbeats per shard
     sweeper.setRecordBench(false); // one umbrella record, not per shard
 
-    // Fault maps are memoized process-wide: they depend only on
-    // (seed, cell type, interleave degree, words per row, voltage),
-    // so every geometry with the same set size shares them — across
-    // this explore AND every other request in a long-running daemon.
-    const auto faultsAt = [&](sram::CellType cell, std::uint32_t degree,
-                              std::uint32_t words_per_row,
-                              std::size_t grid_index) {
-        sram::FaultMapConfig fmc;
-        fmc.runSeed = spec.runSeed;
-        fmc.vdd = grid[grid_index];
-        fmc.cell = cell;
-        fmc.pfailCell = model.at(fmc.vdd, cell).pfailCell;
-        fmc.rows = spec.faultRows;
-        fmc.wordsPerRow = words_per_row;
-        fmc.degree = degree;
-        return globalFaultMapCache().evaluate(fmc);
-    };
-
-    // Reduce one executed shard: per valid cell, per scheme, walk the
-    // grid for reachability and summarize at the min-Vdd point.
-    const auto reduceCell =
-        [&](const CellCoord &coord, const mem::CacheConfig &cache,
-            const std::vector<std::vector<SchemeRunResult>> &runs,
-            std::size_t job_base,
-            std::vector<DesignPointSummary> &out) {
-            // In hierarchy mode the swept scheme runs on the L2, so
-            // fault maps, verdicts and leakage scaling follow the L2
-            // shape; the pinned 6T L1 contributes a fixed leakage
-            // term at nominal supply.
-            const mem::CacheConfig swept_shape =
-                hier_mode ? lowerFor(spec, coord, cache).cache : cache;
-            double leak_top_fixed = 0.0;
-            if (hier_mode) {
-                const sram::EnergyModel top_em(
-                    geometryFor(cache, WriteScheme::SixTDirect),
-                    ControllerConfig{}.tech);
-                leak_top_fixed = top_em.leakagePower();
-            }
-            for (std::size_t si = 0; si < spec.schemes.size(); ++si) {
-                const WriteScheme scheme = spec.schemes[si];
-                const SchemeTraits traits = schemeTraits(scheme);
-                const sram::CellType cell =
-                    traits.requiresEightT ? sram::CellType::EightT
-                                          : sram::CellType::SixT;
-                const sram::ArrayGeometry geom =
-                    geometryFor(swept_shape, scheme);
-                const sram::EnergyModel em(geom,
-                                           ControllerConfig{}.tech);
-                const double leak_nominal = em.leakagePower();
-                const std::uint32_t words_per_row =
-                    std::max<std::uint32_t>(1,
-                                            swept_shape.setBytes() / 8);
-
-                DesignPointSummary p;
-                p.workload = spec.workloads[coord.workload];
-                p.sizeBytes = cache.sizeBytes;
-                p.ways = cache.ways;
-                p.blockBytes = cache.blockBytes;
-                p.l2SizeBytes =
-                    hier_mode ? swept_shape.sizeBytes : 0;
-                p.repl = cache.replacement;
-                p.scheme = toString(scheme);
-                p.cell = cell;
-
-                // min-Vdd: the lowest grid voltage reachable from
-                // nominal through operational points only (exactly
-                // runVddSweep's reachability rule). Nominal-only mode
-                // has no fault dimension: the single point is
-                // operational by definition.
-                std::size_t summary_gi = 0;
-                bool reachable = true;
-                for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-                    const bool operational =
-                        !vdd_mode ||
-                        faultsAt(cell, geom.interleaveDegree,
-                                 words_per_row, gi)
-                                .postEccFailureRate() <=
-                            spec.failureThreshold;
-                    if (reachable && operational) {
-                        p.operational = true;
-                        p.minVdd = grid[gi];
-                        summary_gi = gi;
-                    } else {
-                        reachable = false;
-                    }
-                }
-
-                const SchemeRunResult &run =
-                    runs[job_base + summary_gi][si];
-                const double requests =
-                    static_cast<double>(run.requests);
-                if (requests > 0.0) {
-                    const sram::VddPoint point =
-                        model.at(grid[summary_gi], cell);
-                    const double seconds =
-                        static_cast<double>(run.cycles) * period;
-                    // totalDynamicEnergy == dynamicEnergy
-                    // bit-identically for a single level.
-                    const double dyn =
-                        run.totalDynamicEnergy / requests;
-                    const double leak = (leak_top_fixed +
-                                         leak_nominal *
-                                             point.leakageScale) *
-                                        seconds / requests;
-                    p.energyPerAccess = dyn + leak;
-                    p.cyclesPerAccess =
-                        static_cast<double>(run.cycles) / requests;
-                    p.edpPerAccess =
-                        p.energyPerAccess * p.cyclesPerAccess * period;
-                    p.missRate =
-                        static_cast<double>(run.misses) / requests;
-                }
-                out.push_back(std::move(p));
-            }
-        };
-
     const bool progress_on =
         spec.progress || ParallelSweeper::defaultProgress();
     auto last_beat = t0;
@@ -794,10 +646,6 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
                                ? static_cast<double>(runs_left) /
                                      exec_rate
                                : 0.0;
-        const StreamCache::Stats cs = globalStreamCache().stats();
-        const std::uint64_t d_hits = cs.hits - cache_before.hits;
-        const std::uint64_t d_lookups =
-            d_hits + (cs.misses - cache_before.misses);
         std::fprintf(
             stderr,
             "\r[%s] shards %llu/%llu · config-runs %llu/%llu · "
@@ -807,10 +655,7 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
             static_cast<unsigned long long>(result.shardsTotal),
             static_cast<unsigned long long>(runs_done),
             static_cast<unsigned long long>(result.configRunsTotal),
-            exec_rate, eta,
-            d_lookups ? 100.0 * static_cast<double>(d_hits) /
-                            static_cast<double>(d_lookups)
-                      : 0.0,
+            exec_rate, eta, 100.0 * stream_hit_rate(),
             final_beat ? "\n" : "");
         std::fflush(stderr);
     };
@@ -833,27 +678,25 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
                    result.shardsExecuted < spec.maxShards) {
             const auto shard_t0 = std::chrono::steady_clock::now();
 
-            // Expand the shard's cells into jobs: one job per grid
-            // point, one controller per scheme. Invalid geometries
-            // (e.g. a set smaller than one block) are skipped — the
-            // verdict depends only on the spec, so it is identical on
-            // every run/resume.
-            std::vector<SweepJob> jobs;
-            std::vector<std::pair<CellCoord, mem::CacheConfig>> valid;
+            // Expand the shard's valid cells into operating-point
+            // sweeps. Invalid geometries (e.g. a set smaller than one
+            // block) are skipped — the verdict depends only on the
+            // spec, so it is identical on every run/resume.
+            std::vector<CellSweep> cells;
             std::uint64_t skipped = 0;
             for (std::uint64_t ci = first; ci < first + count; ++ci) {
-                const CellCoord coord = decodeCell(spec, ci);
-                const mem::CacheConfig cache = cacheFor(spec, coord);
+                CellSweep cell = decodeCell(spec, ci);
+                const mem::CacheConfig &cache = cell.sweep.cache;
                 try {
                     cache.validate();
-                    if (hier_mode) {
+                    if (!cell.sweep.lowerLevels.empty()) {
                         // An L2 that cannot hold the L1 breaks
                         // inclusion — skipped like any other invalid
                         // geometry, deterministically from the spec.
-                        const LevelConfig l2 =
-                            lowerFor(spec, coord, cache);
-                        l2.cache.validate();
-                        if (l2.cache.sizeBytes < cache.sizeBytes)
+                        const mem::CacheConfig &l2 =
+                            cell.sweep.lowerLevels.front().cache;
+                        l2.validate();
+                        if (l2.sizeBytes < cache.sizeBytes)
                             throw std::invalid_argument(
                                 "L2 smaller than L1");
                     }
@@ -861,56 +704,30 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
                     ++skipped;
                     continue;
                 }
-                const trace::StreamParams profile =
-                    trace::specProfile(spec.workloads[coord.workload]);
-                const std::string key = trace::streamSignature(profile);
-                for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-                    SweepJob job;
-                    job.makeGenerator = [profile]() {
-                        return std::make_unique<trace::MarkovStream>(
-                            profile);
-                    };
-                    job.streamKey = key;
-                    job.vdd = vdd_mode ? grid[gi] : 0.0;
-                    job.configs.reserve(spec.schemes.size());
-                    for (const WriteScheme s : spec.schemes) {
-                        ControllerConfig cfg;
-                        cfg.cache = cache;
-                        if (hier_mode) {
-                            // 6T L1 at nominal; scheme and grid Vdd
-                            // ride on the L2 (DESIGN.md §14).
-                            cfg.scheme = WriteScheme::SixTDirect;
-                            cfg.lowerLevels = {
-                                lowerFor(spec, coord, cache)};
-                            cfg.lowerLevels.front().scheme = s;
-                            if (vdd_mode) {
-                                cfg.lowerLevels.front().vdd = grid[gi];
-                                cfg.vmodel = spec.model;
-                            }
-                        } else {
-                            cfg.scheme = s;
-                            if (vdd_mode) {
-                                cfg.vdd = grid[gi];
-                                cfg.vmodel = spec.model;
-                            }
-                        }
-                        job.configs.push_back(cfg);
-                    }
-                    jobs.push_back(std::move(job));
-                }
-                valid.emplace_back(coord, cache);
+                cells.push_back(std::move(cell));
             }
+
+            // One job per (cell, grid point); each job runs its point's
+            // fault-map campaigns on its worker.
+            std::vector<VddFaultTable> faults(cells.size());
+            std::vector<SweepJob> jobs;
+            for (std::size_t vi = 0; vi < cells.size(); ++vi)
+                appendOperatingPointJobs(cells[vi].sweep, faults[vi], jobs);
 
             std::vector<DesignPointSummary> shard_points;
             if (!jobs.empty()) {
                 const auto runs = sweeper.run(
                     jobs, rc,
                     spec.label + ":shard" + std::to_string(shard));
-                shard_points.reserve(valid.size() *
-                                     spec.schemes.size());
-                for (std::size_t vi = 0; vi < valid.size(); ++vi) {
-                    reduceCell(valid[vi].first, valid[vi].second, runs,
-                               vi * grid.size(), shard_points);
+                shard_points.reserve(cells.size() * spec.schemes.size());
+                for (std::size_t vi = 0; vi < cells.size(); ++vi) {
+                    const auto cell_runs = std::span(runs).subspan(
+                        vi * points_per_cell, points_per_cell);
+                    summarizeCell(cells[vi],
+                                  reduceOperatingPoints(cells[vi].sweep,
+                                                        faults[vi],
+                                                        cell_runs),
+                                  shard_points);
                 }
             }
 
@@ -1021,21 +838,13 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
     result.configRunsPerSec =
         wall > 0.0 ? static_cast<double>(result.configRunsExecuted) / wall
                    : 0.0;
-    const StreamCache::Stats cache_after = globalStreamCache().stats();
-    const std::uint64_t d_hits = cache_after.hits - cache_before.hits;
-    const std::uint64_t d_lookups =
-        d_hits + (cache_after.misses - cache_before.misses);
-    result.streamCacheHitRate =
-        d_lookups ? static_cast<double>(d_hits) /
-                        static_cast<double>(d_lookups)
-                  : 0.0;
+    result.streamCacheHitRate = stream_hit_rate();
     heartbeat(true);
 
     result._pending = std::make_unique<ExploreResult::Pending>();
     result._pending->rc = rc;
     result._pending->workers = sweeper.workers();
-    result._pending->phasesBefore = phases_before;
-    result._pending->profOn = prof_on;
+    result._pending->phases = phases;
     return result;
 }
 

@@ -6,14 +6,21 @@
  *
  * The ROADMAP north-star is a production-scale engine: 10^4..10^7
  * config-runs, where a config-run is one (workload, geometry, scheme,
- * Vdd) simulation. Three mechanisms make that tractable:
+ * Vdd) simulation. Each cell (one workload × geometry × replacement
+ * × L2 size) is one operating-point sweep: the explorer builds a
+ * VddSweepSpec for it, runs the jobs of appendOperatingPointJobs and
+ * reduces them with reduceOperatingPoints — the same builder and
+ * reducer runVddSweep uses (core/vdd_sweep.hh) — then summarises each
+ * scheme's curve at its min-Vdd point. Three mechanisms make the scale
+ * tractable:
  *
  *  * **Dedup.** The cross-product is expanded workload-major, so every
  *    geometry/scheme/Vdd combination of a workload is adjacent and the
  *    access stream is generated once per workload via the StreamCache
  *    signature (hit rate reported in the result). Monte-Carlo fault
- *    maps are memoized explorer-wide on (cell, interleave degree,
- *    words-per-row, grid index) exactly as in runVddSweep.
+ *    maps run on the sweep workers through the process-global
+ *    FaultMapCache, once per (cell type, interleave degree,
+ *    words-per-row, Vdd).
  *
  *  * **Sharding.** Cells (one cell = one workload × geometry ×
  *    replacement, i.e. runsPerCell() = schemes × grid config-runs) are

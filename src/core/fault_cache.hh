@@ -27,6 +27,7 @@
 #define C8T_CORE_FAULT_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -52,9 +53,9 @@ class FaultMapCache
      * The stats of the campaign described by @p cfg: served from the
      * memo when an identical config was evaluated before (by anyone,
      * in any request), run via sram::runFaultMapCampaign otherwise.
-     * Concurrent first requests for the same key may both run the
-     * campaign; both arrive at the identical value, so last-write-wins
-     * is harmless (campaigns are pure).
+     * Single-flight: concurrent first requests for one key run the
+     * campaign once (one miss); the others wait for it and count as
+     * hits, so the counters do not depend on thread timing.
      */
     sram::FaultMapStats evaluate(const sram::FaultMapConfig &cfg);
 
@@ -68,8 +69,16 @@ class FaultMapCache
     static std::string key(const sram::FaultMapConfig &cfg);
 
   private:
+    /** One memo slot; fillMutex serialises its first evaluation. */
+    struct Entry
+    {
+        std::mutex fillMutex;
+        bool filled = false;
+        sram::FaultMapStats stats;
+    };
+
     mutable std::mutex _mutex;
-    std::unordered_map<std::string, sram::FaultMapStats> _entries;
+    std::unordered_map<std::string, std::shared_ptr<Entry>> _entries;
     Stats _stats;
 };
 

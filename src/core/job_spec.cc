@@ -429,7 +429,7 @@ JobSpec::fromJson(const JsonValue &v)
     rejectUnknownKeys(v, "spec",
                       {"kind", "workload", "accesses", "warmup", "cache",
                        "schemes", "buffer_entries", "silent_detection",
-                       "l2_kb", "levels", "vdd", "explore"});
+                       "levels", "vdd", "explore"});
 
     JobSpec spec;
     const JsonValue *kind = v.find("kind");
@@ -513,18 +513,6 @@ JobSpec::fromJson(const JsonValue &v)
                     specFail("levels[].vdd: must be > 0");
             }
             spec.levels.push_back(l);
-        }
-    }
-    if (const JsonValue *l = v.find("l2_kb")) {
-        // Deprecated alias for the retired tags-only shim: a bare
-        // capacity becomes a default-shaped L2 level.
-        if (!spec.levels.empty())
-            specFail("l2_kb is a deprecated alias for levels; give "
-                     "one or the other");
-        if (const std::uint64_t kb = asU64(*l, "l2_kb")) {
-            LevelSpec l2;
-            l2.sizeKb = kb;
-            spec.levels.push_back(l2);
         }
     }
     if (const JsonValue *d = v.find("vdd")) {

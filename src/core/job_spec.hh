@@ -138,9 +138,7 @@ struct JobSpec
     bool silentDetection = true;
 
     /** Lower cache levels, nearest first ([0] = L2); empty = the
-     *  classic single-level run. JSON key "levels"; the retired
-     *  tags-only shim's "l2_kb" key is accepted as a deprecated alias
-     *  for a default L2 of that capacity. */
+     *  classic single-level run. JSON key "levels". */
     std::vector<LevelSpec> levels;
 
     /** Operating point (V; 0 = nominal/detached). For a vdd_sweep a

@@ -61,4 +61,21 @@ schemeTraits(WriteScheme s)
     return t;
 }
 
+sram::CellType
+cellOf(WriteScheme s)
+{
+    return schemeTraits(s).requiresEightT ? sram::CellType::EightT
+                                          : sram::CellType::SixT;
+}
+
+sram::ArrayGeometry
+dataArrayGeometry(const mem::CacheConfig &cache, WriteScheme s,
+                  std::uint32_t degree)
+{
+    return sram::ArrayGeometry{
+        cache.numSets(), cache.setBytes(),
+        schemeTraits(s).requiresNonInterleaved ? 1u : degree,
+        s == WriteScheme::WordGranular};
+}
+
 } // namespace c8t::core

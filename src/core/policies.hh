@@ -15,6 +15,9 @@
 #include <cstdint>
 
 #include "core/write_scheme.hh"
+#include "mem/cache.hh"
+#include "sram/array.hh"
+#include "sram/cell.hh"
 #include "sram/ports.hh"
 
 namespace c8t::core
@@ -55,6 +58,16 @@ struct SchemeTraits
 
 /** Look up the traits of @p s. */
 SchemeTraits schemeTraits(WriteScheme s);
+
+/** The cell flavour @p s's data array is built from (6T only for the
+ *  direct-write baseline; everything else needs 8T). */
+sram::CellType cellOf(WriteScheme s);
+
+/** The data array a controller running @p s builds on @p cache: one
+ *  row per set, bit-interleaved @p degree ways unless the scheme needs
+ *  a non-interleaved array. */
+sram::ArrayGeometry dataArrayGeometry(const mem::CacheConfig &cache,
+                                      WriteScheme s, std::uint32_t degree);
 
 } // namespace c8t::core
 

@@ -186,69 +186,6 @@ class Heartbeat
 };
 
 /**
- * Append one JSON-lines perf record when C8T_BENCH_JSON is set.
- * @p phases, when non-null, adds a "phases" block (per-phase self
- * time in seconds, plus their total) so tools/bench_diff.sh can
- * attribute a throughput change to the phase that moved.
- */
-void
-emitBenchJson(const std::string &label,
-              const std::vector<std::vector<SchemeRunResult>> &results,
-              const RunConfig &rc, unsigned workers, double wall_seconds,
-              const obs::prof::PhaseTimes *phases)
-{
-    const char *path = std::getenv("C8T_BENCH_JSON");
-    if (!path || !*path)
-        return;
-
-    std::uint64_t config_runs = 0;
-    for (const auto &job : results)
-        config_runs += job.size();
-    const double simulated =
-        static_cast<double>(config_runs) *
-        static_cast<double>(rc.warmupAccesses + rc.measureAccesses);
-
-    std::ofstream os(path, std::ios::app);
-    if (!os) {
-        // Mirror the bench C8T_BENCH_ACCESSES notice style: warn once
-        // instead of dropping every perf record silently.
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-            std::cerr << "sweep: cannot open C8T_BENCH_JSON=\"" << path
-                      << "\" for append; perf records disabled\n";
-        }
-        return;
-    }
-    os << "{\"kind\":\"sweep\",\"label\":\"" << stats::jsonEscape(label)
-       << "\""
-       << ",\"jobs\":" << results.size()
-       << ",\"workers\":" << workers
-       << ",\"config_runs\":" << config_runs
-       << ",\"warmup_accesses\":" << rc.warmupAccesses
-       << ",\"measure_accesses\":" << rc.measureAccesses
-       << ",\"simulated_accesses\":" << static_cast<std::uint64_t>(simulated)
-       << ",\"wall_seconds\":" << wall_seconds
-       << ",\"accesses_per_sec\":"
-       << (wall_seconds > 0.0 ? simulated / wall_seconds : 0.0);
-    if (phases) {
-        os << ",\"phases\":{";
-        for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
-            os << "\""
-               << obs::prof::toString(static_cast<obs::prof::Phase>(i))
-               << "\":";
-            stats::jsonNumber(os, static_cast<double>(phases->ns[i]) *
-                                      1e-9);
-            os << ",";
-        }
-        os << "\"total\":";
-        stats::jsonNumber(os,
-                          static_cast<double>(phases->totalNs()) * 1e-9);
-        os << "}";
-    }
-    os << "}\n";
-}
-
-/**
  * Emit one complete span per job onto the worker's track of the
  * process-global Chrome trace (no-op when tracing is off).
  */
@@ -320,6 +257,43 @@ ParallelSweeper::defaultProgress()
 {
     const char *env = std::getenv("C8T_PROGRESS");
     return env && *env && std::string(env) != "0";
+}
+
+void
+appendBenchRecord(const char *who, const obs::prof::PhaseTimes *phases,
+                  const std::function<void(std::ostream &)> &body)
+{
+    const char *path = std::getenv("C8T_BENCH_JSON");
+    if (!path || !*path)
+        return;
+    std::ofstream os(path, std::ios::app);
+    if (!os) {
+        // Mirror the bench C8T_BENCH_ACCESSES notice style: warn once
+        // instead of dropping every perf record silently.
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true)) {
+            std::cerr << who << ": cannot open C8T_BENCH_JSON=\"" << path
+                      << "\" for append; perf records disabled\n";
+        }
+        return;
+    }
+    body(os);
+    if (phases) {
+        os << ",\"phases\":{";
+        for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
+            os << "\""
+               << obs::prof::toString(static_cast<obs::prof::Phase>(i))
+               << "\":";
+            stats::jsonNumber(os, static_cast<double>(phases->ns[i]) *
+                                      1e-9);
+            os << ",";
+        }
+        os << "\"total\":";
+        stats::jsonNumber(os,
+                          static_cast<double>(phases->totalNs()) * 1e-9);
+        os << "}";
+    }
+    os << "}\n";
 }
 
 ParallelSweeper::ParallelSweeper(unsigned workers)
@@ -463,8 +437,28 @@ ParallelSweeper::run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
     }
 
     if (_recordBench) {
-        emitBenchJson(label, results, rc, tracks, wall,
-                      prof_on ? &run_phases : nullptr);
+        appendBenchRecord("sweep", prof_on ? &run_phases : nullptr,
+                          [&](std::ostream &os) {
+            std::uint64_t config_runs = 0;
+            for (const auto &job : results)
+                config_runs += job.size();
+            const double simulated =
+                static_cast<double>(config_runs) *
+                static_cast<double>(rc.warmupAccesses +
+                                    rc.measureAccesses);
+            os << "{\"kind\":\"sweep\",\"label\":\""
+               << stats::jsonEscape(label) << "\""
+               << ",\"jobs\":" << results.size()
+               << ",\"workers\":" << tracks
+               << ",\"config_runs\":" << config_runs
+               << ",\"warmup_accesses\":" << rc.warmupAccesses
+               << ",\"measure_accesses\":" << rc.measureAccesses
+               << ",\"simulated_accesses\":"
+               << static_cast<std::uint64_t>(simulated)
+               << ",\"wall_seconds\":" << wall
+               << ",\"accesses_per_sec\":"
+               << (wall > 0.0 ? simulated / wall : 0.0);
+        });
     }
     // Keep the exposition file fresh after every run (no-op when no
     // metrics path is configured); this rewrite includes the phase

@@ -36,11 +36,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/simulator.hh"
 #include "mem/cache.hh"
+#include "obs/prof.hh"
 #include "trace/access.hh"
 
 namespace c8t::core
@@ -174,6 +176,18 @@ class ParallelSweeper
     bool _progress = defaultProgress();
     bool _recordBench = true;
 };
+
+/**
+ * Append one JSON-lines perf record to C8T_BENCH_JSON (no-op when it
+ * is unset). @p body writes the record from its opening brace through
+ * its last key; the helper then adds the "phases" block (per-phase
+ * self time in seconds plus their total) when @p phases is non-null,
+ * so tools/bench_diff.sh can attribute a throughput change to the
+ * phase that moved, and closes the record. A file that cannot be
+ * opened is reported once on stderr, prefixed with @p who.
+ */
+void appendBenchRecord(const char *who, const obs::prof::PhaseTimes *phases,
+                       const std::function<void(std::ostream &)> &body);
 
 /**
  * One SweepJob per calibrated SPEC profile: the workload is the

@@ -6,11 +6,7 @@
 #include "core/vdd_sweep.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <stdexcept>
 #include <utility>
 
@@ -64,95 +60,23 @@ sweptShape(const VddSweepSpec &spec)
                                     : spec.lowerLevels.front().cache;
 }
 
-/** The cell flavour @p scheme's data array is built from. */
-sram::CellType
-cellOf(WriteScheme scheme)
-{
-    return schemeTraits(scheme).requiresEightT ? sram::CellType::EightT
-                                               : sram::CellType::SixT;
-}
-
-/** The data-array geometry the controller would build for @p scheme
- *  (mirrors the CacheController constructor) on the swept shape. */
+/** The data array @p scheme runs on in @p spec's swept level. */
 sram::ArrayGeometry
-geometryFor(const VddSweepSpec &spec, WriteScheme scheme)
+sweptGeometry(const VddSweepSpec &spec, WriteScheme scheme)
 {
-    const SchemeTraits traits = schemeTraits(scheme);
-    const std::uint32_t degree =
-        spec.lowerLevels.empty()
-            ? ControllerConfig{}.interleaveDegree
-            : spec.lowerLevels.front().interleaveDegree;
-    const mem::CacheConfig &shape = sweptShape(spec);
-    return sram::ArrayGeometry{
-        shape.numSets(), shape.setBytes(),
-        traits.requiresNonInterleaved ? 1u : degree,
-        scheme == WriteScheme::WordGranular};
+    return dataArrayGeometry(
+        sweptShape(spec), scheme,
+        spec.lowerLevels.empty() ? ControllerConfig{}.interleaveDegree
+                                 : spec.lowerLevels.front().interleaveDegree);
 }
 
-/** Append the kind:"vdd" perf record when C8T_BENCH_JSON is set. */
-void
-emitVddBenchJson(const std::string &label, const VddSweepResult &result,
-                 const RunConfig &rc, unsigned workers,
-                 double wall_seconds,
-                 const obs::prof::PhaseTimes *phases)
+/** The supplies @p spec's jobs run at: its grid, or the nominal supply
+ *  alone for an empty (nominal-only) grid. */
+std::vector<double>
+operatingGrid(const VddSweepSpec &spec)
 {
-    const char *path = std::getenv("C8T_BENCH_JSON");
-    if (!path || !*path)
-        return;
-
-    std::uint64_t config_runs = 0;
-    for (const VddCurve &c : result.curves)
-        config_runs += c.points.size();
-    const double simulated =
-        static_cast<double>(config_runs) *
-        static_cast<double>(rc.warmupAccesses + rc.measureAccesses);
-
-    std::ofstream os(path, std::ios::app);
-    if (!os) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-            std::cerr << "vdd_sweep: cannot open C8T_BENCH_JSON=\"" << path
-                      << "\" for append; perf records disabled\n";
-        }
-        return;
-    }
-    os << "{\"kind\":\"vdd\",\"label\":\"" << stats::jsonEscape(label)
-       << "\""
-       << ",\"grid_points\":" << result.grid.size()
-       << ",\"schemes\":" << result.curves.size()
-       << ",\"workers\":" << workers
-       << ",\"config_runs\":" << config_runs
-       << ",\"warmup_accesses\":" << rc.warmupAccesses
-       << ",\"measure_accesses\":" << rc.measureAccesses
-       << ",\"simulated_accesses\":" << static_cast<std::uint64_t>(simulated)
-       << ",\"wall_seconds\":" << wall_seconds
-       << ",\"accesses_per_sec\":"
-       << (wall_seconds > 0.0 ? simulated / wall_seconds : 0.0)
-       << ",\"min_vdd\":{";
-    bool first = true;
-    for (const VddCurve &c : result.curves) {
-        os << (first ? "" : ",") << '"' << stats::jsonEscape(c.scheme)
-           << "\":";
-        stats::jsonNumber(os, c.minVdd);
-        first = false;
-    }
-    os << "}";
-    if (phases) {
-        os << ",\"phases\":{";
-        for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
-            os << "\""
-               << obs::prof::toString(static_cast<obs::prof::Phase>(i))
-               << "\":";
-            stats::jsonNumber(os, static_cast<double>(phases->ns[i]) *
-                                      1e-9);
-            os << ",";
-        }
-        os << "\"total\":";
-        stats::jsonNumber(os,
-                          static_cast<double>(phases->totalNs()) * 1e-9);
-        os << "}";
-    }
-    os << "}\n";
+    return spec.grid.empty() ? std::vector<double>{spec.model.nominalVdd}
+                             : spec.grid;
 }
 
 } // anonymous namespace
@@ -166,8 +90,7 @@ struct VddSweepResult::Pending
     RunConfig rc;
     unsigned workers = 0;
     double wallSeconds = 0.0;
-    obs::prof::PhaseTimes phasesBefore;
-    bool profOn = false;
+    obs::PhaseWindow phases;
 };
 
 VddSweepResult::VddSweepResult() = default;
@@ -186,22 +109,40 @@ VddSweepResult::emitBenchRecord()
     if (!_pending)
         return;
     const std::unique_ptr<Pending> p = std::move(_pending);
-    obs::prof::PhaseTimes run_phases;
-    if (p->profOn) {
-        // Fold in everything this thread did since the sweep started —
-        // including the caller's dumpJson/table Serialize scopes —
-        // and diff against the entry snapshot.
-        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
-        const obs::prof::PhaseTimes after =
-            obs::globalMetrics().phaseTimes();
-        for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
-            run_phases.ns[i] = after.ns[i] - p->phasesBefore.ns[i];
-            run_phases.scopes[i] =
-                after.scopes[i] - p->phasesBefore.scopes[i];
+    // The window spans the caller's dumpJson/table Serialize scopes.
+    const auto phases = p->phases.close();
+    appendBenchRecord("vdd_sweep", phases ? &*phases : nullptr,
+                      [&](std::ostream &os) {
+        std::uint64_t config_runs = 0;
+        for (const VddCurve &c : curves)
+            config_runs += c.points.size();
+        const double simulated =
+            static_cast<double>(config_runs) *
+            static_cast<double>(p->rc.warmupAccesses +
+                                p->rc.measureAccesses);
+        os << "{\"kind\":\"vdd\",\"label\":\""
+           << stats::jsonEscape(p->label) << "\""
+           << ",\"grid_points\":" << grid.size()
+           << ",\"schemes\":" << curves.size()
+           << ",\"workers\":" << p->workers
+           << ",\"config_runs\":" << config_runs
+           << ",\"warmup_accesses\":" << p->rc.warmupAccesses
+           << ",\"measure_accesses\":" << p->rc.measureAccesses
+           << ",\"simulated_accesses\":"
+           << static_cast<std::uint64_t>(simulated)
+           << ",\"wall_seconds\":" << p->wallSeconds
+           << ",\"accesses_per_sec\":"
+           << (p->wallSeconds > 0.0 ? simulated / p->wallSeconds : 0.0)
+           << ",\"min_vdd\":{";
+        bool first = true;
+        for (const VddCurve &c : curves) {
+            os << (first ? "" : ",") << '"' << stats::jsonEscape(c.scheme)
+               << "\":";
+            stats::jsonNumber(os, c.minVdd);
+            first = false;
         }
-    }
-    emitVddBenchJson(p->label, *this, p->rc, p->workers, p->wallSeconds,
-                     p->profOn ? &run_phases : nullptr);
+        os << "}";
+    });
     obs::writeGlobalMetrics();
 }
 
@@ -229,13 +170,9 @@ VddSweepResult::registerStats(stats::Registry &reg)
 
         // Energy per access at the min-Vdd point (the paper's payoff
         // number: what the low-voltage mode actually costs).
-        double energy_at_min = 0.0;
-        for (const VddPointResult &p : c.points) {
-            if (p.vdd == c.minVdd) {
-                energy_at_min = p.energyPerAccess;
-                break;
-            }
-        }
+        const VddPointResult *at_min = minVddPoint(c);
+        const double energy_at_min =
+            at_min ? at_min->energyPerAccess : 0.0;
         auto energy = std::make_unique<stats::Gauge>(
             "vdd_sweep." + c.scheme + ".energy_per_access_at_min",
             "total energy per access at min-Vdd (J)");
@@ -310,55 +247,32 @@ VddSweepResult::dumpJson(std::ostream &os) const
     os << "]}";
 }
 
-VddSweepResult
-runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
+const VddPointResult *
+minVddPoint(const VddCurve &curve)
 {
-    validate(spec);
-    const auto t0 = std::chrono::steady_clock::now();
-    const bool prof_on = obs::prof::enabled();
-    obs::prof::PhaseTimes phases_before;
-    if (prof_on) {
-        // The sweep's phase block is the delta of the process rollup
-        // across this call; flush this thread so earlier activity is
-        // not charged to it (worker threads flush per job).
-        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
-        phases_before = obs::globalMetrics().phaseTimes();
+    for (const VddPointResult &p : curve.points) {
+        if (p.vdd == curve.minVdd)
+            return &p;
     }
-    const sram::VddModel model(spec.model);
+    return nullptr;
+}
 
+void
+appendOperatingPointJobs(const VddSweepSpec &spec, VddFaultTable &faults,
+                         std::vector<SweepJob> &jobs)
+{
+    const bool nominal_only = spec.grid.empty();
     const bool hier = !spec.lowerLevels.empty();
-
-    // Fault maps depend on (seed, vdd, geometry, cell); schemes of the
-    // same cell flavour and interleave degree share one evaluation,
-    // and the process-global memo shares it across requests too (a
-    // warm c8td daemon re-serves known operating points for free).
+    const std::vector<double> grid = operatingGrid(spec);
+    const sram::VddModel model(spec.model);
     const std::uint32_t words_per_row =
         std::max<std::uint32_t>(1, sweptShape(spec).setBytes() / 8);
-    const auto faultsAt = [&](WriteScheme scheme, double vdd) {
-        sram::FaultMapConfig fmc;
-        fmc.runSeed = spec.runSeed;
-        fmc.vdd = vdd;
-        fmc.cell = cellOf(scheme);
-        fmc.pfailCell = model.at(fmc.vdd, fmc.cell).pfailCell;
-        fmc.rows = spec.faultRows;
-        fmc.wordsPerRow = words_per_row;
-        fmc.degree = geometryFor(spec, scheme).interleaveDegree;
-        return globalFaultMapCache().evaluate(fmc);
-    };
 
-    // One job per grid point; every job replays the identical stream
-    // (shared through streamKey) with one controller per scheme, the
-    // model attached at that point's voltage. Its inspect hook then
-    // evaluates the point's fault maps on the same worker, so the
-    // campaigns overlap the other points' replay; each job writes
-    // only its own row of @c faults.
-    std::vector<std::vector<sram::FaultMapStats>> faults(
-        spec.grid.size(),
-        std::vector<sram::FaultMapStats>(spec.schemes.size()));
-    std::vector<SweepJob> jobs;
-    jobs.reserve(spec.grid.size());
-    for (std::size_t gi = 0; gi < spec.grid.size(); ++gi) {
-        const double vdd = spec.grid[gi];
+    faults.assign(grid.size(),
+                  std::vector<sram::FaultMapStats>(spec.schemes.size()));
+    for (std::size_t gi = 0; gi < grid.size(); ++gi) {
+        // Nominal-only runs keep the voltage model detached.
+        const double vdd = nominal_only ? 0.0 : grid[gi];
         SweepJob job;
         job.makeGenerator = spec.makeGenerator;
         job.streamKey = spec.streamKey;
@@ -382,70 +296,87 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
             }
             job.configs.push_back(cfg);
         }
-        job.inspect = [&, gi, vdd](MultiSchemeRunner &) {
-            for (std::size_t si = 0; si < spec.schemes.size(); ++si)
-                faults[gi][si] = faultsAt(spec.schemes[si], vdd);
-        };
+        if (!nominal_only) {
+            // Fault maps depend on (seed, vdd, geometry, cell): schemes
+            // of the same cell flavour and interleave degree share one
+            // evaluation through the process-global memo, across
+            // requests too (a warm c8td re-serves known operating
+            // points for free).
+            std::vector<sram::FaultMapConfig> campaigns;
+            for (const WriteScheme s : spec.schemes) {
+                sram::FaultMapConfig fmc;
+                fmc.runSeed = spec.runSeed;
+                fmc.vdd = vdd;
+                fmc.cell = cellOf(s);
+                fmc.pfailCell = model.at(fmc.vdd, fmc.cell).pfailCell;
+                fmc.rows = spec.faultRows;
+                fmc.wordsPerRow = words_per_row;
+                fmc.degree = sweptGeometry(spec, s).interleaveDegree;
+                campaigns.push_back(fmc);
+            }
+            // The campaigns run on the job's worker right after its
+            // replay, overlapping the other points' replay; each job
+            // writes only its own row of @p faults.
+            job.inspect = [campaigns = std::move(campaigns),
+                           &row = faults[gi]](MultiSchemeRunner &) {
+                for (std::size_t si = 0; si < campaigns.size(); ++si)
+                    row[si] = globalFaultMapCache().evaluate(campaigns[si]);
+            };
+        }
         jobs.push_back(std::move(job));
     }
+}
 
-    VddSweepResult result;
-    result.workload = spec.makeGenerator()->name();
-    result.failureThreshold = spec.failureThreshold;
-    result.grid = spec.grid;
-    result.hierarchy = hier;
+std::vector<VddCurve>
+reduceOperatingPoints(const VddSweepSpec &spec, const VddFaultTable &faults,
+                      std::span<const std::vector<SchemeRunResult>> runs)
+{
+    const bool nominal_only = spec.grid.empty();
+    const std::vector<double> grid = operatingGrid(spec);
+    const sram::VddModel model(spec.model);
+    const double period = model.clockPeriod();
+    const sram::TechParams tech = ControllerConfig{}.tech;
 
-    // Hierarchy sweeps get their own label so their perf records never
-    // pair with a single-level sweep of the same workload in
-    // bench_diff (both kinds of record can land in one snapshot).
-    const std::string label =
-        "vdd_sweep:" + result.workload + (hier ? "+l2" : "");
+    // Hierarchy mode adds the pinned L1's leakage at its own (fixed)
+    // operating point; the grid only scales the L2's.
+    double leak_top_fixed = 0.0;
+    if (!spec.lowerLevels.empty()) {
+        const sram::EnergyModel top_em(
+            dataArrayGeometry(spec.cache, spec.topScheme,
+                              ControllerConfig{}.interleaveDegree),
+            tech);
+        const double top_scale =
+            spec.topVdd > 0.0
+                ? model.at(spec.topVdd, cellOf(spec.topScheme))
+                      .leakageScale
+                : 1.0;
+        leak_top_fixed = top_em.leakagePower() * top_scale;
+    }
 
-    const ParallelSweeper sweeper(workers);
-    const auto runs = sweeper.run(jobs, rc, label);
-
-    result.curves.reserve(spec.schemes.size());
+    std::vector<VddCurve> curves;
+    curves.reserve(spec.schemes.size());
     for (std::size_t si = 0; si < spec.schemes.size(); ++si) {
         const WriteScheme scheme = spec.schemes[si];
         const sram::CellType cell = cellOf(scheme);
-        const sram::ArrayGeometry geom = geometryFor(spec, scheme);
-        const sram::EnergyModel em(geom, ControllerConfig{}.tech);
-        const double leak_nominal = em.leakagePower();
-        const double period = model.clockPeriod();
-
-        // Hierarchy mode adds the pinned L1's leakage at its own
-        // (fixed) operating point; the grid only scales the L2's.
-        double leak_top_fixed = 0.0;
-        if (hier) {
-            const SchemeTraits top_traits = schemeTraits(spec.topScheme);
-            const sram::CellType top_cell = cellOf(spec.topScheme);
-            const ControllerConfig defaults;
-            const sram::ArrayGeometry top_geom{
-                spec.cache.numSets(), spec.cache.setBytes(),
-                top_traits.requiresNonInterleaved
-                    ? 1u
-                    : defaults.interleaveDegree,
-                spec.topScheme == WriteScheme::WordGranular};
-            const sram::EnergyModel top_em(top_geom, defaults.tech);
-            const double top_scale =
-                spec.topVdd > 0.0
-                    ? model.at(spec.topVdd, top_cell).leakageScale
-                    : 1.0;
-            leak_top_fixed = top_em.leakagePower() * top_scale;
-        }
+        const double leak_nominal =
+            sram::EnergyModel(sweptGeometry(spec, scheme), tech)
+                .leakagePower();
 
         VddCurve curve;
         curve.scheme = toString(scheme);
         curve.cell = cell;
-        curve.points.reserve(spec.grid.size());
+        curve.points.reserve(grid.size());
 
         bool reachable = true;
-        for (std::size_t gi = 0; gi < spec.grid.size(); ++gi) {
+        for (std::size_t gi = 0; gi < grid.size(); ++gi) {
             VddPointResult pt;
-            pt.vdd = spec.grid[gi];
+            pt.vdd = grid[gi];
             pt.point = model.at(pt.vdd, cell);
             pt.faults = faults[gi][si];
+            // Nominal-only runs have no fault dimension: the single
+            // point is operational by definition.
             pt.operational =
+                nominal_only ||
                 pt.faults.postEccFailureRate() <= spec.failureThreshold;
             pt.run = runs[gi][si];
 
@@ -481,8 +412,39 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
 
             curve.points.push_back(std::move(pt));
         }
-        result.curves.push_back(std::move(curve));
+        curves.push_back(std::move(curve));
     }
+    return curves;
+}
+
+VddSweepResult
+runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
+{
+    validate(spec);
+    const auto t0 = std::chrono::steady_clock::now();
+    // The sweep's phase block is the growth of the process rollup from
+    // here to emitBenchRecord (worker threads flush per job).
+    const obs::PhaseWindow phases;
+
+    VddFaultTable faults;
+    std::vector<SweepJob> jobs;
+    appendOperatingPointJobs(spec, faults, jobs);
+
+    VddSweepResult result;
+    result.workload = spec.makeGenerator()->name();
+    result.failureThreshold = spec.failureThreshold;
+    result.grid = spec.grid;
+    result.hierarchy = !spec.lowerLevels.empty();
+
+    // Hierarchy sweeps get their own label so their perf records never
+    // pair with a single-level sweep of the same workload in
+    // bench_diff (both kinds of record can land in one snapshot).
+    const std::string label =
+        "vdd_sweep:" + result.workload + (result.hierarchy ? "+l2" : "");
+
+    const ParallelSweeper sweeper(workers);
+    result.curves =
+        reduceOperatingPoints(spec, faults, sweeper.run(jobs, rc, label));
 
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
@@ -495,8 +457,7 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
     result._pending->rc = rc;
     result._pending->workers = sweeper.workers();
     result._pending->wallSeconds = wall;
-    result._pending->phasesBefore = phases_before;
-    result._pending->profOn = prof_on;
+    result._pending->phases = phases;
     return result;
 }
 

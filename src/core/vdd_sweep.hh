@@ -1,13 +1,14 @@
 /**
  * @file
- * The voltage sweep driver (DESIGN.md §10): every write scheme
- * evaluated at every supply operating point of a grid.
+ * The voltage sweep driver (DESIGN.md §10) and the operating-point
+ * reducer it shares with the design-space explorer (§12).
  *
- * For each grid voltage the driver runs one SweepJob through the
- * parallel sweep engine — one controller per scheme, all replaying the
- * byte-identical workload stream (shared via the job streamKey) with
- * the voltage model attached — and combines three ingredients into a
- * per-scheme VddCurve:
+ * An operating-point sweep evaluates every write scheme at every
+ * supply of a grid. appendOperatingPointJobs() turns a VddSweepSpec
+ * into one SweepJob per grid point: one controller per scheme, all
+ * replaying the byte-identical workload stream (shared via the job
+ * streamKey) with the voltage model attached. reduceOperatingPoints()
+ * then combines three ingredients into a per-scheme VddCurve:
  *
  *  * the simulated run (dynamic energy, cycles) at that voltage,
  *  * the analytic operating point (leakage scale, delay factor),
@@ -19,12 +20,14 @@
  * nominal through operational points only — the paper's claim is that
  * this is strictly lower for 8T schemes than for the 6T baseline,
  * while WG/WG+RB recoup the 8T RMW energy tax along the way.
+ * runVddSweep returns those curves for one spec; the explorer builds
+ * one spec per cell and summarises each curve at its min-Vdd point.
  *
  * Fault maps depend only on (run seed, Vdd, geometry, cell type), so
  * each grid point's job evaluates its campaigns on its own worker,
  * right after its replay, through the process-global FaultMapCache:
- * once per (cell, degree, Vdd), shared across schemes. Results are
- * bit-identical for any sweep worker count.
+ * once per (cell, degree, Vdd), shared across schemes and cells.
+ * Results are bit-identical for any sweep worker count.
  */
 
 #ifndef C8T_CORE_VDD_SWEEP_HH
@@ -34,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -237,14 +241,47 @@ class VddSweepResult
     std::vector<std::unique_ptr<stats::Gauge>> _gauges;
 };
 
+/** Fault-map campaign outcomes of one sweep, [grid point][scheme]. */
+using VddFaultTable = std::vector<std::vector<sram::FaultMapStats>>;
+
+/**
+ * Append @p spec's jobs to @p jobs: one SweepJob per grid point with
+ * one controller per scheme. A single-level spec puts the scheme and
+ * the grid voltage on its cache; in hierarchy mode the top level is
+ * pinned to (topScheme, topVdd) and both ride on the first lower
+ * level. Each job's inspect hook evaluates its point's fault-map
+ * campaigns on its worker into its row of @p faults, which is sized
+ * here and must outlive the run.
+ *
+ * An empty grid selects nominal-only mode: one job at the nominal
+ * supply with the voltage model detached and no campaigns. The spec is
+ * not validated here (runVddSweep rejects an empty grid).
+ */
+void appendOperatingPointJobs(const VddSweepSpec &spec,
+                              VddFaultTable &faults,
+                              std::vector<SweepJob> &jobs);
+
+/**
+ * Reduce the runs of @p spec's jobs (runs[grid point][scheme], in
+ * appendOperatingPointJobs order) and their campaign outcomes to one
+ * curve per scheme: per-point energy, cycles and EDP per access, the
+ * operational verdict and the min-Vdd reachability walk. In nominal-
+ * only mode the single nominal point is operational by definition.
+ */
+std::vector<VddCurve>
+reduceOperatingPoints(const VddSweepSpec &spec, const VddFaultTable &faults,
+                      std::span<const std::vector<SchemeRunResult>> runs);
+
+/** The point of @p curve at its min-Vdd; nullptr when no point is
+ *  operational. */
+const VddPointResult *minVddPoint(const VddCurve &curve);
+
 /**
  * Run the sweep: one parallel SweepJob per grid point (label
  * "vdd_sweep:<workload>" for the bench/trace plumbing, with a "+l2"
  * suffix in hierarchy mode so the records never pair with a
- * single-level sweep's in bench_diff). Each job evaluates its grid
- * point's fault maps per (cell, degree) on its worker after the
- * replay (SweepJob::inspect); the calling thread then assembles the
- * curves per scheme.
+ * single-level sweep's in bench_diff), built by
+ * appendOperatingPointJobs and reduced by reduceOperatingPoints.
  *
  * Arms one kind:"vdd" JSON record (per-scheme min-Vdd plus the
  * sweep's simulation throughput) for C8T_BENCH_JSON when set; the

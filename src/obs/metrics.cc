@@ -512,6 +512,29 @@ globalMetrics()
     return *metrics;
 }
 
+PhaseWindow::PhaseWindow() : _on(prof::enabled())
+{
+    if (_on) {
+        globalMetrics().addPhaseTimes(prof::takeThreadTimes());
+        _before = globalMetrics().phaseTimes();
+    }
+}
+
+std::optional<prof::PhaseTimes>
+PhaseWindow::close() const
+{
+    if (!_on)
+        return std::nullopt;
+    globalMetrics().addPhaseTimes(prof::takeThreadTimes());
+    const prof::PhaseTimes after = globalMetrics().phaseTimes();
+    prof::PhaseTimes delta;
+    for (std::size_t i = 0; i < prof::kNumPhases; ++i) {
+        delta.ns[i] = after.ns[i] - _before.ns[i];
+        delta.scopes[i] = after.scopes[i] - _before.scopes[i];
+    }
+    return delta;
+}
+
 namespace
 {
 

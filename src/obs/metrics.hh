@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -192,6 +193,21 @@ class Metrics
 
 /** The process-wide registry (never destroyed). */
 Metrics &globalMetrics();
+
+/** The process phase rollup's growth from construction to close(),
+ *  with the calling thread's times folded in at both ends; nullopt
+ *  when the profiler was off at construction. */
+class PhaseWindow
+{
+  public:
+    PhaseWindow();
+
+    std::optional<prof::PhaseTimes> close() const;
+
+  private:
+    bool _on;
+    prof::PhaseTimes _before;
+};
 
 /**
  * Install an explicit exposition output path (`--metrics-out`);

@@ -11,20 +11,26 @@
  *     complete directory re-executes nothing;
  *   - safety: checkpoints from a different spec are rejected;
  *   - dedup: the workload-major expansion keeps the stream-cache hit
- *     rate high (the tentpole's perf claim).
+ *     rate high;
+ *   - one reducer: a single-cell explore summarises exactly what
+ *     runVddSweep reports at min-Vdd, single-level and hierarchy.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/explorer.hh"
+#include "core/vdd_sweep.hh"
 #include "sram/vmodel.hh"
+#include "trace/markov_stream.hh"
+#include "trace/spec_profiles.hh"
 
 namespace
 {
@@ -287,6 +293,61 @@ TEST(Explorer, FrontierIsTheNonDominatedSet)
         // points are all operational.
         for (const DesignPointSummary *q : front)
             EXPECT_TRUE(q->operational);
+    }
+}
+
+TEST(Explorer, SingleCellMatchesRunVddSweepAtMinVdd)
+{
+    // One cell (gcc, 64 KB/4w/32 B/LRU, default grid) through both
+    // drivers, single-level and with a 256 KB L2: every summary must
+    // be bit-equal to the vdd sweep's curve at its min-Vdd point.
+    for (const bool hierarchy : {false, true}) {
+        ExplorerSpec espec;
+        espec.label = "explorer_test_cross";
+        espec.workloads = {"gcc"};
+        espec.sizesKb = {64};
+        espec.ways = {4};
+        espec.blocks = {32};
+        espec.vddGrid = sram::VddModel::defaultGrid();
+        if (hierarchy)
+            espec.l2SizesKb = {256};
+        const ExploreResult er = runExplore(espec, testWindow(), 2);
+        ASSERT_TRUE(er.completed);
+        ASSERT_EQ(er.summaries.size(), espec.schemes.size());
+
+        core::VddSweepSpec vspec;
+        vspec.cache = mem::CacheConfig{64 * 1024, 4, 32};
+        vspec.schemes = espec.schemes;
+        if (hierarchy) {
+            core::LevelConfig l2;
+            l2.cache = mem::CacheConfig{256 * 1024, 8, 32};
+            vspec.lowerLevels = {l2};
+        }
+        vspec.makeGenerator = [] {
+            return std::make_unique<trace::MarkovStream>(
+                trace::specProfile("gcc"));
+        };
+        vspec.streamKey = trace::streamSignature(trace::specProfile("gcc"));
+        const core::VddSweepResult vr =
+            core::runVddSweep(vspec, testWindow(), 2);
+
+        for (const DesignPointSummary &p : er.summaries) {
+            SCOPED_TRACE(p.scheme + (hierarchy ? " +l2" : ""));
+            const core::VddCurve *c =
+                vr.curve(core::parseWriteScheme(p.scheme));
+            ASSERT_NE(c, nullptr);
+            EXPECT_EQ(p.minVdd, c->minVdd);
+            EXPECT_EQ(p.operational, c->minVdd > 0.0);
+            const core::VddPointResult *at = nullptr;
+            for (const core::VddPointResult &pt : c->points) {
+                if (pt.vdd == c->minVdd)
+                    at = &pt;
+            }
+            ASSERT_NE(at, nullptr);
+            EXPECT_EQ(p.energyPerAccess, at->energyPerAccess);
+            EXPECT_EQ(p.edpPerAccess, at->edpPerAccess);
+            EXPECT_EQ(p.cyclesPerAccess, at->cyclesPerAccess);
+        }
     }
 }
 

@@ -117,7 +117,8 @@ TEST(JobSpecTest, FullSpecParses)
         "\"cache\":{\"size_kb\":64,\"ways\":8,\"block\":32,"
         "\"repl\":\"lru\"},"
         "\"schemes\":[\"RMW\",\"WG+RB\"],\"buffer_entries\":4,"
-        "\"silent_detection\":false,\"l2_kb\":256,\"vdd\":0.8}");
+        "\"silent_detection\":false,\"levels\":[{\"size_kb\":256}],"
+        "\"vdd\":0.8}");
     EXPECT_EQ(spec.workload, "kernel:hash_update");
     EXPECT_EQ(spec.accesses, 250'000u);
     EXPECT_EQ(spec.warmup, 1'000u);
@@ -127,7 +128,7 @@ TEST(JobSpecTest, FullSpecParses)
     EXPECT_EQ(spec.schemes.size(), 2u);
     EXPECT_EQ(spec.bufferEntries, 4u);
     EXPECT_FALSE(spec.silentDetection);
-    // "l2_kb" is the deprecated alias: a default L2 of that capacity.
+    // A bare capacity is a default-shaped L2.
     ASSERT_EQ(spec.levels.size(), 1u);
     EXPECT_EQ(spec.levels[0].sizeKb, 256u);
     EXPECT_EQ(spec.levels[0].ways, 8u);
@@ -165,9 +166,13 @@ TEST(JobSpecTest, DuplicateLevelKeyRejected)
 
 TEST(JobSpecTest, L2AliasAndLevelsAreMutuallyExclusive)
 {
+    // The retired tags-only shim's "l2_kb" alias is gone: it is an
+    // unknown key on its own and next to "levels" alike.
+    expectParseError("{\"kind\":\"run\",\"l2_kb\":256}",
+                     "unknown key \"l2_kb\"");
     expectParseError("{\"kind\":\"run\",\"l2_kb\":256,"
                      "\"levels\":[{\"size_kb\":256}]}",
-                     "deprecated alias");
+                     "unknown key \"l2_kb\"");
 }
 
 TEST(JobSpecTest, LevelSpecRoundTripsThroughCanonicalForm)
@@ -176,8 +181,7 @@ TEST(JobSpecTest, LevelSpecRoundTripsThroughCanonicalForm)
         "{\"kind\":\"run\",\"levels\":[{\"size_kb\":256,\"ways\":8,"
         "\"scheme\":\"RMW\",\"vdd\":0.75}]}");
     const std::string canonical = spec.toJson();
-    // The alias never survives serialization: the canonical form
-    // carries the "levels" array.
+    // The canonical form carries the "levels" array.
     EXPECT_EQ(canonical.find("l2_kb"), std::string::npos);
     EXPECT_NE(canonical.find("\"levels\""), std::string::npos);
     const JobSpec again = JobSpec::fromJsonText(canonical);

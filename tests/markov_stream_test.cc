@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 
 #include "core/analyzer.hh"
@@ -156,6 +157,27 @@ TEST(MarkovStream, SilentWritesStoreCurrentValue)
  */
 class Calibration : public ::testing::TestWithParam<StreamParams>
 {};
+
+} // anonymous namespace
+
+namespace c8t::trace
+{
+
+/**
+ * Print a corner by name. Without this gtest dumps the raw bytes of
+ * StreamParams, which start with the heap address of its std::string,
+ * so the listed test names changed from one build to the next.
+ */
+void
+PrintTo(const StreamParams &p, std::ostream *os)
+{
+    *os << '"' << p.name << '"';
+}
+
+} // namespace c8t::trace
+
+namespace
+{
 
 TEST_P(Calibration, MeasuredStatisticsMatchTargets)
 {

@@ -16,9 +16,10 @@
 #      under it (the numeric subsystem with the most UB surface:
 #      pow/exp/ceil scaling, bit_cast seeding, fault-map index math).
 #   4. Configure + build a TSan tree (-DC8T_TSAN=ON) and run the
-#      parallel sweep test and the Vdd sweep test under it (the
-#      data-race surface; Vdd sweeps run their fault-map campaigns on
-#      the sweep workers against the shared FaultMapCache).
+#      parallel sweep, Vdd sweep, explorer and fault-map memo tests
+#      under it (the data-race surface; Vdd sweeps and explores run
+#      their fault-map campaigns on the sweep workers against the
+#      shared, single-flight FaultMapCache).
 #   5. Metrics smoke: run the fig11 sweep with the phase profiler off
 #      and on (C8T_PROF=1 + C8T_METRICS) and require byte-identical
 #      stdout plus a non-empty Prometheus exposition — profiling must
@@ -101,8 +102,8 @@ done
 echo "==== tsan: build + parallel sweep tests ===="
 cmake -B "$repo_root/build-tsan" -S "$repo_root" -DC8T_TSAN=ON
 cmake --build "$repo_root/build-tsan" -j "$jobs" --target \
-    sweep_test vdd_sweep_test
-for t in sweep_test vdd_sweep_test; do
+    sweep_test vdd_sweep_test explorer_test fault_cache_test
+for t in sweep_test vdd_sweep_test explorer_test fault_cache_test; do
     echo "---- tsan: $t ----"
     "$repo_root/build-tsan/tests/$t"
 done
@@ -271,7 +272,10 @@ echo "==== perf: Release snapshot vs committed baseline ===="
 if [ "${C8T_CI_SKIP_PERF:-0}" = 1 ]; then
     echo "ci: perf smoke skipped (C8T_CI_SKIP_PERF=1)"
 else
-    baseline=$(ls -1 "$repo_root"/BENCH_*.json 2>/dev/null | sort | tail -1)
+    # No snapshot is a normal state (BENCH_*.json is gitignored): the
+    # lookup must yield an empty string, not fail the pipeline.
+    baseline=$(ls -1 "$repo_root"/BENCH_*.json 2>/dev/null | sort | tail -1 \
+        || true)
     if [ -z "$baseline" ]; then
         echo "ci: no committed BENCH_*.json baseline; skipping perf smoke"
     else
