@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/sweep.hh"
 #include "sram/vmodel.hh"
 #include "trace/kernels.hh"
 #include "trace/markov_stream.hh"
@@ -87,6 +88,20 @@ parseDoubleList(const std::string &flag, const std::string &value)
 }
 
 } // anonymous namespace
+
+unsigned
+parseWorkerCount(const std::string &flag, const std::string &value,
+                 bool zero_is_auto)
+{
+    const std::uint64_t v = parseU64(flag, value);
+    if (v == 0 && !zero_is_auto)
+        throw std::invalid_argument(flag + ": must be >= 1");
+    constexpr unsigned max = core::ParallelSweeper::kMaxWorkers;
+    if (v > max)
+        throw std::invalid_argument(flag + ": must be <= " +
+                                    std::to_string(max));
+    return static_cast<unsigned>(v);
+}
 
 std::string
 usageText()
@@ -325,10 +340,7 @@ parseOptions(const std::vector<std::string> &args)
         } else if (a == "--explore-max-shards") {
             opt.exploreMaxShards = parseU64(a, need_value(i++, a));
         } else if (a == "--jobs") {
-            opt.jobs =
-                static_cast<unsigned>(parseU64(a, need_value(i++, a)));
-            if (opt.jobs == 0)
-                throw std::invalid_argument("--jobs: must be >= 1");
+            opt.jobs = parseWorkerCount(a, need_value(i++, a), false);
         } else if (a == "--stream-cache") {
             opt.streamCacheMb = static_cast<std::int64_t>(
                 parseU64(a, need_value(i++, a)));

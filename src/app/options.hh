@@ -193,6 +193,12 @@ core::JobSpec toJobSpec(const SimOptions &opt);
 /** The --help text. */
 std::string usageText();
 
+/** Parse a --jobs worker count (c8tsim, c8td): at most
+ *  core::ParallelSweeper::kMaxWorkers, 0 only when @p zero_is_auto.
+ *  @throws std::invalid_argument naming @p flag. */
+unsigned parseWorkerCount(const std::string &flag, const std::string &value,
+                          bool zero_is_auto);
+
 /**
  * Construct the workload named by @p spec (see SimOptions::workload).
  * @throws std::invalid_argument on an unknown specifier.

@@ -10,10 +10,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -245,7 +245,7 @@ ParallelSweeper::defaultWorkers()
     if (const char *env = std::getenv("C8T_JOBS")) {
         char *end = nullptr;
         const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1 && v <= 4096)
+        if (end != env && *end == '\0' && v >= 1 && v <= kMaxWorkers)
             return static_cast<unsigned>(v);
     }
     const unsigned hw = std::thread::hardware_concurrency();
@@ -305,12 +305,17 @@ std::vector<std::vector<SchemeRunResult>>
 ParallelSweeper::run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
                      const std::string &label) const
 {
+    // SweepPool(0) means "auto-size", so an empty list must not reach
+    // the scoped pool below.
+    if (jobs.empty())
+        return {};
+
     const auto t0 = Clock::now();
     const bool prof_on = obs::prof::enabled();
     if (prof_on) {
         // Flush whatever phase time this thread accumulated before
-        // the sweep into the process rollup, so the inline path's
-        // first per-job delta below starts from zero.
+        // the sweep into the process rollup, so a nested sweep's first
+        // per-job delta on the calling worker starts from zero.
         obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
     }
     std::vector<std::vector<SchemeRunResult>> results(jobs.size());
@@ -322,20 +327,19 @@ ParallelSweeper::run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
             accesses_per_job,
             job.configs.size() * (rc.warmupAccesses + rc.measureAccesses));
     }
-    const unsigned pool =
-        static_cast<unsigned>(std::min<std::size_t>(_workers, jobs.size()));
 
-    // When a process-wide SweepPool is installed (the c8td daemon),
-    // route the jobs through it instead of spawning a private thread
-    // team: all concurrent sweeps then share one team with per-client
-    // fairness. Submissions from a pool worker (nested sweeps) fall
-    // back to the inline/private paths below via runBatch's inline
-    // guard — but we keep them off the shared path entirely so their
-    // span worker indices stay consistent.
-    SweepPool *shared = globalSweepPool();
-    const bool use_shared = shared && !SweepPool::onWorkerThread();
-    const unsigned tracks =
-        use_shared ? shared->workers() : (pool ? pool : 1);
+    // One executor: the calling worker's pool when nested (runBatch
+    // runs the batch inline on that worker), else the installed global
+    // pool (c8td), else a pool scoped to this call (default slot only).
+    std::optional<SweepPool> scoped;
+    SweepPool *pool = SweepPool::current();
+    if (!pool)
+        pool = globalSweepPool();
+    if (!pool) {
+        pool = &scoped.emplace(static_cast<unsigned>(
+            std::min<std::size_t>(_workers, jobs.size())));
+    }
+    const unsigned tracks = pool->workers();
 
     Heartbeat heartbeat(_progress, label, jobs.size(), accesses_per_job,
                         tracks, t0);
@@ -358,49 +362,14 @@ ParallelSweeper::run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
         heartbeat.noteJobDone();
     };
 
-    if (use_shared) {
-        std::vector<SweepPool::Task> tasks;
-        tasks.reserve(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            tasks.push_back([&run_one, i](unsigned w) { run_one(i, w); });
-        // Rethrows the first job error; throws JobCancelled when this
-        // thread's client slot was cancelled (client disconnect).
-        shared->runBatch(SweepPool::currentClient(), std::move(tasks));
-    } else if (pool <= 1) {
-        // Inline serial path: reference order, no thread overhead.
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            run_one(i, 0);
-    } else {
-        std::atomic<std::size_t> cursor{0};
-        std::mutex error_mutex;
-        std::exception_ptr first_error;
-
-        const auto worker = [&](unsigned w) {
-            for (;;) {
-                const std::size_t i =
-                    cursor.fetch_add(1, std::memory_order_relaxed);
-                if (i >= jobs.size())
-                    return;
-                try {
-                    run_one(i, w);
-                } catch (...) {
-                    const std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!first_error)
-                        first_error = std::current_exception();
-                }
-            }
-        };
-
-        std::vector<std::thread> threads;
-        threads.reserve(pool);
-        for (unsigned t = 0; t < pool; ++t)
-            threads.emplace_back(worker, t);
-        for (std::thread &t : threads)
-            t.join();
-
-        if (first_error)
-            std::rethrow_exception(first_error);
-    }
+    std::vector<SweepPool::Task> tasks;
+    tasks.reserve(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        tasks.push_back([&run_one, i](unsigned w) { run_one(i, w); });
+    // Rethrows the first job error; throws JobCancelled when this
+    // thread's client slot was cancelled (c8td: client disconnect).
+    pool->runBatch(scoped ? 0 : SweepPool::currentClient(),
+                   std::move(tasks));
 
     const double wall =
         std::chrono::duration<double>(Clock::now() - t0).count();

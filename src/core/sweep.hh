@@ -4,14 +4,13 @@
  *
  * Every figure/table binary replays many independent (workload,
  * cache-config, scheme-set) runs; historically they ran serially
- * through one loop. ParallelSweeper fans those runs across a pool of
- * worker threads. Each job is fully self-contained — it constructs its
+ * through one loop. ParallelSweeper fans those runs across a
+ * core::SweepPool. Each job is fully self-contained — it constructs its
  * own AccessGenerator (seeded deterministically from the workload
  * parameters), its own FunctionalMemory instances and its own
  * MultiSchemeRunner — so no simulation state is shared between threads
  * and the results are byte-identical to the serial order for any
- * worker count (including 1, which runs inline without spawning
- * threads).
+ * worker count.
  *
  * Worker count resolution: an explicit constructor argument wins, then
  * the C8T_JOBS environment variable, then hardware_concurrency().
@@ -115,6 +114,9 @@ struct SweepJob
 class ParallelSweeper
 {
   public:
+    /** Largest worker count accepted from C8T_JOBS or a --jobs flag. */
+    static constexpr unsigned kMaxWorkers = 4096;
+
     /**
      * @param workers Worker threads; 0 = resolve from C8T_JOBS or
      *                hardware_concurrency().
@@ -124,8 +126,8 @@ class ParallelSweeper
     /** Worker threads this sweeper will use. */
     unsigned workers() const { return _workers; }
 
-    /** Resolved default worker count (C8T_JOBS env var if set and
-     *  valid, else hardware_concurrency(), at least 1). */
+    /** Resolved default worker count (C8T_JOBS if set and within
+     *  1..kMaxWorkers, else hardware_concurrency(), at least 1). */
     static unsigned defaultWorkers();
 
     /**
@@ -157,11 +159,12 @@ class ParallelSweeper
      * Run every job and collect the per-job result vectors in
      * submission order.
      *
-     * Jobs are claimed from an atomic cursor by the workers; because
-     * every job owns all of its state, the schedule cannot influence
-     * the numbers — results are bit-identical for any worker count.
-     * The first exception thrown by a job is rethrown here after all
-     * workers have stopped.
+     * The jobs run as one SweepPool batch: on the calling worker's
+     * pool when nested, else on the installed global pool, else on a
+     * pool scoped to the call. Every job owns all of its state, so the
+     * schedule cannot influence the numbers — results are bit-identical
+     * for any worker count. The first job exception is rethrown with
+     * its type.
      *
      * @param jobs  The work list.
      * @param rc    Warm-up/measure window (shared by all jobs).

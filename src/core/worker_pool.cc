@@ -17,7 +17,7 @@ namespace
 {
 
 thread_local SweepPool::ClientId t_client = 0;
-thread_local bool t_isWorker = false;
+thread_local SweepPool *t_pool = nullptr;
 thread_local unsigned t_workerIndex = 0;
 
 std::atomic<SweepPool *> g_pool{nullptr};
@@ -29,9 +29,6 @@ SweepPool::SweepPool(unsigned workers)
 {
     _stats.workers = _workers;
     _slots[0]; // the default slot for unregistered submissions
-    _threads.reserve(_workers);
-    for (unsigned w = 0; w < _workers; ++w)
-        _threads.emplace_back([this, w] { workerLoop(w); });
 }
 
 SweepPool::~SweepPool()
@@ -109,7 +106,7 @@ SweepPool::runBatch(ClientId client, std::vector<Task> tasks)
     if (tasks.empty())
         return;
 
-    if (t_isWorker) {
+    if (t_pool) {
         // Nested sweep from a worker thread: run inline rather than
         // queueing work this thread would then block on.
         for (Task &t : tasks)
@@ -133,6 +130,17 @@ SweepPool::runBatch(ClientId client, std::vector<Task> tasks)
             it->second.queue.push_back(Pending{std::move(t), batch});
         ++_stats.batches;
     }
+    // Start the team once the first batch is queued: a new thread then
+    // claims work on the CPU it was created on, where a sleeping one is
+    // woken onto the submitter's CPU (DESIGN.md §5, "Thread model").
+    // noexcept: a failed spawn ends the program, as it did when the
+    // constructor spawned, instead of unwinding past queued tasks that
+    // reference the caller's frame.
+    std::call_once(_started, [this]() noexcept {
+        _threads.reserve(_workers);
+        for (unsigned w = 0; w < _workers; ++w)
+            _threads.emplace_back([this, w] { workerLoop(w); });
+    });
     _workCv.notify_all();
 
     std::unique_lock<std::mutex> lock(_mutex);
@@ -149,7 +157,7 @@ SweepPool::runBatch(ClientId client, std::vector<Task> tasks)
 void
 SweepPool::workerLoop(unsigned worker)
 {
-    t_isWorker = true;
+    t_pool = this;
     t_workerIndex = worker;
     std::unique_lock<std::mutex> lock(_mutex);
     for (;;) {
@@ -220,10 +228,10 @@ SweepPool::currentClient()
     return t_client;
 }
 
-bool
-SweepPool::onWorkerThread()
+SweepPool *
+SweepPool::current()
 {
-    return t_isWorker;
+    return t_pool;
 }
 
 SweepPool *

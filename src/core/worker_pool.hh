@@ -1,19 +1,14 @@
 /**
  * @file
- * Process-wide sweep worker pool with per-client fair scheduling.
- *
- * The one-shot drivers each own their sweep concurrency: every
- * ParallelSweeper::run spawns (and joins) its own thread team. That is
- * the right shape for a single batch process, but the c8td daemon
- * multiplexes many concurrent client jobs in one process — letting
- * every job spawn its own team would oversubscribe the machine N-fold
- * and let one greedy client starve the rest.
- *
- * SweepPool is the daemon's answer (DESIGN.md §13): ONE process-wide
- * team of worker threads that every sweep shares. Clients register a
- * slot; work is claimed round-robin across slots at task (= SweepJob /
- * explore-shard) granularity, so a client queueing a thousand shards
- * and a client queueing one small run make progress side by side.
+ * Sweep worker pool with per-client fair scheduling: the one executor
+ * behind every ParallelSweeper::run (DESIGN.md §5). A one-shot sweep
+ * runs on a pool scoped to the call; the c8td daemon installs ONE
+ * process-wide pool that every sweep shares (DESIGN.md §13), so
+ * concurrent client jobs neither oversubscribe the machine nor starve
+ * each other. Clients register a slot; work is claimed round-robin
+ * across slots at task (= SweepJob / explore-shard) granularity, so a
+ * client queueing a thousand shards and a client queueing one small
+ * run make progress side by side.
  * Cancellation is per-slot: a disconnected client's unclaimed tasks
  * are dropped and its waiting batch completes with JobCancelled;
  * tasks already running finish (simulation is not interruptible) and
@@ -31,7 +26,8 @@
  *
  * Re-entrancy: a batch submitted from a pool worker thread runs
  * inline on that worker (nested sweeps cannot deadlock waiting for
- * their own thread).
+ * their own thread). A nested ParallelSweeper::run submits to
+ * current(), so it spawns no thread and keeps that pool's indices.
  */
 
 #ifndef C8T_CORE_WORKER_POOL_HH
@@ -82,8 +78,9 @@ class SweepPool
     };
 
     /**
-     * @param workers Worker threads; 0 = resolve like ParallelSweeper
-     *                (C8T_JOBS, else hardware_concurrency()).
+     * @param workers Worker threads, started by the first runBatch;
+     *                0 = resolve like ParallelSweeper (C8T_JOBS, else
+     *                hardware_concurrency()).
      */
     explicit SweepPool(unsigned workers = 0);
 
@@ -142,8 +139,8 @@ class SweepPool
     /** The calling thread's bound slot (0 when unbound). */
     static ClientId currentClient();
 
-    /** Whether the calling thread is one of a pool's workers. */
-    static bool onWorkerThread();
+    /** The pool the calling thread works for, or nullptr. */
+    static SweepPool *current();
 
   private:
     struct Batch
@@ -179,10 +176,11 @@ class SweepPool
     ClientId _nextClient = 0;
     bool _stopping = false;
     Stats _stats;
+    std::once_flag _started; ///< the team starts with the first batch
     std::vector<std::thread> _threads;
 };
 
-/** The installed process-wide pool, or nullptr (one-shot mode). */
+/** The installed process-wide pool, or nullptr (sweeps scope their own). */
 SweepPool *globalSweepPool();
 
 /**

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "app/options.hh"
+#include "core/sweep.hh"
 #include "sram/vmodel.hh"
 
 namespace
@@ -275,6 +276,35 @@ TEST(Options, Errors)
                  std::invalid_argument);
     // Invalid cache shape caught by validation.
     EXPECT_THROW(parse({"--block", "24"}), std::invalid_argument);
+}
+
+TEST(Options, WorkerCountBounds)
+{
+    EXPECT_EQ(parse({"--jobs", "4"}).jobs, 4u);
+    EXPECT_EQ(parse({"--jobs", "4096"}).jobs,
+              core::ParallelSweeper::kMaxWorkers);
+    EXPECT_THROW(parse({"--jobs", "0"}), std::invalid_argument);
+    EXPECT_THROW(parse({"--jobs", "4097"}), std::invalid_argument);
+    // Used to wrap to 1 worker through the unsigned narrowing.
+    EXPECT_THROW(parse({"--jobs", "4294967297"}), std::invalid_argument);
+    try {
+        parse({"--jobs", "100000"});
+        FAIL() << "--jobs 100000 accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("--jobs: must be <= 4096"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // c8td --jobs: 0 keeps meaning "auto", the upper bound is shared.
+    EXPECT_EQ(parseWorkerCount("--jobs", "0", true), 0u);
+    EXPECT_EQ(parseWorkerCount("--jobs", "8", true), 8u);
+    EXPECT_THROW(parseWorkerCount("--jobs", "100000", true),
+                 std::invalid_argument);
+    EXPECT_THROW(parseWorkerCount("--jobs", "4294967297", true),
+                 std::invalid_argument);
+    EXPECT_THROW(parseWorkerCount("--jobs", "-1", true),
+                 std::invalid_argument);
 }
 
 TEST(Options, UsageMentionsEveryFlag)

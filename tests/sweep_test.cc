@@ -2,15 +2,17 @@
  * @file
  * Tests for the parallel sweep engine: results must be bit-identical to
  * the legacy serial loop for every worker count, exceptions must
- * propagate, worker-count resolution must honour C8T_JOBS, and the
- * architectural memory-equivalence property must hold through the
- * parallel path exactly as it does serially.
+ * propagate, worker-count resolution must honour C8T_JOBS, nested
+ * sweeps must run on the calling worker's pool, and the architectural
+ * memory-equivalence property must hold through the parallel path
+ * exactly as it does serially.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -18,6 +20,8 @@
 
 #include "core/simulator.hh"
 #include "core/sweep.hh"
+#include "core/worker_pool.hh"
+#include "obs/prof.hh"
 #include "trace/markov_stream.hh"
 #include "trace/spec_profiles.hh"
 
@@ -123,6 +127,91 @@ TEST(ParallelSweeper, JobExceptionsPropagateToCaller)
     empty.makeGenerator = nullptr;
     EXPECT_THROW(ParallelSweeper(1).run({empty}, kRc),
                  std::invalid_argument);
+}
+
+TEST(ParallelSweeper, OneWorkerRunsEveryJobBeforeRethrowing)
+{
+    // A one-worker sweep is a one-thread pool: the batch drains before
+    // the first error reaches the caller, with its original type.
+    std::vector<SweepJob> jobs = makeJobs();
+    jobs[0].makeGenerator = []() -> std::unique_ptr<trace::AccessGenerator> {
+        throw std::out_of_range("first job fails");
+    };
+    std::vector<bool> inspected(jobs.size(), false);
+    for (std::size_t i = 1; i < jobs.size(); ++i) {
+        jobs[i].inspect = [&inspected, i](core::MultiSchemeRunner &) {
+            inspected[i] = true;
+        };
+    }
+    EXPECT_THROW(ParallelSweeper(1).run(jobs, kRc, "test_drain"),
+                 std::out_of_range);
+    for (std::size_t i = 1; i < jobs.size(); ++i)
+        EXPECT_TRUE(inspected[i]) << i;
+}
+
+TEST(ParallelSweeper, EmptyJobListReturnsWithoutSubmitting)
+{
+    // SweepPool(0) auto-sizes to the hardware, so an empty list must
+    // return before any pool is chosen: nothing reaches an installed
+    // pool either.
+    EXPECT_TRUE(ParallelSweeper(4).run({}, kRc, "empty").empty());
+
+    core::SweepPool shared(2);
+    core::setGlobalSweepPool(&shared);
+    EXPECT_TRUE(ParallelSweeper(4).run({}, kRc, "empty").empty());
+    core::setGlobalSweepPool(nullptr);
+    EXPECT_EQ(shared.stats().batches, 0u);
+    EXPECT_EQ(shared.stats().tasksRun, 0u);
+}
+
+/**
+ * A sweep started from a job's inspect hook runs on the calling
+ * worker's pool (inline on that worker). Outer and inner results must
+ * equal the un-nested runs for every outer/inner worker count, with
+ * and without an installed global pool. The profiler is on so the
+ * per-worker busy/idle rollup, indexed by each span's worker, runs
+ * for the nested sweeps too (ASan checks the indices).
+ */
+TEST(ParallelSweeper, NestedSweepsMatchUnnestedRuns)
+{
+    constexpr RunConfig rc{500, 2'000};
+    const auto reference = ParallelSweeper(1).run(makeJobs(), rc, "ref");
+    const bool prof_was_on = obs::prof::enabled();
+    obs::prof::setEnabled(true);
+
+    for (const bool install : {false, true}) {
+        std::optional<core::SweepPool> shared;
+        if (install)
+            core::setGlobalSweepPool(&shared.emplace(3));
+        for (unsigned outer : {1u, 2u, 4u}) {
+            for (unsigned inner : {1u, 2u, 4u}) {
+                std::vector<SweepJob> jobs = makeJobs();
+                std::vector<std::vector<std::vector<SchemeRunResult>>>
+                    nested(jobs.size());
+                for (std::size_t i = 0; i < jobs.size(); ++i) {
+                    jobs[i].inspect = [&nested, i, inner,
+                                       rc](core::MultiSchemeRunner &) {
+                        nested[i] = ParallelSweeper(inner).run(
+                            makeJobs(), rc, "inner");
+                    };
+                }
+                const auto got =
+                    ParallelSweeper(outer).run(jobs, rc, "outer");
+                EXPECT_TRUE(got == reference)
+                    << "global " << install << ", outer " << outer
+                    << ", inner " << inner;
+                for (std::size_t i = 0; i < nested.size(); ++i) {
+                    EXPECT_TRUE(nested[i] == reference)
+                        << "global " << install << ", outer " << outer
+                        << ", inner " << inner << ", job " << i;
+                }
+            }
+        }
+        if (install)
+            core::setGlobalSweepPool(nullptr);
+    }
+    obs::prof::setEnabled(prof_was_on);
+    obs::prof::takeThreadTimes();
 }
 
 TEST(ParallelSweeper, WorkerCountResolutionHonoursEnv)

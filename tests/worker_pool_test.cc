@@ -134,7 +134,7 @@ TEST(SweepPoolTest, NestedSubmissionRunsInlineOnWorker)
     std::atomic<int> inner_runs{0};
     std::vector<SweepPool::Task> outer;
     outer.push_back([&pool, &inner_runs](unsigned) {
-        EXPECT_TRUE(SweepPool::onWorkerThread());
+        EXPECT_EQ(SweepPool::current(), &pool);
         std::vector<SweepPool::Task> inner;
         for (int i = 0; i < 8; ++i)
             inner.push_back(
@@ -144,7 +144,7 @@ TEST(SweepPoolTest, NestedSubmissionRunsInlineOnWorker)
     });
     pool.runBatch(0, std::move(outer));
     EXPECT_EQ(inner_runs.load(), 8);
-    EXPECT_FALSE(SweepPool::onWorkerThread());
+    EXPECT_EQ(SweepPool::current(), nullptr);
 }
 
 TEST(SweepPoolTest, ClientScopeBindsAndRestores)

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "app/options.hh"
 #include "core/stream_cache.hh"
 #include "net/daemon.hh"
 #include "obs/chrome_trace.hh"
@@ -96,7 +97,7 @@ run(const std::vector<std::string> &args)
         } else if (a == "--socket") {
             cfg.socketPath = value();
         } else if (a == "--jobs") {
-            cfg.workers = static_cast<unsigned>(parseU64(a, value()));
+            cfg.workers = app::parseWorkerCount(a, value(), true);
         } else if (a == "--max-inflight") {
             cfg.maxInflight =
                 static_cast<std::size_t>(parseU64(a, value()));
