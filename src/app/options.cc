@@ -133,8 +133,7 @@ usageText()
           "\n"
           "hierarchy (DESIGN.md §14)\n"
           "  --l2 KB             add an inclusive write-back L2 of KB "
-          "KiB behind the L1 (deprecated alias of the retired "
-          "tags-only shim; now a full second level)\n"
+          "KiB behind the L1\n"
           "  --l2-ways N         L2 associativity (default 8)\n"
           "  --l2-repl P         L2 replacement policy (default lru)\n"
           "  --l2-scheme S       L2 write scheme (default RMW)\n"

@@ -5,13 +5,16 @@
 
 #include "core/job_spec.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
+#include "sram/vmodel.hh"
 #include "stats/json.hh"
+#include "trace/spec_profiles.hh"
 
 namespace c8t::core
 {
@@ -321,6 +324,14 @@ asBool(const JsonValue &v, const char *key)
     return v.boolean;
 }
 
+/** a * b, clamped to the uint64 maximum. */
+std::uint64_t
+satMul(std::uint64_t a, std::uint64_t b)
+{
+    std::uint64_t r = 0;
+    return __builtin_mul_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+
 template <typename T, typename Fn>
 std::vector<T>
 asList(const JsonValue &v, const char *key, Fn item)
@@ -391,6 +402,44 @@ JobSpec::effectiveSchemes() const
             WriteScheme::WriteGroupingReadBypass};
 }
 
+std::uint64_t
+JobSpec::configRuns() const
+{
+    const std::uint64_t schemes_n = effectiveSchemes().size();
+    switch (kind) {
+    case JobKind::VddSweep:
+        return satMul(schemes_n,
+                      vdd > 0.0 ? 1 : sram::VddModel::defaultGrid().size());
+    case JobKind::Explore: {
+        // ExplorerSpec::configRunCount over the axes runExploreJob
+        // builds from this spec.
+        std::uint64_t n = exploreWorkloads.empty()
+                              ? trace::specBenchmarkNames().size()
+                              : exploreWorkloads.size();
+        const std::uint64_t axes[] = {
+            exploreSizesKb.size(), exploreWays.size(), exploreBlocks.size(),
+            exploreRepls.size(),
+            std::max<std::uint64_t>(1, exploreL2SizesKb.size()),
+            std::max<std::uint64_t>(1, exploreVdd.size()), schemes_n};
+        for (const std::uint64_t axis : axes)
+            n = satMul(n, axis);
+        return n;
+    }
+    case JobKind::Run:
+        break;
+    }
+    return schemes_n;
+}
+
+std::uint64_t
+JobSpec::simulatedAccesses() const
+{
+    const std::uint64_t warm = effectiveWarmup();
+    const std::uint64_t per_run =
+        accesses > UINT64_MAX - warm ? UINT64_MAX : accesses + warm;
+    return satMul(configRuns(), per_run);
+}
+
 void
 JobSpec::validate() const
 {
@@ -419,6 +468,18 @@ JobSpec::validate() const
     cache.validate();
     if (kind == JobKind::Explore && shardCells == 0)
         specFail("shard_cells must be >= 1");
+    if (configRuns() > kMaxJobConfigRuns) {
+        throw JobTooLarge("job spec: too large: " +
+                          std::to_string(configRuns()) +
+                          " config-runs exceed the admission limit of " +
+                          std::to_string(kMaxJobConfigRuns));
+    }
+    if (simulatedAccesses() > kMaxJobSimulatedAccesses) {
+        throw JobTooLarge(
+            "job spec: too large: " + std::to_string(simulatedAccesses()) +
+            " simulated accesses exceed the admission limit of " +
+            std::to_string(kMaxJobSimulatedAccesses));
+    }
 }
 
 JobSpec

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,24 @@ struct LevelSpec
     bool operator==(const LevelSpec &other) const = default;
 };
 
+/**
+ * Admission bounds (JobSpec::validate). They stop one request from
+ * pinning the shared pool indefinitely, and with it every identical
+ * request waiting on the daemon's memo. Both sit more than 100x above
+ * the largest job in the repository's tests, examples and benches
+ * (at most ~15k config-runs and ~2e8 simulated accesses).
+ */
+inline constexpr std::uint64_t kMaxJobConfigRuns = 2'000'000;
+inline constexpr std::uint64_t kMaxJobSimulatedAccesses =
+    100'000'000'000;
+
+/** What validate() throws for a spec over an admission bound. */
+class JobTooLarge : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
+};
+
 /** One sweep-service job, CLI- and wire-shared. */
 struct JobSpec
 {
@@ -168,8 +187,18 @@ struct JobSpec
     /** Scheme set with the kind default applied. */
     std::vector<WriteScheme> effectiveSchemes() const;
 
-    /** Shape/range validation shared by both front ends.
-     *  @throws std::invalid_argument. */
+    /** Controller runs the job executes: schemes x Vdd grid points
+     *  for a vdd_sweep, explore cells x schemes x Vdd points for an
+     *  explore (saturating). */
+    std::uint64_t configRuns() const;
+
+    /** Accesses over all config-runs, warm-up included (saturating). */
+    std::uint64_t simulatedAccesses() const;
+
+    /** Shape/range validation shared by both front ends, including
+     *  the admission bounds.
+     *  @throws JobTooLarge over an admission bound,
+     *          std::invalid_argument otherwise. */
     void validate() const;
 
     /**

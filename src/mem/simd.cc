@@ -5,6 +5,7 @@
 
 #include "mem/simd.hh"
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 
@@ -17,8 +18,10 @@ namespace
 /** Sentinel for "not resolved yet". */
 constexpr int kUnresolved = -1;
 
-/** Resolved level, or kUnresolved before first use. */
-int g_level = kUnresolved;
+/** Resolved level, or kUnresolved before first use. Atomic because
+ *  the first TagArrays of a sweep are built on several workers at
+ *  once, and each resolves the level on first use. */
+std::atomic<int> g_level{kUnresolved};
 
 /**
  * Time one kernel over a small in-cache fixture; returns the best of
@@ -149,20 +152,27 @@ parseLevel(const std::string &spec)
 SimdLevel
 activeLevel()
 {
-    if (g_level == kUnresolved) {
+    int level = g_level.load(std::memory_order_acquire);
+    if (level == kUnresolved) {
+        // Racing first users parse the same environment to the same
+        // level; the first store wins and every caller returns it.
         const char *env = std::getenv("C8T_SIMD");
-        g_level =
+        const int parsed =
             static_cast<int>(parseLevel(env ? std::string(env) : ""));
+        if (g_level.compare_exchange_strong(level, parsed,
+                                            std::memory_order_acq_rel))
+            level = parsed;
     }
-    return static_cast<SimdLevel>(g_level);
+    return static_cast<SimdLevel>(level);
 }
 
 SimdLevel
 setLevel(SimdLevel level)
 {
     const SimdLevel best = bestSupported();
-    g_level = static_cast<int>(level < best ? level : best);
-    return static_cast<SimdLevel>(g_level);
+    const SimdLevel installed = level < best ? level : best;
+    g_level.store(static_cast<int>(installed), std::memory_order_release);
+    return installed;
 }
 
 #if defined(C8T_SIMD_X86_64) && !defined(C8T_HAVE_AVX2)

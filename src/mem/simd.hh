@@ -75,8 +75,8 @@ SimdLevel autoCalibratedLevel();
 SimdLevel activeLevel();
 
 /** Force the active level (clamped to bestSupported()); returns the
- *  level actually installed. Test hook — not thread-safe against
- *  concurrent TagArray construction. */
+ *  level actually installed. Test hook: the store is atomic, but a
+ *  TagArray built concurrently may still capture the old level. */
 SimdLevel setLevel(SimdLevel level);
 
 /**

@@ -148,6 +148,9 @@ Daemon::publishMetrics()
     snap.memoHits = _memoHits.load();
     snap.bytesOut = _bytesOut.load();
     snap.framesDropped = _framesDropped.load();
+    const ResultMemo::Stats memo = _memo.stats();
+    snap.memoBytes = memo.bytes;
+    snap.memoEvictions = memo.evictions;
     obs::globalMetrics().noteDaemon(snap);
 
     if (_pool) {
@@ -288,19 +291,11 @@ Daemon::connectionExecutor(const std::shared_ptr<Connection> &conn)
         try {
             const core::JobSpec spec =
                 core::JobSpec::fromJsonText(payload);
-            const std::string memo_key = spec.toJson();
 
-            std::shared_ptr<const std::string> document;
-            if (_cfg.memoizeResults) {
-                const std::lock_guard<std::mutex> lock(_memoMutex);
-                const auto it = _resultMemo.find(memo_key);
-                if (it != _resultMemo.end())
-                    document = it->second;
-            }
-
-            if (document) {
-                _memoHits.fetch_add(1, std::memory_order_relaxed);
-            } else {
+            // Only a computing request streams progress and partial
+            // frames; a memo hit, also one that waited for an
+            // identical in-flight request, sends just its final.
+            const auto compute = [&] {
                 app::JobHooks hooks;
                 hooks.onProgress = [&](std::uint64_t done,
                                        std::uint64_t total) {
@@ -321,14 +316,23 @@ Daemon::connectionExecutor(const std::shared_ptr<Connection> &conn)
                 // The daemon never embeds the process profile: the
                 // document must stay byte-comparable to a non-profiled
                 // one-shot run regardless of server configuration.
-                app::JobOutcome outcome = app::runJobSpec(
-                    spec, _cfg.workers, hooks, /*includeProfile=*/false);
-                document = std::make_shared<const std::string>(
-                    std::move(outcome.document));
-                if (_cfg.memoizeResults) {
-                    const std::lock_guard<std::mutex> lock(_memoMutex);
-                    _resultMemo.emplace(memo_key, document);
-                }
+                return app::runJobSpec(spec, _cfg.workers, hooks,
+                                       /*includeProfile=*/false)
+                    .document;
+            };
+
+            ResultMemo::Document document;
+            if (_cfg.memoizeResults) {
+                // Blocks this executor, never a pool worker, while an
+                // identical request computes; a leader that throws
+                // (error or its client's cancellation) leaves the key
+                // to the next waiter.
+                bool hit = false;
+                document = _memo.getOrCompute(spec.toJson(), compute, hit);
+                if (hit)
+                    _memoHits.fetch_add(1, std::memory_order_relaxed);
+            } else {
+                document = std::make_shared<const std::string>(compute());
             }
 
             conn->send(*this, FrameType::Final, *document,
@@ -456,9 +460,11 @@ Daemon::serve()
     _traceT0Us = usSince(Clock::time_point{});
 
     UnixListener listener(_cfg.socketPath);
-    _ready.store(true);
+    // Publish before ready(): once a caller sees ready(), the global
+    // daemon snapshot is this daemon's, not a previous one's.
     publishMetrics();
     obs::writeGlobalMetrics();
+    _ready.store(true);
 
     std::thread heartbeat([this] { heartbeatLoop(); });
 

@@ -7,8 +7,9 @@
  * onto ONE process-wide SweepPool (fair round-robin across clients),
  * ONE StreamCache and ONE fault-map memo — so a warm daemon answers
  * repeat operating points without regenerating a stream or re-running
- * a Monte-Carlo campaign, and identical repeat requests are served
- * verbatim from a whole-result memo.
+ * a Monte-Carlo campaign, and identical requests are served verbatim
+ * from a whole-result memo (ResultMemo): single-flight, so identical
+ * requests that arrive together compute once.
  *
  * Per connection the daemon runs a reader thread (frame decode,
  * request queue, disconnect detection) and an executor thread
@@ -41,9 +42,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "net/result_memo.hh"
 #include "net/socket.hh"
 
 namespace c8t::core
@@ -77,7 +78,9 @@ struct DaemonConfig
     /** Liveness heartbeat period for running jobs (ms; 0 = off). */
     unsigned heartbeatMs = 1000;
 
-    /** Serve identical repeat requests from the whole-result memo. */
+    /** Serve identical requests from the whole-result memo, and
+     *  coalesce concurrent identical requests onto one computation.
+     *  false: every request computes. */
     bool memoizeResults = true;
 };
 
@@ -145,11 +148,8 @@ class Daemon
     std::atomic<std::uint64_t> _bytesOut{0};
     std::atomic<std::uint64_t> _framesDropped{0};
 
-    std::mutex _memoMutex;
-    /** Canonical spec JSON -> final document (results are pure
-     *  functions of the spec, so replaying bytes is always safe). */
-    std::unordered_map<std::string, std::shared_ptr<const std::string>>
-        _resultMemo;
+    /** Canonical spec JSON -> final document. */
+    ResultMemo _memo;
 
     double _traceT0Us = 0.0; ///< serve() start on the steady clock
 };

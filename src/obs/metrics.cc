@@ -447,6 +447,12 @@ Metrics::writePrometheus(std::ostream &os) const
         writeCounter(os, "c8t_daemon_memo_hits_total",
                      "Jobs served verbatim from the result memo.",
                      _daemon.memoHits);
+        writeGauge(os, "c8t_daemon_memo_bytes",
+                   "Result-memo bytes resident (keys + documents).",
+                   static_cast<double>(_daemon.memoBytes));
+        writeCounter(os, "c8t_daemon_memo_evictions_total",
+                     "Result-memo documents evicted for the byte budget.",
+                     _daemon.memoEvictions);
         writeCounter(os, "c8t_daemon_bytes_out_total",
                      "Response bytes written to clients.",
                      _daemon.bytesOut);

@@ -1,9 +1,11 @@
 /**
  * @file
  * c8td daemon tests (DESIGN.md §13): golden byte-identity against the
- * shared job path, cross-request memoization, protocol robustness
- * (truncated frames, oversized prefixes, bad specs), mid-job client
- * disconnect, concurrent clients and the SIGTERM-style drain.
+ * shared job path, cross-request memoization and single-flight
+ * coalescing of concurrent identical requests, protocol robustness
+ * (truncated frames, oversized prefixes, bad and oversized specs),
+ * mid-job client disconnect, concurrent clients and the SIGTERM-style
+ * drain.
  *
  * The daemon runs in-process (serve() on a thread, stop() to end it);
  * the CI daemon stage covers the real c8td/c8tctl binaries and the
@@ -11,6 +13,7 @@
  */
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -98,6 +101,56 @@ eventually(Fn &&pred)
         std::this_thread::sleep_for(5ms);
     }
     return false;
+}
+
+/** What one request got back: its final document or error payload,
+ *  and how many partial frames preceded it. */
+struct Reply
+{
+    std::string final;
+    std::string error;
+    int partials = 0;
+};
+
+/** Read frames until the next final or error frame. */
+Reply
+readReply(net::DaemonClient &client)
+{
+    Reply r;
+    net::Frame f;
+    while (client.read(f)) {
+        if (f.type == net::FrameType::Partial)
+            ++r.partials;
+        if (f.type == net::FrameType::Final) {
+            r.final = f.payload;
+            break;
+        }
+        if (f.type == net::FrameType::Error) {
+            r.error = f.payload;
+            break;
+        }
+    }
+    return r;
+}
+
+/** Run @p per_client(i, client) on @p n freshly connected clients,
+ *  released together once all are connected. */
+template <typename Fn>
+void
+withConcurrentClients(const std::string &socket, std::size_t n,
+                      Fn &&per_client)
+{
+    std::barrier<> start(static_cast<std::ptrdiff_t>(n));
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < n; ++i) {
+        threads.emplace_back([&, i] {
+            net::DaemonClient client(socket);
+            start.arrive_and_wait();
+            per_client(i, client);
+        });
+    }
+    for (auto &t : threads)
+        t.join();
 }
 
 TEST(DaemonTest, FinalFrameIsByteIdenticalToJobRunner)
@@ -339,14 +392,173 @@ TEST(DaemonTest, ConcurrentClientsAllGetCorrectBytes)
         EXPECT_EQ(got[i], expected[i]) << specs[i];
 }
 
+TEST(DaemonTest, ConcurrentIdenticalRequestsComputeOnce)
+{
+    // Long enough that every client's request lands while the first
+    // one is still computing.
+    const std::string spec =
+        "{\"kind\":\"run\",\"workload\":\"spec:mcf\","
+        "\"accesses\":300000}";
+    const std::string expected =
+        app::runJobSpec(core::JobSpec::fromJsonText(spec)).document;
+
+    constexpr std::size_t kClients = 4;
+    DaemonFixture fx;
+    std::vector<Reply> got(kClients);
+    withConcurrentClients(fx.socket(), kClients,
+                          [&](std::size_t i, net::DaemonClient &c) {
+                              c.submit(spec);
+                              got[i] = readReply(c);
+                          });
+
+    int computing = 0;
+    for (const Reply &r : got) {
+        EXPECT_EQ(r.final, expected);
+        computing += r.partials > 0;
+    }
+    // One leader streamed partials; the others waited for its result
+    // and were served from the memo with their final frame alone.
+    EXPECT_EQ(computing, 1);
+    EXPECT_TRUE(eventually([&] {
+        return obs::globalMetrics().daemon().jobsSucceeded == kClients;
+    }));
+    EXPECT_EQ(obs::globalMetrics().daemon().memoHits, kClients - 1);
+}
+
+TEST(DaemonTest, FollowerComputesWhenTheLeadersClientVanishes)
+{
+    net::DaemonConfig cfg;
+    cfg.workers = 1;      // the leader's second scheme stays pending
+    cfg.heartbeatMs = 10; // fast write-side disconnect detection
+    const std::string spec =
+        "{\"kind\":\"run\",\"workload\":\"spec:gcc\","
+        "\"accesses\":2000000}";
+    const std::string expected =
+        app::runJobSpec(core::JobSpec::fromJsonText(spec)).document;
+
+    DaemonFixture fx(cfg);
+    const auto waitForHeartbeat = [](net::DaemonClient &c) {
+        net::Frame f;
+        while (c.read(f)) {
+            if (f.type == net::FrameType::Progress &&
+                f.payload.find("heartbeat") != std::string::npos)
+                return;
+        }
+        ADD_FAILURE() << "connection closed before a heartbeat";
+    };
+
+    net::DaemonClient leader(fx.socket());
+    leader.submit(spec);
+    waitForHeartbeat(leader); // the leader's job is running
+    net::DaemonClient follower(fx.socket());
+    follower.submit(spec);
+    waitForHeartbeat(follower); // the follower's job waits on it
+    leader.close();             // vanish mid-job
+
+    // The leader's job is cancelled; the follower does not inherit
+    // that, but computes the spec itself under its own pool slot.
+    const Reply r = readReply(follower);
+    EXPECT_EQ(r.final, expected);
+    EXPECT_GT(r.partials, 0);
+    EXPECT_TRUE(eventually([&] {
+        const obs::Metrics::DaemonSnapshot d =
+            obs::globalMetrics().daemon();
+        return d.jobsCancelled == 1 && d.jobsSucceeded == 1;
+    }));
+    EXPECT_EQ(obs::globalMetrics().daemon().memoHits, 0u);
+}
+
+TEST(DaemonTest, FailingSpecGivesEveryRequesterItsOwnError)
+{
+    // Parses and validates, then fails inside runJobSpec.
+    const std::string bad =
+        "{\"kind\":\"run\",\"workload\":\"spec:no_such_bench\","
+        "\"accesses\":20000}";
+    const std::string good =
+        "{\"kind\":\"run\",\"workload\":\"spec:gcc\","
+        "\"accesses\":20000}";
+    const std::string expected =
+        app::runJobSpec(core::JobSpec::fromJsonText(good)).document;
+
+    constexpr std::size_t kClients = 3;
+    DaemonFixture fx;
+    std::vector<Reply> errors(kClients), after(kClients);
+    std::barrier<> aligned(static_cast<std::ptrdiff_t>(kClients));
+    withConcurrentClients(
+        fx.socket(), kClients, [&](std::size_t i, net::DaemonClient &c) {
+            // Client i's failing request is its job i.
+            for (std::size_t k = 0; k < i; ++k)
+                EXPECT_EQ(c.call(good), expected);
+            aligned.arrive_and_wait();
+            c.submit(bad);
+            errors[i] = readReply(c);
+            c.submit(good);
+            after[i] = readReply(c);
+        });
+
+    for (std::size_t i = 0; i < kClients; ++i) {
+        EXPECT_TRUE(errors[i].final.empty());
+        EXPECT_NE(errors[i].error.find("\"job\":" + std::to_string(i) +
+                                       ","),
+                  std::string::npos)
+            << errors[i].error;
+        EXPECT_NE(errors[i].error.find("no_such_bench"),
+                  std::string::npos);
+        // The connection survives the failure.
+        EXPECT_EQ(after[i].final, expected);
+    }
+}
+
+TEST(DaemonTest, WithoutTheMemoIdenticalRequestsBothCompute)
+{
+    net::DaemonConfig cfg;
+    cfg.memoizeResults = false;
+    const std::string spec =
+        "{\"kind\":\"run\",\"workload\":\"spec:mcf\","
+        "\"accesses\":100000}";
+    const std::string expected =
+        app::runJobSpec(core::JobSpec::fromJsonText(spec)).document;
+
+    DaemonFixture fx(cfg);
+    std::vector<Reply> got(2);
+    withConcurrentClients(fx.socket(), 2,
+                          [&](std::size_t i, net::DaemonClient &c) {
+                              c.submit(spec);
+                              got[i] = readReply(c);
+                          });
+    for (const Reply &r : got) {
+        EXPECT_EQ(r.final, expected);
+        EXPECT_GT(r.partials, 0); // computed, not replayed
+    }
+    EXPECT_TRUE(eventually([&] {
+        return obs::globalMetrics().daemon().jobsSucceeded == 2;
+    }));
+    EXPECT_EQ(obs::globalMetrics().daemon().memoHits, 0u);
+}
+
+TEST(DaemonTest, OversizedSpecGetsAdmissionErrorFrame)
+{
+    DaemonFixture fx;
+    net::DaemonClient client(fx.socket());
+    client.submit(
+        "{\"kind\":\"run\",\"accesses\":1000000000000000}");
+    const Reply r = readReply(client);
+    EXPECT_TRUE(r.final.empty());
+    EXPECT_NE(r.error.find("\"job\":0,"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("too large"), std::string::npos) << r.error;
+    // Rejected at admission, so the connection serves the next job.
+    EXPECT_FALSE(client.call(kRunSpec).empty());
+}
+
 TEST(DaemonTest, StopDrainsAcceptedJobs)
 {
     net::DaemonConfig cfg;
     cfg.heartbeatMs = 10; // frequent metric publication for the poll
+    DaemonFixture fx(cfg);
+    // Read after the fixture is up: the global snapshot is then this
+    // daemon's, whose counters start from zero.
     const std::uint64_t accepted_before =
         obs::globalMetrics().daemon().jobsAccepted;
-
-    DaemonFixture fx(cfg);
     net::DaemonClient client(fx.socket());
     client.submit(kRunSpec);
     client.submit(

@@ -5,6 +5,7 @@
  * default), defaults, round-tripping and validation (DESIGN.md §13).
  */
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -277,6 +278,103 @@ TEST(JobSpecTest, ValidationCatchesBadShapes)
     expectParseError(
         "{\"kind\":\"explore\",\"explore\":{\"shard_cells\":0}}",
         "shard_cells");
+}
+
+TEST(JobSpecTest, ConfigRunsFollowTheKind)
+{
+    // Run: one config-run per scheme (kind default RMW + WG+RB).
+    EXPECT_EQ(JobSpec::fromJsonText("{\"kind\":\"run\"}").configRuns(),
+              2u);
+    // Vdd sweep: the four voltage-story schemes at 11 default grid
+    // points, or at the single point an explicit vdd narrows it to.
+    EXPECT_EQ(
+        JobSpec::fromJsonText("{\"kind\":\"vdd_sweep\"}").configRuns(),
+        44u);
+    EXPECT_EQ(JobSpec::fromJsonText(
+                  "{\"kind\":\"vdd_sweep\",\"vdd\":0.8}")
+                  .configRuns(),
+              4u);
+    // Explore defaults: 25 SPEC profiles x 4 sizes x 3 ways x 2 blocks
+    // x 1 policy cells, 4 schemes each; a Vdd grid and an L2 axis
+    // multiply in.
+    EXPECT_EQ(
+        JobSpec::fromJsonText("{\"kind\":\"explore\"}").configRuns(),
+        2400u);
+    const JobSpec grid = JobSpec::fromJsonText(
+        "{\"kind\":\"explore\",\"explore\":{\"workloads\":[\"gcc\"],"
+        "\"vdd\":[1.0,0.9,0.8],\"l2_sizes_kb\":[256,512]}}");
+    EXPECT_EQ(grid.configRuns(), 1u * 4 * 3 * 2 * 2 * 3 * 4);
+    EXPECT_EQ(grid.simulatedAccesses(),
+              grid.configRuns() * (1'000'000u + 100'000u));
+}
+
+TEST(JobSpecTest, AdmissionLimitRejectsHugeAccesses)
+{
+    // 10^15 accesses would pin the shared pool for days.
+    try {
+        JobSpec::fromJsonText(
+            "{\"kind\":\"run\",\"accesses\":1000000000000000}");
+        FAIL() << "expected JobTooLarge";
+    } catch (const core::JobTooLarge &e) {
+        EXPECT_NE(std::string(e.what()).find("too large"),
+                  std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("simulated accesses"),
+                  std::string::npos);
+    }
+
+    // The bound itself is admitted; one access more is not. One
+    // scheme, so config-runs x (accesses + warm-up) is exact.
+    const std::string one =
+        "{\"kind\":\"run\",\"schemes\":[\"RMW\"],\"warmup\":1,"
+        "\"accesses\":";
+    const JobSpec at = JobSpec::fromJsonText(
+        one + std::to_string(core::kMaxJobSimulatedAccesses - 1) + "}");
+    EXPECT_EQ(at.simulatedAccesses(), core::kMaxJobSimulatedAccesses);
+    EXPECT_THROW(
+        JobSpec::fromJsonText(
+            one + std::to_string(core::kMaxJobSimulatedAccesses) + "}"),
+        core::JobTooLarge);
+}
+
+TEST(JobSpecTest, AdmissionLimitRejectsHugeGrids)
+{
+    // 200 sizes x 100 ways x 100 blocks x 4 schemes = 8 M config-runs
+    // of one access each: small in accesses, over the run bound.
+    const auto list = [](int n) {
+        std::string out = "[";
+        for (int i = 1; i <= n; ++i)
+            out += (i > 1 ? "," : "") + std::to_string(i);
+        return out + "]";
+    };
+    try {
+        JobSpec::fromJsonText(
+            "{\"kind\":\"explore\",\"accesses\":1,\"warmup\":1,"
+            "\"explore\":{\"workloads\":[\"gcc\"],\"sizes_kb\":" +
+            list(200) + ",\"ways\":" + list(100) + ",\"blocks\":" +
+            list(100) + "}}");
+        FAIL() << "expected JobTooLarge";
+    } catch (const core::JobTooLarge &e) {
+        EXPECT_NE(std::string(e.what()).find("8000000 config-runs"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(JobSpecTest, AdmissionCountsSaturateInsteadOfWrapping)
+{
+    JobSpec spec;
+    spec.accesses = UINT64_MAX;
+    spec.warmup = 5;
+    EXPECT_EQ(spec.simulatedAccesses(), UINT64_MAX);
+    EXPECT_THROW(spec.validate(), core::JobTooLarge);
+
+    // 2^63 per run x 2 schemes wraps a 64-bit product to 0.
+    spec = JobSpec{};
+    spec.accesses = (std::uint64_t{1} << 63) - 1;
+    spec.warmup = 1;
+    EXPECT_EQ(spec.configRuns(), 2u);
+    EXPECT_EQ(spec.simulatedAccesses(), UINT64_MAX);
+    EXPECT_THROW(spec.validate(), core::JobTooLarge);
 }
 
 TEST(JobSpecTest, CheckpointKnobsAreNotWireKeys)

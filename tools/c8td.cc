@@ -4,8 +4,10 @@
  *
  * Serves sweep / Vdd-sweep / explore jobs over a Unix domain socket,
  * multiplexing concurrent clients onto one shared worker pool, one
- * stream cache and one fault-map memo. Final results are byte-
- * identical to `c8tsim --stats-json` for the same spec.
+ * stream cache and one fault-map memo; identical requests, also
+ * concurrent ones, compute once through a single-flight result memo.
+ * Final results are byte-identical to `c8tsim --stats-json` for the
+ * same spec.
  *
  * Examples:
  *   c8td --socket /tmp/c8t.sock --jobs 8 --metrics-out /tmp/c8t.prom &
@@ -52,7 +54,9 @@ const char kUsage[] =
     "                      progress/partial frames; 0 = unlimited\n"
     "  --heartbeat-ms N    running-job heartbeat period; 0 = off\n"
     "                      (default 1000)\n"
-    "  --no-memo           disable the whole-result request memo\n"
+    "  --no-memo           disable the whole-result request memo and\n"
+    "                      the coalescing of concurrent identical\n"
+    "                      requests: every request computes\n"
     "  --stream-cache MB   stream-cache byte budget (0 disables)\n"
     "  --metrics-out FILE  Prometheus exposition file (also C8T_METRICS)\n"
     "  --chrome-trace FILE Chrome trace (also C8T_CHROME_TRACE)\n"
