@@ -16,10 +16,8 @@
  * Reported: aggregate jobs/s and served config-runs/s per phase, the
  * warm-over-cold per-job speedup (the memoization claim, measured —
  * the acceptance floor is 1.3x) and client-observed p50/p99/p999 job
- * latency from the warm soak. A kind:"daemon" record is appended to
- * C8T_BENCH_JSON; the variable is scrubbed from the environment while
- * the daemon runs so its internal sweeps don't spam kind:"sweep"
- * records into the same file.
+ * latency from the warm soak. perfbench's daemon_mix workload replays
+ * the same mix as the repository benchmark.
  *
  * The per-job window defaults to 20,000 measured accesses (small on
  * purpose: the soak is about service overhead and cache reuse, not
@@ -32,7 +30,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -196,55 +193,12 @@ runPhase(const std::string &socket, std::size_t clients,
     return r;
 }
 
-/** Append the kind:"daemon" record (same style as the sweep engine). */
-void
-emitBenchRecord(const char *path, std::size_t clients, unsigned workers,
-                std::uint64_t accesses, std::size_t uniqueSpecs,
-                const PhaseResult &cold, const PhaseResult &warm)
-{
-    if (!path || !*path)
-        return;
-    std::ofstream os(path, std::ios::app);
-    if (!os) {
-        std::cerr << "bench_daemon: cannot append to C8T_BENCH_JSON="
-                  << path << "\n";
-        return;
-    }
-    const double speedup =
-        (warm.jobsPerSec() > 0.0 && cold.jobsPerSec() > 0.0)
-            ? warm.jobsPerSec() / cold.jobsPerSec()
-            : 0.0;
-    os << "{\"kind\":\"daemon\",\"label\":\"daemon_soak\",\"clients\":"
-       << clients << ",\"workers\":" << workers
-       << ",\"unique_specs\":" << uniqueSpecs
-       << ",\"accesses_per_job\":" << accesses
-       << ",\"cold_jobs\":" << cold.jobs
-       << ",\"cold_wall_seconds\":" << cold.wallSeconds
-       << ",\"cold_jobs_per_sec\":" << cold.jobsPerSec()
-       << ",\"warm_jobs\":" << warm.jobs
-       << ",\"warm_wall_seconds\":" << warm.wallSeconds
-       << ",\"warm_jobs_per_sec\":" << warm.jobsPerSec()
-       << ",\"config_runs_per_sec\":" << warm.configRunsPerSec()
-       << ",\"warm_speedup\":" << speedup
-       << ",\"p50_us\":" << warm.quantileUs(0.50)
-       << ",\"p99_us\":" << warm.quantileUs(0.99)
-       << ",\"p999_us\":" << warm.quantileUs(0.999) << "}\n";
-}
-
 } // namespace
 
 int
 main()
 {
     using namespace c8t;
-
-    // Capture then scrub the record sink: the daemon's internal sweeps
-    // would otherwise append one kind:"sweep" line per job.
-    std::string benchJson;
-    if (const char *env = std::getenv("C8T_BENCH_JSON")) {
-        benchJson = env;
-        ::unsetenv("C8T_BENCH_JSON");
-    }
 
     std::uint64_t accesses = 20'000;
     if (std::getenv("C8T_BENCH_ACCESSES"))
@@ -321,10 +275,6 @@ main()
               << " config-runs/s) vs " << cold.jobsPerSec()
               << " cold = " << speedup << "x speedup; warm p99 "
               << warm.quantileUs(0.99) << " us\n";
-
-    emitBenchRecord(benchJson.empty() ? nullptr : benchJson.c_str(),
-                    clients, daemon.config().workers, accesses,
-                    mix.size(), cold, warm);
 
     if (speedup < 1.3) {
         std::cerr << "bench_daemon: warm speedup " << speedup

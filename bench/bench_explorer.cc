@@ -24,7 +24,6 @@
 
 #include "bench/common.hh"
 #include "core/explorer.hh"
-#include "obs/prof.hh"
 #include "sram/cell.hh"
 #include "stats/table.hh"
 
@@ -60,47 +59,40 @@ main()
     std::cerr << "bench_explorer: " << spec.configRunCount()
               << " config-runs over " << spec.cellCount() << " cells ("
               << spec.shardCount() << " shards)\n";
-    core::ExploreResult result = core::runExplore(spec, rc);
+    const core::ExploreResult result = core::runExplore(spec, rc);
 
-    {
-        const obs::prof::ScopedPhase serialize_scope(
-            obs::prof::Phase::Serialize);
-        stats::Table t("explore frontiers: best energy design per "
-                       "workload (of " +
-                       std::to_string(result.summaries.size()) +
-                       " design points; energy pJ at min Vdd)");
-        t.setHeader({"workload", "frontier", "config", "repl", "scheme",
-                     "minVdd", "energy pJ", "miss%"});
-        t.setPrecision(3);
-        for (const std::string &w : result.workloads) {
-            const auto front = result.frontier(w);
-            const core::DesignPointSummary *best = nullptr;
-            for (const core::DesignPointSummary *p : front) {
-                if (!best || p->energyPerAccess < best->energyPerAccess)
-                    best = p;
-            }
-            if (!best)
-                continue;
-            std::ostringstream cfg;
-            cfg << (best->sizeBytes >> 10) << "K/" << best->ways << "w/"
-                << best->blockBytes << "B";
-            t.addRow({w, static_cast<std::int64_t>(front.size()),
-                      cfg.str(), mem::toString(best->repl), best->scheme,
-                      best->minVdd, best->energyPerAccess * 1e12,
-                      best->missRate * 100.0});
+    stats::Table t("explore frontiers: best energy design per "
+                   "workload (of " +
+                   std::to_string(result.summaries.size()) +
+                   " design points; energy pJ at min Vdd)");
+    t.setHeader({"workload", "frontier", "config", "repl", "scheme",
+                 "minVdd", "energy pJ", "miss%"});
+    t.setPrecision(3);
+    for (const std::string &w : result.workloads) {
+        const auto front = result.frontier(w);
+        const core::DesignPointSummary *best = nullptr;
+        for (const core::DesignPointSummary *p : front) {
+            if (!best || p->energyPerAccess < best->energyPerAccess)
+                best = p;
         }
-        t.print(std::cout);
-
-        std::cout << "\nexplore: " << result.configRunsExecuted
-                  << " config-runs (" << result.cellsSkipped
-                  << " cells skipped) in " << result.wallSeconds
-                  << " s = " << result.configRunsPerSec
-                  << " config-runs/s; stream-cache hit rate "
-                  << 100.0 * result.streamCacheHitRate << "%\n";
+        if (!best)
+            continue;
+        std::ostringstream cfg;
+        cfg << (best->sizeBytes >> 10) << "K/" << best->ways << "w/"
+            << best->blockBytes << "B";
+        t.addRow({w, static_cast<std::int64_t>(front.size()),
+                  cfg.str(), mem::toString(best->repl), best->scheme,
+                  best->minVdd, best->energyPerAccess * 1e12,
+                  best->missRate * 100.0});
     }
-    // Flush the kind:"explore" record now so the table serialization
-    // above is attributed to this run's phase block.
-    result.emitBenchRecord();
+    t.print(std::cout);
+
+    std::cout << "\nexplore: " << result.configRunsExecuted
+              << " config-runs (" << result.cellsSkipped
+              << " cells skipped) in " << result.wallSeconds
+              << " s = " << result.configRunsPerSec
+              << " config-runs/s; stream-cache hit rate "
+              << 100.0 * result.streamCacheHitRate << "%\n";
 
     if (!spec.checkpointDir.empty()) {
         std::error_code ec;

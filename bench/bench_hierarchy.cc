@@ -12,104 +12,18 @@
  * access over the grid; the summary line is the claim — the 8T L2
  * stays operational several grid steps below the 6T floor.
  *
- * Appends one kind:"hierarchy" JSON-lines record to C8T_BENCH_JSON
- * (sweep throughput, per-scheme L2 min-Vdd, phase attribution with
- * C8T_PROF=1) for tools/bench_report.sh / bench_diff.sh.
+ * perfbench's hierarchy_vdd workload times this sweep; C8T_PROF=1 with
+ * C8T_METRICS splits its wall time by phase.
  */
 
-#include <atomic>
-#include <chrono>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
 #include "bench/common.hh"
 #include "core/controller.hh"
 #include "core/vdd_sweep.hh"
-#include "obs/metrics.hh"
-#include "obs/prof.hh"
 #include "sram/cell.hh"
-#include "stats/json.hh"
 #include "stats/table.hh"
-
-namespace
-{
-
-using namespace c8t;
-
-/** Append the kind:"hierarchy" perf record when C8T_BENCH_JSON is
- *  set (same shape as the kind:"vdd" record, plus the level split). */
-void
-emitHierarchyBenchJson(const core::VddSweepSpec &spec,
-                       const core::VddSweepResult &result,
-                       const core::RunConfig &rc, unsigned workers,
-                       double wall_seconds,
-                       const obs::prof::PhaseTimes *phases)
-{
-    const char *path = std::getenv("C8T_BENCH_JSON");
-    if (!path || !*path)
-        return;
-
-    std::uint64_t config_runs = 0;
-    for (const core::VddCurve &c : result.curves)
-        config_runs += c.points.size();
-    const double simulated =
-        static_cast<double>(config_runs) *
-        static_cast<double>(rc.warmupAccesses + rc.measureAccesses);
-
-    std::ofstream os(path, std::ios::app);
-    if (!os) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-            std::cerr << "bench_hierarchy: cannot open C8T_BENCH_JSON=\""
-                      << path << "\" for append; perf record disabled\n";
-        }
-        return;
-    }
-    os << "{\"kind\":\"hierarchy\",\"label\":\"hierarchy:"
-       << stats::jsonEscape(result.workload) << "\""
-       << ",\"l1\":\"" << spec.cache.toString() << "\""
-       << ",\"l2\":\"" << spec.lowerLevels.front().cache.toString()
-       << "\""
-       << ",\"grid_points\":" << result.grid.size()
-       << ",\"schemes\":" << result.curves.size()
-       << ",\"workers\":" << workers
-       << ",\"config_runs\":" << config_runs
-       << ",\"warmup_accesses\":" << rc.warmupAccesses
-       << ",\"measure_accesses\":" << rc.measureAccesses
-       << ",\"simulated_accesses\":"
-       << static_cast<std::uint64_t>(simulated)
-       << ",\"wall_seconds\":" << wall_seconds
-       << ",\"accesses_per_sec\":"
-       << (wall_seconds > 0.0 ? simulated / wall_seconds : 0.0)
-       << ",\"l2_min_vdd\":{";
-    bool first = true;
-    for (const core::VddCurve &c : result.curves) {
-        os << (first ? "" : ",") << '"' << stats::jsonEscape(c.scheme)
-           << "\":";
-        stats::jsonNumber(os, c.minVdd);
-        first = false;
-    }
-    os << "}";
-    if (phases) {
-        os << ",\"phases\":{";
-        for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
-            os << "\""
-               << obs::prof::toString(static_cast<obs::prof::Phase>(i))
-               << "\":";
-            stats::jsonNumber(os, static_cast<double>(phases->ns[i]) *
-                                      1e-9);
-            os << ",";
-        }
-        os << "\"total\":";
-        stats::jsonNumber(os,
-                          static_cast<double>(phases->totalNs()) * 1e-9);
-        os << "}";
-    }
-    os << "}\n";
-}
-
-} // anonymous namespace
 
 int
 main()
@@ -130,92 +44,58 @@ main()
     };
     spec.streamKey = trace::streamSignature(profile);
 
-    const bool prof_on = obs::prof::enabled();
-    obs::prof::PhaseTimes phases_before;
-    if (prof_on) {
-        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
-        phases_before = obs::globalMetrics().phaseTimes();
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-
     const unsigned workers = core::ParallelSweeper::defaultWorkers();
     const core::RunConfig rc = bench::runConfig();
-    core::VddSweepResult result = core::runVddSweep(spec, rc, workers);
+    const core::VddSweepResult result = core::runVddSweep(spec, rc, workers);
 
-    {
-        const obs::prof::ScopedPhase serialize_scope(
-            obs::prof::Phase::Serialize);
-        stats::Table t("Two-level sweep: hierarchy-wide energy per "
-                       "access (pJ; * = L2 not operational), " +
-                       result.workload +
-                       " on 6T 64KB/4w L1 + swept 256KB/8w L2");
-        std::vector<std::string> header{"L2 vdd"};
-        for (const core::VddCurve &c : result.curves)
-            header.push_back(c.scheme + " pJ");
-        t.setHeader(header);
-        t.setPrecision(3);
-        for (std::size_t gi = 0; gi < result.grid.size(); ++gi) {
-            std::vector<stats::Cell> row{result.grid[gi]};
-            for (const core::VddCurve &c : result.curves) {
-                std::ostringstream cell;
-                cell.precision(3);
-                cell << std::fixed
-                     << c.points[gi].energyPerAccess * 1e12;
-                if (!c.points[gi].operational)
-                    cell << '*';
-                row.emplace_back(cell.str());
-            }
-            t.addRow(row);
-        }
-        t.print(std::cout);
-
-        std::cout << "\nmin operational L2 Vdd (post-ECC word failure "
-                     "rate <= "
-                  << result.failureThreshold << "):";
+    stats::Table t("Two-level sweep: hierarchy-wide energy per "
+                   "access (pJ; * = L2 not operational), " +
+                   result.workload +
+                   " on 6T 64KB/4w L1 + swept 256KB/8w L2");
+    std::vector<std::string> header{"L2 vdd"};
+    for (const core::VddCurve &c : result.curves)
+        header.push_back(c.scheme + " pJ");
+    t.setHeader(header);
+    t.setPrecision(3);
+    for (std::size_t gi = 0; gi < result.grid.size(); ++gi) {
+        std::vector<stats::Cell> row{result.grid[gi]};
         for (const core::VddCurve &c : result.curves) {
-            std::cout << "  " << c.scheme << " ("
-                      << sram::toString(c.cell) << ") " << c.minVdd
-                      << " V";
+            std::ostringstream cell;
+            cell.precision(3);
+            cell << std::fixed
+                 << c.points[gi].energyPerAccess * 1e12;
+            if (!c.points[gi].operational)
+                cell << '*';
+            row.emplace_back(cell.str());
         }
-        std::cout << "\n";
-
-        const core::VddCurve *sixt =
-            result.curve(WriteScheme::SixTDirect);
-        const core::VddCurve *wgrb =
-            result.curve(WriteScheme::WriteGroupingReadBypass);
-        std::cout << "8T L2 min-Vdd below the 6T floor: "
-                  << (wgrb->minVdd < sixt->minVdd ? "yes" : "NO")
-                  << " (" << wgrb->minVdd << " V vs " << sixt->minVdd
-                  << " V)\n";
-
-        std::cout << "\nPaper reference: the L1 keeps the fast 6T "
-                     "array at nominal supply while the L2 — touched "
-                     "only by miss fetches and same-set dirty-victim "
-                     "bursts — runs the decoupled-read 8T cell near "
-                     "threshold, cutting the big array's leakage "
-                     "without lengthening the L1 hit path.\n";
+        t.addRow(row);
     }
+    t.print(std::cout);
 
-    // Flush the engine's kind:"vdd" record first so the serialization
-    // above is attributed to it, then append our own summary record.
-    result.emitBenchRecord();
-
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-    obs::prof::PhaseTimes run_phases;
-    if (prof_on) {
-        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
-        const obs::prof::PhaseTimes after =
-            obs::globalMetrics().phaseTimes();
-        for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
-            run_phases.ns[i] = after.ns[i] - phases_before.ns[i];
-            run_phases.scopes[i] =
-                after.scopes[i] - phases_before.scopes[i];
-        }
+    std::cout << "\nmin operational L2 Vdd (post-ECC word failure "
+                 "rate <= "
+              << result.failureThreshold << "):";
+    for (const core::VddCurve &c : result.curves) {
+        std::cout << "  " << c.scheme << " ("
+                  << sram::toString(c.cell) << ") " << c.minVdd
+                  << " V";
     }
-    emitHierarchyBenchJson(spec, result, rc, workers, wall_seconds,
-                           prof_on ? &run_phases : nullptr);
+    std::cout << "\n";
+
+    const core::VddCurve *sixt =
+        result.curve(WriteScheme::SixTDirect);
+    const core::VddCurve *wgrb =
+        result.curve(WriteScheme::WriteGroupingReadBypass);
+    std::cout << "8T L2 min-Vdd below the 6T floor: "
+              << (wgrb->minVdd < sixt->minVdd ? "yes" : "NO")
+              << " (" << wgrb->minVdd << " V vs " << sixt->minVdd
+              << " V)\n";
+
+    std::cout << "\nPaper reference: the L1 keeps the fast 6T "
+                 "array at nominal supply while the L2 — touched "
+                 "only by miss fetches and same-set dirty-victim "
+                 "bursts — runs the decoupled-read 8T cell near "
+                 "threshold, cutting the big array's leakage "
+                 "without lengthening the L1 hit path.\n";
     return 0;
 }

@@ -18,7 +18,6 @@
 
 #include "bench/common.hh"
 #include "core/vdd_sweep.hh"
-#include "obs/prof.hh"
 #include "sram/cell.hh"
 #include "stats/table.hh"
 
@@ -39,10 +38,6 @@ main()
     const core::VddSweepResult result =
         core::runVddSweep(spec, bench::runConfig());
 
-    // The bench record is deferred until the result is destroyed, so
-    // the table serialization below lands in its phase block.
-    const obs::prof::ScopedPhase serialize_scope(
-        obs::prof::Phase::Serialize);
     stats::Table t("Voltage sweep: energy per access (pJ; * = not "
                    "operational), " + result.workload + " on 64KB/4w/32B");
     t.setHeader({"vdd", "6T pJ", "RMW pJ", "WG pJ", "WG+RB pJ",

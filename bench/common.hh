@@ -11,8 +11,10 @@
  * Observability (DESIGN.md §6) works on every bench with no code
  * changes: C8T_PROGRESS=1 heartbeats sweep progress to stderr and
  * C8T_CHROME_TRACE=<file> records a Perfetto-loadable trace of the
- * sweep schedule; C8T_BENCH_JSON (above the sweep engine) appends
- * perf records for tools/bench_report.sh.
+ * sweep schedule; C8T_PROF=1 with C8T_METRICS=<file> writes a
+ * Prometheus exposition with the sweep's wall time split by phase.
+ * Timing across commits is perfbench's job (perfbench/run.py,
+ * tools/perf_ab.sh).
  */
 
 #ifndef C8T_BENCH_COMMON_HH

@@ -8,11 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,18 +69,26 @@ struct WayCompareFixture
     }
 };
 
+/** BM_WayCompare's argument for the level C8T_SIMD=auto resolves to. */
+constexpr int kAutoLevelArg = -1;
+
 /**
  * The vectorized way-compare in isolation, per dispatch level.
  * items/s is tag lookups (one full 8-way compare each); the ratio
  * between the /scalar row and the /sse2 / /avx2 rows is the SIMD
  * speedup of the kernel alone, uncontaminated by the rest of the
- * access path. Levels the CPU cannot run are skipped.
+ * access path. Levels the CPU cannot run are skipped. The last row
+ * runs the level the C8T_SIMD=auto calibration picks (its label
+ * reads "auto=<level>"): the guard that auto never lands on a level
+ * measurably slower than the named rows.
  */
 void
 BM_WayCompare(benchmark::State &state)
 {
+    const bool calibrated = state.range(0) == kAutoLevelArg;
     const auto level =
-        static_cast<mem::simd::SimdLevel>(state.range(0));
+        calibrated ? mem::simd::autoCalibratedLevel()
+                   : static_cast<mem::simd::SimdLevel>(state.range(0));
     if (mem::simd::setLevel(level) != level) {
         state.SkipWithError("SIMD level unsupported on this CPU");
         return;
@@ -95,12 +99,14 @@ BM_WayCompare(benchmark::State &state)
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(WayCompareFixture::kSets));
-    state.SetLabel(mem::simd::toString(level));
+    state.SetLabel(std::string(calibrated ? "auto=" : "") +
+                   mem::simd::toString(level));
 }
 BENCHMARK(BM_WayCompare)
     ->Arg(static_cast<int>(mem::simd::SimdLevel::Scalar))
     ->Arg(static_cast<int>(mem::simd::SimdLevel::Sse2))
-    ->Arg(static_cast<int>(mem::simd::SimdLevel::Avx2));
+    ->Arg(static_cast<int>(mem::simd::SimdLevel::Avx2))
+    ->Arg(kAutoLevelArg);
 
 void
 BM_MarkovStreamGeneration(benchmark::State &state)
@@ -288,102 +294,6 @@ BENCHMARK(BM_FaultMapCampaign)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-/**
- * Append one kind:"micro" perf record per supported dispatch level
- * when C8T_BENCH_JSON is set, alongside the sweep engine's
- * kind:"sweep" and the voltage sweep's kind:"vdd" rows (same
- * JSON-lines file, same accesses_per_sec rate field, so
- * tools/bench_diff.sh pairs them on (kind, label, workers) like any
- * other record). The rate is measured here with a fixed-work wall
- * clock rather than scraped from google-benchmark, so the record
- * exists even when the binary runs with a --benchmark_filter that
- * excludes BM_WayCompare.
- */
-void
-emitWayCompareMicroRecords()
-{
-    const char *path = std::getenv("C8T_BENCH_JSON");
-    if (!path || !*path)
-        return;
-
-    std::ofstream os(path, std::ios::app);
-    if (!os) {
-        std::cerr << "micro_perf: cannot open C8T_BENCH_JSON=\"" << path
-                  << "\" for append; perf records disabled\n";
-        return;
-    }
-
-    const WayCompareFixture fixture;
-
-    // ~16M lookups, best of 3: long enough to be stable, short
-    // enough to not dominate the report run.
-    constexpr int kReps = 3;
-    constexpr std::size_t kPasses = 1u << 16;
-    constexpr double kLookups =
-        static_cast<double>(kPasses) * WayCompareFixture::kSets;
-    const auto timeLevel = [&](mem::simd::SimdLevel level) {
-        double best_seconds = 0.0;
-        std::uint64_t sink = 0;
-        for (int rep = 0; rep < kReps; ++rep) {
-            const auto t0 = std::chrono::steady_clock::now();
-            for (std::size_t p = 0; p < kPasses; ++p)
-                sink |= fixture.passAt(level);
-            const std::chrono::duration<double> dt =
-                std::chrono::steady_clock::now() - t0;
-            if (rep == 0 || dt.count() < best_seconds)
-                best_seconds = dt.count();
-        }
-        benchmark::DoNotOptimize(sink);
-        return best_seconds;
-    };
-
-    for (mem::simd::SimdLevel level :
-         {mem::simd::SimdLevel::Scalar, mem::simd::SimdLevel::Sse2,
-          mem::simd::SimdLevel::Avx2}) {
-        if (mem::simd::setLevel(level) != level)
-            continue; // CPU cannot run this level
-
-        const double best_seconds = timeLevel(level);
-        os << "{\"kind\":\"micro\",\"label\":\"way_compare:"
-           << mem::simd::toString(level) << "\""
-           << ",\"workers\":1"
-           << ",\"ways\":" << WayCompareFixture::kWays
-           << ",\"lookups\":" << static_cast<std::uint64_t>(kLookups)
-           << ",\"wall_seconds\":" << best_seconds
-           << ",\"accesses_per_sec\":"
-           << (best_seconds > 0.0 ? kLookups / best_seconds : 0.0)
-           << "}\n";
-    }
-
-    // The guard for C8T_SIMD=auto: what the calibrator picks and what
-    // it delivers. A future regression where auto resolves to a level
-    // measurably slower than the named records shows up in
-    // bench_diff.sh as a drop on this row.
-    const mem::simd::SimdLevel resolved =
-        mem::simd::autoCalibratedLevel();
-    mem::simd::setLevel(resolved);
-    const double auto_seconds = timeLevel(resolved);
-    os << "{\"kind\":\"micro\",\"label\":\"way_compare:auto\""
-       << ",\"workers\":1"
-       << ",\"resolved\":\"" << mem::simd::toString(resolved) << "\""
-       << ",\"ways\":" << WayCompareFixture::kWays
-       << ",\"lookups\":" << static_cast<std::uint64_t>(kLookups)
-       << ",\"wall_seconds\":" << auto_seconds
-       << ",\"accesses_per_sec\":"
-       << (auto_seconds > 0.0 ? kLookups / auto_seconds : 0.0)
-       << "}\n";
-}
-
 } // anonymous namespace
 
-int
-main(int argc, char **argv)
-{
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    emitWayCompareMicroRecords();
-    return 0;
-}
+BENCHMARK_MAIN();

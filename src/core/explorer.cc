@@ -414,24 +414,6 @@ ExplorerSpec::signature(const RunConfig &rc) const
     return os.str();
 }
 
-/** Deferred bench-record state, armed by runExplore. */
-struct ExploreResult::Pending
-{
-    RunConfig rc;
-    unsigned workers = 0;
-    obs::PhaseWindow phases;
-};
-
-ExploreResult::ExploreResult() = default;
-ExploreResult::ExploreResult(ExploreResult &&) noexcept = default;
-ExploreResult &
-ExploreResult::operator=(ExploreResult &&) noexcept = default;
-
-ExploreResult::~ExploreResult()
-{
-    emitBenchRecord();
-}
-
 std::vector<const DesignPointSummary *>
 ExploreResult::frontier(const std::string &workload) const
 {
@@ -520,52 +502,11 @@ ExploreResult::dumpJson(std::ostream &os) const
     os << "]}";
 }
 
-void
-ExploreResult::emitBenchRecord()
-{
-    if (!_pending)
-        return;
-    const std::unique_ptr<Pending> p = std::move(_pending);
-    // The window spans the caller's dumpJson/table Serialize scopes.
-    const auto phases = p->phases.close();
-    appendBenchRecord("explorer", phases ? &*phases : nullptr,
-                      [&](std::ostream &os) {
-        const double simulated =
-            static_cast<double>(configRunsExecuted) *
-            static_cast<double>(p->rc.warmupAccesses +
-                                p->rc.measureAccesses);
-        os << "{\"kind\":\"explore\",\"label\":\""
-           << stats::jsonEscape(label) << "\""
-           << ",\"workers\":" << p->workers
-           << ",\"cells\":" << cellsTotal
-           << ",\"cells_skipped\":" << cellsSkipped
-           << ",\"shards\":" << shardsTotal
-           << ",\"shards_executed\":" << shardsExecuted
-           << ",\"shards_resumed\":" << shardsResumed
-           << ",\"config_runs\":" << configRunsExecuted
-           << ",\"config_runs_total\":" << configRunsTotal
-           << ",\"warmup_accesses\":" << p->rc.warmupAccesses
-           << ",\"measure_accesses\":" << p->rc.measureAccesses
-           << ",\"simulated_accesses\":"
-           << static_cast<std::uint64_t>(simulated)
-           << ",\"wall_seconds\":" << wallSeconds
-           << ",\"accesses_per_sec\":"
-           << (wallSeconds > 0.0 ? simulated / wallSeconds : 0.0)
-           << ",\"config_runs_per_sec\":";
-        stats::jsonNumber(os, configRunsPerSec);
-        os << ",\"stream_cache_hit_rate\":";
-        stats::jsonNumber(os, streamCacheHitRate);
-        os << ",\"completed\":" << (completed ? "true" : "false");
-    });
-    obs::writeGlobalMetrics();
-}
-
 ExploreResult
 runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
 {
     spec.validate();
     const auto t0 = std::chrono::steady_clock::now();
-    const obs::PhaseWindow phases;
     // Jobs per cell: one per grid point (nominal-only: one).
     const std::size_t points_per_cell =
         std::max<std::size_t>(1, spec.vddGrid.size());
@@ -614,7 +555,6 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
 
     ParallelSweeper sweeper(workers);
     sweeper.setProgress(false); // the explorer heartbeats per shard
-    sweeper.setRecordBench(false); // one umbrella record, not per shard
 
     const bool progress_on =
         spec.progress || ParallelSweeper::defaultProgress();
@@ -840,11 +780,8 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
                    : 0.0;
     result.streamCacheHitRate = stream_hit_rate();
     heartbeat(true);
-
-    result._pending = std::make_unique<ExploreResult::Pending>();
-    result._pending->rc = rc;
-    result._pending->workers = sweeper.workers();
-    result._pending->phases = phases;
+    // The last shard's explorer snapshot postdates its sweep's rewrite.
+    obs::writeGlobalMetrics();
     return result;
 }
 

@@ -47,7 +47,6 @@
 #define C8T_CORE_EXPLORER_HH
 
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -65,7 +64,7 @@ namespace c8t::core
 /** Cross-product specification of one explore. */
 struct ExplorerSpec
 {
-    /** Tag for bench/trace/heartbeat plumbing. */
+    /** Names the run in the heartbeat, trace spans and the document. */
     std::string label = "explore";
 
     /** SPEC profile names (trace::specProfile); must be non-empty. */
@@ -227,16 +226,9 @@ struct DesignPointSummary
     bool onFrontier = false;
 };
 
-/** Result of one explore (move-only; destructor flushes the pending
- *  bench record, see emitBenchRecord). */
-class ExploreResult
+/** Result of one explore. */
+struct ExploreResult
 {
-  public:
-    ExploreResult();
-    ExploreResult(ExploreResult &&) noexcept;
-    ExploreResult &operator=(ExploreResult &&) noexcept;
-    ~ExploreResult();
-
     /** Spec echo. */
     std::string label;
     std::vector<std::string> workloads;
@@ -284,23 +276,6 @@ class ExploreResult
      * stub without frontiers.
      */
     void dumpJson(std::ostream &os) const;
-
-    /**
-     * Append the kind:"explore" perf record (config-runs/sec, stream-
-     * cache hit rate, phase block) to C8T_BENCH_JSON and refresh the
-     * metrics exposition. Deferred — like VddSweepResult — so caller
-     * serialization of this result is attributed; idempotent, invoked
-     * by the destructor at the latest.
-     */
-    void emitBenchRecord();
-
-  private:
-    friend ExploreResult runExplore(const ExplorerSpec &,
-                                    const RunConfig &, unsigned);
-
-    /** Deferred bench-record state. */
-    struct Pending;
-    std::unique_ptr<Pending> _pending;
 };
 
 /**

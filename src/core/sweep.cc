@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <optional>
@@ -23,7 +22,6 @@
 #include "obs/chrome_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
-#include "stats/json.hh"
 #include "trace/markov_stream.hh"
 #include "trace/spec_profiles.hh"
 
@@ -259,43 +257,6 @@ ParallelSweeper::defaultProgress()
     return env && *env && std::string(env) != "0";
 }
 
-void
-appendBenchRecord(const char *who, const obs::prof::PhaseTimes *phases,
-                  const std::function<void(std::ostream &)> &body)
-{
-    const char *path = std::getenv("C8T_BENCH_JSON");
-    if (!path || !*path)
-        return;
-    std::ofstream os(path, std::ios::app);
-    if (!os) {
-        // Mirror the bench C8T_BENCH_ACCESSES notice style: warn once
-        // instead of dropping every perf record silently.
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-            std::cerr << who << ": cannot open C8T_BENCH_JSON=\"" << path
-                      << "\" for append; perf records disabled\n";
-        }
-        return;
-    }
-    body(os);
-    if (phases) {
-        os << ",\"phases\":{";
-        for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
-            os << "\""
-               << obs::prof::toString(static_cast<obs::prof::Phase>(i))
-               << "\":";
-            stats::jsonNumber(os, static_cast<double>(phases->ns[i]) *
-                                      1e-9);
-            os << ",";
-        }
-        os << "\"total\":";
-        stats::jsonNumber(os,
-                          static_cast<double>(phases->totalNs()) * 1e-9);
-        os << "}";
-    }
-    os << "}\n";
-}
-
 ParallelSweeper::ParallelSweeper(unsigned workers)
     : _workers(workers ? workers : defaultWorkers())
 {
@@ -376,7 +337,7 @@ ParallelSweeper::run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
 
     {
         // Trace-span emission and the metrics rewrite are in-run
-        // serialization work; scope them so the perf record below
+        // serialization work; scope them so the phase rollup below
         // attributes them instead of reporting serialize:0. Both
         // no-op (and cost nothing) when their sink is unset.
         const obs::prof::ScopedPhase serialize_scope(
@@ -405,33 +366,9 @@ ParallelSweeper::run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
         }
     }
 
-    if (_recordBench) {
-        appendBenchRecord("sweep", prof_on ? &run_phases : nullptr,
-                          [&](std::ostream &os) {
-            std::uint64_t config_runs = 0;
-            for (const auto &job : results)
-                config_runs += job.size();
-            const double simulated =
-                static_cast<double>(config_runs) *
-                static_cast<double>(rc.warmupAccesses +
-                                    rc.measureAccesses);
-            os << "{\"kind\":\"sweep\",\"label\":\""
-               << stats::jsonEscape(label) << "\""
-               << ",\"jobs\":" << results.size()
-               << ",\"workers\":" << tracks
-               << ",\"config_runs\":" << config_runs
-               << ",\"warmup_accesses\":" << rc.warmupAccesses
-               << ",\"measure_accesses\":" << rc.measureAccesses
-               << ",\"simulated_accesses\":"
-               << static_cast<std::uint64_t>(simulated)
-               << ",\"wall_seconds\":" << wall
-               << ",\"accesses_per_sec\":"
-               << (wall > 0.0 ? simulated / wall : 0.0);
-        });
-    }
     // Keep the exposition file fresh after every run (no-op when no
     // metrics path is configured); this rewrite includes the phase
-    // fold above, the scoped one inside the record does not.
+    // fold above, the scoped one before it does not.
     obs::writeGlobalMetrics();
     return results;
 }

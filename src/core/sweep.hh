@@ -15,12 +15,6 @@
  * Worker count resolution: an explicit constructor argument wins, then
  * the C8T_JOBS environment variable, then hardware_concurrency().
  *
- * When the C8T_BENCH_JSON environment variable names a file, every
- * run() appends one JSON record (JSON-lines) with wall-clock time and
- * simulated accesses/second, so sweep performance can be tracked
- * across commits (tools/bench_report.sh collects these into
- * BENCH_<date>.json).
- *
  * Observability (DESIGN.md §6): with C8T_PROGRESS set (or
  * setProgress(true), c8tsim --progress) run() heartbeats a throttled
  * progress line to stderr — jobs done/total, aggregate simulated
@@ -35,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -145,17 +138,6 @@ class ParallelSweeper
     static bool defaultProgress();
 
     /**
-     * Enable/disable the per-run C8T_BENCH_JSON record (default on).
-     * Drivers that execute many small runs under one umbrella record
-     * (the design-space explorer runs one sweep per shard) turn it
-     * off so the snapshot file is not flooded with per-shard rows.
-     */
-    void setRecordBench(bool on) { _recordBench = on; }
-
-    /** Whether run() appends a C8T_BENCH_JSON record. */
-    bool recordBench() const { return _recordBench; }
-
-    /**
      * Run every job and collect the per-job result vectors in
      * submission order.
      *
@@ -168,7 +150,8 @@ class ParallelSweeper
      *
      * @param jobs  The work list.
      * @param rc    Warm-up/measure window (shared by all jobs).
-     * @param label Tag for the C8T_BENCH_JSON perf record.
+     * @param label Names the run in the heartbeat and on its trace
+     *              spans.
      */
     std::vector<std::vector<SchemeRunResult>>
     run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
@@ -177,20 +160,7 @@ class ParallelSweeper
   private:
     unsigned _workers;
     bool _progress = defaultProgress();
-    bool _recordBench = true;
 };
-
-/**
- * Append one JSON-lines perf record to C8T_BENCH_JSON (no-op when it
- * is unset). @p body writes the record from its opening brace through
- * its last key; the helper then adds the "phases" block (per-phase
- * self time in seconds plus their total) when @p phases is non-null,
- * so tools/bench_diff.sh can attribute a throughput change to the
- * phase that moved, and closes the record. A file that cannot be
- * opened is reported once on stderr, prefixed with @p who.
- */
-void appendBenchRecord(const char *who, const obs::prof::PhaseTimes *phases,
-                       const std::function<void(std::ostream &)> &body);
 
 /**
  * One SweepJob per calibrated SPEC profile: the workload is the

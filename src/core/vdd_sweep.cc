@@ -6,13 +6,11 @@
 #include "core/vdd_sweep.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 #include "core/fault_cache.hh"
 #include "core/policies.hh"
-#include "obs/metrics.hh"
 #include "obs/prof.hh"
 #include "sram/energy.hh"
 #include "stats/json.hh"
@@ -80,71 +78,6 @@ operatingGrid(const VddSweepSpec &spec)
 }
 
 } // anonymous namespace
-
-/** Deferred bench-record state, armed by runVddSweep and consumed by
- *  emitBenchRecord(). Lives behind a unique_ptr so the header does not
- *  need the definition. */
-struct VddSweepResult::Pending
-{
-    std::string label;
-    RunConfig rc;
-    unsigned workers = 0;
-    double wallSeconds = 0.0;
-    obs::PhaseWindow phases;
-};
-
-VddSweepResult::VddSweepResult() = default;
-VddSweepResult::VddSweepResult(VddSweepResult &&) noexcept = default;
-VddSweepResult &
-VddSweepResult::operator=(VddSweepResult &&) noexcept = default;
-
-VddSweepResult::~VddSweepResult()
-{
-    emitBenchRecord();
-}
-
-void
-VddSweepResult::emitBenchRecord()
-{
-    if (!_pending)
-        return;
-    const std::unique_ptr<Pending> p = std::move(_pending);
-    // The window spans the caller's dumpJson/table Serialize scopes.
-    const auto phases = p->phases.close();
-    appendBenchRecord("vdd_sweep", phases ? &*phases : nullptr,
-                      [&](std::ostream &os) {
-        std::uint64_t config_runs = 0;
-        for (const VddCurve &c : curves)
-            config_runs += c.points.size();
-        const double simulated =
-            static_cast<double>(config_runs) *
-            static_cast<double>(p->rc.warmupAccesses +
-                                p->rc.measureAccesses);
-        os << "{\"kind\":\"vdd\",\"label\":\""
-           << stats::jsonEscape(p->label) << "\""
-           << ",\"grid_points\":" << grid.size()
-           << ",\"schemes\":" << curves.size()
-           << ",\"workers\":" << p->workers
-           << ",\"config_runs\":" << config_runs
-           << ",\"warmup_accesses\":" << p->rc.warmupAccesses
-           << ",\"measure_accesses\":" << p->rc.measureAccesses
-           << ",\"simulated_accesses\":"
-           << static_cast<std::uint64_t>(simulated)
-           << ",\"wall_seconds\":" << p->wallSeconds
-           << ",\"accesses_per_sec\":"
-           << (p->wallSeconds > 0.0 ? simulated / p->wallSeconds : 0.0)
-           << ",\"min_vdd\":{";
-        bool first = true;
-        for (const VddCurve &c : curves) {
-            os << (first ? "" : ",") << '"' << stats::jsonEscape(c.scheme)
-               << "\":";
-            stats::jsonNumber(os, c.minVdd);
-            first = false;
-        }
-        os << "}";
-    });
-    obs::writeGlobalMetrics();
-}
 
 const VddCurve *
 VddSweepResult::curve(WriteScheme scheme) const
@@ -421,10 +354,6 @@ VddSweepResult
 runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
 {
     validate(spec);
-    const auto t0 = std::chrono::steady_clock::now();
-    // The sweep's phase block is the growth of the process rollup from
-    // here to emitBenchRecord (worker threads flush per job).
-    const obs::PhaseWindow phases;
 
     VddFaultTable faults;
     std::vector<SweepJob> jobs;
@@ -436,9 +365,8 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
     result.grid = spec.grid;
     result.hierarchy = !spec.lowerLevels.empty();
 
-    // Hierarchy sweeps get their own label so their perf records never
-    // pair with a single-level sweep of the same workload in
-    // bench_diff (both kinds of record can land in one snapshot).
+    // Hierarchy sweeps get their own label so their heartbeat and
+    // trace spans are told apart from a single-level sweep's.
     const std::string label =
         "vdd_sweep:" + result.workload + (result.hierarchy ? "+l2" : "");
 
@@ -446,18 +374,6 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
     result.curves =
         reduceOperatingPoints(spec, faults, sweeper.run(jobs, rc, label));
 
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    // Arm the deferred bench record: emitBenchRecord() (at the latest,
-    // the result's destructor) writes it, so the caller's Serialize
-    // scopes around dumpJson/table printing land in its phase block.
-    result._pending = std::make_unique<VddSweepResult::Pending>();
-    result._pending->label = label;
-    result._pending->rc = rc;
-    result._pending->workers = sweeper.workers();
-    result._pending->wallSeconds = wall;
-    result._pending->phases = phases;
     return result;
 }
 

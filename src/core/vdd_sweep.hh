@@ -176,12 +176,6 @@ struct VddCurve
 class VddSweepResult
 {
   public:
-    VddSweepResult();
-    VddSweepResult(VddSweepResult &&) noexcept;
-    VddSweepResult &operator=(VddSweepResult &&) noexcept;
-    /** Emits the pending bench record (see emitBenchRecord). */
-    ~VddSweepResult();
-
     /** Workload name (from the generator). */
     std::string workload;
 
@@ -216,27 +210,7 @@ class VddSweepResult
      */
     void dumpJson(std::ostream &os) const;
 
-    /**
-     * Append the kind:"vdd" perf record to C8T_BENCH_JSON (no-op when
-     * unset) and refresh the metrics exposition. Emission is deferred
-     * until here — rather than inside runVddSweep — so the record's
-     * phase block captures the *caller's* serialization of this result
-     * (dumpJson, table printing under a Serialize scope) instead of
-     * always reporting serialize:0. Idempotent; the destructor calls
-     * it, so a driver that never asks still produces the record.
-     * Phase attribution diffs the process rollup across the sweep, so
-     * keep one recording result live at a time.
-     */
-    void emitBenchRecord();
-
   private:
-    friend VddSweepResult runVddSweep(const VddSweepSpec &,
-                                      const RunConfig &, unsigned);
-
-    /** Deferred bench-record state (set by runVddSweep). */
-    struct Pending;
-    std::unique_ptr<Pending> _pending;
-
     /** Backing storage for registerStats() gauges. */
     std::vector<std::unique_ptr<stats::Gauge>> _gauges;
 };
@@ -278,16 +252,9 @@ const VddPointResult *minVddPoint(const VddCurve &curve);
 
 /**
  * Run the sweep: one parallel SweepJob per grid point (label
- * "vdd_sweep:<workload>" for the bench/trace plumbing, with a "+l2"
- * suffix in hierarchy mode so the records never pair with a
- * single-level sweep's in bench_diff), built by
- * appendOperatingPointJobs and reduced by reduceOperatingPoints.
- *
- * Arms one kind:"vdd" JSON record (per-scheme min-Vdd plus the
- * sweep's simulation throughput) for C8T_BENCH_JSON when set; the
- * record is written by VddSweepResult::emitBenchRecord() (at the
- * latest, its destructor) so caller-side serialization of the result
- * is attributed in the record's phase block.
+ * "vdd_sweep:<workload>" for the heartbeat and trace spans, with a
+ * "+l2" suffix in hierarchy mode), built by appendOperatingPointJobs
+ * and reduced by reduceOperatingPoints.
  *
  * @param spec    Sweep configuration (validated; throws
  *                std::invalid_argument on an empty/ascending grid, no

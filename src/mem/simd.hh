@@ -61,7 +61,8 @@ SimdLevel bestSupported();
  * everywhere: on hosts that emulate 256-bit ops (some VMs) the AVX2
  * kernel measures ~2x slower than SSE2, and since every level returns
  * bit-identical masks the choice can safely follow the stopwatch.
- * bench/micro_perf emits a "way_compare:auto" record guarding this.
+ * bench/micro_perf's BM_WayCompare times the calibrated pick (its
+ * "auto=<level>" row) next to the named levels.
  */
 SimdLevel autoCalibratedLevel();
 

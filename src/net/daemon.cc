@@ -21,6 +21,7 @@
 #include "net/frame.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/metrics.hh"
+#include "obs/prof.hh"
 #include "stats/json.hh"
 
 namespace c8t::net
@@ -370,6 +371,10 @@ Daemon::connectionExecutor(const std::shared_ptr<Connection> &conn)
                 wall_us);
         }
 
+        // The job's result-building scopes ran on this thread after
+        // its sweep flushed the workers; fold them before the rewrite.
+        if (obs::prof::enabled())
+            obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
         publishMetrics();
         obs::writeGlobalMetrics();
 

@@ -4,8 +4,8 @@
  * shared job path, cross-request memoization and single-flight
  * coalescing of concurrent identical requests, protocol robustness
  * (truncated frames, oversized prefixes, bad and oversized specs),
- * mid-job client disconnect, concurrent clients and the SIGTERM-style
- * drain.
+ * mid-job client disconnect, concurrent clients, the SIGTERM-style
+ * drain and the phase rollup of profiled jobs.
  *
  * The daemon runs in-process (serve() on a thread, stop() to end it);
  * the CI daemon stage covers the real c8td/c8tctl binaries and the
@@ -16,6 +16,7 @@
 #include <barrier>
 #include <chrono>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "net/frame.hh"
 #include "net/socket.hh"
 #include "obs/metrics.hh"
+#include "obs/prof.hh"
 
 namespace
 {
@@ -186,6 +188,55 @@ TEST(DaemonTest, VddSweepAndExploreKindsMatchJobRunner)
     net::DaemonClient client(fx.socket());
     EXPECT_EQ(client.call(vdd_spec), expected_vdd);
     EXPECT_EQ(client.call(explore_spec), expected_explore);
+}
+
+/** c8t_phase_scopes_total{phase="serialize"} as the exposition reads
+ *  now. */
+std::uint64_t
+exposedSerializeScopes()
+{
+    std::ostringstream os;
+    obs::globalMetrics().writePrometheus(os);
+    const std::string text = os.str();
+    const std::string key =
+        "c8t_phase_scopes_total{phase=\"serialize\"} ";
+    const std::size_t at = text.find(key);
+    return at == std::string::npos
+               ? 0
+               : std::stoull(text.substr(at + key.size()));
+}
+
+TEST(DaemonTest, ProfiledJobsSerializeScopesReachTheExposition)
+{
+    // A job's result document is built under Serialize scopes on the
+    // connection's executor thread, after its sweep has folded the
+    // worker phases; the daemon folds that thread at job completion.
+    const std::string vdd_spec =
+        "{\"kind\":\"vdd_sweep\",\"workload\":\"spec:gcc\","
+        "\"accesses\":20000,\"vdd\":0.75}";
+    obs::prof::setEnabled(true);
+    struct ProfilerOff
+    {
+        ~ProfilerOff() { obs::prof::setEnabled(false); }
+    } profiler_off;
+
+    // Reference: the scopes one such job enters, folded on this thread.
+    obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
+    std::uint64_t before = exposedSerializeScopes();
+    app::runJobSpec(core::JobSpec::fromJsonText(vdd_spec), 0, {},
+                    /*includeProfile=*/false);
+    obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
+    const std::uint64_t per_job = exposedSerializeScopes() - before;
+    ASSERT_GT(per_job, 1u); // the sweep's own scope plus the document's
+
+    DaemonFixture fx;
+    before = exposedSerializeScopes();
+    net::DaemonClient client(fx.socket());
+    client.call(vdd_spec);
+    // A memo hit enters no scope; its final frame follows the first
+    // job's completion on the same connection.
+    client.call(vdd_spec);
+    EXPECT_EQ(exposedSerializeScopes() - before, per_job);
 }
 
 TEST(DaemonTest, SecondIdenticalRequestIsAMemoHit)

@@ -85,6 +85,47 @@ TEST(VddModel, EnergyNonIncreasingAndDelayNonDecreasingDownTheGrid)
     EXPECT_DOUBLE_EQ(vm.energyScale(0.5), 0.25);
 }
 
+/**
+ * Model sanity against characterization data in the repository:
+ * SNIPPETS.md snippet 2 (an SRAM mux swept at 0.7/0.8/0.9 V) scales
+ * from 0.9 V down to 0.7 V by delay x1.70, leakage x0.24 and energy
+ * per toggle x0.45 (input size 2, first row). The defaults give x1.67,
+ * x0.19 and x0.60. Each band holds both and fails a constant change
+ * that makes the model implausible.
+ */
+TEST(VddModel, LowVoltageRatiosStayWithinCharacterizationBands)
+{
+    const VddModel vm;
+    const auto ratio = [](double (VddModel::*f)(double) const,
+                          const VddModel &m) {
+        return (m.*f)(0.7) / (m.*f)(0.9);
+    };
+
+    // Delay 1.70 +-15 %, [1.45, 1.95]: the snippet's rows span 1.70 to
+    // 1.90, and the band holds the alpha-power law for alpha 1.3 +-0.2
+    // or vth 0.45 +-0.05 V around the defaults.
+    const double delay = ratio(&VddModel::delayFactor, vm);
+    EXPECT_GE(delay, 1.45);
+    EXPECT_LE(delay, 1.95);
+
+    // Leakage 0.24 within a factor of 2, [0.12, 0.48]: leakage is
+    // exponential in Vdd, so the band is multiplicative. It holds the
+    // snippet's rows (0.24 to 0.47) and any e-fold voltage from 0.094
+    // to 0.27 V; the default 0.12 V gives 0.19.
+    const double leakage = ratio(&VddModel::leakageScale, vm);
+    EXPECT_GE(leakage, 0.12);
+    EXPECT_LE(leakage, 0.48);
+
+    // Energy per toggle, [0.40, 0.65]: switching a fixed capacitance
+    // gives (0.7 / 0.9)^2 = 0.605, the model's value. The snippet's
+    // energy falls faster (0.45 to 0.51 over its rows) as internal
+    // swings and short-circuit current shrink. So the band runs from
+    // about 10 % below the snippet to about 7 % above V^2.
+    const double energy = ratio(&VddModel::energyScale, vm);
+    EXPECT_GE(energy, 0.40);
+    EXPECT_LE(energy, 0.65);
+}
+
 TEST(VddModel, FailureProbabilityNonDecreasingDownTheGrid)
 {
     const VddModel vm;

@@ -289,7 +289,7 @@ runExploreCli(const app::SimOptions &opt)
 
     app::JobOutcome outcome =
         app::runJobSpec(app::toJobSpec(opt), opt.jobs);
-    core::ExploreResult &result = *outcome.explore;
+    const core::ExploreResult &result = *outcome.explore;
 
     {
         const obs::prof::ScopedPhase serialize_scope(
@@ -346,10 +346,6 @@ runExploreCli(const app::SimOptions &opt)
             writeDocument(opt.statsJsonFile, outcome.document,
                           "explore JSON");
     }
-    // Flush the kind:"explore" record now so the serialization above is
-    // attributed to it (instead of at destructor time, after
-    // finishMetrics has written the exposition).
-    result.emitBenchRecord();
     finishTrace();
     finishMetrics();
     return 0;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One-command verification gate: the tier-1 suite plus sanitizer
-# builds and a Release performance smoke.
+# builds and a Release performance A/B against the parent commit.
 #
 #   1. Configure + build the default tree and run the full ctest suite
 #      (this is the roadmap's tier-1 definition of "not broken"),
@@ -47,22 +47,14 @@
 #      c8td and require the answer byte-identical to the one-shot
 #      c8tsim --l2 document for the same operating point (the
 #      shared-JobSpec contract extended to the hierarchy).
-#   9. Record a Release benchmark snapshot (tools/bench_report.sh into
-#      build-bench) and bench_diff it against the newest recorded
-#      BENCH_*.json in the repo root (a local, gitignored artifact —
-#      seed one with tools/bench_report.sh); any record more than
-#      C8T_CI_PERF_THRESHOLD percent (default 25) below the baseline
-#      fails the gate. The default is sized for the shared/virtualized
-#      machines this repo develops on, where run-to-run noise on the
-#      short micro rows reaches ~15 % even best-of-5 — it still
-#      catches the failure classes the gate exists for (debug-built
-#      binaries are 5-10x off, accidental complexity regressions
-#      usually >25 %). Tighten via the environment on quiet hardware.
-#      Skipped with a notice when no baseline exists; set
-#      C8T_CI_SKIP_PERF=1 to skip explicitly. Snapshots are recorded
-#      with C8T_PROF=1, so when both sides carry a "phases" block the
-#      diff prints per-phase attribution — a failing gate names the
-#      phase that moved.
+#   9. Perf gate: tools/perf_ab.sh HEAD~1, a same-host A/B of the
+#      repository benchmark (perfbench) between the parent commit and
+#      this checkout, alternating runs of every BENCHMARK.json workload.
+#      It fails when a run is incorrect (digest or check failure) or
+#      when any end-to-end metric's median ratio is worse than its
+#      BENCHMARK.json bound (0.25 today). A parent that does not
+#      resolve (e.g. a shallow clone) fails the stage with a message;
+#      set C8T_CI_SKIP_PERF=1 to skip it explicitly.
 #
 # Usage: tools/ci.sh [jobs]        (default: nproc)
 # Exit status: non-zero if any build, test or perf gate fails.
@@ -122,8 +114,6 @@ echo "==== metrics: profiling byte-identity + exposition ===="
 metrics_plain=$(mktemp)
 metrics_prof=$(mktemp)
 metrics_expo=$(mktemp)
-# (cleaned up explicitly below — the perf stage installs its own EXIT
-# trap, so a trap here would be overwritten)
 C8T_BENCH_ACCESSES=20000 C8T_JOBS=2 \
     "$repo_root/build/bench/fig11_cache_size" > "$metrics_plain"
 C8T_BENCH_ACCESSES=20000 C8T_JOBS=2 C8T_PROF=1 \
@@ -274,24 +264,11 @@ fi
 rm -rf "$hier_dir"
 echo "ci: two-level tests clean under ASan; daemon hierarchy bytes match"
 
-echo "==== perf: Release snapshot vs committed baseline ===="
+echo "==== perf: perfbench A/B against the parent commit ===="
 if [ "${C8T_CI_SKIP_PERF:-0}" = 1 ]; then
-    echo "ci: perf smoke skipped (C8T_CI_SKIP_PERF=1)"
+    echo "ci: perf gate skipped (C8T_CI_SKIP_PERF=1)"
 else
-    # No snapshot is a normal state (BENCH_*.json is gitignored): the
-    # lookup must yield an empty string, not fail the pipeline.
-    baseline=$(ls -1 "$repo_root"/BENCH_*.json 2>/dev/null | sort | tail -1 \
-        || true)
-    if [ -z "$baseline" ]; then
-        echo "ci: no committed BENCH_*.json baseline; skipping perf smoke"
-    else
-        snapshot=$(mktemp --suffix=.json)
-        trap 'rm -f "$snapshot"' EXIT
-        "$repo_root/tools/bench_report.sh" "$repo_root/build-bench" \
-            "$snapshot"
-        "$repo_root/tools/bench_diff.sh" "$baseline" "$snapshot" \
-            "${C8T_CI_PERF_THRESHOLD:-25}"
-    fi
+    "$repo_root/tools/perf_ab.sh" HEAD~1
 fi
 
 echo "ci: all green"
