@@ -198,17 +198,9 @@ CacheController::endGroup(std::uint32_t e, stats::Counter &cause)
     _entryWritesSinceWb[e] = 0;
 }
 
-CacheController::ResidentRef
-CacheController::ensureResident(mem::Addr block_addr)
-{
-    const mem::LookupResult r = _tags.access(block_addr);
-    if (r.hit)
-        return {true, r.way};
-    return {false, handleMiss(block_addr)};
-}
-
+template <typename FillFn>
 std::uint32_t
-CacheController::handleMiss(mem::Addr block_addr)
+CacheController::handleMiss(mem::Addr block_addr, FillFn &&fill_tags)
 {
     const std::uint32_t set = _tags.layout().setOf(block_addr);
 
@@ -237,7 +229,7 @@ CacheController::handleMiss(mem::Addr block_addr)
         _lastMissPenalty = _config.latency.missPenaltyCycles;
     }
 
-    const mem::FillResult fill = _tags.fill(block_addr);
+    const mem::FillResult fill = fill_tags();
 
     // Victim extraction + fill merge, as row operations performed in
     // place on the row image (miss-handling accounting, kept separate
@@ -287,6 +279,50 @@ CacheController::handleMiss(mem::Addr block_addr)
     ++_ecounts.rowWrites;
     auditEnergy(EnergyEvent::RowWrite, 0);
     return fill.way;
+}
+
+CacheController::ResidentRef
+CacheController::ensureResident(mem::Addr block_addr)
+{
+    const mem::LookupResult r = _tags.access(block_addr);
+    if (r.hit)
+        return {true, r.way};
+    return {false, handleMiss(block_addr,
+                              [&] { return _tags.fill(block_addr); })};
+}
+
+CacheController::ResidentRef
+CacheController::applyPlanned(mem::Addr block_addr,
+                              const mem::ChunkPlan &plan, std::size_t i)
+{
+    const std::uint32_t set = plan.set[i];
+    const std::uint32_t way = plan.way[i];
+    const std::uint8_t flags = plan.flags[i];
+
+    if (flags & mem::ChunkPlan::kHit) {
+        assert(_tags.probe(block_addr).hit &&
+               _tags.probe(block_addr).way == way &&
+               "planned hit disagrees with live tag state");
+        _tags.applyPlannedHit(set, plan.replWord[i]);
+        return {true, way};
+    }
+
+    // Planned miss: the live miss body, with the tag-side allocation
+    // stage 1 already worked out (victim choice, eviction metadata,
+    // replacement word).
+    assert(!_tags.probe(block_addr).hit &&
+           "planned miss disagrees with live tag state");
+    return {false, handleMiss(block_addr, [&] {
+                mem::FillResult f;
+                f.way = way;
+                f.evictedValid = flags & mem::ChunkPlan::kEvictValid;
+                f.evictedDirty = flags & mem::ChunkPlan::kEvictDirty;
+                if (f.evictedValid)
+                    f.evictedBlockAddr = plan.evictedAddr[i];
+                _tags.applyPlannedFill(set, way, plan.tag[i],
+                                       plan.replWord[i]);
+                return f;
+            })};
 }
 
 void
@@ -391,75 +427,21 @@ CacheController::extractInvalidate(mem::Addr block_addr,
     return dirty;
 }
 
-CacheController::ResidentRef
-CacheController::applyPlanned(mem::Addr block_addr,
-                              const mem::ChunkPlan &plan, std::size_t i)
-{
-    const std::uint32_t set = plan.set[i];
-    const std::uint32_t way = plan.way[i];
-    const std::uint8_t flags = plan.flags[i];
-
-    if (flags & mem::ChunkPlan::kHit) {
-        assert(_tags.probe(block_addr).hit &&
-               _tags.probe(block_addr).way == way &&
-               "planned hit disagrees with live tag state");
-        _tags.applyPlannedHit(set, plan.replWord[i]);
-        return {true, way};
-    }
-
-    // Planned miss: the handleMiss() sequence minus the tag-side work
-    // stage 1 already did (victim choice, eviction metadata,
-    // replacement update). The next level, eviction hook, event ring
-    // and audit hook are absent by eligibility, so no globally-ordered
-    // observer is skipped.
-    assert(!_tags.probe(block_addr).hit &&
-           "planned miss disagrees with live tag state");
-
-    if (_tagBuffer) {
-        const std::uint32_t e = entryOfSet(set);
-        if (e < _tagBuffer->entries()) {
-            endGroup(e, _missFlushWritebacks);
-            _tagBuffer->invalidate(e);
-        }
-    }
-
-    _lastMissPenalty = _config.latency.missPenaltyCycles;
-
-    const std::uint32_t block_bytes = _config.cache.blockBytes;
-    const sram::RowData &cur = _array.readRowRef(set);
-    ++_fillRowReads;
-    ++_ecounts.rowReads;
-
-    if (flags & mem::ChunkPlan::kEvictDirty) {
-        _mem.writeBytes(plan.evictedAddr[i],
-                        cur.data() + way * block_bytes, block_bytes);
-    }
-
-    _tags.applyPlannedFill(set, way, plan.tag[i], plan.replWord[i]);
-
-    sram::RowData &row = _array.updateRow(set);
-    _mem.readBytes(block_addr, row.data() + way * block_bytes,
-                   block_bytes);
-
-    ++_fillRowWrites;
-    ++_ecounts.rowWrites;
-    return {false, way};
-}
-
 AccessOutcome
 CacheController::access(const trace::MemAccess &request)
 {
     beginAccess(request);
+    const auto live = [this](mem::Addr b) { return ensureResident(b); };
     switch (_config.scheme) {
       case WriteScheme::SixTDirect:
       case WriteScheme::WordGranular:
-        return accessDirect(request);
+        return accessDirectImpl(request, live);
       case WriteScheme::Rmw:
       case WriteScheme::LocalRmw:
-        return accessRmw(request);
+        return accessRmwImpl(request, live);
       case WriteScheme::WriteGrouping:
       case WriteScheme::WriteGroupingReadBypass:
-        return accessGrouped(request);
+        return accessGroupedImpl(request, live);
     }
     return {};
 }
@@ -473,32 +455,32 @@ CacheController::planReplayChunk(const trace::MemAccess *chunk,
     return &_tags.planChunk(chunk, count);
 }
 
-template <typename AccessFn>
+template <typename BodyFn>
 void
-CacheController::runPlannedChunk(const trace::MemAccess *chunk,
-                                 const mem::ChunkPlan &plan,
-                                 AccessFn &&body)
+CacheController::runChunk(const trace::MemAccess *chunk,
+                          std::size_t count, const mem::ChunkPlan *plan,
+                          BodyFn &&body)
 {
+    if (!plan) {
+        for (std::size_t i = 0; i < count; ++i) {
+            beginAccess(chunk[i]);
+            body(chunk[i],
+                 [this](mem::Addr b) { return ensureResident(b); });
+        }
+        return;
+    }
     // Stage 2 of the pipeline: apply the plan in original request
-    // order. The per-access prologue keeps only the clock (the
-    // request-count bumps are order-free sums, folded in once below),
-    // and each scheme body consumes the planned lookup outcome instead
-    // of performing a live one.
-    for (std::size_t i = 0; i < plan.count; ++i) {
-        const trace::MemAccess &a = chunk[i];
-        assert(a.size >= 1 && a.size <= 8);
-        assert(_tags.layout().blockOffset(a.addr) + a.size <=
-               _config.cache.blockBytes);
-        _cycle += a.gap + 1;
-        _requestCycle = _cycle;
-        body(a, [this, &plan, i](mem::Addr block_addr) {
-            return applyPlanned(block_addr, plan, i);
+    // order. Each scheme body consumes the planned lookup outcome
+    // instead of performing a live one; the tag array's hit/miss sums
+    // are order-free and folded in once per chunk.
+    assert(plan->count == count);
+    for (std::size_t i = 0; i < count; ++i) {
+        beginAccess(chunk[i]);
+        body(chunk[i], [this, plan, i](mem::Addr b) {
+            return applyPlanned(b, *plan, i);
         });
     }
-    _requests += plan.count;
-    _readRequests += plan.reads;
-    _writeRequests += plan.writes;
-    _tags.addPlannedCounts(plan);
+    _tags.addPlannedCounts(*plan);
 }
 
 void
@@ -508,83 +490,36 @@ CacheController::accessChunk(const trace::MemAccess *chunk,
 {
     // One scheme-specialized loop per chunk: the dispatch runs once,
     // the request paths stay hot in the branch predictor, and each
-    // iteration is statistics-identical to access().
-    //
-    // When the batched pipeline qualifies, run stage 1 (or adopt the
-    // caller's shared plan) and drive the scheme loop off it.
+    // iteration is statistics-identical to access(). When the batched
+    // pipeline qualifies, run stage 1 (or adopt the caller's shared
+    // plan) and drive the loop off it.
     const mem::ChunkPlan *p = nullptr;
     if (plannedChunkEligible() && count > 0)
         p = plan ? plan : &_tags.planChunk(chunk, count);
-    assert(p == nullptr || p->count == count);
 
     switch (_config.scheme) {
       case WriteScheme::SixTDirect:
       case WriteScheme::WordGranular:
-        if (p) {
-            runPlannedChunk(chunk, *p,
-                            [this](const trace::MemAccess &a,
-                                   auto &&resolve) {
-                                accessDirectImpl(a, resolve);
-                            });
-            return;
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-            beginAccess(chunk[i]);
-            accessDirect(chunk[i]);
-        }
+        runChunk(chunk, count, p,
+                 [this](const trace::MemAccess &a, auto &&resolve) {
+                     accessDirectImpl(a, resolve);
+                 });
         break;
       case WriteScheme::Rmw:
       case WriteScheme::LocalRmw:
-        if (p) {
-            runPlannedChunk(chunk, *p,
-                            [this](const trace::MemAccess &a,
-                                   auto &&resolve) {
-                                accessRmwImpl(a, resolve);
-                            });
-            return;
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-            beginAccess(chunk[i]);
-            accessRmw(chunk[i]);
-        }
+        runChunk(chunk, count, p,
+                 [this](const trace::MemAccess &a, auto &&resolve) {
+                     accessRmwImpl(a, resolve);
+                 });
         break;
       case WriteScheme::WriteGrouping:
       case WriteScheme::WriteGroupingReadBypass:
-        if (p) {
-            runPlannedChunk(chunk, *p,
-                            [this](const trace::MemAccess &a,
-                                   auto &&resolve) {
-                                accessGroupedImpl(a, resolve);
-                            });
-            return;
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-            beginAccess(chunk[i]);
-            accessGrouped(chunk[i]);
-        }
+        runChunk(chunk, count, p,
+                 [this](const trace::MemAccess &a, auto &&resolve) {
+                     accessGroupedImpl(a, resolve);
+                 });
         break;
     }
-}
-
-AccessOutcome
-CacheController::accessDirect(const trace::MemAccess &a)
-{
-    return accessDirectImpl(
-        a, [this](mem::Addr b) { return ensureResident(b); });
-}
-
-AccessOutcome
-CacheController::accessRmw(const trace::MemAccess &a)
-{
-    return accessRmwImpl(
-        a, [this](mem::Addr b) { return ensureResident(b); });
-}
-
-AccessOutcome
-CacheController::accessGrouped(const trace::MemAccess &a)
-{
-    return accessGroupedImpl(
-        a, [this](mem::Addr b) { return ensureResident(b); });
 }
 
 template <typename ResolveFn>

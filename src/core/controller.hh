@@ -179,23 +179,25 @@ class CacheController
     static constexpr std::size_t kReplayChunkAccesses = 4096;
 
     /**
-     * Service @p count requests from @p chunk back to back. Result- and
-     * statistics-identical to calling access() per element; the scheme
-     * dispatch is hoisted out of the loop so each chunk runs one
-     * scheme-specialized loop (MultiSchemeRunner's replay path).
+     * Service @p count requests from @p chunk back to back. Result-,
+     * statistics-, event- and audit-identical to calling access() per
+     * element; the scheme dispatch is hoisted out of the loop so each
+     * chunk runs one scheme-specialized loop (MultiSchemeRunner's
+     * replay path).
      *
-     * When the shape and controller qualify (packed deterministic
-     * replacement, no next level or eviction hook, no event ring, no
-     * energy audit hook), the
-     * chunk runs as the two-stage set-batched pipeline (DESIGN.md §7):
-     * stage 1 plans every tag lookup in per-set batches (SIMD
-     * way-compares, replacement arithmetic on stack-local state) and
-     * stage 2 applies the plan in original request order, so every
-     * table, stats dump and event total stays byte-identical to the
-     * per-access path. @p plan optionally supplies a stage-1 result
-     * computed by a controller with an identical cache (the sweep
-     * drivers share one plan across same-shape controllers); it is
-     * ignored when this controller does not qualify.
+     * When the controller qualifies (deterministic replacement, no
+     * next level — see plannedChunkEligible()), the chunk runs as the
+     * two-stage set-batched pipeline (DESIGN.md §7): stage 1 plans
+     * every tag lookup in per-set batches (SIMD way-compares,
+     * replacement arithmetic on stack-local state) and stage 2 applies
+     * the plan in original request order through the same scheme
+     * bodies and miss handling as access(), so attached observers
+     * (event ring, energy audit, eviction hook) see the per-access
+     * sequence. @p plan optionally supplies a stage-1 result computed
+     * by a controller with an identical cache (the sweep drivers share
+     * one plan across same-shape controllers); it is ignored when this
+     * controller does not qualify, and the chunk then resolves every
+     * access live.
      */
     void accessChunk(const trace::MemAccess *chunk, std::size_t count,
                      const mem::ChunkPlan *plan = nullptr);
@@ -543,9 +545,9 @@ class CacheController
 
   private:
     // Request paths. Each scheme body is a template over the resolver
-    // that makes the block resident — the live tag lookup on the
-    // per-access path, or the planned-outcome application on the
-    // batched pipeline — so both paths execute the identical scheme
+    // that makes the block resident — the live tag lookup
+    // (ensureResident) or the planned-outcome application
+    // (applyPlanned) — so both paths execute the identical scheme
     // logic (defined in controller.cc; used only there).
     template <typename ResolveFn>
     AccessOutcome accessDirectImpl(const trace::MemAccess &a,
@@ -557,23 +559,22 @@ class CacheController
     AccessOutcome accessGroupedImpl(const trace::MemAccess &a,
                                     ResolveFn &&resolve);
 
-    AccessOutcome accessDirect(const trace::MemAccess &a);
-    AccessOutcome accessRmw(const trace::MemAccess &a);
-    AccessOutcome accessGrouped(const trace::MemAccess &a);
+    /** The one chunk loop: runs the scheme @p body over @p count
+     *  requests, resolving residency through @p plan (stage 2 of the
+     *  pipeline) or, when it is null, live through ensureResident(). */
+    template <typename BodyFn>
+    void runChunk(const trace::MemAccess *chunk, std::size_t count,
+                  const mem::ChunkPlan *plan, BodyFn &&body);
 
-    /** Scheme loop over a planned chunk (stage 2 of the pipeline). */
-    template <typename AccessFn>
-    void runPlannedChunk(const trace::MemAccess *chunk,
-                         const mem::ChunkPlan &plan, AccessFn &&body);
-
-    /** True when the batched pipeline may run right now: the shape is
-     *  plannable and no per-access observer (next level, eviction
-     *  hook, event ring, energy audit) needs the globally-ordered tag
-     *  side effects. */
+    /** True when the batched pipeline may run: the replacement policy
+     *  is deterministic (not Random) and no next level exists — an L1
+     *  miss fetches from the next level, whose evictions can
+     *  back-invalidate this level's tags behind the plan's back.
+     *  Observers (ring, audit, eviction hook) fire from the shared
+     *  miss body and do not disqualify. */
     bool plannedChunkEligible() const
     {
-        return !_next && !_evictionHook && !_events && !_energyAuditFn &&
-               _tags.planEligible();
+        return !_next && _tags.planEligible();
     }
 
     /** Outcome of ensureResident(): hit state plus the resident way,
@@ -589,16 +590,20 @@ class CacheController
     ResidentRef ensureResident(mem::Addr block_addr);
 
     /** Planned-path equivalent of ensureResident(): apply access @p i
-     *  of @p plan (tag install, replacement word, victim write-back,
-     *  fill data movement) in request order. */
+     *  of @p plan in request order — a hit stores the planned
+     *  replacement word, a miss runs handleMiss() with the planned
+     *  fill. */
     ResidentRef applyPlanned(mem::Addr block_addr,
                              const mem::ChunkPlan &plan, std::size_t i);
 
     /** Miss handling: victim write-back + fill; returns the filled
-     *  way. */
-    std::uint32_t handleMiss(mem::Addr block_addr);
+     *  way. @p fill_tags performs the tag-side allocation —
+     *  TagArray::fill() live, or a planned fill — and returns its
+     *  FillResult. */
+    template <typename FillFn>
+    std::uint32_t handleMiss(mem::Addr block_addr, FillFn &&fill_tags);
 
-    /** Per-request prologue shared by access() and accessChunk():
+    /** Per-request prologue shared by access() and runChunk():
      *  request counters and the inter-request clock advance. */
     void beginAccess(const trace::MemAccess &request)
     {

@@ -274,6 +274,18 @@ specFail(const std::string &what)
     throw std::invalid_argument("job spec: " + what);
 }
 
+/** CacheConfig::validate(), with the failure reported under the spec
+ *  object @p where the shape came from ("cache" or "levels[]"). */
+void
+validateShape(const mem::CacheConfig &c, const char *where)
+{
+    try {
+        c.validate();
+    } catch (const std::invalid_argument &e) {
+        specFail(std::string(where) + ": " + e.what());
+    }
+}
+
 /** Reject any member of @p v whose key is not in @p known. */
 void
 rejectUnknownKeys(const JsonValue &v, const char *where,
@@ -455,7 +467,7 @@ JobSpec::validate() const
         lc.ways = l.ways;
         lc.blockBytes = l.blockBytes ? l.blockBytes : cache.blockBytes;
         lc.replacement = l.repl;
-        lc.validate();
+        validateShape(lc, "levels[]");
         if (l.blockBytes && l.blockBytes != cache.blockBytes)
             specFail("levels[].block must match the L1 block size");
         if (l.vdd < 0.0)
@@ -465,7 +477,7 @@ JobSpec::validate() const
         specFail("workload must be spec:<bench>, kernel:<name> or "
                  "trace:<path>, got '" + workload + "'");
     }
-    cache.validate();
+    validateShape(cache, "cache");
     if (kind == JobKind::Explore && shardCells == 0)
         specFail("shard_cells must be >= 1");
     if (configRuns() > kMaxJobConfigRuns) {

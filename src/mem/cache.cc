@@ -13,14 +13,6 @@
 namespace c8t::mem
 {
 
-namespace
-{
-
-/** Largest associativity the byte-per-way LRU recency word covers. */
-constexpr std::uint32_t kPackedLruMaxWays = 8;
-
-} // anonymous namespace
-
 void
 CacheConfig::validate() const
 {
@@ -37,6 +29,12 @@ CacheConfig::validate() const
     if (!isPowerOfTwo(numSets()))
         throw std::invalid_argument(
             "CacheConfig: set count must be a power of two");
+    if (replacement == ReplKind::Lru && ways > 16)
+        throw std::invalid_argument(
+            "CacheConfig: ways must be in 1..16 for lru");
+    if (replacement == ReplKind::TreePlru && !isPowerOfTwo(ways))
+        throw std::invalid_argument(
+            "CacheConfig: ways must be a power of two for plru");
 }
 
 std::string
@@ -59,39 +57,16 @@ TagArray::TagArray(const CacheConfig &config)
       _dirty(config.numSets(), 0),
       _replWord(config.numSets(), 0)
 {
-    switch (config.replacement) {
-      case ReplKind::Lru:
-        if (_ways <= kPackedLruMaxWays) {
-            _mode = ReplMode::PackedLru;
-            // Identity recency order (byte i = way i, MRU at byte 0).
-            // The initial order is never consulted: victims prefer
-            // invalid ways, and every way is touched by its fill
-            // before the set can be full.
-            std::uint64_t init = 0;
-            for (std::uint32_t w = 0; w < _ways; ++w)
-                init |= static_cast<std::uint64_t>(w) << (8 * w);
-            std::fill(_replWord.begin(), _replWord.end(), init);
-        } else {
-            _mode = ReplMode::Oracle;
-        }
-        break;
-      case ReplKind::TreePlru:
-        assert(_ways >= 2 && isPowerOfTwo(_ways));
-        _mode = ReplMode::PackedPlru;
-        break;
-      case ReplKind::Fifo:
-        _mode = ReplMode::PackedFifo;
-        break;
-      case ReplKind::Random:
-        _mode = ReplMode::PackedRandom;
-        break;
-      default:
-        _mode = ReplMode::Oracle;
-        break;
+    if (config.replacement == ReplKind::Lru) {
+        // Identity recency order (nibble i = way i, MRU at nibble 0).
+        // The initial order is never consulted: victims prefer invalid
+        // ways, and every way is touched by its fill before the set
+        // can be full.
+        std::uint64_t init = 0;
+        for (std::uint32_t w = 0; w < _ways; ++w)
+            init |= static_cast<std::uint64_t>(w) << (4 * w);
+        std::fill(_replWord.begin(), _replWord.end(), init);
     }
-    if (_mode == ReplMode::Oracle)
-        _repl = makeReplacementPolicy(config.replacement,
-                                      config.numSets(), config.ways);
 }
 
 void
@@ -142,7 +117,7 @@ TagArray::reservePlan(std::size_t capacity)
     _planHead.assign(_layout.numSets(), kPlanNone);
 }
 
-template <TagArray::ReplMode M>
+template <ReplKind K>
 void
 TagArray::planSets(const trace::MemAccess *chunk)
 {
@@ -152,7 +127,7 @@ TagArray::planSets(const trace::MemAccess *chunk)
         // Stack-local copy of the set's state: the walk below is pure
         // prediction — nothing is committed until the controller
         // applies the plan in original request order.
-        Addr tags[kMaxPlannedWays];
+        Addr tags[64]; // CacheConfig::validate()'s associativity bound
         const Addr *row =
             &_tagStore[static_cast<std::size_t>(set) * _ways];
         for (std::uint32_t w = 0; w < _ways; ++w)
@@ -172,9 +147,9 @@ TagArray::planSets(const trace::MemAccess *chunk)
                 w = static_cast<std::uint32_t>(std::countr_zero(m));
                 flags = ChunkPlan::kHit;
                 ++_plan.hits;
-                if constexpr (M == ReplMode::PackedLru)
+                if constexpr (K == ReplKind::Lru)
                     repl = lruMovedToFront(repl, w);
-                else if constexpr (M == ReplMode::PackedPlru)
+                else if constexpr (K == ReplKind::TreePlru)
                     repl = plruPointedAway(repl, _ways, w);
                 // FIFO: hits do not move the fill counter.
             } else {
@@ -185,10 +160,9 @@ TagArray::planSets(const trace::MemAccess *chunk)
                 // heuristic.
                 w = static_cast<std::uint32_t>(std::countr_one(valid));
                 if (w >= _ways) {
-                    if constexpr (M == ReplMode::PackedLru)
-                        w = static_cast<std::uint32_t>(
-                            (repl >> (8 * (_ways - 1))) & 0xffu);
-                    else if constexpr (M == ReplMode::PackedPlru)
+                    if constexpr (K == ReplKind::Lru)
+                        w = lruVictimOf(repl, _ways);
+                    else if constexpr (K == ReplKind::TreePlru)
                         w = plruVictimOf(repl, _ways);
                     else
                         w = static_cast<std::uint32_t>(repl % _ways);
@@ -207,9 +181,9 @@ TagArray::planSets(const trace::MemAccess *chunk)
                 tags[w] = tag;
                 valid |= bit;
                 dirty &= ~bit;
-                if constexpr (M == ReplMode::PackedLru)
+                if constexpr (K == ReplKind::Lru)
                     repl = lruMovedToFront(repl, w);
-                else if constexpr (M == ReplMode::PackedPlru)
+                else if constexpr (K == ReplKind::TreePlru)
                     repl = plruPointedAway(repl, _ways, w);
                 else
                     ++repl; // FIFO fill counter
@@ -236,7 +210,6 @@ TagArray::planChunk(const trace::MemAccess *chunk, std::size_t count)
     // ascending access order, so per-set order — the only order tag
     // evolution depends on — is preserved exactly.
     _planTouched.clear();
-    std::uint64_t reads = 0;
     for (std::size_t r = count; r-- > 0;) {
         const auto i = static_cast<std::uint32_t>(r);
         std::uint32_t set;
@@ -244,14 +217,11 @@ TagArray::planChunk(const trace::MemAccess *chunk, std::size_t count)
         _layout.splitOf(chunk[r].addr, set, tag);
         _plan.set[i] = set;
         _plan.tag[i] = tag;
-        reads += chunk[r].isRead();
         if (_planHead[set] == kPlanNone)
             _planTouched.push_back(set);
         _planNext[i] = _planHead[set];
         _planHead[set] = i;
     }
-    _plan.reads = reads;
-    _plan.writes = count - reads;
     _plan.hits = 0;
     _plan.misses = 0;
     _plan.evictions = 0;
@@ -259,15 +229,15 @@ TagArray::planChunk(const trace::MemAccess *chunk, std::size_t count)
     _plan.count = count;
 
     // Stage C: simulate each touched set's batch.
-    switch (_mode) {
-      case ReplMode::PackedLru:
-        planSets<ReplMode::PackedLru>(chunk);
+    switch (_config.replacement) {
+      case ReplKind::Lru:
+        planSets<ReplKind::Lru>(chunk);
         break;
-      case ReplMode::PackedPlru:
-        planSets<ReplMode::PackedPlru>(chunk);
+      case ReplKind::TreePlru:
+        planSets<ReplKind::TreePlru>(chunk);
         break;
       default:
-        planSets<ReplMode::PackedFifo>(chunk);
+        planSets<ReplKind::Fifo>(chunk);
         break;
     }
 

@@ -14,11 +14,11 @@
  * valid and one 64-bit dirty bitmask per set — so a lookup is a
  * branchless way-compare producing a match mask, and dirty/valid
  * updates are single bit operations. Replacement is devirtualized:
- * LRU (ways <= 8), Tree-PLRU, FIFO and Random get compact per-set
- * integer encodings updated inline with zero virtual calls; shapes
- * outside the packed encodings (LRU with ways > 8) fall back to the
- * virtual ReplacementPolicy oracle, which also remains the reference
- * model for the packed encodings' property tests.
+ * every policy runs on one 64-bit word per set, updated inline with
+ * zero virtual calls — LRU (ways <= 16) as a 4-bit-per-way recency
+ * word, Tree-PLRU as tree bits, FIFO as a fill counter, Random as a
+ * shared deterministic draw. The virtual reference policies live with
+ * the tests (tests/repl_oracle.hh) as the encodings' oracle.
  */
 
 #ifndef C8T_MEM_CACHE_HH
@@ -27,7 +27,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,7 +67,9 @@ struct CacheConfig
     std::uint32_t setBytes() const { return ways * blockBytes; }
 
     /**
-     * Check shape consistency (powers of two, exact division).
+     * Check shape consistency (powers of two, exact division) and that
+     * the replacement policy's encoding covers the associativity
+     * (LRU <= 16 ways, Tree-PLRU a power of two).
      * @throws std::invalid_argument on violation.
      */
     void validate() const;
@@ -142,8 +143,6 @@ struct ChunkPlan
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t dirtyEvictions = 0;
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
 
     /** Accesses planned (entries [0, count) are meaningful). */
     std::size_t count = 0;
@@ -318,35 +317,20 @@ class TagArray
         return _dirtyEvictions.value();
     }
 
-    /** True when this shape runs on a packed (devirtualized)
-     *  replacement encoding rather than the virtual oracle. */
-    bool usesPackedReplacement() const
-    {
-        return _mode != ReplMode::Oracle;
-    }
-
     /** The SIMD level the way-compare runs at (resolved once at
      *  construction from simd::activeLevel()). */
     simd::SimdLevel simdLevel() const { return _simd; }
 
-    /** Largest associativity the chunk planner handles (the packed-LRU
-     *  bound: per-set state must fit the stack-local simulate). */
-    static constexpr std::uint32_t kMaxPlannedWays = 8;
-
     /**
-     * True when planChunk() covers this shape: a packed deterministic
-     * replacement encoding (LRU/Tree-PLRU/FIFO) with at most
-     * kMaxPlannedWays ways. Random is excluded — its victim draws
-     * come from a shared RNG whose draw order is architectural, and
-     * set-batched planning would reorder them. Oracle shapes keep the
-     * virtual per-access path.
+     * True when planChunk() covers this shape: every deterministic
+     * policy (LRU/Tree-PLRU/FIFO) at any associativity. Random is
+     * excluded — its victim draws come from a shared RNG whose draw
+     * order is architectural, and set-batched planning would reorder
+     * them.
      */
     bool planEligible() const
     {
-        return (_mode == ReplMode::PackedLru ||
-                _mode == ReplMode::PackedPlru ||
-                _mode == ReplMode::PackedFifo) &&
-               _ways <= kMaxPlannedWays;
+        return _config.replacement != ReplKind::Random;
     }
 
     /** Pre-size the plan and its set-sort scratch for chunks of up to
@@ -413,16 +397,6 @@ class TagArray
                        const std::string &prefix = std::string());
 
   private:
-    /** Per-run replacement dispatch, selected once in the constructor
-     *  so the access loop never takes a virtual call. */
-    enum class ReplMode : std::uint8_t {
-        PackedLru,    //!< 64-bit recency word, one byte per way (<= 8)
-        PackedPlru,   //!< tree bits of the PLRU decision tree
-        PackedFifo,   //!< per-set fill counter (round-robin)
-        PackedRandom, //!< stateless; shared deterministic RNG
-        Oracle,       //!< virtual ReplacementPolicy fallback
-    };
-
     /** Valid-way match mask of @p tag in @p set (bit w set when way w
      *  is valid and holds the tag). One SIMD compare over the flat
      *  per-set tag words at the dispatched level (mem/simd.hh); every
@@ -437,39 +411,33 @@ class TagArray
     /** Record a use of (set, way) in the packed replacement state. */
     void touchRepl(std::uint32_t set, std::uint32_t way)
     {
-        switch (_mode) {
-          case ReplMode::PackedLru:
+        switch (_config.replacement) {
+          case ReplKind::Lru:
             lruMoveToFront(set, way);
             break;
-          case ReplMode::PackedPlru:
+          case ReplKind::TreePlru:
             plruPointAway(set, way);
             break;
-          case ReplMode::PackedFifo:
-          case ReplMode::PackedRandom:
+          case ReplKind::Fifo:
+          case ReplKind::Random:
             break; // hits do not move FIFO/Random state
-          case ReplMode::Oracle:
-            _repl->touch(set, way);
-            break;
         }
     }
 
     /** Record a fill of (set, way). */
     void insertRepl(std::uint32_t set, std::uint32_t way)
     {
-        switch (_mode) {
-          case ReplMode::PackedLru:
+        switch (_config.replacement) {
+          case ReplKind::Lru:
             lruMoveToFront(set, way);
             break;
-          case ReplMode::PackedPlru:
+          case ReplKind::TreePlru:
             plruPointAway(set, way);
             break;
-          case ReplMode::PackedFifo:
+          case ReplKind::Fifo:
             ++_replWord[set];
             break;
-          case ReplMode::PackedRandom:
-            break;
-          case ReplMode::Oracle:
-            _repl->insert(set, way);
+          case ReplKind::Random:
             break;
         }
     }
@@ -480,29 +448,25 @@ class TagArray
         const std::uint64_t valid = _valid[set];
 
         // Invalid ways are preferred before any replacement
-        // heuristic, in ascending way order (matching
-        // ReplacementPolicy semantics).
+        // heuristic, in ascending way order.
         const auto first_invalid =
             static_cast<std::uint32_t>(std::countr_one(valid));
         if (first_invalid < _ways)
             return first_invalid;
 
-        switch (_mode) {
-          case ReplMode::PackedLru:
-            return static_cast<std::uint32_t>(
-                (_replWord[set] >> (8 * (_ways - 1))) & 0xffu);
-          case ReplMode::PackedPlru:
+        switch (_config.replacement) {
+          case ReplKind::Lru:
+            return lruVictimOf(_replWord[set], _ways);
+          case ReplKind::TreePlru:
             return plruVictimOf(_replWord[set], _ways);
-          case ReplMode::PackedFifo:
+          case ReplKind::Fifo:
             // Fills land on invalid ways in ascending order and the
             // only path to valid is fill(), so fill order is
             // round-robin: the oldest fill is the fill counter modulo
             // the associativity.
             return static_cast<std::uint32_t>(_replWord[set] % _ways);
-          case ReplMode::PackedRandom:
+          case ReplKind::Random:
             return static_cast<std::uint32_t>(_victimRng.below(_ways));
-          case ReplMode::Oracle:
-            return _repl->victim(set, valid);
         }
         return 0;
     }
@@ -511,18 +475,32 @@ class TagArray
     // live per-access path and the chunk planner's stack-local
     // simulation so both compute bit-identical replacement words.
 
-    /** Recency word with @p way moved to the MRU byte. */
+    /** Nibble i of an LRU recency word holds the way at recency rank
+     *  i (0 = MRU); ranks at or above the associativity stay 0. */
+    static constexpr std::uint64_t kNibbleOnes = 0x1111111111111111ull;
+
+    /** Recency word with @p way moved to the MRU nibble. */
     static std::uint64_t lruMovedToFront(std::uint64_t w,
                                          std::uint32_t way)
     {
-        std::uint32_t p = 0;
-        while (((w >> (8 * p)) & 0xffu) != way)
-            ++p;
-        const std::uint64_t below =
-            p ? (w & ((1ull << (8 * p)) - 1)) : 0;
-        const std::uint64_t above =
-            p < 7 ? (w & ~((1ull << (8 * (p + 1))) - 1)) : 0;
-        return above | (below << 8) | way;
+        // Rank of @p way: the lowest zero nibble of w ^ way-broadcast.
+        // The borrow trick can flag a false zero only above a true
+        // one, and way's own rank is the lowest true zero (unused
+        // ranks hold 0, but sit above every live rank).
+        const std::uint64_t x = w ^ (way * kNibbleOnes);
+        const std::uint64_t zeros =
+            (x - kNibbleOnes) & ~x & (kNibbleOnes << 3);
+        const auto p =
+            static_cast<std::uint32_t>(std::countr_zero(zeros)) / 4;
+        const std::uint64_t below = (1ull << (4 * p)) - 1;
+        const std::uint64_t upto = (below << 4) | 0xfu;
+        return (w & ~upto) | ((w & below) << 4) | way;
+    }
+
+    /** The LRU way of a full set: the nibble at rank ways - 1. */
+    static std::uint32_t lruVictimOf(std::uint64_t w, std::uint32_t ways)
+    {
+        return static_cast<std::uint32_t>((w >> (4 * (ways - 1))) & 0xfu);
     }
 
     /** Tree word with every node on @p way's path pointed away. */
@@ -564,7 +542,7 @@ class TagArray
         return base;
     }
 
-    /** Move @p way to the MRU byte of the set's recency word. */
+    /** Move @p way to the MRU nibble of the set's recency word. */
     void lruMoveToFront(std::uint32_t set, std::uint32_t way)
     {
         _replWord[set] = lruMovedToFront(_replWord[set], way);
@@ -577,9 +555,9 @@ class TagArray
     }
 
     /** Per-set batch simulation of one chain of planned accesses
-     *  (planChunk() stage C), specialized per packed mode so the
+     *  (planChunk() stage C), specialized per policy so the
      *  replacement arithmetic inlines without per-access dispatch. */
-    template <ReplMode M>
+    template <ReplKind K>
     void planSets(const trace::MemAccess *chunk);
 
     CacheConfig _config;
@@ -594,11 +572,9 @@ class TagArray
     std::vector<std::uint64_t> _valid;  //!< per-set valid bitmask
     std::vector<std::uint64_t> _dirty;  //!< per-set dirty bitmask
 
-    // Packed replacement state.
-    ReplMode _mode;
+    // Packed replacement state (the policy is _config.replacement).
     std::vector<std::uint64_t> _replWord; //!< per-set encoding
-    trace::Rng _victimRng{12345};         //!< PackedRandom draws
-    std::unique_ptr<ReplacementPolicy> _repl; //!< Oracle fallback only
+    trace::Rng _victimRng{12345};         //!< Random draws
 
     // Chunk-planner state (reservePlan()/planChunk()). The per-set
     // chains are intrusive linked lists over the access indices:

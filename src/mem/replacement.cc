@@ -1,14 +1,11 @@
 /**
  * @file
- * Replacement policy implementations.
+ * Replacement policy names.
  */
 
 #include "mem/replacement.hh"
 
-#include <cassert>
 #include <stdexcept>
-
-#include "mem/addr.hh"
 
 namespace c8t::mem
 {
@@ -41,221 +38,6 @@ parseReplKind(const std::string &name)
     if (name == "random")
         return ReplKind::Random;
     throw std::invalid_argument("unknown replacement policy: " + name);
-}
-
-std::unique_ptr<ReplacementPolicy>
-makeReplacementPolicy(ReplKind kind, std::uint32_t sets, std::uint32_t ways,
-                      std::uint64_t seed)
-{
-    switch (kind) {
-      case ReplKind::Lru:
-        return std::make_unique<LruPolicy>(sets, ways);
-      case ReplKind::TreePlru:
-        return std::make_unique<TreePlruPolicy>(sets, ways);
-      case ReplKind::Fifo:
-        return std::make_unique<FifoPolicy>(sets, ways);
-      case ReplKind::Random:
-        return std::make_unique<RandomPolicy>(sets, ways, seed);
-    }
-    throw std::invalid_argument("unknown replacement kind");
-}
-
-namespace
-{
-
-/**
- * Prefer an invalid way before consulting the policy heuristic.
- * @return The lowest invalid way, or ways if all are valid.
- */
-std::uint32_t
-firstInvalid(std::uint64_t valid_mask, std::uint32_t ways)
-{
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        if (!((valid_mask >> w) & 1))
-            return w;
-    }
-    return ways;
-}
-
-} // anonymous namespace
-
-// ---------------------------------------------------------------------
-// LruPolicy
-
-LruPolicy::LruPolicy(std::uint32_t sets, std::uint32_t ways)
-    : _ways(ways), _stamp(static_cast<std::size_t>(sets) * ways, 0)
-{
-    assert(ways >= 1 && ways <= 64);
-}
-
-void
-LruPolicy::touch(std::uint32_t set, std::uint32_t way)
-{
-    _stamp[static_cast<std::size_t>(set) * _ways + way] = ++_clock;
-}
-
-void
-LruPolicy::insert(std::uint32_t set, std::uint32_t way)
-{
-    touch(set, way);
-}
-
-std::uint32_t
-LruPolicy::victim(std::uint32_t set, std::uint64_t valid_mask)
-{
-    const std::uint32_t inv = firstInvalid(valid_mask, _ways);
-    if (inv < _ways)
-        return inv;
-
-    std::uint32_t victim_way = 0;
-    std::uint64_t oldest = _stamp[static_cast<std::size_t>(set) * _ways];
-    for (std::uint32_t w = 1; w < _ways; ++w) {
-        const std::uint64_t s =
-            _stamp[static_cast<std::size_t>(set) * _ways + w];
-        if (s < oldest) {
-            oldest = s;
-            victim_way = w;
-        }
-    }
-    return victim_way;
-}
-
-// ---------------------------------------------------------------------
-// TreePlruPolicy
-
-TreePlruPolicy::TreePlruPolicy(std::uint32_t sets, std::uint32_t ways)
-    : _ways(ways), _nodes(ways - 1),
-      _tree(static_cast<std::size_t>(sets) * (ways - 1), 0)
-{
-    assert(ways >= 2 && isPowerOfTwo(ways) && ways <= 64);
-}
-
-void
-TreePlruPolicy::touch(std::uint32_t set, std::uint32_t way)
-{
-    // Walk from the root; at each node, point *away* from the touched
-    // way's subtree.
-    std::uint8_t *tree = &_tree[static_cast<std::size_t>(set) * _nodes];
-    std::uint32_t node = 0;
-    std::uint32_t span = _ways;
-    std::uint32_t base = 0;
-    while (span > 1) {
-        const std::uint32_t half = span / 2;
-        const bool right = way >= base + half;
-        tree[node] = right ? 0 : 1; // 0 = next victim left, 1 = right
-        node = 2 * node + (right ? 2 : 1);
-        if (right)
-            base += half;
-        span = half;
-    }
-}
-
-void
-TreePlruPolicy::insert(std::uint32_t set, std::uint32_t way)
-{
-    touch(set, way);
-}
-
-std::uint32_t
-TreePlruPolicy::victim(std::uint32_t set, std::uint64_t valid_mask)
-{
-    const std::uint32_t inv = firstInvalid(valid_mask, _ways);
-    if (inv < _ways)
-        return inv;
-
-    const std::uint8_t *tree =
-        &_tree[static_cast<std::size_t>(set) * _nodes];
-    std::uint32_t node = 0;
-    std::uint32_t span = _ways;
-    std::uint32_t base = 0;
-    while (span > 1) {
-        const std::uint32_t half = span / 2;
-        const bool right = tree[node] != 0;
-        node = 2 * node + (right ? 2 : 1);
-        if (right)
-            base += half;
-        span = half;
-    }
-    return base;
-}
-
-// ---------------------------------------------------------------------
-// FifoPolicy
-
-FifoPolicy::FifoPolicy(std::uint32_t sets, std::uint32_t ways)
-    : _ways(ways), _fillStamp(static_cast<std::size_t>(sets) * ways, 0)
-{
-    assert(ways >= 1 && ways <= 64);
-}
-
-void
-FifoPolicy::touch(std::uint32_t set, std::uint32_t way)
-{
-    // FIFO ignores hits.
-    (void)set;
-    (void)way;
-}
-
-void
-FifoPolicy::insert(std::uint32_t set, std::uint32_t way)
-{
-    _fillStamp[static_cast<std::size_t>(set) * _ways + way] = ++_clock;
-}
-
-std::uint32_t
-FifoPolicy::victim(std::uint32_t set, std::uint64_t valid_mask)
-{
-    const std::uint32_t inv = firstInvalid(valid_mask, _ways);
-    if (inv < _ways)
-        return inv;
-
-    std::uint32_t victim_way = 0;
-    std::uint64_t oldest =
-        _fillStamp[static_cast<std::size_t>(set) * _ways];
-    for (std::uint32_t w = 1; w < _ways; ++w) {
-        const std::uint64_t s =
-            _fillStamp[static_cast<std::size_t>(set) * _ways + w];
-        if (s < oldest) {
-            oldest = s;
-            victim_way = w;
-        }
-    }
-    return victim_way;
-}
-
-// ---------------------------------------------------------------------
-// RandomPolicy
-
-RandomPolicy::RandomPolicy(std::uint32_t sets, std::uint32_t ways,
-                           std::uint64_t seed)
-    : _ways(ways), _rng(seed)
-{
-    (void)sets;
-    assert(ways >= 1 && ways <= 64);
-}
-
-void
-RandomPolicy::touch(std::uint32_t set, std::uint32_t way)
-{
-    (void)set;
-    (void)way;
-}
-
-void
-RandomPolicy::insert(std::uint32_t set, std::uint32_t way)
-{
-    (void)set;
-    (void)way;
-}
-
-std::uint32_t
-RandomPolicy::victim(std::uint32_t set, std::uint64_t valid_mask)
-{
-    (void)set;
-    const std::uint32_t inv = firstInvalid(valid_mask, _ways);
-    if (inv < _ways)
-        return inv;
-    return static_cast<std::uint32_t>(_rng.below(_ways));
 }
 
 } // namespace c8t::mem

@@ -48,6 +48,33 @@ TEST(CacheConfig, RejectsBadShapes)
     EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
+TEST(CacheConfig, RejectsShapesOutsideThePolicyEncoding)
+{
+    // Tree-PLRU needs a power-of-two way count: a 3-way tree would
+    // never name way 2 as a victim. 48 KB / 3 ways / 32 B is otherwise
+    // a legal shape (512 sets).
+    CacheConfig c{48 * 1024, 3, 32, ReplKind::TreePlru};
+    EXPECT_THROW(c.validate(), std::invalid_argument);
+    EXPECT_THROW(TagArray{c}, std::invalid_argument);
+    c.replacement = ReplKind::Lru;
+    EXPECT_NO_THROW(c.validate());
+    c.replacement = ReplKind::Fifo;
+    EXPECT_NO_THROW(c.validate());
+
+    // LRU's recency word holds 16 ways; the other policies reach the
+    // 64-way associativity bound.
+    c = CacheConfig{64 * 1024, 16, 32, ReplKind::Lru};
+    EXPECT_NO_THROW(c.validate());
+    c.ways = 32;
+    EXPECT_THROW(c.validate(), std::invalid_argument);
+    for (ReplKind k :
+         {ReplKind::TreePlru, ReplKind::Fifo, ReplKind::Random}) {
+        c.replacement = k;
+        c.ways = 64;
+        EXPECT_NO_THROW(c.validate()) << toString(k);
+    }
+}
+
 TEST(TagArray, ColdMissThenHit)
 {
     TagArray t(baseline());

@@ -280,6 +280,27 @@ TEST(JobSpecTest, ValidationCatchesBadShapes)
         "shard_cells");
 }
 
+TEST(JobSpecTest, ReplacementBoundsNameTheField)
+{
+    // Shapes the replacement encodings cannot represent fail naming
+    // the spec object and the field, for the L1 and for a level.
+    const std::string plru3 =
+        "{\"kind\":\"run\",\"cache\":{\"size_kb\":48,\"ways\":3,"
+        "\"repl\":\"plru\"}}";
+    expectParseError(plru3, "cache: ");
+    expectParseError(plru3, "ways");
+    const std::string lru32 =
+        "{\"kind\":\"run\",\"cache\":{\"ways\":32,\"repl\":\"lru\"}}";
+    expectParseError(lru32, "cache: ");
+    expectParseError(lru32, "ways");
+    const std::string level_lru32 =
+        "{\"kind\":\"run\",\"levels\":[{\"ways\":32,\"repl\":\"lru\"}]}";
+    expectParseError(level_lru32, "levels[]: ");
+    expectParseError(level_lru32, "ways");
+    EXPECT_NO_THROW(JobSpec::fromJsonText(
+        "{\"kind\":\"run\",\"cache\":{\"ways\":16,\"repl\":\"lru\"}}"));
+}
+
 TEST(JobSpecTest, ConfigRunsFollowTheKind)
 {
     // Run: one config-run per scheme (kind default RMW + WG+RB).

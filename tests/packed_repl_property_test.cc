@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential property test of the packed (devirtualized) tag
- * pipeline against the virtual ReplacementPolicy oracle.
+ * pipeline against the virtual reference policies (repl_oracle.hh).
  *
  * The TagArray's structure-of-arrays layout and per-set replacement
  * encodings (DESIGN.md §7) must be observably identical to the
@@ -10,8 +10,8 @@
  * and compares the hit/miss sequence, the hit way, every victim
  * choice (fill way and eviction info) and the final
  * tag/valid/dirty state — for all four ReplKinds over assorted way
- * counts, including LRU with ways > 8, which exercises the TagArray's
- * own oracle fallback.
+ * counts up to each encoding's bound: LRU's 4-bit-per-way recency word
+ * to 16 ways, Tree-PLRU's tree bits and FIFO's fill counter to 64.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "mem/cache.hh"
-#include "mem/replacement.hh"
+#include "repl_oracle.hh"
 #include "trace/rng.hh"
 
 namespace
@@ -128,7 +128,9 @@ struct Shape
 {
     ReplKind kind;
     std::uint32_t ways;
-    bool packed; //!< expected TagArray::usesPackedReplacement()
+    /** 8 sets keep conflict pressure high so victims are exercised
+     *  constantly. */
+    std::uint32_t sets = 8;
 };
 
 std::string
@@ -142,13 +144,12 @@ shapeName(const Shape &s)
 CacheConfig
 configOf(const Shape &s)
 {
-    // 8 sets keep conflict pressure high so victims are exercised
-    // constantly; 3x-ways distinct tags per set guarantee evictions.
+    // 3x-ways distinct tags per set guarantee evictions.
     CacheConfig cfg;
     cfg.blockBytes = 32;
     cfg.ways = s.ways;
     cfg.sizeBytes =
-        static_cast<std::uint64_t>(8) * s.ways * cfg.blockBytes;
+        static_cast<std::uint64_t>(s.sets) * s.ways * cfg.blockBytes;
     cfg.replacement = s.kind;
     return cfg;
 }
@@ -162,9 +163,6 @@ runDifferential(const Shape &shape, std::uint64_t seed,
     const CacheConfig cfg = configOf(shape);
     TagArray dut(cfg);
     OracleTags oracle(cfg);
-
-    ASSERT_EQ(dut.usesPackedReplacement(), shape.packed)
-        << shapeName(shape);
 
     c8t::trace::Rng rng(seed);
     const std::uint32_t tagSpan = 3 * shape.ways;
@@ -237,28 +235,26 @@ TEST_P(PackedReplDifferential, MatchesOracleOnRandomStreams)
 INSTANTIATE_TEST_SUITE_P(
     AllKindsAndWays, PackedReplDifferential,
     ::testing::Values(
-        // LRU: packed byte-per-way recency word up to 8 ways; the
-        // 16-way shape falls back to the virtual oracle inside the
-        // TagArray and must still match the external reference.
-        Shape{ReplKind::Lru, 1, true}, Shape{ReplKind::Lru, 2, true},
-        Shape{ReplKind::Lru, 4, true}, Shape{ReplKind::Lru, 8, true},
-        Shape{ReplKind::Lru, 16, false},
-        // Tree-PLRU: packed tree bits (ways must be a power of two).
-        Shape{ReplKind::TreePlru, 2, true},
-        Shape{ReplKind::TreePlru, 4, true},
-        Shape{ReplKind::TreePlru, 8, true},
-        Shape{ReplKind::TreePlru, 16, true},
-        // FIFO: packed per-set fill counter.
-        Shape{ReplKind::Fifo, 1, true}, Shape{ReplKind::Fifo, 2, true},
-        Shape{ReplKind::Fifo, 4, true}, Shape{ReplKind::Fifo, 8, true},
-        Shape{ReplKind::Fifo, 16, true},
+        // LRU: 4-bit-per-way recency word, up to its 16-way bound
+        // (12 leaves the top ranks of the word unused).
+        Shape{ReplKind::Lru, 1}, Shape{ReplKind::Lru, 2},
+        Shape{ReplKind::Lru, 4}, Shape{ReplKind::Lru, 8},
+        Shape{ReplKind::Lru, 12}, Shape{ReplKind::Lru, 16},
+        // Tree-PLRU: tree bits (ways must be a power of two); 64 ways
+        // use 63 of the word's bits.
+        Shape{ReplKind::TreePlru, 2}, Shape{ReplKind::TreePlru, 4},
+        Shape{ReplKind::TreePlru, 8}, Shape{ReplKind::TreePlru, 16},
+        Shape{ReplKind::TreePlru, 32}, Shape{ReplKind::TreePlru, 64},
+        // FIFO: per-set fill counter.
+        Shape{ReplKind::Fifo, 1}, Shape{ReplKind::Fifo, 2},
+        Shape{ReplKind::Fifo, 4}, Shape{ReplKind::Fifo, 8},
+        Shape{ReplKind::Fifo, 16}, Shape{ReplKind::Fifo, 32},
+        Shape{ReplKind::Fifo, 64},
         // Random: stateless, shared deterministic RNG; equivalence
         // relies on both sides drawing only for full sets.
-        Shape{ReplKind::Random, 1, true},
-        Shape{ReplKind::Random, 2, true},
-        Shape{ReplKind::Random, 4, true},
-        Shape{ReplKind::Random, 8, true},
-        Shape{ReplKind::Random, 16, true}),
+        Shape{ReplKind::Random, 1}, Shape{ReplKind::Random, 2},
+        Shape{ReplKind::Random, 4}, Shape{ReplKind::Random, 8},
+        Shape{ReplKind::Random, 16}),
     [](const ::testing::TestParamInfo<Shape> &info) {
         std::ostringstream os;
         os << toString(info.param.kind) << "_" << info.param.ways
@@ -271,7 +267,7 @@ INSTANTIATE_TEST_SUITE_P(
  *  mixed probe orders keeps statistics consistent. */
 TEST(PackedRepl, StatisticsMatchOracleCounts)
 {
-    const Shape shape{ReplKind::Lru, 4, true};
+    const Shape shape{ReplKind::Lru, 4};
     const CacheConfig cfg = configOf(shape);
     TagArray dut(cfg);
     OracleTags oracle(cfg);

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit and property tests for the replacement policies.
+ * Unit and property tests for the reference replacement policies
+ * (the oracle the TagArray's packed encodings are checked against).
  */
 
 #include <gtest/gtest.h>
@@ -8,7 +9,7 @@
 #include <set>
 #include <stdexcept>
 
-#include "mem/replacement.hh"
+#include "repl_oracle.hh"
 
 namespace
 {

@@ -3,7 +3,7 @@
  * SIMD-dispatch and batched-pipeline identity guarantees.
  *
  * The way-compare kernel (mem/simd.hh) and the set-batched chunk
- * pipeline (TagArray::planChunk + CacheController::runPlannedChunk)
+ * pipeline (TagArray::planChunk + CacheController::runChunk)
  * are pure performance mechanisms: every dispatch level and both
  * drive paths must be invisible in every result. This suite pins
  * that end to end:
@@ -16,19 +16,23 @@
  *     AVX2 and auto dispatch.
  *  3. The parallel sweep engine is level-invariant across 1/2/8
  *     workers.
- *  4. The recorded event stream (the legacy per-access path, which
- *     event observers force) is identical at every level.
+ *  4. The recorded event stream is identical at every level.
  *  5. The planned chunk pipeline reproduces the per-access access()
- *     loop bit-for-bit, including the stats JSON.
+ *     loop bit-for-bit, including the stats JSON, for every
+ *     deterministic policy up to its widest encoding — and with an
+ *     event ring and an energy audit attached, the chunk still plans
+ *     and both observers see the per-access sequence.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/options.hh"
@@ -72,9 +76,10 @@ struct LevelGuard
     ~LevelGuard() { mem::simd::setLevel(mem::simd::bestSupported()); }
 };
 
-/** The schemes every identity run covers (the four the figures use). */
+/** The schemes every identity run covers (the four the figures use),
+ *  over @p cache. */
 std::vector<ControllerConfig>
-allSchemeConfigs()
+allSchemeConfigs(const mem::CacheConfig &cache = mem::CacheConfig{})
 {
     std::vector<ControllerConfig> cfgs;
     for (WriteScheme s :
@@ -82,6 +87,7 @@ allSchemeConfigs()
           WriteScheme::WriteGrouping,
           WriteScheme::WriteGroupingReadBypass}) {
         ControllerConfig c;
+        c.cache = cache;
         c.scheme = s;
         cfgs.push_back(c);
     }
@@ -272,6 +278,33 @@ TEST(SimdIdentity, ParallelSweepIdenticalAcrossLevelsAndWorkers)
     }
 }
 
+/** Every retained event of @p ring, oldest first. */
+std::vector<obs::Event>
+eventsOf(const obs::EventRing &ring)
+{
+    std::vector<obs::Event> events;
+    events.reserve(ring.size());
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        events.push_back(ring.at(i));
+    return events;
+}
+
+/** Every field of every event equal, in order. */
+void
+expectSameEvents(const std::vector<obs::Event> &a,
+                 const std::vector<obs::Event> &b, const std::string &what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const bool same = a[i].seq == b[i].seq &&
+                          a[i].accessIndex == b[i].accessIndex &&
+                          a[i].cycle == b[i].cycle &&
+                          a[i].addr == b[i].addr && a[i].set == b[i].set &&
+                          a[i].type == b[i].type;
+        ASSERT_TRUE(same) << what << ": event " << i << " differs";
+    }
+}
+
 TEST(SimdIdentity, EventStreamIdenticalAcrossLevels)
 {
     LevelGuard guard;
@@ -283,9 +316,8 @@ TEST(SimdIdentity, EventStreamIdenticalAcrossLevels)
         gen.fillChunk(buffer->data(), kAccesses);
     }
 
-    // Event observers force the per-access path; the recorded stream
-    // (every field of every event, in order) must not depend on the
-    // dispatch level the tag compares run at.
+    // The recorded stream (every field of every event, in order) must
+    // not depend on the dispatch level the tag compares run at.
     auto record = [&](SimdLevel l) {
         mem::simd::setLevel(l);
         mem::FunctionalMemory memory;
@@ -300,27 +332,13 @@ TEST(SimdIdentity, EventStreamIdenticalAcrossLevels)
         // Ring sized to retain the whole run: wrap-around would make
         // the comparison silently partial.
         EXPECT_EQ(ring.dropped(), 0u);
-        std::vector<obs::Event> events;
-        events.reserve(ring.size());
-        for (std::size_t i = 0; i < ring.size(); ++i)
-            events.push_back(ring.at(i));
-        return events;
+        return eventsOf(ring);
     };
 
     const auto base = record(SimdLevel::Scalar);
     ASSERT_FALSE(base.empty());
-    for (SimdLevel l : supportedLevels()) {
-        const auto got = record(l);
-        ASSERT_EQ(base.size(), got.size()) << mem::simd::toString(l);
-        for (std::size_t i = 0; i < base.size(); ++i) {
-            EXPECT_EQ(base[i].seq, got[i].seq);
-            EXPECT_EQ(base[i].accessIndex, got[i].accessIndex);
-            EXPECT_EQ(base[i].cycle, got[i].cycle);
-            EXPECT_EQ(base[i].addr, got[i].addr);
-            EXPECT_EQ(base[i].set, got[i].set);
-            EXPECT_EQ(base[i].type, got[i].type);
-        }
-    }
+    for (SimdLevel l : supportedLevels())
+        expectSameEvents(base, record(l), mem::simd::toString(l));
 }
 
 TEST(BatchedPipeline, PlannedChunksMatchPerAccessLoop)
@@ -334,46 +352,134 @@ TEST(BatchedPipeline, PlannedChunksMatchPerAccessLoop)
         gen.fillChunk(buffer->data(), buffer->size());
     }
 
-    for (SimdLevel l : supportedLevels()) {
-        mem::simd::setLevel(l);
+    // The paper's default shape plus the widest encodings: LRU's
+    // 16-way recency word, 32-way PLRU tree bits, and a FIFO whose way
+    // count is not a power of two.
+    const std::vector<mem::CacheConfig> shapes = {
+        mem::CacheConfig{},
+        {64 * 1024, 16, 32, mem::ReplKind::Lru},
+        {64 * 1024, 32, 32, mem::ReplKind::TreePlru},
+        {48 * 1024, 12, 32, mem::ReplKind::Fifo},
+    };
 
-        // Batched: the runner plans each chunk and applies it through
-        // runPlannedChunk (the default LRU shape is plan-eligible).
-        core::MultiSchemeRunner runner(allSchemeConfigs());
-        trace::ReplayGenerator replay("gcc", buffer);
-        RunDigest batched;
-        batched.results = runner.run(replay, rc);
-        for (std::size_t i = 0; i < batched.results.size(); ++i) {
-            stats::Registry reg;
-            runner.controller(i).registerStats(reg);
-            std::ostringstream os;
-            reg.dumpJson(os);
-            batched.statsJson.push_back(os.str());
-        }
-
-        // Reference: the historical one-access-at-a-time loop.
-        RunDigest legacy;
-        for (const ControllerConfig &cfg : allSchemeConfigs()) {
+    for (const mem::CacheConfig &shape : shapes) {
+        {
             mem::FunctionalMemory memory;
-            CacheController ctrl(cfg, memory);
-            for (std::uint64_t i = 0; i < rc.warmupAccesses; ++i)
-                ctrl.access((*buffer)[i]);
-            ctrl.resetStats();
-            for (std::size_t i = rc.warmupAccesses; i < buffer->size();
-                 ++i)
-                ctrl.access((*buffer)[i]);
-            ctrl.drain();
-            legacy.results.push_back(core::snapshotResult("gcc", ctrl));
-            stats::Registry reg;
-            ctrl.registerStats(reg);
-            std::ostringstream os;
-            reg.dumpJson(os);
-            legacy.statsJson.push_back(os.str());
+            CacheController probe(allSchemeConfigs(shape).front(),
+                                  memory);
+            ASSERT_NE(probe.planReplayChunk(buffer->data(), 64), nullptr)
+                << shape.toString();
         }
+        for (SimdLevel l : supportedLevels()) {
+            mem::simd::setLevel(l);
 
-        expectSameDigest(legacy, batched,
-                         std::string("planned@") +
-                             mem::simd::toString(l));
+            // Batched: the runner plans each chunk and applies it
+            // through runChunk.
+            core::MultiSchemeRunner runner(allSchemeConfigs(shape));
+            trace::ReplayGenerator replay("gcc", buffer);
+            RunDigest batched;
+            batched.results = runner.run(replay, rc);
+            for (std::size_t i = 0; i < batched.results.size(); ++i) {
+                stats::Registry reg;
+                runner.controller(i).registerStats(reg);
+                std::ostringstream os;
+                reg.dumpJson(os);
+                batched.statsJson.push_back(os.str());
+            }
+
+            // Reference: the one-access-at-a-time loop.
+            RunDigest legacy;
+            for (const ControllerConfig &cfg : allSchemeConfigs(shape)) {
+                mem::FunctionalMemory memory;
+                CacheController ctrl(cfg, memory);
+                for (std::uint64_t i = 0; i < rc.warmupAccesses; ++i)
+                    ctrl.access((*buffer)[i]);
+                ctrl.resetStats();
+                for (std::size_t i = rc.warmupAccesses;
+                     i < buffer->size(); ++i)
+                    ctrl.access((*buffer)[i]);
+                ctrl.drain();
+                legacy.results.push_back(
+                    core::snapshotResult("gcc", ctrl));
+                stats::Registry reg;
+                ctrl.registerStats(reg);
+                std::ostringstream os;
+                reg.dumpJson(os);
+                legacy.statsJson.push_back(os.str());
+            }
+
+            expectSameDigest(legacy, batched,
+                             "planned@" + shape.toString() + "@" +
+                                 mem::simd::toString(l));
+        }
+    }
+}
+
+/** Ordered energy-audit log: one (event, bytes) pair per hook call. */
+using AuditLog =
+    std::vector<std::pair<CacheController::EnergyEvent, std::uint32_t>>;
+
+void
+auditInto(void *ctx, CacheController::EnergyEvent ev, std::uint32_t bytes)
+{
+    static_cast<AuditLog *>(ctx)->emplace_back(ev, bytes);
+}
+
+TEST(BatchedPipeline, ObserversSeeThePerAccessSequence)
+{
+    constexpr std::size_t kAccesses = 20'000;
+    constexpr std::size_t kChunk = CacheController::kReplayChunkAccesses;
+    std::vector<trace::MemAccess> stream(kAccesses);
+    trace::MarkovStream gen(trace::specProfile("gcc"));
+    gen.fillChunk(stream.data(), stream.size());
+
+    for (WriteScheme scheme :
+         {WriteScheme::SixTDirect, WriteScheme::Rmw, WriteScheme::LocalRmw,
+          WriteScheme::WordGranular, WriteScheme::WriteGrouping,
+          WriteScheme::WriteGroupingReadBypass}) {
+        ControllerConfig cfg;
+        cfg.scheme = scheme;
+        const std::string what = core::toString(scheme);
+
+        // Ring sized to retain the whole run: wrap-around would make
+        // the comparison silently partial.
+        mem::FunctionalMemory mem_a, mem_b;
+        CacheController per_access(cfg, mem_a), chunked(cfg, mem_b);
+        obs::EventRing ring_a(1u << 18), ring_b(1u << 18);
+        AuditLog audit_a, audit_b;
+        per_access.attachEventRing(&ring_a);
+        chunked.attachEventRing(&ring_b);
+        per_access.setEnergyAudit(&auditInto, &audit_a);
+        chunked.setEnergyAudit(&auditInto, &audit_b);
+        std::vector<mem::Addr> victims_a, victims_b;
+        const auto log_victims = [](std::vector<mem::Addr> &log) {
+            return [&log](mem::Addr b, std::uint8_t *, std::uint32_t) {
+                log.push_back(b);
+                return false;
+            };
+        };
+        per_access.setEvictionHook(log_victims(victims_a));
+        chunked.setEvictionHook(log_victims(victims_b));
+
+        for (const trace::MemAccess &a : stream)
+            per_access.access(a);
+        for (std::size_t at = 0; at < kAccesses; at += kChunk) {
+            const std::size_t n = std::min(kChunk, kAccesses - at);
+            const mem::ChunkPlan *plan =
+                chunked.planReplayChunk(stream.data() + at, n);
+            ASSERT_NE(plan, nullptr) << what << ": observers unplanned";
+            chunked.accessChunk(stream.data() + at, n, plan);
+        }
+        per_access.drain();
+        chunked.drain();
+
+        ASSERT_EQ(ring_a.dropped(), 0u) << what;
+        ASSERT_GT(ring_a.size(), 0u) << what;
+        expectSameEvents(eventsOf(ring_a), eventsOf(ring_b), what);
+        ASSERT_FALSE(audit_a.empty()) << what;
+        EXPECT_EQ(audit_a, audit_b) << what;
+        ASSERT_FALSE(victims_a.empty()) << what;
+        EXPECT_EQ(victims_a, victims_b) << what;
     }
 }
 

@@ -27,7 +27,10 @@
 #   5. Metrics smoke: run the fig11 sweep with the phase profiler off
 #      and on (C8T_PROF=1 + C8T_METRICS) and require byte-identical
 #      stdout plus a non-empty Prometheus exposition — profiling must
-#      observe, never perturb.
+#      observe, never perturb. Then run c8tsim --all on a 16-way shape
+#      plain and with an event ring and Chrome trace attached
+#      (--trace-events 4096 --chrome-trace) and require byte-identical
+#      stdout and --stats-json: tracing must not change a result.
 #   6. Explorer smoke: the same small design-space explore three ways
 #      — uninterrupted, interrupted after one shard (checkpointed),
 #      and resumed from those checkpoints — and require the resumed
@@ -131,6 +134,28 @@ if ! grep -q '^c8t_phase_seconds_total' "$metrics_expo"; then
 fi
 rm -f "$metrics_plain" "$metrics_prof" "$metrics_expo"
 echo "ci: profiling byte-identity holds; exposition non-empty"
+
+trace_dir=$(mktemp -d)
+trace_args=(--all --ways 16 --accesses 50000 --jobs 2)
+"$repo_root/build/tools/c8tsim" "${trace_args[@]}" \
+    --stats-json "$trace_dir/plain.json" > "$trace_dir/plain.txt"
+"$repo_root/build/tools/c8tsim" "${trace_args[@]}" \
+    --trace-events 4096 --chrome-trace "$trace_dir/trace.json" \
+    --stats-json "$trace_dir/traced.json" > "$trace_dir/traced.txt"
+for f in json txt; do
+    if ! cmp -s "$trace_dir/plain.$f" "$trace_dir/traced.$f"; then
+        echo "ci: c8tsim --all --ways 16 output ($f) differs with" \
+             "--trace-events attached" >&2
+        diff "$trace_dir/plain.$f" "$trace_dir/traced.$f" >&2 || true
+        exit 1
+    fi
+done
+if [ ! -s "$trace_dir/trace.json" ]; then
+    echo "ci: --chrome-trace wrote no trace" >&2
+    exit 1
+fi
+rm -rf "$trace_dir"
+echo "ci: tracing byte-identity holds on the 16-way shape"
 
 echo "==== explorer: CLI interrupt/resume byte-identity ===="
 # A small explore (16 config-runs over 2 workloads) run three ways:
