@@ -18,7 +18,7 @@ namespace
 
 /** Mirror the counters into the obs push-model registry. */
 void
-publish(const FaultMapCache::Stats &s)
+publish(const MemoStats &s)
 {
     obs::Metrics::FaultCacheStats out;
     out.hits = s.hits;
@@ -45,46 +45,20 @@ FaultMapCache::key(const sram::FaultMapConfig &cfg)
 sram::FaultMapStats
 FaultMapCache::evaluate(const sram::FaultMapConfig &cfg)
 {
-    std::shared_ptr<Entry> entry;
-    {
-        const std::lock_guard<std::mutex> lock(_mutex);
-        std::shared_ptr<Entry> &slot = _entries[key(cfg)];
-        if (!slot)
-            slot = std::make_shared<Entry>();
-        entry = slot;
-    }
-
-    // Per-entry lock: the first caller runs the campaign while later
-    // callers for the same key wait and then hit; other keys proceed
-    // in parallel.
-    const std::lock_guard<std::mutex> fill(entry->fillMutex);
-    const bool hit = entry->filled;
-    if (!hit) {
-        const obs::prof::ScopedPhase fault_scope(
-            obs::prof::Phase::FaultMap);
-        entry->stats = sram::runFaultMapCampaign(cfg);
-        entry->filled = true;
-    }
-    const std::lock_guard<std::mutex> lock(_mutex);
-    ++(hit ? _stats.hits : _stats.misses);
-    _stats.entries = _entries.size();
-    publish(_stats);
-    return entry->stats;
-}
-
-FaultMapCache::Stats
-FaultMapCache::stats() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _stats;
-}
-
-void
-FaultMapCache::clear()
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    _entries.clear();
-    _stats.entries = 0;
+    bool hit = false;
+    const Memo<sram::FaultMapStats, Charge>::Value stats =
+        _memo.getOrCompute(
+            key(cfg),
+            [&cfg] {
+                const obs::prof::ScopedPhase fault_scope(
+                    obs::prof::Phase::FaultMap);
+                return sram::runFaultMapCampaign(cfg);
+            },
+            hit);
+    // Under the memo's lock, so concurrent pushes land in order and the
+    // mirror never ends on a stale snapshot.
+    _memo.withStats(publish);
+    return *stats;
 }
 
 FaultMapCache &

@@ -18,20 +18,20 @@
  * campaign itself would have produced — results are byte-identical
  * with the cache on, off, or shared between any number of requests.
  *
- * The cache stores reduced FaultMapStats (5 counters), not the maps
- * themselves, so its footprint is negligible and unbounded growth is
- * a non-issue (entries() is exported as a gauge regardless).
+ * Storage is a core::Memo (core/memo.hh), so concurrent first
+ * requests for one key run the campaign once. It keeps the reduced
+ * FaultMapStats, not the maps, charged key + stats (~100 B) against
+ * a fixed 16 MiB: about 10^5 campaigns, so a long-lived daemon stays
+ * bounded without a knob.
  */
 
 #ifndef C8T_CORE_FAULT_CACHE_HH
 #define C8T_CORE_FAULT_CACHE_HH
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
+#include "core/memo.hh"
 #include "sram/fault_injection.hh"
 
 namespace c8t::core
@@ -42,12 +42,7 @@ class FaultMapCache
 {
   public:
     /** Observable behaviour (metrics, tests). */
-    struct Stats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t entries = 0;
-    };
+    using Stats = MemoStats;
 
     /**
      * The stats of the campaign described by @p cfg: served from the
@@ -60,26 +55,25 @@ class FaultMapCache
     sram::FaultMapStats evaluate(const sram::FaultMapConfig &cfg);
 
     /** Counter snapshot. */
-    Stats stats() const;
+    Stats stats() const { return _memo.stats(); }
 
     /** Drop every entry (tests; counters keep accumulating). */
-    void clear();
+    void clear() { _memo.clear(); }
 
     /** Exact serialization of @p cfg (the memo key). */
     static std::string key(const sram::FaultMapConfig &cfg);
 
   private:
-    /** One memo slot; fillMutex serialises its first evaluation. */
-    struct Entry
+    struct Charge
     {
-        std::mutex fillMutex;
-        bool filled = false;
-        sram::FaultMapStats stats;
+        std::uint64_t operator()(const std::string &key,
+                                 const sram::FaultMapStats &) const
+        {
+            return key.size() + sizeof(sram::FaultMapStats);
+        }
     };
 
-    mutable std::mutex _mutex;
-    std::unordered_map<std::string, std::shared_ptr<Entry>> _entries;
-    Stats _stats;
+    Memo<sram::FaultMapStats, Charge> _memo{16ull << 20};
 };
 
 /** The process-global fault-map cache every sweep shares. */

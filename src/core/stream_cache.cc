@@ -45,81 +45,21 @@ StreamCache::defaultByteBudget()
     return chosen;
 }
 
-StreamCache::StreamCache(std::size_t byte_budget)
-    : _byteBudget(byte_budget)
-{
-}
-
-std::size_t
-StreamCache::byteBudget() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _byteBudget;
-}
+StreamCache::StreamCache(std::size_t byte_budget) : _memo(byte_budget) {}
 
 StreamCache::Stats
 StreamCache::stats() const
 {
-    const std::lock_guard<std::mutex> lock(_mutex);
-    Stats s = _stats;
-    s.entries = _entries.size();
-    s.bytes = _bytes;
-    return s;
-}
-
-void
-StreamCache::clear()
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    _entries.clear();
-    _bytes = 0;
+    return {_memo.stats(), _bypasses.load(std::memory_order_relaxed)};
 }
 
 void
 StreamCache::setByteBudget(std::size_t bytes)
 {
-    const std::lock_guard<std::mutex> lock(_mutex);
-    _byteBudget = bytes;
-    if (_byteBudget == 0) {
-        _entries.clear();
-        _bytes = 0;
-    } else {
-        evictToFitLocked();
-    }
-}
-
-void
-StreamCache::evictToFitLocked()
-{
-    // Recompute instead of tracking deltas: the map is tiny (one entry
-    // per distinct workload) and recomputing makes the accounting
-    // immune to entries that were cleared while a generation was in
-    // flight.
-    _bytes = 0;
-    for (const auto &[key, entry] : _entries) {
-        if (entry->buffer)
-            _bytes += entry->buffer->size() * sizeof(trace::MemAccess);
-    }
-
-    while (_bytes > _byteBudget) {
-        // Evict the least-recently-used filled entry. Unfilled entries
-        // (generation in progress elsewhere) hold no bytes.
-        auto victim = _entries.end();
-        for (auto it = _entries.begin(); it != _entries.end(); ++it) {
-            if (!it->second->buffer)
-                continue;
-            if (victim == _entries.end() ||
-                it->second->lastUse < victim->second->lastUse) {
-                victim = it;
-            }
-        }
-        if (victim == _entries.end())
-            break;
-        _bytes -=
-            victim->second->buffer->size() * sizeof(trace::MemAccess);
-        _entries.erase(victim);
-        ++_stats.evictions;
-    }
+    // Disabling drops the entries without counting them as evictions.
+    if (bytes == 0)
+        _memo.clear();
+    _memo.setByteBudget(bytes);
 }
 
 std::unique_ptr<trace::AccessGenerator>
@@ -131,38 +71,12 @@ StreamCache::acquire(const std::string &key, std::uint64_t accesses,
     if (!make)
         throw std::invalid_argument("StreamCache: null factory");
 
-    std::shared_ptr<Entry> entry;
-    {
-        const std::lock_guard<std::mutex> lock(_mutex);
-        // Streams that alone exceed the budget are never buffered, so
-        // the cap bounds transient memory too, not just residency.
-        if (_byteBudget == 0 ||
-            accesses > _byteBudget / sizeof(trace::MemAccess)) {
-            ++_stats.bypasses;
-        } else {
-            auto &slot = _entries[key];
-            if (!slot)
-                slot = std::make_shared<Entry>();
-            entry = slot;
-            entry->lastUse = ++_useCounter;
-        }
-    }
-    if (!entry)
+    // Streams that alone exceed the budget are never buffered, so the
+    // cap bounds transient memory too, not just residency.
+    const std::size_t budget = byteBudget();
+    if (budget == 0 || accesses > budget / sizeof(trace::MemAccess)) {
+        _bypasses.fetch_add(1, std::memory_order_relaxed);
         return make();
-
-    // Per-entry lock: concurrent first requests for one workload
-    // generate it exactly once; requests for other keys proceed in
-    // parallel.
-    std::unique_lock<std::mutex> fill(entry->fillMutex);
-    if (entry->buffer &&
-        (entry->buffer->size() >= accesses || entry->exhausted)) {
-        trace::ReplayGenerator::Buffer buffer = entry->buffer;
-        std::string name = entry->name;
-        fill.unlock();
-        const std::lock_guard<std::mutex> lock(_mutex);
-        ++_stats.hits;
-        return std::make_unique<trace::ReplayGenerator>(std::move(name),
-                                                        std::move(buffer));
     }
 
     // Miss (or a shorter buffer than this request needs): build the
@@ -170,35 +84,35 @@ StreamCache::acquire(const std::string &key, std::uint64_t accesses,
     // This is the bulk of the process's stream-generation time, so it
     // carries the StreamGenerate phase scope (replays out of the
     // buffer are near-free and show up under Replay instead).
-    const obs::prof::ScopedPhase gen_scope(
-        obs::prof::Phase::StreamGenerate);
-    const std::unique_ptr<trace::AccessGenerator> gen = make();
-    if (!gen)
-        throw std::invalid_argument("StreamCache: factory returned null");
-    gen->reset();
+    const auto generate = [&] {
+        const obs::prof::ScopedPhase gen_scope(
+            obs::prof::Phase::StreamGenerate);
+        const std::unique_ptr<trace::AccessGenerator> gen = make();
+        if (!gen)
+            throw std::invalid_argument(
+                "StreamCache: factory returned null");
+        gen->reset();
 
-    auto buf = std::make_shared<std::vector<trace::MemAccess>>(
-        static_cast<std::size_t>(accesses));
-    const std::size_t filled =
-        gen->fillChunk(buf->data(), static_cast<std::size_t>(accesses));
-    const bool exhausted = filled < accesses;
-    buf->resize(filled);
-    buf->shrink_to_fit();
+        Stream s;
+        s.accesses.resize(static_cast<std::size_t>(accesses));
+        const std::size_t filled = gen->fillChunk(
+            s.accesses.data(), static_cast<std::size_t>(accesses));
+        s.exhausted = filled < accesses;
+        s.accesses.resize(filled);
+        s.accesses.shrink_to_fit();
+        s.name = gen->name();
+        return s;
+    };
+    const auto covers = [accesses](const Stream &s) {
+        return s.accesses.size() >= accesses || s.exhausted;
+    };
 
-    entry->buffer = std::move(buf);
-    entry->name = gen->name();
-    entry->exhausted = exhausted;
-    trace::ReplayGenerator::Buffer buffer = entry->buffer;
-    std::string name = entry->name;
-    fill.unlock();
-
-    {
-        const std::lock_guard<std::mutex> lock(_mutex);
-        ++_stats.misses;
-        evictToFitLocked();
-    }
-    return std::make_unique<trace::ReplayGenerator>(std::move(name),
-                                                    std::move(buffer));
+    bool hit = false;
+    const auto stream = _memo.getOrCompute(key, generate, hit, covers);
+    // The replay buffer aliases the memo's value, keeping it alive.
+    return std::make_unique<trace::ReplayGenerator>(
+        stream->name,
+        trace::ReplayGenerator::Buffer(stream, &stream->accesses));
 }
 
 StreamCache &

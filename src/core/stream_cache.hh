@@ -16,30 +16,27 @@
  * sweep engine's bit-identical determinism contract holds with the
  * cache on or off (tests/stream_identity_test.cc).
  *
- * Memory cap: a byte budget resolved from C8T_STREAM_CACHE_MB (default
- * 512 MiB, "0" disables caching) or c8tsim --stream-cache. Entries are
- * evicted least-recently-used; a stream whose requested length alone
- * exceeds the budget is generated per job as before (never buffered,
- * so the cap also bounds transient memory). In-flight replays keep
- * their buffer alive through the shared_ptr even after eviction.
- *
- * Thread safety: acquire() may be called concurrently from sweep
- * workers. The index is guarded by one mutex; generation of a given
- * entry is serialised by a per-entry mutex so concurrent first
- * requests for the same key generate the stream exactly once.
+ * Storage is a core::Memo (core/memo.hh): concurrent first requests
+ * for one key generate once, a failing workload leaves no entry, and
+ * buffers are charged their bytes against a budget from
+ * C8T_STREAM_CACHE_MB (default 512 MiB, "0" disables) or c8tsim
+ * --stream-cache, evicted least-recently-used. Two rules stay here: a
+ * stream whose requested length alone exceeds the budget bypasses the
+ * cache (the cap bounds transient memory too), and a shorter,
+ * non-exhausted buffer is regenerated at the longer length.
  */
 
 #ifndef C8T_CORE_STREAM_CACHE_HH
 #define C8T_CORE_STREAM_CACHE_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "core/memo.hh"
 #include "trace/access.hh"
 #include "trace/replay.hh"
 
@@ -56,51 +53,25 @@ class StreamCache
     using GeneratorFactory =
         std::function<std::unique_ptr<trace::AccessGenerator>()>;
 
-    /** Observable cache behaviour (tests, diagnostics). */
-    struct Stats
+    /** The memo's counters plus bypasses: acquire() calls with
+     *  caching disabled or a stream that alone exceeds the budget. */
+    struct Stats : MemoStats
     {
-        /** acquire() calls served from a cached buffer. */
-        std::uint64_t hits = 0;
-
-        /** acquire() calls that generated (or regenerated) a buffer. */
-        std::uint64_t misses = 0;
-
-        /** acquire() calls bypassed: caching disabled or the stream
-         *  alone would not fit in the budget. */
         std::uint64_t bypasses = 0;
-
-        /** Entries evicted to stay within the budget. */
-        std::uint64_t evictions = 0;
-
-        /** Resident entries / bytes right now. */
-        std::size_t entries = 0;
-        std::size_t bytes = 0;
     };
 
     /** @param byte_budget Cap on resident buffer bytes; 0 disables. */
     explicit StreamCache(std::size_t byte_budget = defaultByteBudget());
 
     /**
-     * Return a generator for the stream identified by @p key.
-     *
-     * On a hit the result is a ReplayGenerator over the cached buffer.
-     * On a miss @p make builds the workload, the first
-     * @p accesses accesses are generated into a new buffer (fewer if
-     * the stream ends early) and cached, and a ReplayGenerator over it
-     * is returned. When caching is off or @p accesses alone exceeds
-     * the budget, the freshly built generator is returned unwrapped.
-     *
-     * A cached buffer satisfies a request when it holds at least
-     * @p accesses accesses or the generator was exhausted when it was
-     * filled (the replay then ends exactly where a live generator
-     * would); otherwise the stream is regenerated at the longer
-     * length.
-     *
-     * @param key      Deterministic workload signature; must be
-     *                 non-empty.
-     * @param accesses Accesses the caller will consume (warm-up +
-     *                 measure).
-     * @param make     Factory invoked on a miss.
+     * A generator for the stream identified by @p key (a deterministic
+     * workload signature, non-empty): a ReplayGenerator over the first
+     * @p accesses accesses (fewer if the stream ends early), which
+     * @p make builds on a miss. A stored buffer serves when it is at
+     * least that long or its generator was exhausted (the replay then
+     * ends where a live one would); otherwise it is regenerated. When
+     * caching is off or @p accesses alone exceeds the budget, @p make's
+     * generator is returned unwrapped.
      * @throws std::invalid_argument on an empty key or null factory.
      */
     std::unique_ptr<trace::AccessGenerator>
@@ -112,7 +83,7 @@ class StreamCache
     void setByteBudget(std::size_t bytes);
 
     /** Current byte budget. */
-    std::size_t byteBudget() const;
+    std::size_t byteBudget() const { return _memo.byteBudget(); }
 
     /** Whether acquire() may cache at all. */
     bool enabled() const { return byteBudget() > 0; }
@@ -121,30 +92,32 @@ class StreamCache
     Stats stats() const;
 
     /** Drop every entry (counters keep accumulating). */
-    void clear();
+    void clear() { _memo.clear(); }
 
     /** Budget from C8T_STREAM_CACHE_MB (default 512 MiB; "0"
      *  disables; invalid values warn once and use the default). */
     static std::size_t defaultByteBudget();
 
   private:
-    struct Entry
+    /** One generated window of a workload. */
+    struct Stream
     {
-        std::mutex fillMutex;
-        trace::ReplayGenerator::Buffer buffer;
-        std::string name;
-        bool exhausted = false;
-        std::uint64_t lastUse = 0;
+        std::vector<trace::MemAccess> accesses;
+        std::string name;       ///< the generator's reported name
+        bool exhausted = false; ///< the generator ended early
     };
 
-    void evictToFitLocked();
+    struct Charge
+    {
+        std::uint64_t operator()(const std::string &,
+                                 const Stream &s) const
+        {
+            return s.accesses.size() * sizeof(trace::MemAccess);
+        }
+    };
 
-    mutable std::mutex _mutex;
-    std::unordered_map<std::string, std::shared_ptr<Entry>> _entries;
-    std::size_t _byteBudget;
-    std::size_t _bytes = 0;
-    std::uint64_t _useCounter = 0;
-    Stats _stats;
+    Memo<Stream, Charge> _memo;
+    std::atomic<std::uint64_t> _bypasses{0};
 };
 
 /** The process-global stream cache every sweep shares. */

@@ -146,10 +146,10 @@ Daemon::publishMetrics()
     snap.jobsSucceeded = _jobsSucceeded.load();
     snap.jobsFailed = _jobsFailed.load();
     snap.jobsCancelled = _jobsCancelled.load();
-    snap.memoHits = _memoHits.load();
     snap.bytesOut = _bytesOut.load();
     snap.framesDropped = _framesDropped.load();
-    const ResultMemo::Stats memo = _memo.stats();
+    const core::MemoStats memo = _memo.stats();
+    snap.memoHits = memo.hits;
     snap.memoBytes = memo.bytes;
     snap.memoEvictions = memo.evictions;
     obs::globalMetrics().noteDaemon(snap);
@@ -322,7 +322,7 @@ Daemon::connectionExecutor(const std::shared_ptr<Connection> &conn)
                     .document;
             };
 
-            ResultMemo::Document document;
+            std::shared_ptr<const std::string> document;
             if (_cfg.memoizeResults) {
                 // Blocks this executor, never a pool worker, while an
                 // identical request computes; a leader that throws
@@ -330,8 +330,6 @@ Daemon::connectionExecutor(const std::shared_ptr<Connection> &conn)
                 // to the next waiter.
                 bool hit = false;
                 document = _memo.getOrCompute(spec.toJson(), compute, hit);
-                if (hit)
-                    _memoHits.fetch_add(1, std::memory_order_relaxed);
             } else {
                 document = std::make_shared<const std::string>(compute());
             }

@@ -8,8 +8,9 @@
  * ONE StreamCache and ONE fault-map memo — so a warm daemon answers
  * repeat operating points without regenerating a stream or re-running
  * a Monte-Carlo campaign, and identical requests are served verbatim
- * from a whole-result memo (ResultMemo): single-flight, so identical
- * requests that arrive together compute once.
+ * from a whole-result memo (a core::Memo, like the other two):
+ * single-flight, so identical requests that arrive together compute
+ * once.
  *
  * Per connection the daemon runs a reader thread (frame decode,
  * request queue, disconnect detection) and an executor thread
@@ -44,7 +45,7 @@
 #include <string>
 #include <vector>
 
-#include "net/result_memo.hh"
+#include "core/memo.hh"
 #include "net/socket.hh"
 
 namespace c8t::core
@@ -144,12 +145,13 @@ class Daemon
     std::atomic<std::uint64_t> _jobsSucceeded{0};
     std::atomic<std::uint64_t> _jobsFailed{0};
     std::atomic<std::uint64_t> _jobsCancelled{0};
-    std::atomic<std::uint64_t> _memoHits{0};
     std::atomic<std::uint64_t> _bytesOut{0};
     std::atomic<std::uint64_t> _framesDropped{0};
 
-    /** Canonical spec JSON -> final document. */
-    ResultMemo _memo;
+    /** Canonical spec JSON -> final document, charged key + document
+     *  under 256 MiB: daemon_mix and the tests store under 4 MiB, so
+     *  it only bounds a long-lived daemon seeing many distinct specs. */
+    core::Memo<std::string> _memo{256ull << 20};
 
     double _traceT0Us = 0.0; ///< serve() start on the steady clock
 };

@@ -1,8 +1,8 @@
 /**
  * @file
- * ResultMemo tests (DESIGN.md §13): single-flight fills, failure
- * hand-over to the next waiter, and least-recently-used eviction under
- * the byte budget.
+ * Tests of core::Memo as the c8td result memo instantiates it
+ * (DESIGN.md §13): single-flight fills, failure hand-over to the next
+ * waiter, and least-recently-used eviction under the byte budget.
  */
 
 #include <atomic>
@@ -15,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include "net/result_memo.hh"
+#include "core/memo.hh"
 
 namespace
 {
@@ -23,13 +23,20 @@ namespace
 using namespace c8t;
 using namespace std::chrono_literals;
 
+/** The daemon's instantiation: canonical spec -> document, charged
+ *  key + document bytes. */
+using ResultMemo = core::Memo<std::string>;
+
+/** Budget for the cases that do not exercise eviction. */
+constexpr std::uint64_t kRoomyBudget = 1u << 20;
+
 /** getOrCompute with a compute that returns @p doc; @return hit. */
 bool
-fetch(net::ResultMemo &memo, const std::string &key, const std::string &doc,
+fetch(ResultMemo &memo, const std::string &key, const std::string &doc,
       int &computes)
 {
     bool hit = false;
-    const net::ResultMemo::Document got = memo.getOrCompute(
+    const ResultMemo::Value got = memo.getOrCompute(
         key,
         [&] {
             ++computes;
@@ -43,11 +50,11 @@ fetch(net::ResultMemo &memo, const std::string &key, const std::string &doc,
 TEST(ResultMemo, ConcurrentCallersForOneKeyComputeOnce)
 {
     constexpr int kThreads = 8;
-    net::ResultMemo memo;
+    ResultMemo memo(kRoomyBudget);
     std::atomic<int> computes{0};
     std::atomic<int> hits{0};
     std::barrier<> start(kThreads);
-    std::vector<net::ResultMemo::Document> docs(kThreads);
+    std::vector<ResultMemo::Value> docs(kThreads);
     std::vector<std::thread> threads;
     for (int i = 0; i < kThreads; ++i) {
         threads.emplace_back([&, i] {
@@ -76,7 +83,7 @@ TEST(ResultMemo, ConcurrentCallersForOneKeyComputeOnce)
 
 TEST(ResultMemo, FailedLeaderLeavesTheKeyToTheNextWaiter)
 {
-    net::ResultMemo memo;
+    ResultMemo memo(kRoomyBudget);
     std::atomic<bool> leader_in{false};
     std::atomic<bool> release{false};
     std::thread leader([&] {
@@ -124,7 +131,7 @@ TEST(ResultMemo, FailedLeaderLeavesTheKeyToTheNextWaiter)
 TEST(ResultMemo, EvictsLeastRecentlyUsedUnderTheByteBudget)
 {
     // Each entry charges key (1 byte) + document (9 bytes): three fit.
-    net::ResultMemo memo(30);
+    ResultMemo memo(30);
     const auto doc = [](char k) { return std::string(9, k); };
     int computes = 0;
     for (const char k : {'a', 'b', 'c'})
@@ -154,7 +161,7 @@ TEST(ResultMemo, EvictsLeastRecentlyUsedUnderTheByteBudget)
 
 TEST(ResultMemo, DocumentOverTheBudgetIsServedButNotKept)
 {
-    net::ResultMemo memo(8);
+    ResultMemo memo(8);
     int computes = 0;
     EXPECT_FALSE(fetch(memo, "big", std::string(64, 'x'), computes));
     EXPECT_EQ(memo.stats().entries, 0u);

@@ -20,12 +20,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/simulator.hh"
@@ -303,6 +306,77 @@ TEST(StreamCacheBehaviour, ShorterBufferIsRegeneratedForLongerRequest)
     EXPECT_THROW(cache.acquire("", 10, gccFactory()),
                  std::invalid_argument);
     EXPECT_THROW(cache.acquire("x", 10, nullptr), std::invalid_argument);
+}
+
+TEST(StreamCacheBehaviour, FailedFactoryLeavesNoEntry)
+{
+    // A workload that cannot be built (unknown profile, factory
+    // returning null) must not leave a slot behind: a daemon client
+    // could otherwise grow the cache without bound.
+    StreamCache cache(64u << 20);
+    const StreamCache::GeneratorFactory throwing =
+        []() -> std::unique_ptr<AccessGenerator> {
+        throw std::runtime_error("no such workload");
+    };
+    const StreamCache::GeneratorFactory null_factory =
+        []() -> std::unique_ptr<AccessGenerator> { return nullptr; };
+    for (int i = 0; i < 100; ++i) {
+        const std::string key = "bogus" + std::to_string(i);
+        EXPECT_THROW(cache.acquire(key, 1'000, throwing),
+                     std::runtime_error);
+        EXPECT_THROW(cache.acquire(key + "-null", 1'000, null_factory),
+                     std::invalid_argument);
+    }
+    StreamCache::Stats s = cache.stats();
+    EXPECT_EQ(s.entries, 0u);
+    EXPECT_EQ(s.bytes, 0u);
+    EXPECT_EQ(s.misses, 0u);
+    EXPECT_EQ(s.hits, 0u);
+
+    // A failed key is free to succeed later.
+    cache.acquire("bogus0", 1'000, gccFactory());
+    s = cache.stats();
+    EXPECT_EQ(s.entries, 1u);
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.bytes, 1'000 * sizeof(MemAccess));
+}
+
+TEST(StreamCacheBehaviour, ConcurrentFirstAcquiresGenerateOnce)
+{
+    constexpr unsigned kThreads = 8;
+    constexpr std::uint64_t kAccesses = 10'000;
+    StreamCache cache(64u << 20);
+    std::atomic<unsigned> builds{0};
+    const StreamCache::GeneratorFactory counted = [&builds] {
+        ++builds;
+        return std::make_unique<trace::MarkovStream>(
+            trace::specProfile("gcc"));
+    };
+
+    std::vector<std::vector<MemAccess>> replays(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            auto gen = cache.acquire("gcc", kAccesses, counted);
+            replays[t] = collectNext(*gen, kAccesses);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(builds.load(), 1u);
+    const StreamCache::Stats s = cache.stats();
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.hits, kThreads - 1);
+    EXPECT_EQ(s.entries, 1u);
+    ASSERT_EQ(replays[0].size(), kAccesses);
+    for (unsigned t = 1; t < kThreads; ++t) {
+        ASSERT_EQ(replays[t].size(), kAccesses) << t;
+        for (std::size_t i = 0; i < kAccesses; ++i)
+            ASSERT_TRUE(replays[t][i] == replays[0][i]) << t << " " << i;
+    }
 }
 
 TEST(ChunkedRunner, IntervalHookFiresOnTheExactGrid)

@@ -9,21 +9,24 @@
 #      otherwise always dispatch to SSE2/AVX2.
 #   2. Configure + build an ASan/UBSan tree (-DC8T_ASAN=ON) and run the
 #      stream/cache/sweep/pool/alloc tests, the SEC-DED codec and
-#      fault-map campaign tests, and the daemon and result-memo tests
-#      under it. halt_on_error is the sanitizer default, so any heap
-#      misuse fails the script.
+#      fault-map campaign tests, and the daemon tests plus the three
+#      users of the shared core::Memo (stream cache, fault-map cache,
+#      result memo) under it. halt_on_error is the sanitizer default,
+#      so any heap misuse fails the script.
 #   3. Configure + build a standalone UBSan tree (-DC8T_UBSAN=ON,
 #      -fno-sanitize-recover=all) and run the voltage-model tests
 #      under it (the numeric subsystem with the most UB surface:
 #      pow/exp/ceil scaling, bit_cast seeding, fault-map index math).
 #   4. Configure + build a TSan tree (-DC8T_TSAN=ON) and run the
 #      parallel sweep, worker pool, metrics, Vdd sweep, explorer,
-#      fault-map memo, daemon and result-memo tests under it (the
-#      data-race surface: every sweep runs on a SweepPool and folds its
-#      telemetry into the process-wide metrics; Vdd sweeps and explores
-#      run their fault-map campaigns on the sweep workers against the
-#      shared, single-flight FaultMapCache; c8td coalesces concurrent
-#      identical requests on its single-flight ResultMemo).
+#      fault-map memo, stream cache, daemon and result-memo tests under
+#      it (the data-race surface: every sweep runs on a SweepPool and
+#      folds its telemetry into the process-wide metrics; sweep
+#      workers acquire streams from the shared StreamCache, Vdd sweeps
+#      and explores run their fault-map campaigns on the workers
+#      against the shared FaultMapCache, and c8td coalesces concurrent
+#      identical requests on its result memo — all three instances of
+#      the one single-flight core::Memo).
 #   5. Metrics smoke: run the fig11 sweep with the phase profiler off
 #      and on (C8T_PROF=1 + C8T_METRICS) and require byte-identical
 #      stdout plus a non-empty Prometheus exposition — profiling must
@@ -76,15 +79,17 @@ echo "==== tier-1: full test suite, forced-scalar dispatch ===="
 C8T_SIMD=scalar \
     ctest --test-dir "$repo_root/build" --output-on-failure -j "$jobs"
 
-echo "==== asan: build + stream/sweep/pool/alloc/ecc/daemon tests ===="
+echo "==== asan: build + stream/sweep/pool/alloc/ecc/memo/daemon tests ===="
 cmake -B "$repo_root/build-asan" -S "$repo_root" -DC8T_ASAN=ON
 cmake --build "$repo_root/build-asan" -j "$jobs" --target \
     stream_identity_test simd_identity_test sweep_test \
     worker_pool_test hot_path_alloc_test functional_mem_test \
-    ecc_test fault_injection_test daemon_test result_memo_test
+    ecc_test fault_injection_test daemon_test result_memo_test \
+    fault_cache_test
 for t in stream_identity_test simd_identity_test sweep_test \
          worker_pool_test hot_path_alloc_test functional_mem_test \
-         ecc_test fault_injection_test daemon_test result_memo_test; do
+         ecc_test fault_injection_test daemon_test result_memo_test \
+         fault_cache_test; do
     echo "---- asan: $t ----"
     "$repo_root/build-asan/tests/$t"
 done
@@ -98,16 +103,20 @@ for t in vmodel_test vdd_sweep_test; do
     "$repo_root/build-ubsan/tests/$t"
 done
 
-echo "==== tsan: build + parallel sweep and daemon tests ===="
+echo "==== tsan: build + parallel sweep, memo and daemon tests ===="
 cmake -B "$repo_root/build-tsan" -S "$repo_root" -DC8T_TSAN=ON
 cmake --build "$repo_root/build-tsan" -j "$jobs" --target \
     sweep_test worker_pool_test metrics_test vdd_sweep_test \
-    explorer_test fault_cache_test daemon_test result_memo_test
+    explorer_test fault_cache_test daemon_test result_memo_test \
+    stream_identity_test
 for t in sweep_test worker_pool_test metrics_test vdd_sweep_test \
          explorer_test fault_cache_test daemon_test result_memo_test; do
     echo "---- tsan: $t ----"
     "$repo_root/build-tsan/tests/$t"
 done
+echo "---- tsan: stream_identity_test (StreamCacheBehaviour.*) ----"
+"$repo_root/build-tsan/tests/stream_identity_test" \
+    --gtest_filter='StreamCacheBehaviour.*'
 
 echo "==== metrics: profiling byte-identity + exposition ===="
 # The profiler must be invisible to results: the same fig11 sweep with
