@@ -241,7 +241,8 @@ parseOptions(const std::vector<std::string> &args)
         } else if (a == "--record") {
             opt.recordTrace = need_value(i++, a);
         } else if (a == "--size") {
-            opt.cache.sizeBytes = parseU64(a, need_value(i++, a)) * 1024;
+            opt.cache.sizeBytes =
+                core::levelBytesFromKb(parseU64(a, need_value(i++, a)), a);
         } else if (a == "--ways") {
             opt.cache.ways =
                 static_cast<std::uint32_t>(parseU64(a, need_value(i++, a)));

@@ -71,11 +71,6 @@ CacheController::CacheController(const ControllerConfig &config,
         _vddPfailWrite.set(_vddPoint.pfailWrite);
     }
 
-    // Pre-size the chunk planner's scratch so the batched replay path
-    // never allocates in steady state (hot_path_alloc_test pins this).
-    if (_tags.planEligible())
-        _tags.reservePlan(kReplayChunkAccesses);
-
     if (usesGroupingBuffer(_config.scheme)) {
         _tagBuffer = std::make_unique<TagBuffer>(_config.bufferEntries,
                                                  _config.cache.ways);
@@ -95,7 +90,7 @@ CacheController::rowOffsetOf(mem::Addr addr, std::uint32_t way) const
 }
 
 std::uint64_t
-CacheController::extractData(const sram::RowData &row,
+CacheController::extractData(sram::RowView row,
                              std::uint32_t offset, std::uint8_t size) const
 {
     assert(offset + size <= row.size());
@@ -119,10 +114,10 @@ CacheController::scheduleOp(sram::PortUse use, std::uint64_t earliest,
     return start;
 }
 
-const sram::RowData &
+sram::RowView
 CacheController::demandReadRef(std::uint32_t row)
 {
-    const sram::RowData &out = _array.readRowRef(row);
+    const sram::RowView out = _array.readRowRef(row);
     ++_demandRowReads;
     ++_ecounts.rowReads;
     auditEnergy(EnergyEvent::RowRead, 0);
@@ -162,7 +157,7 @@ CacheController::writebackEntry(std::uint32_t e, stats::Counter &cause)
     assert(_tagBuffer && _tagBuffer->entryValid(e));
     const std::uint32_t set = _tagBuffer->entrySet(e);
 
-    _array.writeRow(set, _setBuffer->row(e));
+    _array.writeRow(set, _setBuffer->rowView(e));
     ++_demandRowWrites;
     ++cause;
     note(obs::EventType::ArrayWrite, 0, set);
@@ -236,7 +231,7 @@ CacheController::handleMiss(mem::Addr block_addr, FillFn &&fill_tags)
     // from the paper's demand counters). The victim block is drained
     // to the next level (or memory) before the new block overwrites
     // its bytes.
-    const sram::RowData &cur = _array.readRowRef(set);
+    const sram::RowView cur = _array.readRowRef(set);
     ++_fillRowReads;
     ++_ecounts.rowReads;
     auditEnergy(EnergyEvent::RowRead, 0);
@@ -267,7 +262,7 @@ CacheController::handleMiss(mem::Addr block_addr, FillFn &&fill_tags)
         }
     }
 
-    sram::RowData &row = _array.updateRow(set);
+    const sram::RowSpan row = _array.updateRow(set);
     if (_next)
         std::memcpy(row.data() + fill.way * block_bytes,
                     _fetchScratch.data(), block_bytes);
@@ -416,7 +411,7 @@ CacheController::extractInvalidate(mem::Addr block_addr,
     }
 
     const bool dirty = _tags.isDirty(set, r.way);
-    const sram::RowData &row = _array.peekRow(set);
+    const sram::RowView row = _array.rowView(set);
     std::memcpy(dst, row.data() + r.way * _config.cache.blockBytes, len);
     _tags.invalidate(set, r.way);
 
@@ -589,8 +584,7 @@ CacheController::accessRmwImpl(const trace::MemAccess &a,
         scheduleOp(_traits.writePortUse, _cycle + extra, duration);
 
         demandReadRef(set);
-        sram::RowData &row = _array.updateRow(set);
-        storeLe(row.data() + offset, a.data, a.size);
+        storeLe(_array.updateRow(set).data() + offset, a.data, a.size);
         ++_demandRowWrites;
         ++_ecounts.rowWrites;
         auditEnergy(EnergyEvent::RowWrite, 0);
@@ -758,7 +752,7 @@ CacheController::drain()
             _groupSizes.sample(static_cast<double>(_entryGroupSize[e]));
         if (_tagBuffer->dirty(e)) {
             const std::uint32_t set = _tagBuffer->entrySet(e);
-            _array.writeRow(set, _setBuffer->row(e));
+            _array.writeRow(set, _setBuffer->rowView(e));
             ++_drainWrites;
             _tagBuffer->setDirty(e, false);
         }
@@ -777,8 +771,8 @@ CacheController::flushCacheToMemory()
     for (std::uint32_t set = 0; set < sets; ++set) {
         const std::uint32_t e = entryOfSet(set);
         const bool buffered = _tagBuffer && e < _tagBuffer->entries();
-        const sram::RowData &row =
-            buffered ? _setBuffer->row(e) : _array.peekRow(set);
+        const sram::RowView row =
+            buffered ? _setBuffer->rowView(e) : _array.rowView(set);
 
         for (std::uint32_t w = 0; w < ways; ++w) {
             if (!_tags.isValid(set, w) || !_tags.isDirty(set, w))
@@ -802,9 +796,9 @@ CacheController::peekWord(mem::Addr addr) const
     const std::uint32_t set = _tags.layout().setOf(word_addr);
     const std::uint32_t offset = rowOffsetOf(word_addr, r.way);
     const std::uint32_t e = entryOfSet(set);
-    const sram::RowData &row =
+    const sram::RowView row =
         (_tagBuffer && e < _tagBuffer->entries())
-            ? _setBuffer->row(e) : _array.peekRow(set);
+            ? _setBuffer->rowView(e) : _array.rowView(set);
     return extractData(row, offset, 8);
 }
 

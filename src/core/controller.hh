@@ -174,8 +174,9 @@ class CacheController
     /** Service one request (Algorithm 1 for the grouping schemes). */
     AccessOutcome access(const trace::MemAccess &request);
 
-    /** Replay chunk length the drivers use (MultiSchemeRunner): the
-     *  controller pre-sizes the chunk planner's scratch for it. */
+    /** Replay chunk length the drivers use (MultiSchemeRunner). The
+     *  chunk planner sizes its scratch on its first plan, to that
+     *  chunk, so only controllers that actually plan pay for it. */
     static constexpr std::size_t kReplayChunkAccesses = 4096;
 
     /**
@@ -642,7 +643,7 @@ class CacheController
     std::uint32_t rowOffsetOf(mem::Addr addr, std::uint32_t way) const;
 
     /** Extract an access-sized little-endian value from a row image. */
-    std::uint64_t extractData(const sram::RowData &row,
+    std::uint64_t extractData(sram::RowView row,
                               std::uint32_t offset,
                               std::uint8_t size) const;
 
@@ -659,8 +660,8 @@ class CacheController
     }
 
     // Counted/energy-accounted array operations. Reads hand back a
-    // reference to the row image in place (DESIGN.md §7) — no copy.
-    const sram::RowData &demandReadRef(std::uint32_t row);
+    // view of the row image in place (DESIGN.md §7) — no copy.
+    sram::RowView demandReadRef(std::uint32_t row);
     void demandMerge(std::uint32_t row, std::uint32_t offset,
                      const std::uint8_t *bytes, std::uint32_t len);
 

@@ -452,6 +452,19 @@ JobSpec::simulatedAccesses() const
     return satMul(configRuns(), per_run);
 }
 
+std::uint64_t
+levelBytesFromKb(std::uint64_t kb, const std::string &field)
+{
+    if (kb > kMaxJobLevelBytes / 1024) {
+        throw JobTooLarge("job spec: too large: " + field + " " +
+                          std::to_string(kb) +
+                          " KB exceeds the per-level limit of " +
+                          std::to_string(kMaxJobLevelBytes / 1024) +
+                          " KB");
+    }
+    return kb * 1024;
+}
+
 void
 JobSpec::validate() const
 {
@@ -461,9 +474,17 @@ JobSpec::validate() const
         specFail("buffer_entries must be >= 1");
     if (vdd < 0.0)
         specFail("vdd must be > 0");
+    // Sizes first: a spec over the per-level bound is too large
+    // whatever else is wrong with it.
+    levelBytesFromKb(cache.sizeBytes / 1024 + (cache.sizeBytes % 1024 != 0),
+                     "cache.size_kb");
+    for (const std::uint64_t kb : exploreSizesKb)
+        levelBytesFromKb(kb, "explore.sizes_kb[]");
+    for (const std::uint64_t kb : exploreL2SizesKb)
+        levelBytesFromKb(kb, "explore.l2_sizes_kb[]");
     for (const LevelSpec &l : levels) {
         mem::CacheConfig lc;
-        lc.sizeBytes = l.sizeKb * 1024;
+        lc.sizeBytes = levelBytesFromKb(l.sizeKb, "levels[].size_kb");
         lc.ways = l.ways;
         lc.blockBytes = l.blockBytes ? l.blockBytes : cache.blockBytes;
         lc.replacement = l.repl;
@@ -523,7 +544,9 @@ JobSpec::fromJson(const JsonValue &v)
         rejectUnknownKeys(*c, "cache",
                           {"size_kb", "ways", "block", "repl"});
         if (const JsonValue *s = c->find("size_kb"))
-            spec.cache.sizeBytes = asU64(*s, "cache.size_kb") * 1024;
+            spec.cache.sizeBytes =
+                levelBytesFromKb(asU64(*s, "cache.size_kb"),
+                                 "cache.size_kb");
         if (const JsonValue *w = c->find("ways")) {
             spec.cache.ways =
                 static_cast<std::uint32_t>(asU64(*w, "cache.ways"));

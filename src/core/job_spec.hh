@@ -122,12 +122,28 @@ inline constexpr std::uint64_t kMaxJobConfigRuns = 2'000'000;
 inline constexpr std::uint64_t kMaxJobSimulatedAccesses =
     100'000'000'000;
 
+/**
+ * Largest cache level a spec may ask for — the cache, any levels[]
+ * entry, any explore.sizes_kb or explore.l2_sizes_kb value: 64 MiB,
+ * 256x the largest level in the repository (a 256 KiB L2). A worker
+ * allocates a level's data array and tag store up front.
+ */
+inline constexpr std::uint64_t kMaxJobLevelBytes = std::uint64_t{64}
+                                                   << 20;
+
 /** What validate() throws for a spec over an admission bound. */
 class JobTooLarge : public std::invalid_argument
 {
   public:
     using std::invalid_argument::invalid_argument;
 };
+
+/**
+ * @p kb kilobytes in bytes, checked against kMaxJobLevelBytes before
+ * the multiply, so a huge value cannot wrap to a small size.
+ * @throws JobTooLarge naming @p field over the bound.
+ */
+std::uint64_t levelBytesFromKb(std::uint64_t kb, const std::string &field);
 
 /** One sweep-service job, CLI- and wire-shared. */
 struct JobSpec

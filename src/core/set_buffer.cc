@@ -13,25 +13,18 @@ namespace c8t::core
 
 SetBuffer::SetBuffer(std::uint32_t entries, std::uint32_t row_bytes)
     : _entries(entries), _rowBytes(row_bytes),
-      _rows(entries, sram::RowData(row_bytes, 0))
+      _data(static_cast<std::size_t>(entries) * row_bytes, 0)
 {
     assert(entries >= 1 && row_bytes >= 8);
 }
 
 void
-SetBuffer::fill(std::uint32_t e, const sram::RowData &row)
+SetBuffer::fill(std::uint32_t e, sram::RowView row)
 {
     assert(e < _entries);
     assert(row.size() == _rowBytes);
     ++_fills;
-    _rows[e] = row;
-}
-
-const sram::RowData &
-SetBuffer::row(std::uint32_t e) const
-{
-    assert(e < _entries);
-    return _rows[e];
+    std::memcpy(entryData(e), row.data(), _rowBytes);
 }
 
 void

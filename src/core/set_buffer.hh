@@ -38,7 +38,7 @@ class SetBuffer
     SetBuffer(std::uint32_t entries, std::uint32_t row_bytes);
 
     /** Fill entry @p e from a row image (a row read's result). */
-    void fill(std::uint32_t e, const sram::RowData &row);
+    void fill(std::uint32_t e, sram::RowView row);
 
     /**
      * Merge @p len bytes at @p offset into entry @p e, comparing
@@ -60,7 +60,7 @@ class SetBuffer
         assert(offset + len <= _rowBytes);
         ++_updates;
 
-        std::uint8_t *dst = _rows[e].data() + offset;
+        std::uint8_t *dst = entryData(e) + offset;
         const bool changed = len == 8
                                  ? __builtin_memcmp(dst, src, 8) != 0
                                  : std::memcmp(dst, src, len) != 0;
@@ -84,13 +84,24 @@ class SetBuffer
         assert(offset + len <= _rowBytes);
         ++_reads;
         if (len == 8)
-            __builtin_memcpy(dst, _rows[e].data() + offset, 8);
+            __builtin_memcpy(dst, entryData(e) + offset, 8);
         else
-            std::memcpy(dst, _rows[e].data() + offset, len);
+            std::memcpy(dst, entryData(e) + offset, len);
     }
 
     /** Whole row image of entry @p e (for write-back). */
-    const sram::RowData &row(std::uint32_t e) const;
+    sram::RowView rowView(std::uint32_t e) const
+    {
+        assert(e < _entries);
+        return {entryData(e), _rowBytes};
+    }
+
+    /** Copy of entry @p e's row image (test inspection). */
+    sram::RowData row(std::uint32_t e) const
+    {
+        const sram::RowView r = rowView(e);
+        return sram::RowData(r.begin(), r.end());
+    }
 
     /** Entry count. */
     std::uint32_t entries() const { return _entries; }
@@ -118,9 +129,20 @@ class SetBuffer
                        const std::string &prefix = std::string());
 
   private:
+    /** First byte of entry @p e in the flat buffer. */
+    std::uint8_t *entryData(std::uint32_t e)
+    {
+        return _data.data() + static_cast<std::size_t>(e) * _rowBytes;
+    }
+    const std::uint8_t *entryData(std::uint32_t e) const
+    {
+        return _data.data() + static_cast<std::size_t>(e) * _rowBytes;
+    }
+
     std::uint32_t _entries;
     std::uint32_t _rowBytes;
-    std::vector<sram::RowData> _rows;
+    /** Every entry's row image, back to back. */
+    std::vector<std::uint8_t> _data;
 
     stats::Counter _fills{"setbuf.fills", "Set-Buffer row loads"};
     stats::Counter _updates{"setbuf.updates", "in-place merges"};

@@ -92,6 +92,8 @@ MultiSchemeRunner::replayWindow(trace::AccessGenerator &gen,
                 obs::prof::Phase::StreamGenerate, prof_on);
             chunk = gen.borrowChunk(static_cast<std::size_t>(want), got);
             if (!chunk) {
+                if (_chunk.empty())
+                    _chunk.resize(kChunkAccesses);
                 got = gen.fillChunk(_chunk.data(),
                                     static_cast<std::size_t>(want));
                 chunk = _chunk.data();
@@ -147,8 +149,6 @@ std::vector<SchemeRunResult>
 MultiSchemeRunner::run(trace::AccessGenerator &gen, const RunConfig &run)
 {
     gen.reset();
-    if (_chunk.size() < kChunkAccesses)
-        _chunk.resize(kChunkAccesses);
 
     replayWindow(gen, run.warmupAccesses, false);
     for (auto &stack : _stacks)

@@ -160,11 +160,11 @@ class MultiSchemeRunner
         _intervalHook = std::move(hook);
     }
 
-    /** Accesses pulled per fillChunk() call in run(). 4096 records =
-     *  96 KiB of scratch: large enough to amortise the per-chunk
-     *  dispatch, small enough to stay cache-resident while every
-     *  controller replays it. Matches the controllers' pre-sized
-     *  chunk-planner scratch. */
+    /** Accesses pulled per chunk in run(). 4096 records = 96 KiB of
+     *  scratch: large enough to amortise the per-chunk dispatch, small
+     *  enough to stay cache-resident while every controller replays
+     *  it. Each plan leader's chunk planner sizes its scratch to the
+     *  first chunk it plans (at most this many accesses). */
     static constexpr std::size_t kChunkAccesses =
         CacheController::kReplayChunkAccesses;
 
@@ -181,6 +181,8 @@ class MultiSchemeRunner
     std::vector<ControllerConfig> _configs;
     std::vector<std::unique_ptr<mem::FunctionalMemory>> _memories;
     std::vector<std::unique_ptr<LevelStack>> _stacks;
+    /** Copy buffer for generators that cannot lend a chunk
+     *  (borrowChunk() returns null); allocated on first such chunk. */
     std::vector<trace::MemAccess> _chunk;
 
     /** Plan-sharing groups: _planLeader[i] is the first controller

@@ -121,8 +121,9 @@ struct FillResult
  * where the per-access path put it, while the tag compares and
  * replacement arithmetic have already been done batch-wise.
  *
- * Structure-of-arrays and pre-sized (reservePlan()): filling a plan is
- * allocation-free in steady state.
+ * Structure-of-arrays, sized by the first planChunk() call to the
+ * chunk it plans: filling a plan is allocation-free in steady state,
+ * and a TagArray that never plans never allocates one.
  */
 struct ChunkPlan
 {
@@ -332,11 +333,6 @@ class TagArray
     {
         return _config.replacement != ReplKind::Random;
     }
-
-    /** Pre-size the plan and its set-sort scratch for chunks of up to
-     *  @p capacity accesses (planChunk() grows on demand otherwise;
-     *  reserving up front keeps the replay loop allocation-free). */
-    void reservePlan(std::size_t capacity);
 
     /**
      * Plan @p count accesses from @p chunk (requires planEligible()).
@@ -554,6 +550,10 @@ class TagArray
         _replWord[set] = plruPointedAway(_replWord[set], _ways, way);
     }
 
+    /** Size the plan and its set-sort scratch for chunks of up to
+     *  @p capacity accesses; a no-op once they are that large. */
+    void reservePlan(std::size_t capacity);
+
     /** Per-set batch simulation of one chain of planned accesses
      *  (planChunk() stage C), specialized per policy so the
      *  replacement arithmetic inlines without per-access dispatch. */
@@ -576,12 +576,12 @@ class TagArray
     std::vector<std::uint64_t> _replWord; //!< per-set encoding
     trace::Rng _victimRng{12345};         //!< Random draws
 
-    // Chunk-planner state (reservePlan()/planChunk()). The per-set
-    // chains are intrusive linked lists over the access indices:
-    // _planHead[set] is the first access touching the set (kPlanNone
-    // when untouched this chunk), _planNext[i] the next access to the
-    // same set. Only touched heads are reset between chunks, so the
-    // cost scales with the chunk, not the cache.
+    // Chunk-planner state, empty until the first planChunk(). The
+    // per-set chains are intrusive linked lists over the access
+    // indices: _planHead[set] is the first access touching the set
+    // (kPlanNone when untouched this chunk), _planNext[i] the next
+    // access to the same set. Only touched heads are reset between
+    // chunks, so the cost scales with the chunk, not the cache.
     static constexpr std::uint32_t kPlanNone = 0xffffffffu;
     ChunkPlan _plan;
     std::vector<std::uint32_t> _planHead;    //!< per set, kPlanNone idle

@@ -5,6 +5,7 @@
 
 #include "sram/array.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -28,16 +29,16 @@ SRAMArray::SRAMArray(ArrayGeometry geom)
             "SRAMArray: words per row must be a multiple of the "
             "interleave degree");
 
-    _rows.assign(_geom.rows, RowData(_geom.bytesPerRow, 0));
+    _cells.assign(static_cast<std::size_t>(_geom.rows) * _geom.bytesPerRow,
+                  0);
 }
 
 void
 SRAMArray::readRowInto(std::uint32_t row, RowData &out)
 {
     assert(row < _geom.rows);
-    ++_precharges;
-    ++_rowReads;
-    out = _rows[row];
+    const RowView r = readRowRef(row);
+    out.assign(r.begin(), r.end());
 }
 
 RowData
@@ -49,34 +50,28 @@ SRAMArray::readRow(std::uint32_t row)
 }
 
 void
-SRAMArray::writeRow(std::uint32_t row, const RowData &data)
+SRAMArray::writeRow(std::uint32_t row, RowView data)
 {
-    assert(row < _geom.rows);
     assert(data.size() == _geom.bytesPerRow);
-    ++_rowWrites;
-    _rows[row] = data;
+    std::copy(data.begin(), data.end(), updateRow(row).begin());
 }
 
 void
 SRAMArray::mergeBytes(std::uint32_t row, std::uint32_t offset,
                       const std::uint8_t *bytes, std::size_t len)
 {
-    assert(row < _geom.rows);
     assert(offset + len <= _geom.bytesPerRow);
-    ++_rowWrites;
-    std::copy(bytes, bytes + len, _rows[row].begin() + offset);
+    std::copy(bytes, bytes + len, updateRow(row).begin() + offset);
 }
 
 void
 SRAMArray::writePartialUnsafe(std::uint32_t row, std::uint32_t offset,
                               const std::uint8_t *bytes, std::size_t len)
 {
-    assert(row < _geom.rows);
     assert(offset + len <= _geom.bytesPerRow);
-    ++_rowWrites;
     ++_opCounter;
 
-    RowData &r = _rows[row];
+    const RowSpan r = updateRow(row);
 
     const bool word_aligned = offset % 8 == 0 && len % 8 == 0;
     if (_geom.wordGranularWwl && word_aligned) {
@@ -105,19 +100,18 @@ SRAMArray::writePartialUnsafe(std::uint32_t row, std::uint32_t offset,
     }
 }
 
-const RowData &
+RowData
 SRAMArray::peekRow(std::uint32_t row) const
 {
-    assert(row < _geom.rows);
-    return _rows[row];
+    const RowView r = rowView(row);
+    return RowData(r.begin(), r.end());
 }
 
 void
-SRAMArray::pokeRow(std::uint32_t row, const RowData &data)
+SRAMArray::pokeRow(std::uint32_t row, RowView data)
 {
-    assert(row < _geom.rows);
     assert(data.size() == _geom.bytesPerRow);
-    _rows[row] = data;
+    std::copy(data.begin(), data.end(), rowSpan(row).begin());
 }
 
 bool
@@ -127,7 +121,7 @@ SRAMArray::physicalBit(std::uint32_t row, std::uint32_t col) const
     const std::uint32_t word = _map.wordOf(col);
     const std::uint32_t bit = _map.bitOf(col);
     const std::uint32_t byte = word * 8 + bit / 8;
-    return (_rows[row][byte] >> (bit % 8)) & 1;
+    return (rowView(row)[byte] >> (bit % 8)) & 1;
 }
 
 void
@@ -137,7 +131,7 @@ SRAMArray::flipPhysicalBit(std::uint32_t row, std::uint32_t col)
     const std::uint32_t word = _map.wordOf(col);
     const std::uint32_t bit = _map.bitOf(col);
     const std::uint32_t byte = word * 8 + bit / 8;
-    _rows[row][byte] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    rowSpan(row)[byte] ^= static_cast<std::uint8_t>(1u << (bit % 8));
 }
 
 void

@@ -16,13 +16,18 @@
  * InterleaveMap when physical coordinates are used (fault injection,
  * physical inspection). This is behaviourally identical to storing
  * physical bits — the map is a bijection — and keeps the simulation
- * hot path at memcpy speed.
+ * hot path at memcpy speed. Every row lives in one contiguous buffer
+ * (row r at byte r * bytesPerRow), so building an array is one
+ * allocation whatever its size; the counted accessors hand out
+ * std::span views into it (DESIGN.md §7).
  */
 
 #ifndef C8T_SRAM_ARRAY_HH
 #define C8T_SRAM_ARRAY_HH
 
+#include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sram/cell.hh"
@@ -33,8 +38,14 @@
 namespace c8t::sram
 {
 
-/** Logical contents of one row. */
+/** Logical contents of one row (an owned copy). */
 using RowData = std::vector<std::uint8_t>;
+
+/** Read-only view of one row's bytes inside an array or buffer. */
+using RowView = std::span<const std::uint8_t>;
+
+/** Writable view of one row's bytes. */
+using RowSpan = std::span<std::uint8_t>;
 
 /** Static organisation of one SRAM array. */
 struct ArrayGeometry
@@ -99,16 +110,15 @@ class SRAMArray
     void readRowInto(std::uint32_t row, RowData &out);
 
     /**
-     * Counted row read returning a reference to the stored image
-     * instead of copying it out (DESIGN.md §7). Same precharge/read
-     * accounting as readRowInto(); the reference is invalidated by the
-     * next write to the row.
+     * Counted row read returning a view of the stored image instead of
+     * copying it out (DESIGN.md §7). Same precharge/read accounting as
+     * readRowInto(); the view shows the next write to the row.
      */
-    const RowData &readRowRef(std::uint32_t row)
+    RowView readRowRef(std::uint32_t row)
     {
         ++_precharges;
         ++_rowReads;
-        return _rows[row];
+        return rowView(row);
     }
 
     /**
@@ -117,10 +127,10 @@ class SRAMArray
      * composing the new image elsewhere and calling writeRow() — every
      * column's write driver carries a defined value either way.
      */
-    RowData &updateRow(std::uint32_t row)
+    RowSpan updateRow(std::uint32_t row)
     {
         ++_rowWrites;
-        return _rows[row];
+        return rowSpan(row);
     }
 
     /** Convenience wrapper returning a fresh vector. */
@@ -132,7 +142,7 @@ class SRAMArray
      * @param row  Row index.
      * @param data Exactly bytesPerRow bytes.
      */
-    void writeRow(std::uint32_t row, const RowData &data);
+    void writeRow(std::uint32_t row, RowView data);
 
     /**
      * Partial write on an array where that is architecturally safe: a
@@ -184,11 +194,21 @@ class SRAMArray
 
     // --- backdoor (uncounted) access -----------------------------------
 
-    /** Inspect a row without causing circuit events. */
-    const RowData &peekRow(std::uint32_t row) const;
+    /** Copy of a row, without causing circuit events. */
+    RowData peekRow(std::uint32_t row) const;
+
+    /** View of a row, without causing circuit events (the controller's
+     *  uncounted architectural reads). */
+    RowView rowView(std::uint32_t row) const
+    {
+        assert(row < _geom.rows);
+        return {_cells.data() +
+                    static_cast<std::size_t>(row) * _geom.bytesPerRow,
+                _geom.bytesPerRow};
+    }
 
     /** Overwrite a row without causing circuit events (test setup). */
-    void pokeRow(std::uint32_t row, const RowData &data);
+    void pokeRow(std::uint32_t row, RowView data);
 
     /** Physical bit value at (row, physical column). */
     bool physicalBit(std::uint32_t row, std::uint32_t col) const;
@@ -221,9 +241,20 @@ class SRAMArray
                        const std::string &prefix = std::string());
 
   private:
+    /** Writable view of row @p row. */
+    RowSpan rowSpan(std::uint32_t row)
+    {
+        assert(row < _geom.rows);
+        return {_cells.data() +
+                    static_cast<std::size_t>(row) * _geom.bytesPerRow,
+                _geom.bytesPerRow};
+    }
+
     ArrayGeometry _geom;
     InterleaveMap _map;
-    std::vector<RowData> _rows;
+    /** Every row, back to back: row r is bytes
+     *  [r * bytesPerRow, (r + 1) * bytesPerRow). */
+    std::vector<std::uint8_t> _cells;
     std::uint64_t _opCounter = 0;
 
     stats::Counter _rowReads{"array.row_reads", "full row reads"};

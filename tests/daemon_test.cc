@@ -599,6 +599,19 @@ TEST(DaemonTest, OversizedSpecGetsAdmissionErrorFrame)
     EXPECT_NE(r.error.find("too large"), std::string::npos) << r.error;
     // Rejected at admission, so the connection serves the next job.
     EXPECT_FALSE(client.call(kRunSpec).empty());
+
+    // A 128 GiB cache, and a size_kb that wraps to 64 KB when
+    // multiplied before the check: both too large at admission.
+    for (const char *size_kb : {"134217728", "18014398509482048"}) {
+        client.submit(std::string("{\"kind\":\"run\",\"cache\":{"
+                                  "\"size_kb\":") +
+                      size_kb + ",\"ways\":4,\"block\":32}}");
+        const Reply big = readReply(client);
+        EXPECT_TRUE(big.final.empty()) << size_kb;
+        EXPECT_NE(big.error.find("too large"), std::string::npos)
+            << big.error;
+    }
+    EXPECT_FALSE(client.call(kRunSpec).empty());
 }
 
 TEST(DaemonTest, StopDrainsAcceptedJobs)

@@ -7,7 +7,10 @@
  * binary replaces the global allocator with a counting one and asserts
  * that a warmed-up controller services requests with *strictly zero*
  * heap traffic for every scheme, and that MarkovStream::next() only
- * allocates on the shadow map's amortized capacity doublings.
+ * allocates on the shadow map's amortized capacity doublings. It also
+ * pins the cost of building a config-run: a controller's allocation
+ * count does not grow with its size, and planner scratch exists only
+ * where a plan is built (DESIGN.md §5).
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +35,7 @@ namespace
 {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocatedBytes{0};
 
 } // anonymous namespace
 
@@ -41,6 +45,7 @@ void *
 operator new(std::size_t size)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_allocatedBytes.fetch_add(size, std::memory_order_relaxed);
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();
@@ -338,6 +343,88 @@ TEST(HotPathAllocations, ReplayGeneratorChunkedReplayIsAllocationFree)
     EXPECT_EQ(delta, 0u)
         << delta << " heap allocations replaying " << kMeasure
         << " cached accesses three times";
+}
+
+TEST(RunConstruction, ControllerAllocationCountDoesNotGrowWithSize)
+{
+    // One data-array allocation whatever the row count: a 16 KB and a
+    // 128 KB cache (4w/32B: 128 and 1024 rows) cost the same number of
+    // heap requests to build.
+    mem::FunctionalMemory memory;
+    const auto allocations_to_build = [&](std::uint64_t size_kb) {
+        ControllerConfig cfg;
+        cfg.cache = mem::CacheConfig{size_kb * 1024, 4, 32};
+        cfg.scheme = WriteScheme::Rmw;
+        const std::uint64_t before =
+            g_allocations.load(std::memory_order_relaxed);
+        const CacheController ctrl(cfg, memory);
+        return g_allocations.load(std::memory_order_relaxed) - before;
+    };
+    EXPECT_EQ(allocations_to_build(16), allocations_to_build(128));
+}
+
+TEST(RunConstruction, PlanFollowersAllocateNoPlannerScratch)
+{
+    // Construction reserves no planner scratch: a plan-eligible (LRU)
+    // controller costs the heap exactly what a Random one, which never
+    // plans, does.
+    mem::FunctionalMemory memory;
+    const auto bytes_to_build = [&](mem::ReplKind repl) {
+        ControllerConfig cfg;
+        cfg.cache.replacement = repl;
+        const std::uint64_t before =
+            g_allocatedBytes.load(std::memory_order_relaxed);
+        const CacheController ctrl(cfg, memory);
+        return g_allocatedBytes.load(std::memory_order_relaxed) - before;
+    };
+    EXPECT_EQ(bytes_to_build(mem::ReplKind::Lru),
+              bytes_to_build(mem::ReplKind::Random));
+
+    // MultiSchemeRunner's plan sharing: the leader plans each chunk and
+    // the same-shape followers apply its plan. The leader's first plan
+    // sizes its scratch; the followers never allocate any.
+    const auto stream = pregenerate(kWarmup);
+    const WriteScheme schemes[] = {
+        WriteScheme::SixTDirect, WriteScheme::Rmw,
+        WriteScheme::WriteGrouping, WriteScheme::WriteGroupingReadBypass};
+    constexpr std::size_t n = std::size(schemes);
+    std::vector<std::unique_ptr<mem::FunctionalMemory>> memories;
+    std::vector<std::unique_ptr<CacheController>> ctrls;
+    for (const WriteScheme scheme : schemes) {
+        memories.push_back(std::make_unique<mem::FunctionalMemory>());
+        // Pages pre-sized, so any allocation below is the replay's own.
+        memories.back()->reserve(1u << 20);
+        ControllerConfig cfg;
+        cfg.scheme = scheme;
+        ctrls.push_back(
+            std::make_unique<CacheController>(cfg, *memories.back()));
+    }
+
+    std::uint64_t planned = 0;
+    std::uint64_t applied[n] = {};
+    constexpr std::size_t kChunk = CacheController::kReplayChunkAccesses;
+    for (std::size_t b = 0; b < stream.size(); b += kChunk) {
+        const std::size_t got = std::min(kChunk, stream.size() - b);
+        std::uint64_t before =
+            g_allocatedBytes.load(std::memory_order_relaxed);
+        const mem::ChunkPlan *plan =
+            ctrls[0]->planReplayChunk(stream.data() + b, got);
+        ASSERT_NE(plan, nullptr);
+        planned += g_allocatedBytes.load(std::memory_order_relaxed) - before;
+        for (std::size_t i = 0; i < n; ++i) {
+            before = g_allocatedBytes.load(std::memory_order_relaxed);
+            ctrls[i]->accessChunk(stream.data() + b, got, plan);
+            applied[i] +=
+                g_allocatedBytes.load(std::memory_order_relaxed) - before;
+        }
+    }
+
+    EXPECT_GT(planned, 0u) << "the leader's first plan sizes its scratch";
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(applied[i], 0u)
+            << toString(schemes[i]) << " allocated " << applied[i]
+            << " bytes applying the leader's plans";
+    }
 }
 
 } // anonymous namespace

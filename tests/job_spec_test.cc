@@ -381,6 +381,52 @@ TEST(JobSpecTest, AdmissionLimitRejectsHugeGrids)
     }
 }
 
+TEST(JobSpecTest, AdmissionLimitRejectsHugeLevels)
+{
+    const auto expect_too_large = [](const std::string &text,
+                                     const std::string &field) {
+        try {
+            JobSpec::fromJsonText(text);
+            FAIL() << "expected JobTooLarge for " << text;
+        } catch (const core::JobTooLarge &e) {
+            EXPECT_NE(std::string(e.what()).find("too large: " + field),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    // 128 GiB with 2^30 sets: a valid shape a worker cannot allocate.
+    expect_too_large("{\"kind\":\"run\",\"cache\":{\"size_kb\":134217728,"
+                     "\"ways\":4,\"block\":32}}",
+                     "cache.size_kb");
+    // 2^54 + 64 KB wraps to 64 KB if multiplied before the check.
+    expect_too_large("{\"kind\":\"run\",\"cache\":{\"size_kb\":"
+                     "18014398509482048,\"ways\":4,\"block\":32}}",
+                     "cache.size_kb");
+    // A 64 GiB L2.
+    expect_too_large("{\"kind\":\"run\",\"levels\":[{\"size_kb\":67108864,"
+                     "\"ways\":8}]}",
+                     "levels[].size_kb");
+    expect_too_large("{\"kind\":\"explore\",\"explore\":{\"sizes_kb\":"
+                     "[64,18014398509482048]}}",
+                     "explore.sizes_kb[]");
+    expect_too_large("{\"kind\":\"explore\",\"explore\":{\"l2_sizes_kb\":"
+                     "[134217728]}}",
+                     "explore.l2_sizes_kb[]");
+
+    // The bound itself is admitted: a 64 MiB cache over a 64 MiB L2.
+    const JobSpec at = JobSpec::fromJsonText(
+        "{\"kind\":\"run\",\"cache\":{\"size_kb\":65536},"
+        "\"levels\":[{\"size_kb\":65536,\"ways\":8}]}");
+    EXPECT_EQ(at.cache.sizeBytes, core::kMaxJobLevelBytes);
+
+    // A spec built in code (the CLI front end) is checked in bytes.
+    JobSpec spec;
+    spec.cache.sizeBytes = core::kMaxJobLevelBytes + 1024;
+    EXPECT_THROW(spec.validate(), core::JobTooLarge);
+    EXPECT_THROW(core::levelBytesFromKb(18014398509482048ull, "--size"),
+                 core::JobTooLarge);
+}
+
 TEST(JobSpecTest, AdmissionCountsSaturateInsteadOfWrapping)
 {
     JobSpec spec;

@@ -9,10 +9,12 @@
 #      otherwise always dispatch to SSE2/AVX2.
 #   2. Configure + build an ASan/UBSan tree (-DC8T_ASAN=ON) and run the
 #      stream/cache/sweep/pool/alloc tests, the SEC-DED codec and
-#      fault-map campaign tests, and the daemon tests plus the three
+#      fault-map campaign tests, the daemon tests plus the three
 #      users of the shared core::Memo (stream cache, fault-map cache,
-#      result memo) under it. halt_on_error is the sanitizer default,
-#      so any heap misuse fails the script.
+#      result memo), and the array, Set-Buffer, controller and
+#      explorer tests (row views index one flat buffer per array)
+#      under it. halt_on_error is the sanitizer default, so any heap
+#      misuse fails the script.
 #   3. Configure + build a standalone UBSan tree (-DC8T_UBSAN=ON,
 #      -fno-sanitize-recover=all) and run the voltage-model tests
 #      under it (the numeric subsystem with the most UB surface:
@@ -79,17 +81,19 @@ echo "==== tier-1: full test suite, forced-scalar dispatch ===="
 C8T_SIMD=scalar \
     ctest --test-dir "$repo_root/build" --output-on-failure -j "$jobs"
 
-echo "==== asan: build + stream/sweep/pool/alloc/ecc/memo/daemon tests ===="
+echo "==== asan: build + stream/sweep/pool/alloc/ecc/memo/daemon/array tests ===="
 cmake -B "$repo_root/build-asan" -S "$repo_root" -DC8T_ASAN=ON
 cmake --build "$repo_root/build-asan" -j "$jobs" --target \
     stream_identity_test simd_identity_test sweep_test \
     worker_pool_test hot_path_alloc_test functional_mem_test \
     ecc_test fault_injection_test daemon_test result_memo_test \
-    fault_cache_test
+    fault_cache_test array_test set_buffer_test controller_test \
+    explorer_test
 for t in stream_identity_test simd_identity_test sweep_test \
          worker_pool_test hot_path_alloc_test functional_mem_test \
          ecc_test fault_injection_test daemon_test result_memo_test \
-         fault_cache_test; do
+         fault_cache_test array_test set_buffer_test controller_test \
+         explorer_test; do
     echo "---- asan: $t ----"
     "$repo_root/build-asan/tests/$t"
 done

@@ -2,7 +2,11 @@
 # Same-host A/B of the repository benchmark (perfbench): a parent
 # revision (A) against the working tree (B), the one perf gate.
 #
-#   tools/perf_ab.sh [rev]        (rev defaults to HEAD~1)
+#   tools/perf_ab.sh [--pairs N] [--seed S] [--workload W]... [rev]
+#
+# rev defaults to HEAD~1, N to 5, S to 1, and the workloads to every
+# one BENCHMARK.json lists (--workload may repeat). ci.sh stage 9 runs
+# it with the defaults.
 #
 # A is `git archive rev` unpacked under .bench_build/ab/<sha>/ (kept,
 # so a second run against the same rev skips the cold build); B is this
@@ -10,14 +14,19 @@
 # derives its build directory from its own root, so each side builds
 # its own Release harness.
 #
-# For every workload BENCHMARK.json lists, the script runs
-# `perfbench/run.py --workload W --seed 1 --seconds SECONDS --trace 0`
-# PAIRS times per side, in pairs that alternate which side goes first
-# (A B, B A, ...). Per end-to-end metric it prints both sides' medians,
-# their ratio B/A and how many pairs B won. It fails (exit 1) when a
-# run reports `correct: false` or `failed > 0`, or when a ratio is
-# worse than the metric's BENCHMARK.json `bound` in the direction its
-# `better` names. Exit 2 means the gate could not run (rev does not
+# For every selected workload, the script runs
+# `perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0`
+# N times per side, in pairs that alternate which side goes first
+# (A B, B A, ...). Per end-to-end metric it prints both sides' medians
+# and quartiles, their ratio B/A, how many pairs B won and two
+# verdicts:
+#   - the gate: fails (exit 1) when a run reports `correct: false` or
+#     `failed > 0`, or when a ratio is worse than the metric's
+#     BENCHMARK.json `bound` in the direction its `better` names;
+#   - the claim: "gain" when B won at least 9 of every 10 pairs and
+#     B's median beats A's by more than A's interquartile range, else
+#     "-". A claim never changes the exit status.
+# Exit 2 means the gate could not run (bad arguments, rev does not
 # resolve, or a run crashed).
 #
 # Both sides must run on one quiet host: perfbench rescales times by
@@ -27,19 +36,57 @@
 
 set -euo pipefail
 
-# Fixed on purpose: the gate takes no tuning knobs. On a shared 4-vCPU
-# host one run's value can move by 30 % or more, and with 3 pairs an
-# unchanged setup_s once read 35 % worse; 5 pairs take the median over
-# enough runs to hold the 0.25 bounds.
+# The gate's defaults. On a shared 4-vCPU host one run's value can
+# move by 30 % or more, and with 3 pairs an unchanged setup_s once read
+# 35 % worse; 5 pairs take the median over enough runs to hold the
+# 0.25 bounds. A claim wants 10 pairs (9 wins of 10).
 PAIRS=5
 SECONDS_PER_RUN=4
 SEED=1
+selected=()
+
+usage() {
+    echo "usage: tools/perf_ab.sh [--pairs N] [--seed S]" \
+         "[--workload W]... [rev]" >&2
+    exit 2
+}
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
-rev=${1:-HEAD~1}
-if [ $# -gt 1 ]; then
-    echo "usage: tools/perf_ab.sh [rev]" >&2
-    exit 2
+rev=
+while [ $# -gt 0 ]; do
+    case $1 in
+        --pairs|--seed|--workload)
+            [ $# -ge 2 ] || usage
+            case $1 in
+                --pairs) PAIRS=$2 ;;
+                --seed) SEED=$2 ;;
+                --workload) selected+=("$2") ;;
+            esac
+            shift 2 ;;
+        -*) usage ;;
+        *)
+            [ -z "$rev" ] || usage
+            rev=$1
+            shift ;;
+    esac
+done
+rev=${rev:-HEAD~1}
+case $PAIRS in ''|*[!0-9]*|0) usage ;; esac
+case $SEED in ''|*[!0-9]*) usage ;; esac
+
+workloads=$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+    "$repo_root/BENCHMARK.json")
+if [ ${#selected[@]} -gt 0 ]; then
+    for w in "${selected[@]}"; do
+        case " $workloads " in
+            *" $w "*) ;;
+            *) echo "perf_ab: unknown workload '$w' (BENCHMARK.json:" \
+                    "$workloads)" >&2
+               exit 2 ;;
+        esac
+    done
+    workloads="${selected[*]}"
 fi
 
 if ! sha=$(git -C "$repo_root" rev-parse --verify --quiet \
@@ -71,9 +118,6 @@ fi
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-workloads=$(python3 -c 'import json, sys
-print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
-    "$repo_root/BENCHMARK.json")
 
 # One run.py invocation; keeps its last two stdout lines (fingerprint
 # and result) in $out/<workload>.<side>.<pair>.
@@ -125,9 +169,20 @@ def load(workload, side, pair):
     return fingerprint, json.loads(result)
 
 
+
+
+def quartiles(xs):
+    # Inclusive method: the quartiles stay within the observed range.
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return q[0], q[2]
+
+
 failures = []
-print("%-14s %-18s %12s %12s %8s %6s  %s" % (
-    "workload", "metric", "A median", "B median", "B/A", "B won", "verdict"))
+print("%-14s %-18s %11s %-23s %11s %-23s %7s %6s  %-5s %s" % (
+    "workload", "metric", "A median", " A q1..q3", "B median",
+    " B q1..q3", "B/A", "B won", "claim", "verdict"))
 for w in workloads:
     runs = {s: [load(w, s, p) for p in range(1, pairs + 1)] for s in "AB"}
     for side, reps in runs.items():
@@ -141,15 +196,20 @@ for w in workloads:
         a = [rep["metrics"][name]["value"] for _, rep in runs["A"]]
         b = [rep["metrics"][name]["value"] for _, rep in runs["B"]]
         med_a, med_b = statistics.median(a), statistics.median(b)
+        qa, qb = quartiles(a), quartiles(b)
         ratio = med_b / med_a if med_a > 0 else 1.0
         won = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
         worse = ratio - 1.0 if lower else 1.0 - ratio
+        gap = med_a - med_b if lower else med_b - med_a
+        claim = "gain" if (10 * won >= 9 * pairs and
+                           gap > qa[1] - qa[0]) else "-"
         verdict = "ok"
         if worse > m["bound"]:
             verdict = "WORSE than bound %g" % m["bound"]
             failures.append("%s %s: B/A %.3f" % (w, name, ratio))
-        print("%-14s %-18s %12.6g %12.6g %8.3f %4d/%d  %s" % (
-            w, name, med_a, med_b, ratio, won, pairs, verdict))
+        print("%-14s %-18s %11.5g %-23s %11.5g %-23s %7.3f %3d/%-2d  %-5s %s"
+              % (w, name, med_a, " %.5g..%.5g" % qa, med_b,
+                 " %.5g..%.5g" % qb, ratio, won, pairs, claim, verdict))
 for f in failures:
     print("perf_ab: FAILED: " + f, file=sys.stderr)
 print("perf_ab: %s (%d pairs, seed %s, bounds from BENCHMARK.json)" % (
