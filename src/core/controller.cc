@@ -151,6 +151,14 @@ CacheController::entryOfSet(std::uint32_t set) const
     return _tagBuffer->entries();
 }
 
+sram::RowView
+CacheController::freshestRow(std::uint32_t set) const
+{
+    const std::uint32_t e = entryOfSet(set);
+    return (_tagBuffer && e < _tagBuffer->entries()) ? _setBuffer->rowView(e)
+                                                     : _array.rowView(set);
+}
+
 void
 CacheController::writebackEntry(std::uint32_t e, stats::Counter &cause)
 {
@@ -355,12 +363,20 @@ CacheController::fetchBlock(mem::Addr block_addr, std::uint8_t *dst,
     req.size = 8;
     req.gap = 0;
     req.type = trace::AccessType::Read;
-    const AccessOutcome out = access(req);
+    beginAccess(req);
+    ResidentRef res;
+    const AccessOutcome out = dispatch(req, [this, &res](mem::Addr b) {
+        return res = ensureResident(b);
+    });
 
-    // Architectural copy of the whole block image (freshest source:
-    // Set-Buffer over array over memory); uncounted, like peekWord().
-    for (std::uint32_t off = 0; off < len; off += 8)
-        storeLe(dst + off, peekWord(block_addr + off), 8);
+    // Architectural copy of the whole block image, uncounted like
+    // peekWord(): the access left the block resident in res.way, so
+    // one move from the freshest row image (Set-Buffer over array)
+    // covers every word.
+    assert(_tags.probe(block_addr).hit &&
+           _tags.probe(block_addr).way == res.way);
+    const sram::RowView row = freshestRow(_tags.layout().setOf(block_addr));
+    std::memcpy(dst, row.data() + res.way * len, len);
     return out.latencyCycles;
 }
 
@@ -373,8 +389,22 @@ CacheController::acceptBlockWriteback(mem::Addr block_addr,
     assert(_tags.layout().blockAlign(block_addr) == block_addr);
 
     // The eviction burst: one word-granular write per 8 bytes, all to
-    // the same set — the same-set grouping profile the Set-Buffer
-    // schemes are built for.
+    // the same block — the same-set grouping profile the Set-Buffer
+    // schemes are built for. The first word resolves residency (a hit,
+    // by inclusion); every later word records its hit against that way
+    // and runs the scheme body without another tag lookup.
+    const std::uint32_t set = _tags.layout().setOf(block_addr);
+    ResidentRef res;
+    bool resolved = false;
+    const auto burst = [this, set, &res, &resolved](mem::Addr b) {
+        if (resolved) {
+            _tags.recordHit(set, res.way);
+            return ResidentRef{true, res.way};
+        }
+        resolved = true;
+        return res = ensureResident(b);
+    };
+
     trace::MemAccess req;
     req.gap = 0;
     req.size = 8;
@@ -385,7 +415,8 @@ CacheController::acceptBlockWriteback(mem::Addr block_addr,
         for (std::uint32_t i = 0; i < 8; ++i)
             v |= static_cast<std::uint64_t>(src[off + i]) << (8 * i);
         req.data = v;
-        access(req);
+        beginAccess(req);
+        dispatch(req, burst);
     }
 }
 
@@ -422,23 +453,31 @@ CacheController::extractInvalidate(mem::Addr block_addr,
     return dirty;
 }
 
+template <typename ResolveFn>
+AccessOutcome
+CacheController::dispatch(const trace::MemAccess &request,
+                          ResolveFn &&resolve)
+{
+    switch (_config.scheme) {
+      case WriteScheme::SixTDirect:
+      case WriteScheme::WordGranular:
+        return accessDirectImpl(request, resolve);
+      case WriteScheme::Rmw:
+      case WriteScheme::LocalRmw:
+        return accessRmwImpl(request, resolve);
+      case WriteScheme::WriteGrouping:
+      case WriteScheme::WriteGroupingReadBypass:
+        return accessGroupedImpl(request, resolve);
+    }
+    return {};
+}
+
 AccessOutcome
 CacheController::access(const trace::MemAccess &request)
 {
     beginAccess(request);
-    const auto live = [this](mem::Addr b) { return ensureResident(b); };
-    switch (_config.scheme) {
-      case WriteScheme::SixTDirect:
-      case WriteScheme::WordGranular:
-        return accessDirectImpl(request, live);
-      case WriteScheme::Rmw:
-      case WriteScheme::LocalRmw:
-        return accessRmwImpl(request, live);
-      case WriteScheme::WriteGrouping:
-      case WriteScheme::WriteGroupingReadBypass:
-        return accessGroupedImpl(request, live);
-    }
-    return {};
+    return dispatch(request,
+                    [this](mem::Addr b) { return ensureResident(b); });
 }
 
 const mem::ChunkPlan *
@@ -769,11 +808,7 @@ CacheController::flushCacheToMemory()
     const std::uint32_t block_bytes = _config.cache.blockBytes;
 
     for (std::uint32_t set = 0; set < sets; ++set) {
-        const std::uint32_t e = entryOfSet(set);
-        const bool buffered = _tagBuffer && e < _tagBuffer->entries();
-        const sram::RowView row =
-            buffered ? _setBuffer->rowView(e) : _array.rowView(set);
-
+        const sram::RowView row = freshestRow(set);
         for (std::uint32_t w = 0; w < ways; ++w) {
             if (!_tags.isValid(set, w) || !_tags.isDirty(set, w))
                 continue;
@@ -793,13 +828,8 @@ CacheController::peekWord(mem::Addr addr) const
     if (!r.hit)
         return _mem.readWord(word_addr);
 
-    const std::uint32_t set = _tags.layout().setOf(word_addr);
-    const std::uint32_t offset = rowOffsetOf(word_addr, r.way);
-    const std::uint32_t e = entryOfSet(set);
-    const sram::RowView row =
-        (_tagBuffer && e < _tagBuffer->entries())
-            ? _setBuffer->rowView(e) : _array.rowView(set);
-    return extractData(row, offset, 8);
+    return extractData(freshestRow(_tags.layout().setOf(word_addr)),
+                       rowOffsetOf(word_addr, r.way), 8);
 }
 
 double

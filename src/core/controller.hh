@@ -321,9 +321,10 @@ class CacheController
      * Service an upper level's miss: one demand read access for the
      * block (counted in this level's statistics exactly like a CPU
      * read of its first word) followed by an uncounted architectural
-     * copy of the whole block image into @p dst. Returns the observed
-     * request-to-completion latency in cycles — the upper level's
-     * miss penalty.
+     * copy of the whole block image into @p dst — one move from the
+     * freshest row image, at the way the access resolved. Returns the
+     * observed request-to-completion latency in cycles — the upper
+     * level's miss penalty.
      */
     std::uint64_t fetchBlock(mem::Addr block_addr, std::uint8_t *dst,
                              std::uint32_t len);
@@ -333,7 +334,9 @@ class CacheController
      * per 8-byte word of the block — the eviction burst that forms
      * this level's write stream, maximally same-set grouped, which is
      * exactly the profile the grouping schemes target (EXPERIMENTS:
-     * hierarchy grouping comparison).
+     * hierarchy grouping comparison). Residency is resolved once per
+     * burst; each word still counts as its own request and tag hit,
+     * so the statistics equal four access() calls.
      */
     void acceptBlockWriteback(mem::Addr block_addr,
                               const std::uint8_t *src,
@@ -560,6 +563,12 @@ class CacheController
     AccessOutcome accessGroupedImpl(const trace::MemAccess &a,
                                     ResolveFn &&resolve);
 
+    /** The scheme switch: run @p request's scheme body with
+     *  residency resolved by @p resolve (access(), the L2 bursts). */
+    template <typename ResolveFn>
+    AccessOutcome dispatch(const trace::MemAccess &request,
+                           ResolveFn &&resolve);
+
     /** The one chunk loop: runs the scheme @p body over @p count
      *  requests, resolving residency through @p plan (stage 2 of the
      *  pipeline) or, when it is null, live through ensureResident(). */
@@ -638,6 +647,10 @@ class CacheController
 
     /** Find the buffer entry holding @p set; entries() if none. */
     std::uint32_t entryOfSet(std::uint32_t set) const;
+
+    /** The freshest image of @p set's row: the Set-Buffer while the
+     *  set is buffered, else the array row. Uncounted. */
+    sram::RowView freshestRow(std::uint32_t set) const;
 
     /** Byte offset of @p addr within its set's row image. */
     std::uint32_t rowOffsetOf(mem::Addr addr, std::uint32_t way) const;

@@ -507,9 +507,6 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
 {
     spec.validate();
     const auto t0 = std::chrono::steady_clock::now();
-    // Jobs per cell: one per grid point (nominal-only: one).
-    const std::size_t points_per_cell =
-        std::max<std::size_t>(1, spec.vddGrid.size());
 
     // Stream-cache hit rate of this explore's lookups so far.
     const StreamCache::Stats cache_before = globalStreamCache().stats();
@@ -647,12 +644,19 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
                 cells.push_back(std::move(cell));
             }
 
-            // One job per (cell, grid point); each job runs its point's
-            // fault-map campaigns on its worker.
+            // Each cell appends its operating-point jobs (one per plan
+            // group of each grid point; each runs its own schemes'
+            // fault-map campaigns on its worker). cell_jobs[vi] is the
+            // first job of cell vi, so a cell's runs are found whatever
+            // the job layout.
             std::vector<VddFaultTable> faults(cells.size());
             std::vector<SweepJob> jobs;
-            for (std::size_t vi = 0; vi < cells.size(); ++vi)
-                appendOperatingPointJobs(cells[vi].sweep, faults[vi], jobs);
+            std::vector<std::size_t> cell_jobs(cells.size() + 1, 0);
+            for (std::size_t vi = 0; vi < cells.size(); ++vi) {
+                cell_jobs[vi + 1] =
+                    cell_jobs[vi] + appendOperatingPointJobs(
+                                        cells[vi].sweep, faults[vi], jobs);
+            }
 
             std::vector<DesignPointSummary> shard_points;
             if (!jobs.empty()) {
@@ -662,7 +666,7 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
                 shard_points.reserve(cells.size() * spec.schemes.size());
                 for (std::size_t vi = 0; vi < cells.size(); ++vi) {
                     const auto cell_runs = std::span(runs).subspan(
-                        vi * points_per_cell, points_per_cell);
+                        cell_jobs[vi], cell_jobs[vi + 1] - cell_jobs[vi]);
                     summarizeCell(cells[vi],
                                   reduceOperatingPoints(cells[vi].sweep,
                                                         faults[vi],

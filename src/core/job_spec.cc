@@ -482,6 +482,7 @@ JobSpec::validate() const
         levelBytesFromKb(kb, "explore.sizes_kb[]");
     for (const std::uint64_t kb : exploreL2SizesKb)
         levelBytesFromKb(kb, "explore.l2_sizes_kb[]");
+    std::uint64_t upper_bytes = cache.sizeBytes;
     for (const LevelSpec &l : levels) {
         mem::CacheConfig lc;
         lc.sizeBytes = levelBytesFromKb(l.sizeKb, "levels[].size_kb");
@@ -493,6 +494,13 @@ JobSpec::validate() const
             specFail("levels[].block must match the L1 block size");
         if (l.vdd < 0.0)
             specFail("levels[].vdd must be > 0");
+        // Inclusion needs the room (core::LevelStack): admission
+        // rejects what a worker could only fail on.
+        if (lc.sizeBytes < upper_bytes)
+            specFail("levels[].size_kb " + std::to_string(l.sizeKb) +
+                     " is smaller than the level above it (" +
+                     std::to_string(upper_bytes / 1024) + " KB)");
+        upper_bytes = lc.sizeBytes;
     }
     if (workload.find(':') == std::string::npos) {
         specFail("workload must be spec:<bench>, kernel:<name> or "

@@ -15,6 +15,12 @@
 namespace c8t::core
 {
 
+bool
+sharesPlan(const ControllerConfig &a, const ControllerConfig &b)
+{
+    return a.cache == b.cache && a.lowerLevels == b.lowerLevels;
+}
+
 MultiSchemeRunner::MultiSchemeRunner(std::vector<ControllerConfig> configs)
     : _configs(std::move(configs))
 {
@@ -29,24 +35,16 @@ MultiSchemeRunner::MultiSchemeRunner(std::vector<ControllerConfig> configs)
             std::make_unique<LevelStack>(cfg, *_memories.back()));
     }
 
-    // Plan-sharing groups by cache shape (see simulator.hh): the first
-    // controller of each shape leads and runs stage 1 for the group.
-    // Stacked configurations must also agree on their lower levels —
-    // back-invalidations perturb the top level's tag trajectory, so a
-    // hierarchy only marches in lockstep with an identical hierarchy.
-    // (A stacked top level is plan-ineligible anyway; the grouping
-    // just keeps leaders from doing stage-1 work nobody can adopt.)
+    // Plan-sharing groups (see sharesPlan()): the first controller of
+    // each group leads and runs stage 1 for it. (A stacked top level
+    // is plan-ineligible anyway; the grouping just keeps leaders from
+    // doing stage-1 work nobody can adopt.)
     _planLeader.resize(_configs.size());
     _leaderPlan.assign(_configs.size(), nullptr);
     for (std::size_t i = 0; i < _configs.size(); ++i) {
-        std::size_t leader = i;
-        for (std::size_t j = 0; j < i; ++j) {
-            if (_configs[j].cache == _configs[i].cache &&
-                _configs[j].lowerLevels == _configs[i].lowerLevels) {
-                leader = j;
-                break;
-            }
-        }
+        std::size_t leader = 0;
+        while (leader < i && !sharesPlan(_configs[leader], _configs[i]))
+            ++leader;
         _planLeader[i] = leader;
     }
 }

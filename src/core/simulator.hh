@@ -105,6 +105,17 @@ struct SchemeRunResult
 };
 
 /**
+ * The plan-group predicate: true when @p a and @p b march in lockstep
+ * on any stream, so one stage-1 plan serves both. That needs identical
+ * top-level caches and identical lower levels — back-invalidations
+ * perturb the top level's tag trajectory, so a hierarchy only matches
+ * an identical hierarchy. MultiSchemeRunner groups its controllers by
+ * it, and the sweep job builders never put two configurations that
+ * fail it in one job (DESIGN.md §5).
+ */
+bool sharesPlan(const ControllerConfig &a, const ControllerConfig &b);
+
+/**
  * Run one workload through several controllers in a single generation
  * pass (every controller sees the byte-identical stream). Each
  * controller gets its own functional memory.
@@ -186,7 +197,7 @@ class MultiSchemeRunner
     std::vector<trace::MemAccess> _chunk;
 
     /** Plan-sharing groups: _planLeader[i] is the first controller
-     *  with a cache identical to controller i's. Every controller sees
+     *  that sharesPlan() with controller i. Every controller sees
      *  every access, and tag evolution is scheme-independent, so
      *  same-shape tag states march in lockstep — the leader's stage-1
      *  plan is exact for the whole group and is computed once per

@@ -94,8 +94,8 @@ struct SweepJob
      * runner has completed (and drained). Use it to inspect controller
      * or memory state that the SchemeRunResult snapshot does not carry
      * (e.g. the memory-equivalence property tests), or to run per-job
-     * follow-up work on the worker (runVddSweep evaluates the grid
-     * point's fault-map campaigns here). It must only touch job-local
+     * follow-up work on the worker (runVddSweep evaluates the job's
+     * fault-map campaigns here). It must only touch job-local
      * state or appropriately synchronised captures.
      */
     std::function<void(MultiSchemeRunner &)> inspect;

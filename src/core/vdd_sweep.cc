@@ -77,6 +77,55 @@ operatingGrid(const VddSweepSpec &spec)
                              : spec.grid;
 }
 
+/** The configuration that runs @p scheme at supply @p vdd: a
+ *  single-level spec puts both on its cache; in hierarchy mode the L1
+ *  is pinned while the scheme axis and the grid voltage ride on the
+ *  L2. */
+ControllerConfig
+pointConfig(const VddSweepSpec &spec, WriteScheme scheme, double vdd)
+{
+    ControllerConfig cfg;
+    cfg.cache = spec.cache;
+    cfg.vmodel = spec.model;
+    if (spec.lowerLevels.empty()) {
+        cfg.scheme = scheme;
+        cfg.vdd = vdd;
+    } else {
+        cfg.scheme = spec.topScheme;
+        cfg.vdd = spec.topVdd;
+        cfg.lowerLevels = spec.lowerLevels;
+        cfg.lowerLevels.front().scheme = scheme;
+        cfg.lowerLevels.front().vdd = vdd;
+    }
+    return cfg;
+}
+
+/** The plan groups of every grid point of @p spec, as scheme indices:
+ *  one group per set of configurations that core::sharesPlan, in order
+ *  of their first scheme. Every config of a point shares its supply,
+ *  so the grouping is the same at each point: one group of every
+ *  scheme for a single-level spec, one group per scheme in hierarchy
+ *  mode (the schemes' L2s differ). */
+std::vector<std::vector<std::size_t>>
+planGroups(const VddSweepSpec &spec)
+{
+    std::vector<ControllerConfig> configs;
+    for (const WriteScheme s : spec.schemes)
+        configs.push_back(pointConfig(spec, s, 0.0));
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t si = 0; si < configs.size(); ++si) {
+        const auto g = std::find_if(
+            groups.begin(), groups.end(), [&](const auto &group) {
+                return sharesPlan(configs[group.front()], configs[si]);
+            });
+        if (g == groups.end())
+            groups.push_back({si});
+        else
+            g->push_back(si);
+    }
+    return groups;
+}
+
 } // anonymous namespace
 
 const VddCurve *
@@ -190,53 +239,39 @@ minVddPoint(const VddCurve &curve)
     return nullptr;
 }
 
-void
+std::size_t
 appendOperatingPointJobs(const VddSweepSpec &spec, VddFaultTable &faults,
                          std::vector<SweepJob> &jobs)
 {
     const bool nominal_only = spec.grid.empty();
-    const bool hier = !spec.lowerLevels.empty();
     const std::vector<double> grid = operatingGrid(spec);
     const sram::VddModel model(spec.model);
     const std::uint32_t words_per_row =
         std::max<std::uint32_t>(1, sweptShape(spec).setBytes() / 8);
+    const std::vector<std::vector<std::size_t>> groups = planGroups(spec);
 
     faults.assign(grid.size(),
                   std::vector<sram::FaultMapStats>(spec.schemes.size()));
     for (std::size_t gi = 0; gi < grid.size(); ++gi) {
         // Nominal-only runs keep the voltage model detached.
         const double vdd = nominal_only ? 0.0 : grid[gi];
-        SweepJob job;
-        job.makeGenerator = spec.makeGenerator;
-        job.streamKey = spec.streamKey;
-        job.vdd = vdd;
-        job.configs.reserve(spec.schemes.size());
-        for (const WriteScheme s : spec.schemes) {
-            ControllerConfig cfg;
-            cfg.cache = spec.cache;
-            cfg.vmodel = spec.model;
-            if (!hier) {
-                cfg.scheme = s;
-                cfg.vdd = vdd;
-            } else {
-                // Hierarchy mode: the L1 is pinned while the scheme
-                // axis and the grid voltage ride on the L2.
-                cfg.scheme = spec.topScheme;
-                cfg.vdd = spec.topVdd;
-                cfg.lowerLevels = spec.lowerLevels;
-                cfg.lowerLevels.front().scheme = s;
-                cfg.lowerLevels.front().vdd = vdd;
-            }
-            job.configs.push_back(cfg);
-        }
-        if (!nominal_only) {
+        for (const std::vector<std::size_t> &group : groups) {
+            SweepJob job;
+            job.makeGenerator = spec.makeGenerator;
+            job.streamKey = spec.streamKey;
+            job.vdd = vdd;
             // Fault maps depend on (seed, vdd, geometry, cell): schemes
             // of the same cell flavour and interleave degree share one
-            // evaluation through the process-global memo, across
-            // requests too (a warm c8td re-serves known operating
-            // points for free).
-            std::vector<sram::FaultMapConfig> campaigns;
-            for (const WriteScheme s : spec.schemes) {
+            // evaluation through the process-global single-flight
+            // memo, across jobs and requests too (a warm c8td
+            // re-serves known operating points for free).
+            std::vector<std::pair<std::size_t, sram::FaultMapConfig>>
+                campaigns;
+            for (const std::size_t si : group) {
+                const WriteScheme s = spec.schemes[si];
+                job.configs.push_back(pointConfig(spec, s, vdd));
+                if (nominal_only)
+                    continue;
                 sram::FaultMapConfig fmc;
                 fmc.runSeed = spec.runSeed;
                 fmc.vdd = vdd;
@@ -245,19 +280,22 @@ appendOperatingPointJobs(const VddSweepSpec &spec, VddFaultTable &faults,
                 fmc.rows = spec.faultRows;
                 fmc.wordsPerRow = words_per_row;
                 fmc.degree = sweptGeometry(spec, s).interleaveDegree;
-                campaigns.push_back(fmc);
+                campaigns.emplace_back(si, fmc);
             }
-            // The campaigns run on the job's worker right after its
-            // replay, overlapping the other points' replay; each job
-            // writes only its own row of @p faults.
-            job.inspect = [campaigns = std::move(campaigns),
-                           &row = faults[gi]](MultiSchemeRunner &) {
-                for (std::size_t si = 0; si < campaigns.size(); ++si)
-                    row[si] = globalFaultMapCache().evaluate(campaigns[si]);
-            };
+            if (!nominal_only) {
+                // The campaigns run on the job's worker right after
+                // its replay, overlapping the other jobs' replay; each
+                // job writes only its own schemes' cells of @p faults.
+                job.inspect = [campaigns = std::move(campaigns),
+                               &row = faults[gi]](MultiSchemeRunner &) {
+                    for (const auto &[si, fmc] : campaigns)
+                        row[si] = globalFaultMapCache().evaluate(fmc);
+                };
+            }
+            jobs.push_back(std::move(job));
         }
-        jobs.push_back(std::move(job));
     }
+    return grid.size() * groups.size();
 }
 
 std::vector<VddCurve>
@@ -268,6 +306,16 @@ reduceOperatingPoints(const VddSweepSpec &spec, const VddFaultTable &faults,
     const std::vector<double> grid = operatingGrid(spec);
     const sram::VddModel model(spec.model);
     const double period = model.clockPeriod();
+
+    // Where scheme si's run sits among each grid point's jobs: job
+    // slot[si].first of the point, result slot[si].second of the job.
+    const std::vector<std::vector<std::size_t>> groups = planGroups(spec);
+    std::vector<std::pair<std::size_t, std::size_t>> slot(
+        spec.schemes.size());
+    for (std::size_t j = 0; j < groups.size(); ++j) {
+        for (std::size_t k = 0; k < groups[j].size(); ++k)
+            slot[groups[j][k]] = {j, k};
+    }
     const sram::TechParams tech = ControllerConfig{}.tech;
 
     // Hierarchy mode adds the pinned L1's leakage at its own (fixed)
@@ -311,7 +359,8 @@ reduceOperatingPoints(const VddSweepSpec &spec, const VddFaultTable &faults,
             pt.operational =
                 nominal_only ||
                 pt.faults.postEccFailureRate() <= spec.failureThreshold;
-            pt.run = runs[gi][si];
+            pt.run = runs[gi * groups.size() + slot[si].first]
+                         [slot[si].second];
 
             const double requests =
                 static_cast<double>(pt.run.requests);

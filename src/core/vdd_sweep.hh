@@ -5,10 +5,13 @@
  *
  * An operating-point sweep evaluates every write scheme at every
  * supply of a grid. appendOperatingPointJobs() turns a VddSweepSpec
- * into one SweepJob per grid point: one controller per scheme, all
- * replaying the byte-identical workload stream (shared via the job
- * streamKey) with the voltage model attached. reduceOperatingPoints()
- * then combines three ingredients into a per-scheme VddCurve:
+ * into one SweepJob per plan group of each grid point (core::
+ * sharesPlan): a single-level point is one job with one controller
+ * per scheme, a hierarchy point one job per scheme, since the schemes'
+ * L2s differ. Every job replays the byte-identical workload stream
+ * (shared via the job streamKey) with the voltage model attached.
+ * reduceOperatingPoints() then combines three ingredients into a
+ * per-scheme VddCurve:
  *
  *  * the simulated run (dynamic energy, cycles) at that voltage,
  *  * the analytic operating point (leakage scale, delay factor),
@@ -24,9 +27,9 @@
  * one spec per cell and summarises each curve at its min-Vdd point.
  *
  * Fault maps depend only on (run seed, Vdd, geometry, cell type), so
- * each grid point's job evaluates its campaigns on its own worker,
- * right after its replay, through the process-global FaultMapCache:
- * once per (cell, degree, Vdd), shared across schemes and cells.
+ * each job evaluates its own schemes' campaigns on its worker, right
+ * after its replay, through the process-global FaultMapCache: once
+ * per (cell, degree, Vdd), shared across schemes, jobs and cells.
  * Results are bit-identical for any sweep worker count.
  */
 
@@ -112,8 +115,8 @@ struct VddSweepSpec
     std::function<std::unique_ptr<trace::AccessGenerator>()> makeGenerator;
 
     /** Stream memoization key (same contract as SweepJob::streamKey);
-     *  strongly recommended — every grid point replays the identical
-     *  stream, so without a key the stream is regenerated per point. */
+     *  strongly recommended — every job replays the identical
+     *  stream, so without a key the stream is regenerated per job. */
     std::string streamKey;
 };
 
@@ -219,25 +222,30 @@ class VddSweepResult
 using VddFaultTable = std::vector<std::vector<sram::FaultMapStats>>;
 
 /**
- * Append @p spec's jobs to @p jobs: one SweepJob per grid point with
- * one controller per scheme. A single-level spec puts the scheme and
- * the grid voltage on its cache; in hierarchy mode the top level is
- * pinned to (topScheme, topVdd) and both ride on the first lower
- * level. Each job's inspect hook evaluates its point's fault-map
- * campaigns on its worker into its row of @p faults, which is sized
- * here and must outlive the run.
+ * Append @p spec's jobs to @p jobs, grid point by grid point, and
+ * return how many were appended. Each grid point gets one SweepJob per
+ * plan group of its configurations (core::sharesPlan), so no job mixes
+ * plan groups: a single-level spec puts the scheme and the grid
+ * voltage on its cache, and all schemes share one job; in hierarchy
+ * mode the top level is pinned to (topScheme, topVdd) and both ride on
+ * the first lower level, so every scheme gets a job of its own. Each
+ * job's inspect hook evaluates its own schemes' fault-map campaigns on
+ * its worker into their cells of @p faults, which is sized here and
+ * must outlive the run.
  *
- * An empty grid selects nominal-only mode: one job at the nominal
- * supply with the voltage model detached and no campaigns. The spec is
- * not validated here (runVddSweep rejects an empty grid).
+ * An empty grid selects nominal-only mode: the jobs of one point at
+ * the nominal supply, with the voltage model detached and no
+ * campaigns. The spec is not validated here (runVddSweep rejects an
+ * empty grid).
  */
-void appendOperatingPointJobs(const VddSweepSpec &spec,
-                              VddFaultTable &faults,
-                              std::vector<SweepJob> &jobs);
+std::size_t appendOperatingPointJobs(const VddSweepSpec &spec,
+                                     VddFaultTable &faults,
+                                     std::vector<SweepJob> &jobs);
 
 /**
- * Reduce the runs of @p spec's jobs (runs[grid point][scheme], in
- * appendOperatingPointJobs order) and their campaign outcomes to one
+ * Reduce the runs of @p spec's jobs (one result vector per job, in
+ * appendOperatingPointJobs order; each (grid point, scheme) run is
+ * found whatever the job layout) and their campaign outcomes to one
  * curve per scheme: per-point energy, cycles and EDP per access, the
  * operational verdict and the min-Vdd reachability walk. In nominal-
  * only mode the single nominal point is operational by definition.
@@ -251,10 +259,10 @@ reduceOperatingPoints(const VddSweepSpec &spec, const VddFaultTable &faults,
 const VddPointResult *minVddPoint(const VddCurve &curve);
 
 /**
- * Run the sweep: one parallel SweepJob per grid point (label
+ * Run the sweep: the parallel SweepJobs of appendOperatingPointJobs
+ * (label
  * "vdd_sweep:<workload>" for the heartbeat and trace spans, with a
- * "+l2" suffix in hierarchy mode), built by appendOperatingPointJobs
- * and reduced by reduceOperatingPoints.
+ * "+l2" suffix in hierarchy mode), reduced by reduceOperatingPoints.
  *
  * @param spec    Sweep configuration (validated; throws
  *                std::invalid_argument on an empty/ascending grid, no

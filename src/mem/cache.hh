@@ -202,6 +202,18 @@ class TagArray
     }
 
     /**
+     * Record a demand hit on (set, way), which must hold the block:
+     * access()'s hit path without the lookup, for callers that
+     * already know the way (the L2's write-back burst).
+     */
+    void recordHit(std::uint32_t set, std::uint32_t way)
+    {
+        assert(isValid(set, way));
+        ++_hits;
+        touchRepl(set, way);
+    }
+
+    /**
      * Allocate a block for @p addr (which must currently miss):
      * chooses a victim, installs the tag, marks it valid and clean,
      * and updates replacement state. Inline: runs once per miss

@@ -614,6 +614,35 @@ TEST(DaemonTest, OversizedSpecGetsAdmissionErrorFrame)
     EXPECT_FALSE(client.call(kRunSpec).empty());
 }
 
+TEST(DaemonTest, LowerLevelSmallerThanItsUpperGetsAdmissionErrorFrame)
+{
+    DaemonFixture fx;
+    net::DaemonClient client(fx.socket());
+    // An L2 below the default 64 KB L1, then an L3 below its L2: each
+    // is a typed spec error at admission, never a LevelStack failure
+    // on a worker.
+    for (const char *levels :
+         {"[{\"size_kb\":16}]", "[{\"size_kb\":256},{\"size_kb\":128}]"}) {
+        client.submit(std::string("{\"kind\":\"run\",\"workload\":"
+                                  "\"spec:gcc\",\"accesses\":2000,"
+                                  "\"levels\":") +
+                      levels + "}");
+        const Reply r = readReply(client);
+        EXPECT_TRUE(r.final.empty()) << levels;
+        EXPECT_NE(r.error.find("\"job\":"), std::string::npos) << r.error;
+        EXPECT_NE(r.error.find("job spec: levels[].size_kb"),
+                  std::string::npos)
+            << r.error;
+        EXPECT_NE(r.error.find("smaller than the level above it"),
+                  std::string::npos)
+            << r.error;
+        EXPECT_EQ(r.error.find("LevelStack"), std::string::npos)
+            << r.error;
+    }
+    // The connection serves the next job.
+    EXPECT_FALSE(client.call(kRunSpec).empty());
+}
+
 TEST(DaemonTest, StopDrainsAcceptedJobs)
 {
     net::DaemonConfig cfg;

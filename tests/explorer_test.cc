@@ -32,6 +32,8 @@
 #include "trace/markov_stream.hh"
 #include "trace/spec_profiles.hh"
 
+#include "sweep_reference.hh"
+
 namespace
 {
 
@@ -347,6 +349,66 @@ TEST(Explorer, SingleCellMatchesRunVddSweepAtMinVdd)
             EXPECT_EQ(p.energyPerAccess, at->energyPerAccess);
             EXPECT_EQ(p.edpPerAccess, at->edpPerAccess);
             EXPECT_EQ(p.cyclesPerAccess, at->cyclesPerAccess);
+        }
+    }
+}
+
+TEST(Explorer, HierarchyCellMatchesPerConfigReference)
+{
+    // One two-level cell (gcc, 16 KB/4w L1 over a 32 KB/8w L2, three
+    // grid points): the explorer's jobs put each (grid point, scheme)
+    // in a job of its own, and its summaries must equal a reference
+    // that runs every such config through its own runner.
+    ExplorerSpec espec;
+    espec.label = "explorer_test_l2";
+    espec.workloads = {"gcc"};
+    espec.sizesKb = {16};
+    espec.ways = {4};
+    espec.blocks = {32};
+    espec.l2SizesKb = {32};
+    espec.schemes = {WriteScheme::Rmw, WriteScheme::WriteGrouping};
+    espec.vddGrid = {1.0, 0.8, 0.6};
+    espec.faultRows = 128;
+
+    core::VddSweepSpec vspec;
+    vspec.grid = espec.vddGrid;
+    vspec.faultRows = espec.faultRows;
+    vspec.cache = mem::CacheConfig{16 * 1024, 4, 32};
+    vspec.schemes = espec.schemes;
+    core::LevelConfig l2;
+    l2.cache = mem::CacheConfig{32 * 1024, 8, 32};
+    vspec.lowerLevels = {l2};
+    vspec.makeGenerator = [] {
+        return std::make_unique<trace::MarkovStream>(
+            trace::specProfile("gcc"));
+    };
+    const std::vector<core::VddCurve> want =
+        core::referenceCurves(vspec, testWindow());
+
+    for (const unsigned workers : {1u, 4u}) {
+        const ExploreResult er = runExplore(espec, testWindow(), workers);
+        ASSERT_TRUE(er.completed);
+        ASSERT_EQ(er.summaries.size(), want.size());
+        for (const DesignPointSummary &p : er.summaries) {
+            SCOPED_TRACE(p.scheme + " at " + std::to_string(workers) +
+                         " workers");
+            const core::VddCurve *c = nullptr;
+            for (const core::VddCurve &curve : want) {
+                if (curve.scheme == p.scheme)
+                    c = &curve;
+            }
+            ASSERT_NE(c, nullptr);
+            const core::VddPointResult *at = core::minVddPoint(*c);
+            const core::VddPointResult &pt = at ? *at : c->points.front();
+            EXPECT_EQ(p.l2SizeBytes, 32u * 1024);
+            EXPECT_EQ(p.minVdd, c->minVdd);
+            EXPECT_EQ(p.operational, at != nullptr);
+            EXPECT_EQ(p.energyPerAccess, pt.energyPerAccess);
+            EXPECT_EQ(p.edpPerAccess, pt.edpPerAccess);
+            EXPECT_EQ(p.cyclesPerAccess, pt.cyclesPerAccess);
+            EXPECT_EQ(p.missRate,
+                      static_cast<double>(pt.run.misses) /
+                          static_cast<double>(pt.run.requests));
         }
     }
 }

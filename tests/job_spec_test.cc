@@ -208,6 +208,24 @@ TEST(JobSpecTest, LevelValidationCatchesBadShapes)
         "{\"kind\":\"run\",\"levels\":[{\"vdd\":-0.5}]}", "vdd");
 }
 
+TEST(JobSpecTest, LowerLevelSmallerThanTheLevelAboveIsRejected)
+{
+    // Below the default 64 KB L1, and an L3 below its L2: both fail at
+    // admission as spec errors, not later on a worker.
+    expectParseError("{\"kind\":\"run\",\"workload\":\"spec:gcc\","
+                     "\"accesses\":2000,\"levels\":[{\"size_kb\":16}]}",
+                     "job spec: levels[].size_kb 16 is smaller than the "
+                     "level above it (64 KB)");
+    expectParseError("{\"kind\":\"run\",\"levels\":[{\"size_kb\":256},"
+                     "{\"size_kb\":128}]}",
+                     "job spec: levels[].size_kb 128 is smaller than the "
+                     "level above it (256 KB)");
+    // Equal sizes leave inclusion room and are admitted.
+    EXPECT_NO_THROW(JobSpec::fromJsonText(
+        "{\"kind\":\"run\",\"cache\":{\"size_kb\":256},"
+        "\"levels\":[{\"size_kb\":256},{\"size_kb\":256}]}"));
+}
+
 TEST(JobSpecTest, ExploreL2SizesParses)
 {
     const JobSpec spec = JobSpec::fromJsonText(

@@ -9,11 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "core/controller.hh"
 #include "core/level_stack.hh"
+#include "obs/event_ring.hh"
 #include "trace/markov_stream.hh"
+#include "trace/rng.hh"
 #include "trace/spec_profiles.hh"
 
 namespace
@@ -209,6 +214,165 @@ TEST(L2, ResetStatsClearsAllLevels)
     stack.resetStats();
     EXPECT_EQ(stack.top().tags().misses(), 0u);
     EXPECT_EQ(stack.level(1).tags().misses(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// The burst entry points against the per-word sequence they replaced:
+// fetchBlock was one read access() plus an eight-byte peekWord() per
+// word, acceptBlockWriteback one write access() per word.
+// ---------------------------------------------------------------------
+
+/** One L2 as a LevelStack builds it (eviction hook installed, so the
+ *  hierarchy counters register), with its own memory and event ring. */
+struct L2Twin
+{
+    mem::FunctionalMemory memory;
+    obs::EventRing ring{256};
+    CacheController ctrl;
+
+    explicit L2Twin(const ControllerConfig &cfg) : ctrl(cfg, memory)
+    {
+        ctrl.setEvictionHook(
+            [](mem::Addr, std::uint8_t *, std::uint32_t) { return false; });
+        ctrl.attachEventRing(&ring);
+    }
+
+    std::string dump()
+    {
+        std::ostringstream os;
+        ctrl.dumpStats(os);
+        return os.str();
+    }
+};
+
+/** The pre-burst fetch: one read access, then the block word by word
+ *  through peekWord(). */
+std::uint64_t
+perWordFetch(CacheController &ctrl, mem::Addr block, std::uint8_t *dst,
+             std::uint32_t len)
+{
+    const std::uint64_t latency =
+        ctrl.access(readAcc(block)).latencyCycles;
+    for (std::uint32_t off = 0; off < len; off += 8) {
+        const std::uint64_t v = ctrl.peekWord(block + off);
+        for (std::uint32_t i = 0; i < 8; ++i)
+            dst[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    return latency;
+}
+
+/** The pre-burst write-back: one eight-byte write access per word. */
+void
+perWordWriteback(CacheController &ctrl, mem::Addr block,
+                 const std::uint8_t *src, std::uint32_t len)
+{
+    for (std::uint32_t off = 0; off < len; off += 8) {
+        std::uint64_t v = 0;
+        for (std::uint32_t i = 0; i < 8; ++i)
+            v |= static_cast<std::uint64_t>(src[off + i]) << (8 * i);
+        ctrl.access(writeAcc(block + off, v));
+    }
+}
+
+/** True when @p ctrl's Set-Buffer holds @p block's set dirty: the
+ *  buffered image is fresher than the array row. */
+bool
+dirtyBuffered(const CacheController &ctrl, mem::Addr block)
+{
+    const core::TagBuffer *tb = ctrl.tagBuffer();
+    if (!tb)
+        return false;
+    const std::uint32_t set = ctrl.tags().layout().setOf(block);
+    for (std::uint32_t e = 0; e < tb->entries(); ++e) {
+        if (tb->entryValid(e) && tb->entrySet(e) == set && tb->dirty(e))
+            return true;
+    }
+    return false;
+}
+
+TEST(L2Bursts, MatchThePerWordOracle)
+{
+    constexpr std::uint32_t kBlock = 32;
+    for (const WriteScheme scheme :
+         {WriteScheme::SixTDirect, WriteScheme::WordGranular,
+          WriteScheme::Rmw, WriteScheme::LocalRmw,
+          WriteScheme::WriteGrouping,
+          WriteScheme::WriteGroupingReadBypass}) {
+        for (const mem::ReplKind repl :
+             {mem::ReplKind::Lru, mem::ReplKind::TreePlru,
+              mem::ReplKind::Fifo, mem::ReplKind::Random}) {
+            SCOPED_TRACE(std::string(core::toString(scheme)) + "/" +
+                         mem::toString(repl));
+            // A 4 KB / 4-way L2 over a 16 KB footprint: fetches and
+            // write-backs miss, evict and refill constantly.
+            ControllerConfig cfg;
+            cfg.cache = mem::CacheConfig{4 * 1024, 4, kBlock, repl};
+            cfg.scheme = scheme;
+            L2Twin burst(cfg), oracle(cfg);
+
+            trace::Rng rng(0x5eed + static_cast<int>(scheme) * 16 +
+                           static_cast<int>(repl));
+            std::uint64_t fresher_set_fetches = 0;
+            for (int op = 0; op < 4000; ++op) {
+                const mem::Addr block = rng.below(512) * kBlock;
+                switch (rng.below(4)) {
+                  case 0: {
+                    if (dirtyBuffered(burst.ctrl, block))
+                        ++fresher_set_fetches;
+                    std::uint8_t got[kBlock], want[kBlock];
+                    const std::uint64_t lat =
+                        burst.ctrl.fetchBlock(block, got, kBlock);
+                    ASSERT_EQ(lat, perWordFetch(oracle.ctrl, block, want,
+                                                kBlock))
+                        << "op " << op;
+                    ASSERT_EQ(std::memcmp(got, want, kBlock), 0)
+                        << "op " << op;
+                    break;
+                  }
+                  case 1: {
+                    std::uint8_t bytes[kBlock];
+                    for (std::uint8_t &b : bytes)
+                        b = static_cast<std::uint8_t>(rng.below(4));
+                    burst.ctrl.acceptBlockWriteback(block, bytes, kBlock);
+                    perWordWriteback(oracle.ctrl, block, bytes, kBlock);
+                    break;
+                  }
+                  default: {
+                    // Plain requests between the bursts: partial
+                    // writes leave buffered sets dirty (a Set-Buffer
+                    // fresher than its array row) for the next fetch.
+                    trace::MemAccess a = readAcc(block + rng.below(4) * 8);
+                    if (rng.below(3) != 0) {
+                        a.type = trace::AccessType::Write;
+                        a.size = static_cast<std::uint8_t>(
+                            1u << rng.below(4));
+                        a.data = rng.next();
+                    }
+                    const core::AccessOutcome x = burst.ctrl.access(a);
+                    const core::AccessOutcome y = oracle.ctrl.access(a);
+                    ASSERT_EQ(x.data, y.data) << "op " << op;
+                    ASSERT_EQ(x.latencyCycles, y.latencyCycles)
+                        << "op " << op;
+                    break;
+                  }
+                }
+            }
+            if (core::usesGroupingBuffer(scheme))
+                EXPECT_GT(fresher_set_fetches, 0u);
+
+            EXPECT_EQ(burst.dump(), oracle.dump());
+            EXPECT_EQ(burst.ring.typeCounts(), oracle.ring.typeCounts());
+            EXPECT_EQ(burst.ring.recorded(), oracle.ring.recorded());
+            EXPECT_EQ(burst.ctrl.dynamicEnergy(),
+                      oracle.ctrl.dynamicEnergy());
+            // Same architectural end state, word by word.
+            for (mem::Addr addr = 0; addr < 512 * kBlock; addr += 8) {
+                ASSERT_EQ(burst.ctrl.peekWord(addr),
+                          oracle.ctrl.peekWord(addr))
+                    << "addr " << addr;
+            }
+        }
+    }
 }
 
 } // anonymous namespace

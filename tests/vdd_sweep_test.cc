@@ -30,6 +30,8 @@
 #include "trace/markov_stream.hh"
 #include "trace/spec_profiles.hh"
 
+#include "sweep_reference.hh"
+
 namespace
 {
 
@@ -325,6 +327,127 @@ TEST(VddSweep, SpecValidationRejectsBrokenInput)
     no_schemes.schemes.clear();
     EXPECT_THROW(core::runVddSweep(no_schemes, rc),
                  std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// Job layout: no sweep job mixes plan groups, and the layout never
+// changes a result.
+// ---------------------------------------------------------------------
+
+/** A small two-level spec: a 16 KB L1 over a 32 KB / 4-way L2, so the
+ *  L2 evicts and back-invalidates within a short window. */
+VddSweepSpec
+hierarchySpec()
+{
+    VddSweepSpec spec = testSpec();
+    spec.cache = mem::CacheConfig{16 * 1024, 4, 32};
+    core::LevelConfig l2;
+    l2.cache = mem::CacheConfig{32 * 1024, 4, 32};
+    spec.lowerLevels = {l2};
+    spec.grid = {1.0, 0.8, 0.6};
+    spec.schemes = {WriteScheme::Rmw, WriteScheme::WriteGrouping};
+    return spec;
+}
+
+TEST(VddSweepJobs, NoJobMixesPlanGroups)
+{
+    const auto expect_layout = [](const VddSweepSpec &spec,
+                                  std::size_t jobs_per_point) {
+        core::VddFaultTable faults;
+        std::vector<core::SweepJob> jobs;
+        const std::size_t appended =
+            core::appendOperatingPointJobs(spec, faults, jobs);
+        EXPECT_EQ(jobs.size(), spec.grid.size() * jobs_per_point);
+        EXPECT_EQ(appended, jobs.size());
+        std::size_t configs = 0;
+        for (const core::SweepJob &job : jobs) {
+            configs += job.configs.size();
+            for (const ControllerConfig &a : job.configs) {
+                for (const ControllerConfig &b : job.configs)
+                    EXPECT_TRUE(core::sharesPlan(a, b));
+            }
+        }
+        EXPECT_EQ(configs, spec.grid.size() * spec.schemes.size());
+        ASSERT_EQ(faults.size(), spec.grid.size());
+    };
+
+    // Single level: every scheme shares the cache, so one job per
+    // grid point, as the figure sweeps and the explorer always had.
+    VddSweepSpec single = testSpec();
+    single.grid = {1.0, 0.8, 0.6};
+    expect_layout(single, 1);
+
+    // Hierarchy: the schemes' L2s differ, so one job per (grid point,
+    // scheme).
+    const VddSweepSpec hier = hierarchySpec();
+    expect_layout(hier, hier.schemes.size());
+    VddSweepSpec four = hierarchySpec();
+    four.schemes = VddSweepSpec{}.schemes;
+    expect_layout(four, four.schemes.size());
+}
+
+/** The configuration of (grid point, scheme) in @p spec's hierarchy
+ *  mode, spelled out: a pinned 6T L1 at nominal, the scheme and the
+ *  supply on the L2. */
+ControllerConfig
+hierarchyPointConfig(const VddSweepSpec &spec, WriteScheme s, double vdd)
+{
+    ControllerConfig cfg;
+    cfg.cache = spec.cache;
+    cfg.vmodel = spec.model;
+    cfg.scheme = WriteScheme::SixTDirect;
+    cfg.lowerLevels = spec.lowerLevels;
+    cfg.lowerLevels.front().scheme = s;
+    cfg.lowerLevels.front().vdd = vdd;
+    return cfg;
+}
+
+TEST(VddSweepJobs, HierarchyLayoutNeverChangesAResult)
+{
+    const VddSweepSpec spec = hierarchySpec();
+    const RunConfig rc{1'000, 8'000};
+    const auto run_alone = [&](std::vector<ControllerConfig> configs) {
+        core::MultiSchemeRunner runner(std::move(configs));
+        const auto gen = spec.makeGenerator();
+        return runner.run(*gen, rc);
+    };
+
+    // Reference: every (grid point, scheme) config through a runner
+    // of its own. The same configs sharing one runner per grid point
+    // give the same runs: the layout never changes a result.
+    std::vector<std::vector<core::SchemeRunResult>> want(spec.grid.size());
+    for (std::size_t gi = 0; gi < spec.grid.size(); ++gi) {
+        std::vector<ControllerConfig> point;
+        for (const WriteScheme s : spec.schemes) {
+            point.push_back(hierarchyPointConfig(spec, s, spec.grid[gi]));
+            want[gi].push_back(run_alone({point.back()}).front());
+        }
+        EXPECT_EQ(run_alone(point), want[gi]) << "grid point " << gi;
+    }
+
+    // The reference document: each (grid point, scheme) config run
+    // through its own runner, then reduced.
+    VddSweepResult ref;
+    ref.workload = spec.makeGenerator()->name();
+    ref.failureThreshold = spec.failureThreshold;
+    ref.grid = spec.grid;
+    ref.hierarchy = true;
+    ref.curves = core::referenceCurves(spec, rc);
+    std::ostringstream want_doc;
+    ref.dumpJson(want_doc);
+
+    for (const unsigned workers : {1u, 4u}) {
+        const VddSweepResult r = core::runVddSweep(spec, rc, workers);
+        std::ostringstream doc;
+        r.dumpJson(doc);
+        EXPECT_EQ(doc.str(), want_doc.str()) << workers << " workers";
+        for (std::size_t si = 0; si < spec.schemes.size(); ++si) {
+            for (std::size_t gi = 0; gi < spec.grid.size(); ++gi)
+                EXPECT_EQ(r.curves[si].points[gi].run, want[gi][si])
+                    << workers << " workers, scheme " << si << ", point "
+                    << gi;
+        }
+    }
 }
 
 } // anonymous namespace

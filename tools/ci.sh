@@ -51,10 +51,14 @@
 #   8. Hierarchy smoke: build the two-level tests (l2_test,
 #      hierarchy_test) under the ASan tree and run them — the
 #      fetch/writeback/back-invalidation paths are the newest
-#      pointer-heavy surface — then run one two-level JobSpec through
-#      c8td and require the answer byte-identical to the one-shot
-#      c8tsim --l2 document for the same operating point (the
-#      shared-JobSpec contract extended to the hierarchy).
+#      pointer-heavy surface — then run a two-level run spec and a
+#      two-level vdd_sweep spec through c8td and require each answer
+#      byte-identical to the one-shot c8tsim --l2 document for the
+#      same operating point (the shared-JobSpec contract extended to
+#      the hierarchy), and require a small two-level explore to write
+#      the same document at --jobs 1 and --jobs 4 (a hierarchy sweep
+#      runs one job per grid point and scheme, so its job layout
+#      depends on nothing but the spec).
 #   9. Perf gate: tools/perf_ab.sh HEAD~1, a same-host A/B of the
 #      repository benchmark (perfbench) between the parent commit and
 #      this checkout, alternating runs of every BENCHMARK.json workload.
@@ -290,17 +294,38 @@ fi
 "$repo_root/build/tools/c8tctl" --socket "$hier_sock" \
     --output "$hier_dir/h.json" \
     '{"kind":"run","workload":"spec:gcc","accesses":20000,"levels":[{"size_kb":256}]}'
+"$repo_root/build/tools/c8tctl" --socket "$hier_sock" \
+    --output "$hier_dir/v.json" \
+    '{"kind":"vdd_sweep","workload":"spec:gcc","accesses":20000,"levels":[{"size_kb":256}]}'
 kill -TERM "$hier_pid"
 wait "$hier_pid"
 "$repo_root/build/tools/c8tsim" --workload spec:gcc --accesses 20000 \
     --l2 256 --stats-json "$hier_dir/h.ref" > /dev/null
-if ! cmp -s "$hier_dir/h.json" "$hier_dir/h.ref"; then
-    echo "ci: daemon two-level answer differs from one-shot c8tsim" >&2
-    diff "$hier_dir/h.json" "$hier_dir/h.ref" >&2 || true
+"$repo_root/build/tools/c8tsim" --vdd-sweep --workload spec:gcc \
+    --accesses 20000 --l2 256 --stats-json "$hier_dir/v.ref" > /dev/null
+for f in h v; do
+    if ! cmp -s "$hier_dir/$f.json" "$hier_dir/$f.ref"; then
+        echo "ci: daemon two-level answer '$f' differs from one-shot" \
+             "c8tsim" >&2
+        diff "$hier_dir/$f.json" "$hier_dir/$f.ref" >&2 || true
+        exit 1
+    fi
+done
+hier_explore=(--explore --explore-workloads gcc --explore-sizes 16,32
+    --explore-ways 4 --explore-blocks 32 --explore-vdd 1.0,0.8
+    --explore-l2-sizes 256 --accesses 3000 --warmup 300)
+for j in 1 4; do
+    "$repo_root/build/tools/c8tsim" "${hier_explore[@]}" --jobs "$j" \
+        --stats-json "$hier_dir/e$j.json" > /dev/null
+done
+if ! cmp -s "$hier_dir/e1.json" "$hier_dir/e4.json"; then
+    echo "ci: two-level explore differs between --jobs 1 and 4" >&2
+    diff "$hier_dir/e1.json" "$hier_dir/e4.json" >&2 || true
     exit 1
 fi
 rm -rf "$hier_dir"
-echo "ci: two-level tests clean under ASan; daemon hierarchy bytes match"
+echo "ci: two-level tests clean under ASan; daemon hierarchy bytes match;" \
+     "two-level explore is worker-count invariant"
 
 echo "==== perf: perfbench A/B against the parent commit ===="
 if [ "${C8T_CI_SKIP_PERF:-0}" = 1 ]; then
