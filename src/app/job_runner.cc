@@ -16,7 +16,6 @@
 #include "sram/cell.hh"
 #include "stats/json.hh"
 #include "stats/registry.hh"
-#include "trace/spec_profiles.hh"
 
 namespace c8t::app
 {
@@ -219,24 +218,7 @@ runExploreJob(const core::JobSpec &spec, unsigned workers,
     JobOutcome out;
     out.kind = core::JobKind::Explore;
 
-    core::ExplorerSpec espec;
-    // The label is serialized into the result document, so both front
-    // ends must use the same one for byte-identity.
-    espec.label = "c8tsim_explore";
-    espec.workloads = spec.exploreWorkloads.empty()
-                          ? trace::specBenchmarkNames()
-                          : spec.exploreWorkloads;
-    espec.sizesKb = spec.exploreSizesKb;
-    espec.ways = spec.exploreWays;
-    espec.blocks = spec.exploreBlocks;
-    espec.replacements = spec.exploreRepls;
-    espec.schemes = spec.effectiveSchemes();
-    espec.vddGrid = spec.exploreVdd;
-    espec.l2SizesKb = spec.exploreL2SizesKb;
-    espec.checkpointDir = spec.checkpointDir;
-    espec.cellsPerShard = spec.shardCells;
-    espec.maxShards = spec.exploreMaxShards;
-
+    const core::ExplorerSpec espec = spec.explorerSpec();
     const core::RunConfig rc{spec.effectiveWarmup(), spec.accesses};
     if (hooks.onProgress)
         hooks.onProgress(0, espec.configRunCount());

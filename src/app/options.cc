@@ -21,21 +21,6 @@ namespace c8t::app
 namespace
 {
 
-std::uint64_t
-parseU64(const std::string &flag, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t v = std::stoull(value, &pos, 10);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing characters");
-        return v;
-    } catch (const std::exception &) {
-        throw std::invalid_argument(flag + ": expected an integer, got '" +
-                                    value + "'");
-    }
-}
-
 double
 parseDouble(const std::string &flag, const std::string &value)
 {
@@ -69,25 +54,53 @@ splitList(const std::string &flag, const std::string &value)
     return out;
 }
 
-std::vector<std::uint64_t>
-parseU64List(const std::string &flag, const std::string &value)
+template <typename T, T (*parse)(const std::string &, const std::string &)>
+std::vector<T>
+parseList(const std::string &flag, const std::string &value)
 {
-    std::vector<std::uint64_t> out;
+    std::vector<T> out;
     for (const std::string &item : splitList(flag, value))
-        out.push_back(parseU64(flag, item));
-    return out;
-}
-
-std::vector<double>
-parseDoubleList(const std::string &flag, const std::string &value)
-{
-    std::vector<double> out;
-    for (const std::string &item : splitList(flag, value))
-        out.push_back(parseDouble(flag, item));
+        out.push_back(parse(flag, item));
     return out;
 }
 
 } // anonymous namespace
+
+std::uint64_t
+parseU64(const std::string &flag, const std::string &value)
+{
+    try {
+        std::size_t pos = 0;
+        const std::uint64_t v = std::stoull(value, &pos, 10);
+        if (pos != value.size())
+            throw std::invalid_argument("trailing characters");
+        return v;
+    } catch (const std::exception &) {
+        throw std::invalid_argument(flag + ": expected an integer, got '" +
+                                    value + "'");
+    }
+}
+
+std::uint32_t
+parseU32(const std::string &flag, const std::string &value)
+{
+    const std::uint64_t v = parseU64(flag, value);
+    if (v > UINT32_MAX)
+        throw std::invalid_argument(flag + ": must be <= " +
+                                    std::to_string(UINT32_MAX));
+    return static_cast<std::uint32_t>(v);
+}
+
+std::size_t
+parseStreamCacheMb(const std::string &flag, const std::string &value)
+{
+    constexpr std::size_t max_mb = SIZE_MAX >> 20;
+    const std::uint64_t mb = parseU64(flag, value);
+    if (mb > max_mb)
+        throw std::invalid_argument(flag + ": must be <= " +
+                                    std::to_string(max_mb) + " MB");
+    return static_cast<std::size_t>(mb) << 20;
+}
 
 unsigned
 parseWorkerCount(const std::string &flag, const std::string &value,
@@ -217,7 +230,9 @@ SimOptions
 parseOptions(const std::vector<std::string> &args)
 {
     SimOptions opt;
-    bool &schemes_given = opt.schemesGiven;
+    core::JobSpec &job = opt.job;
+    core::LevelSpec l2;
+    std::uint64_t l2_kb = 0;
     std::string l2_knob; // last --l2-* flag seen (requires --l2)
 
     auto need_value = [&](std::size_t i, const std::string &flag) {
@@ -231,121 +246,110 @@ parseOptions(const std::vector<std::string> &args)
         if (a == "--help" || a == "-h") {
             opt.help = true;
         } else if (a == "--workload") {
-            opt.workload = need_value(i++, a);
+            job.workload = need_value(i++, a);
         } else if (a == "--accesses") {
-            opt.accesses = parseU64(a, need_value(i++, a));
-            if (opt.accesses == 0)
+            job.accesses = parseU64(a, need_value(i++, a));
+            if (job.accesses == 0)
                 throw std::invalid_argument("--accesses: must be > 0");
         } else if (a == "--warmup") {
-            opt.warmup = parseU64(a, need_value(i++, a));
+            job.warmup = parseU64(a, need_value(i++, a));
         } else if (a == "--record") {
             opt.recordTrace = need_value(i++, a);
         } else if (a == "--size") {
-            opt.cache.sizeBytes =
+            job.cache.sizeBytes =
                 core::levelBytesFromKb(parseU64(a, need_value(i++, a)), a);
         } else if (a == "--ways") {
-            opt.cache.ways =
-                static_cast<std::uint32_t>(parseU64(a, need_value(i++, a)));
+            job.cache.ways = parseU32(a, need_value(i++, a));
         } else if (a == "--block") {
-            opt.cache.blockBytes =
-                static_cast<std::uint32_t>(parseU64(a, need_value(i++, a)));
+            job.cache.blockBytes = parseU32(a, need_value(i++, a));
         } else if (a == "--repl") {
-            opt.cache.replacement = mem::parseReplKind(need_value(i++, a));
+            job.cache.replacement = mem::parseReplKind(need_value(i++, a));
         } else if (a == "--scheme") {
-            if (!schemes_given)
-                opt.schemes.clear();
-            schemes_given = true;
-            opt.schemes.push_back(
+            job.schemes.push_back(
                 core::parseWriteScheme(need_value(i++, a)));
         } else if (a == "--all") {
-            schemes_given = true;
-            opt.schemes = {core::WriteScheme::SixTDirect,
+            job.schemes = {core::WriteScheme::SixTDirect,
                            core::WriteScheme::Rmw,
                            core::WriteScheme::LocalRmw,
                            core::WriteScheme::WordGranular,
                            core::WriteScheme::WriteGrouping,
                            core::WriteScheme::WriteGroupingReadBypass};
         } else if (a == "--buffer-entries") {
-            opt.bufferEntries =
-                static_cast<std::uint32_t>(parseU64(a, need_value(i++, a)));
-            if (opt.bufferEntries == 0)
+            job.bufferEntries = parseU32(a, need_value(i++, a));
+            if (job.bufferEntries == 0)
                 throw std::invalid_argument(
                     "--buffer-entries: must be >= 1");
         } else if (a == "--l2") {
-            opt.l2SizeKb = parseU64(a, need_value(i++, a));
+            l2_kb = parseU64(a, need_value(i++, a));
         } else if (a == "--l2-ways") {
             l2_knob = a;
-            opt.l2Ways =
-                static_cast<std::uint32_t>(parseU64(a, need_value(i++, a)));
+            l2.ways = parseU32(a, need_value(i++, a));
         } else if (a == "--l2-repl") {
             l2_knob = a;
-            opt.l2Repl = mem::parseReplKind(need_value(i++, a));
+            l2.repl = mem::parseReplKind(need_value(i++, a));
         } else if (a == "--l2-scheme") {
             l2_knob = a;
-            opt.l2Scheme = core::parseWriteScheme(need_value(i++, a));
+            l2.scheme = core::parseWriteScheme(need_value(i++, a));
         } else if (a == "--l2-vdd") {
             l2_knob = a;
-            opt.l2Vdd = parseDouble(a, need_value(i++, a));
-            if (opt.l2Vdd <= 0.0)
+            l2.vdd = parseDouble(a, need_value(i++, a));
+            if (l2.vdd <= 0.0)
                 throw std::invalid_argument("--l2-vdd: must be > 0");
         } else if (a == "--vdd") {
-            opt.vdd = parseDouble(a, need_value(i++, a));
-            if (opt.vdd <= 0.0)
+            job.vdd = parseDouble(a, need_value(i++, a));
+            if (job.vdd <= 0.0)
                 throw std::invalid_argument("--vdd: must be > 0");
         } else if (a == "--vdd-sweep") {
-            opt.vddSweep = true;
+            // --explore wins over --vdd-sweep, whatever their order.
+            if (job.kind != core::JobKind::Explore)
+                job.kind = core::JobKind::VddSweep;
         } else if (a == "--explore") {
-            opt.explore = true;
+            job.kind = core::JobKind::Explore;
         } else if (a == "--explore-workloads") {
             const std::string v = need_value(i++, a);
-            opt.exploreWorkloads =
+            job.exploreWorkloads =
                 v == "all" ? std::vector<std::string>{} : splitList(a, v);
         } else if (a == "--explore-sizes") {
-            opt.exploreSizesKb = parseU64List(a, need_value(i++, a));
+            job.exploreSizesKb =
+                parseList<std::uint64_t, parseU64>(a, need_value(i++, a));
         } else if (a == "--explore-ways") {
-            opt.exploreWays.clear();
-            for (const std::uint64_t v :
-                 parseU64List(a, need_value(i++, a)))
-                opt.exploreWays.push_back(
-                    static_cast<std::uint32_t>(v));
+            job.exploreWays =
+                parseList<std::uint32_t, parseU32>(a, need_value(i++, a));
         } else if (a == "--explore-blocks") {
-            opt.exploreBlocks.clear();
-            for (const std::uint64_t v :
-                 parseU64List(a, need_value(i++, a)))
-                opt.exploreBlocks.push_back(
-                    static_cast<std::uint32_t>(v));
+            job.exploreBlocks =
+                parseList<std::uint32_t, parseU32>(a, need_value(i++, a));
         } else if (a == "--explore-repl") {
-            opt.exploreRepls.clear();
+            job.exploreRepls.clear();
             for (const std::string &r :
                  splitList(a, need_value(i++, a)))
-                opt.exploreRepls.push_back(mem::parseReplKind(r));
+                job.exploreRepls.push_back(mem::parseReplKind(r));
         } else if (a == "--explore-l2-sizes") {
-            opt.exploreL2SizesKb = parseU64List(a, need_value(i++, a));
+            job.exploreL2SizesKb =
+                parseList<std::uint64_t, parseU64>(a, need_value(i++, a));
         } else if (a == "--explore-vdd") {
             const std::string v = need_value(i++, a);
             if (v == "none")
-                opt.exploreVdd.clear();
+                job.exploreVdd.clear();
             else if (v == "grid")
-                opt.exploreVdd = sram::VddModel::defaultGrid();
+                job.exploreVdd = sram::VddModel::defaultGrid();
             else
-                opt.exploreVdd = parseDoubleList(a, v);
+                job.exploreVdd = parseList<double, parseDouble>(a, v);
         } else if (a == "--checkpoint-dir") {
-            opt.checkpointDir = need_value(i++, a);
+            job.checkpointDir = need_value(i++, a);
         } else if (a == "--shard-cells") {
-            opt.shardCells = static_cast<std::size_t>(
+            job.shardCells = static_cast<std::size_t>(
                 parseU64(a, need_value(i++, a)));
-            if (opt.shardCells == 0)
+            if (job.shardCells == 0)
                 throw std::invalid_argument(
                     "--shard-cells: must be >= 1");
         } else if (a == "--explore-max-shards") {
-            opt.exploreMaxShards = parseU64(a, need_value(i++, a));
+            job.exploreMaxShards = parseU64(a, need_value(i++, a));
         } else if (a == "--jobs") {
             opt.jobs = parseWorkerCount(a, need_value(i++, a), false);
         } else if (a == "--stream-cache") {
-            opt.streamCacheMb = static_cast<std::int64_t>(
-                parseU64(a, need_value(i++, a)));
+            opt.streamCacheBytes = parseStreamCacheMb(a, need_value(i++, a));
         } else if (a == "--no-silent-detection") {
-            opt.silentDetection = false;
+            job.silentDetection = false;
         } else if (a == "--stats") {
             opt.dumpStats = true;
         } else if (a == "--stats-json") {
@@ -372,51 +376,15 @@ parseOptions(const std::vector<std::string> &args)
         }
     }
 
-    if (!l2_knob.empty() && !opt.l2SizeKb)
+    if (l2_kb) {
+        l2.sizeKb = l2_kb;
+        job.levels.push_back(l2);
+    } else if (!l2_knob.empty()) {
         throw std::invalid_argument(l2_knob + ": requires --l2 KB");
-    if (!opt.help)
-        opt.cache.validate();
-    return opt;
-}
-
-core::JobSpec
-toJobSpec(const SimOptions &opt)
-{
-    core::JobSpec spec;
-    spec.kind = opt.explore    ? core::JobKind::Explore
-                : opt.vddSweep ? core::JobKind::VddSweep
-                               : core::JobKind::Run;
-    spec.workload = opt.workload;
-    spec.accesses = opt.accesses;
-    spec.warmup = opt.warmup;
-    spec.cache = opt.cache;
-    // An empty spec scheme set means "kind default", which matches
-    // what c8tsim applies when --scheme/--all were not given.
-    if (opt.schemesGiven)
-        spec.schemes = opt.schemes;
-    spec.bufferEntries = opt.bufferEntries;
-    spec.silentDetection = opt.silentDetection;
-    if (opt.l2SizeKb) {
-        core::LevelSpec l2;
-        l2.sizeKb = opt.l2SizeKb;
-        l2.ways = opt.l2Ways;
-        l2.repl = opt.l2Repl;
-        l2.scheme = opt.l2Scheme;
-        l2.vdd = opt.l2Vdd;
-        spec.levels.push_back(l2);
     }
-    spec.vdd = opt.vdd;
-    spec.exploreWorkloads = opt.exploreWorkloads;
-    spec.exploreSizesKb = opt.exploreSizesKb;
-    spec.exploreWays = opt.exploreWays;
-    spec.exploreBlocks = opt.exploreBlocks;
-    spec.exploreRepls = opt.exploreRepls;
-    spec.exploreVdd = opt.exploreVdd;
-    spec.exploreL2SizesKb = opt.exploreL2SizesKb;
-    spec.shardCells = opt.shardCells;
-    spec.checkpointDir = opt.checkpointDir;
-    spec.exploreMaxShards = opt.exploreMaxShards;
-    return spec;
+    if (!opt.help)
+        job.cache.validate();
+    return opt;
 }
 
 std::vector<std::string>

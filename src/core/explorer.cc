@@ -341,28 +341,31 @@ ExplorerSpec::validate() const
 std::uint64_t
 ExplorerSpec::cellCount() const
 {
-    return static_cast<std::uint64_t>(workloads.size()) * sizesKb.size() *
-           ways.size() * blocks.size() * replacements.size() *
-           std::max<std::size_t>(1, l2SizesKb.size());
+    std::uint64_t n = workloads.size();
+    for (const std::uint64_t axis :
+         {sizesKb.size(), ways.size(), blocks.size(), replacements.size(),
+          std::max<std::size_t>(1, l2SizesKb.size())})
+        n = satMul(n, axis);
+    return n;
 }
 
 std::uint64_t
 ExplorerSpec::runsPerCell() const
 {
-    return static_cast<std::uint64_t>(schemes.size()) *
-           std::max<std::size_t>(1, vddGrid.size());
+    return satMul(schemes.size(), std::max<std::size_t>(1, vddGrid.size()));
 }
 
 std::uint64_t
 ExplorerSpec::configRunCount() const
 {
-    return cellCount() * runsPerCell();
+    return satMul(cellCount(), runsPerCell());
 }
 
 std::uint64_t
 ExplorerSpec::shardCount() const
 {
-    return (cellCount() + cellsPerShard - 1) / cellsPerShard;
+    const std::uint64_t cells = cellCount();
+    return cells / cellsPerShard + (cells % cellsPerShard != 0);
 }
 
 std::string

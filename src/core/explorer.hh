@@ -61,9 +61,26 @@
 namespace c8t::core
 {
 
+/** @p a * @p b, clamped to the uint64 maximum (the explore counts and
+ *  the JobSpec admission counts must not wrap). */
+inline std::uint64_t
+satMul(std::uint64_t a, std::uint64_t b)
+{
+    std::uint64_t r = 0;
+    return __builtin_mul_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+
 /** Cross-product specification of one explore. */
 struct ExplorerSpec
 {
+    /** Axis defaults, also those of a JobSpec explore. */
+    static inline const std::vector<std::uint64_t> kDefaultSizesKb = {
+        16, 32, 64, 128};
+    static inline const std::vector<std::uint32_t> kDefaultWays = {2, 4, 8};
+    static inline const std::vector<std::uint32_t> kDefaultBlocks = {32, 64};
+    static inline const std::vector<mem::ReplKind> kDefaultReplacements = {
+        mem::ReplKind::Lru};
+
     /** Names the run in the heartbeat, trace spans and the document. */
     std::string label = "explore";
 
@@ -71,24 +88,19 @@ struct ExplorerSpec
     std::vector<std::string> workloads;
 
     /** Cache sizes (KiB). */
-    std::vector<std::uint64_t> sizesKb = {16, 32, 64, 128};
+    std::vector<std::uint64_t> sizesKb = kDefaultSizesKb;
 
     /** Associativities. */
-    std::vector<std::uint32_t> ways = {2, 4, 8};
+    std::vector<std::uint32_t> ways = kDefaultWays;
 
     /** Block sizes (bytes). */
-    std::vector<std::uint32_t> blocks = {32, 64};
+    std::vector<std::uint32_t> blocks = kDefaultBlocks;
 
     /** Replacement policies. */
-    std::vector<mem::ReplKind> replacements = {mem::ReplKind::Lru};
+    std::vector<mem::ReplKind> replacements = kDefaultReplacements;
 
     /** Write schemes (the cell type follows each scheme's traits). */
-    std::vector<WriteScheme> schemes = {
-        WriteScheme::SixTDirect,
-        WriteScheme::Rmw,
-        WriteScheme::WriteGrouping,
-        WriteScheme::WriteGroupingReadBypass,
-    };
+    std::vector<WriteScheme> schemes = voltageStorySchemes();
 
     /**
      * L2-capacity axis (KiB). Empty = classic single-level cells.
@@ -153,14 +165,16 @@ struct ExplorerSpec
     void validate() const;
 
     /** Cells = workloads × sizes × ways × blocks × replacements
-     *  (× L2 sizes when that axis is non-empty). */
+     *  (× L2 sizes when that axis is non-empty); saturating. */
     std::uint64_t cellCount() const;
 
-    /** Config-runs per cell = schemes × max(1, grid points). */
+    /** Config-runs per cell = schemes × max(1, grid points);
+     *  saturating. */
     std::uint64_t runsPerCell() const;
 
     /** Total config-runs (includes cells later skipped as invalid
-     *  geometries — skips are decided per cell, deterministically). */
+     *  geometries — skips are decided per cell, deterministically);
+     *  saturating, so admission can bound it. */
     std::uint64_t configRunCount() const;
 
     /** Shards = ceil(cells / cellsPerShard). */

@@ -5,7 +5,6 @@
 
 #include "core/job_spec.hh"
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -309,7 +308,21 @@ asU64(const JsonValue &v, const char *key)
         v.number != std::floor(v.number) ||
         v.raw.find_first_of(".eE") != std::string::npos)
         specFail(std::string(key) + ": expected a non-negative integer");
+    if (v.number >= 0x1p64)
+        specFail(std::string(key) + ": must be <= " +
+                 std::to_string(UINT64_MAX));
     return static_cast<std::uint64_t>(v.number);
+}
+
+/** asU64 for a 32-bit field: larger values are rejected, not wrapped. */
+std::uint32_t
+asU32(const JsonValue &v, const char *key)
+{
+    const std::uint64_t n = asU64(v, key);
+    if (n > UINT32_MAX)
+        specFail(std::string(key) + ": must be <= " +
+                 std::to_string(UINT32_MAX));
+    return static_cast<std::uint32_t>(n);
 }
 
 double
@@ -334,14 +347,6 @@ asBool(const JsonValue &v, const char *key)
     if (v.kind != JsonValue::Kind::Bool)
         specFail(std::string(key) + ": expected true or false");
     return v.boolean;
-}
-
-/** a * b, clamped to the uint64 maximum. */
-std::uint64_t
-satMul(std::uint64_t a, std::uint64_t b)
-{
-    std::uint64_t r = 0;
-    return __builtin_mul_overflow(a, b, &r) ? UINT64_MAX : r;
 }
 
 template <typename T, typename Fn>
@@ -408,39 +413,44 @@ JobSpec::effectiveSchemes() const
         return schemes;
     if (kind == JobKind::Run)
         return {WriteScheme::Rmw, WriteScheme::WriteGroupingReadBypass};
-    // The voltage story's four, matching VddSweepSpec / ExplorerSpec.
-    return {WriteScheme::SixTDirect, WriteScheme::Rmw,
-            WriteScheme::WriteGrouping,
-            WriteScheme::WriteGroupingReadBypass};
+    return voltageStorySchemes();
+}
+
+ExplorerSpec
+JobSpec::explorerSpec() const
+{
+    ExplorerSpec espec;
+    // The label is serialized into the result document, so both front
+    // ends must use the same one for byte-identity.
+    espec.label = "c8tsim_explore";
+    espec.workloads = exploreWorkloads.empty() ? trace::specBenchmarkNames()
+                                               : exploreWorkloads;
+    espec.sizesKb = exploreSizesKb;
+    espec.ways = exploreWays;
+    espec.blocks = exploreBlocks;
+    espec.replacements = exploreRepls;
+    espec.schemes = effectiveSchemes();
+    espec.vddGrid = exploreVdd;
+    espec.l2SizesKb = exploreL2SizesKb;
+    espec.checkpointDir = checkpointDir;
+    espec.cellsPerShard = shardCells;
+    espec.maxShards = exploreMaxShards;
+    return espec;
 }
 
 std::uint64_t
 JobSpec::configRuns() const
 {
-    const std::uint64_t schemes_n = effectiveSchemes().size();
     switch (kind) {
     case JobKind::VddSweep:
-        return satMul(schemes_n,
+        return satMul(effectiveSchemes().size(),
                       vdd > 0.0 ? 1 : sram::VddModel::defaultGrid().size());
-    case JobKind::Explore: {
-        // ExplorerSpec::configRunCount over the axes runExploreJob
-        // builds from this spec.
-        std::uint64_t n = exploreWorkloads.empty()
-                              ? trace::specBenchmarkNames().size()
-                              : exploreWorkloads.size();
-        const std::uint64_t axes[] = {
-            exploreSizesKb.size(), exploreWays.size(), exploreBlocks.size(),
-            exploreRepls.size(),
-            std::max<std::uint64_t>(1, exploreL2SizesKb.size()),
-            std::max<std::uint64_t>(1, exploreVdd.size()), schemes_n};
-        for (const std::uint64_t axis : axes)
-            n = satMul(n, axis);
-        return n;
-    }
+    case JobKind::Explore:
+        return explorerSpec().configRunCount();
     case JobKind::Run:
         break;
     }
-    return schemes_n;
+    return effectiveSchemes().size();
 }
 
 std::uint64_t
@@ -509,15 +519,15 @@ JobSpec::validate() const
     validateShape(cache, "cache");
     if (kind == JobKind::Explore && shardCells == 0)
         specFail("shard_cells must be >= 1");
-    if (configRuns() > kMaxJobConfigRuns) {
-        throw JobTooLarge("job spec: too large: " +
-                          std::to_string(configRuns()) +
+    if (const std::uint64_t runs = configRuns(); runs > kMaxJobConfigRuns) {
+        throw JobTooLarge("job spec: too large: " + std::to_string(runs) +
                           " config-runs exceed the admission limit of " +
                           std::to_string(kMaxJobConfigRuns));
     }
-    if (simulatedAccesses() > kMaxJobSimulatedAccesses) {
+    if (const std::uint64_t n = simulatedAccesses();
+        n > kMaxJobSimulatedAccesses) {
         throw JobTooLarge(
-            "job spec: too large: " + std::to_string(simulatedAccesses()) +
+            "job spec: too large: " + std::to_string(n) +
             " simulated accesses exceed the admission limit of " +
             std::to_string(kMaxJobSimulatedAccesses));
     }
@@ -555,14 +565,10 @@ JobSpec::fromJson(const JsonValue &v)
             spec.cache.sizeBytes =
                 levelBytesFromKb(asU64(*s, "cache.size_kb"),
                                  "cache.size_kb");
-        if (const JsonValue *w = c->find("ways")) {
-            spec.cache.ways =
-                static_cast<std::uint32_t>(asU64(*w, "cache.ways"));
-        }
-        if (const JsonValue *b = c->find("block")) {
-            spec.cache.blockBytes =
-                static_cast<std::uint32_t>(asU64(*b, "cache.block"));
-        }
+        if (const JsonValue *w = c->find("ways"))
+            spec.cache.ways = asU32(*w, "cache.ways");
+        if (const JsonValue *b = c->find("block"))
+            spec.cache.blockBytes = asU32(*b, "cache.block");
         if (const JsonValue *r = c->find("repl")) {
             spec.cache.replacement =
                 mem::parseReplKind(asString(*r, "cache.repl"));
@@ -575,10 +581,8 @@ JobSpec::fromJson(const JsonValue &v)
                 return parseWriteScheme(asString(e, "schemes[]"));
             });
     }
-    if (const JsonValue *b = v.find("buffer_entries")) {
-        spec.bufferEntries =
-            static_cast<std::uint32_t>(asU64(*b, "buffer_entries"));
-    }
+    if (const JsonValue *b = v.find("buffer_entries"))
+        spec.bufferEntries = asU32(*b, "buffer_entries");
     if (const JsonValue *s = v.find("silent_detection"))
         spec.silentDetection = asBool(*s, "silent_detection");
     if (const JsonValue *lv = v.find("levels")) {
@@ -595,14 +599,10 @@ JobSpec::fromJson(const JsonValue &v)
             LevelSpec l;
             if (const JsonValue *s = e.find("size_kb"))
                 l.sizeKb = asU64(*s, "levels[].size_kb");
-            if (const JsonValue *w = e.find("ways")) {
-                l.ways = static_cast<std::uint32_t>(
-                    asU64(*w, "levels[].ways"));
-            }
-            if (const JsonValue *b = e.find("block")) {
-                l.blockBytes = static_cast<std::uint32_t>(
-                    asU64(*b, "levels[].block"));
-            }
+            if (const JsonValue *w = e.find("ways"))
+                l.ways = asU32(*w, "levels[].ways");
+            if (const JsonValue *b = e.find("block"))
+                l.blockBytes = asU32(*b, "levels[].block");
             if (const JsonValue *r = e.find("repl")) {
                 l.repl =
                     mem::parseReplKind(asString(*r, "levels[].repl"));
@@ -648,15 +648,13 @@ JobSpec::fromJson(const JsonValue &v)
         if (const JsonValue *w = e->find("ways")) {
             spec.exploreWays = asList<std::uint32_t>(
                 *w, "explore.ways", [](const JsonValue &i) {
-                    return static_cast<std::uint32_t>(
-                        asU64(i, "explore.ways[]"));
+                    return asU32(i, "explore.ways[]");
                 });
         }
         if (const JsonValue *b = e->find("blocks")) {
             spec.exploreBlocks = asList<std::uint32_t>(
                 *b, "explore.blocks", [](const JsonValue &i) {
-                    return static_cast<std::uint32_t>(
-                        asU64(i, "explore.blocks[]"));
+                    return asU32(i, "explore.blocks[]");
                 });
         }
         if (const JsonValue *r = e->find("repl")) {

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "core/explorer.hh"
 #include "core/write_scheme.hh"
 #include "mem/cache.hh"
 #include "mem/replacement.hh"
@@ -182,10 +183,11 @@ struct JobSpec
 
     /** Explore axes (kind Explore only). */
     std::vector<std::string> exploreWorkloads; ///< empty = all SPEC
-    std::vector<std::uint64_t> exploreSizesKb = {16, 32, 64, 128};
-    std::vector<std::uint32_t> exploreWays = {2, 4, 8};
-    std::vector<std::uint32_t> exploreBlocks = {32, 64};
-    std::vector<mem::ReplKind> exploreRepls = {mem::ReplKind::Lru};
+    std::vector<std::uint64_t> exploreSizesKb = ExplorerSpec::kDefaultSizesKb;
+    std::vector<std::uint32_t> exploreWays = ExplorerSpec::kDefaultWays;
+    std::vector<std::uint32_t> exploreBlocks = ExplorerSpec::kDefaultBlocks;
+    std::vector<mem::ReplKind> exploreRepls =
+        ExplorerSpec::kDefaultReplacements;
     std::vector<double> exploreVdd; ///< empty = nominal-only
     std::vector<std::uint64_t> exploreL2SizesKb; ///< empty = no L2 axis
     std::size_t shardCells = 8;
@@ -204,9 +206,14 @@ struct JobSpec
     std::vector<WriteScheme> effectiveSchemes() const;
 
     /** Controller runs the job executes: schemes x Vdd grid points
-     *  for a vdd_sweep, explore cells x schemes x Vdd points for an
+     *  for a vdd_sweep, explorerSpec().configRunCount() for an
      *  explore (saturating). */
     std::uint64_t configRuns() const;
+
+    /** The explorer spec an explore job runs (DESIGN.md §12): the
+     *  explore axes, the kind-default schemes and the CLI-only
+     *  checkpoint knobs. */
+    ExplorerSpec explorerSpec() const;
 
     /** Accesses over all config-runs, warm-up included (saturating). */
     std::uint64_t simulatedAccesses() const;

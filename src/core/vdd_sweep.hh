@@ -84,12 +84,7 @@ struct VddSweepSpec
 
     /** Schemes to sweep: the paper's voltage story compares the 6T
      *  direct-write baseline against the 8T variants. */
-    std::vector<WriteScheme> schemes = {
-        WriteScheme::SixTDirect,
-        WriteScheme::Rmw,
-        WriteScheme::WriteGrouping,
-        WriteScheme::WriteGroupingReadBypass,
-    };
+    std::vector<WriteScheme> schemes = voltageStorySchemes();
 
     /**
      * Lower cache levels, nearest first (empty = the classic

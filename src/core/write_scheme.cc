@@ -68,4 +68,13 @@ bypassesReads(WriteScheme s)
     return s == WriteScheme::WriteGroupingReadBypass;
 }
 
+const std::vector<WriteScheme> &
+voltageStorySchemes()
+{
+    static const std::vector<WriteScheme> schemes = {
+        WriteScheme::SixTDirect, WriteScheme::Rmw, WriteScheme::WriteGrouping,
+        WriteScheme::WriteGroupingReadBypass};
+    return schemes;
+}
+
 } // namespace c8t::core

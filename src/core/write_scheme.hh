@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace c8t::core
 {
@@ -72,6 +73,11 @@ bool usesRmw(WriteScheme s);
 
 /** True when reads may be served from the Set-Buffer. */
 bool bypassesReads(WriteScheme s);
+
+/** The paper's voltage story: the 6T direct-write baseline against the
+ *  8T RMW, WG and WG+RB. The default scheme set of a Vdd sweep and of
+ *  an explore. */
+const std::vector<WriteScheme> &voltageStorySchemes();
 
 /** Array access latencies (cycles) and the L1 miss penalty. */
 struct LatencyParams

@@ -11,89 +11,30 @@
 namespace c8t::mem
 {
 
-namespace
-{
-
-/** Finalizer-quality mixer (splitmix64) over the page base. */
-inline std::size_t
-hashPage(Addr page_base)
-{
-    std::uint64_t x = page_base;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
-}
-
-/** Smallest power of two >= @p n (and >= 64). */
-std::size_t
-tableCapacityFor(std::size_t n)
-{
-    std::size_t cap = 64;
-    while (cap < n)
-        cap <<= 1;
-    return cap;
-}
-
-} // anonymous namespace
-
 const std::uint8_t *
 FunctionalMemory::findPage(Addr page_base) const
 {
     if (page_base == _lastBase)
         return _lastPage;
-    if (_keys.empty())
+    const std::uint64_t slot = _pageTable.get(page_base);
+    if (!slot)
         return nullptr;
-    const std::size_t mask = _keys.size() - 1;
-    std::size_t i = hashPage(page_base) & mask;
-    while (_keys[i] != kNoPage) {
-        if (_keys[i] == page_base) {
-            _lastBase = page_base;
-            _lastPage = _pages[_pageOf[i]].get();
-            return _lastPage;
-        }
-        i = (i + 1) & mask;
-    }
-    return nullptr;
+    _lastBase = page_base;
+    _lastPage = _pages[slot - 1].get();
+    return _lastPage;
 }
 
-std::uint32_t
+std::size_t
 FunctionalMemory::takePage()
 {
     if (!_freePages.empty()) {
-        const std::uint32_t p = _freePages.back();
+        const std::size_t p = _freePages.back();
         _freePages.pop_back();
         return p;
     }
     // make_unique value-initialises the array, so new pages are zero.
     _pages.push_back(std::make_unique<std::uint8_t[]>(pageBytes));
-    return static_cast<std::uint32_t>(_pages.size() - 1);
-}
-
-void
-FunctionalMemory::growTable(std::size_t min_capacity)
-{
-    const std::size_t cap = tableCapacityFor(min_capacity);
-    if (cap <= _keys.size())
-        return;
-
-    std::vector<Addr> old_keys = std::move(_keys);
-    std::vector<std::uint32_t> old_pages = std::move(_pageOf);
-    _keys.assign(cap, kNoPage);
-    _pageOf.assign(cap, 0);
-
-    const std::size_t mask = cap - 1;
-    for (std::size_t s = 0; s < old_keys.size(); ++s) {
-        if (old_keys[s] == kNoPage)
-            continue;
-        std::size_t i = hashPage(old_keys[s]) & mask;
-        while (_keys[i] != kNoPage)
-            i = (i + 1) & mask;
-        _keys[i] = old_keys[s];
-        _pageOf[i] = old_pages[s];
-    }
+    return _pages.size() - 1;
 }
 
 std::uint8_t *
@@ -101,27 +42,13 @@ FunctionalMemory::ensurePage(Addr page_base)
 {
     if (page_base == _lastBase)
         return _lastPage;
-
-    // Keep the load factor below 3/4 (counting the slot about to be
-    // claimed).
-    if (_keys.empty() || (_used + 1) * 4 > _keys.size() * 3)
-        growTable(_keys.empty() ? 64 : _keys.size() * 2);
-
-    const std::size_t mask = _keys.size() - 1;
-    std::size_t i = hashPage(page_base) & mask;
-    while (_keys[i] != kNoPage) {
-        if (_keys[i] == page_base) {
-            _lastBase = page_base;
-            _lastPage = _pages[_pageOf[i]].get();
-            return _lastPage;
-        }
-        i = (i + 1) & mask;
+    std::uint64_t slot = _pageTable.get(page_base);
+    if (!slot) {
+        slot = takePage() + 1;
+        _pageTable.set(page_base, slot);
     }
-    _keys[i] = page_base;
-    _pageOf[i] = takePage();
-    ++_used;
     _lastBase = page_base;
-    _lastPage = _pages[_pageOf[i]].get();
+    _lastPage = _pages[slot - 1].get();
     return _lastPage;
 }
 
@@ -234,31 +161,26 @@ FunctionalMemory::touchedWords() const
     // historical "zero is not stored" semantics without the hot path
     // having to chase zero writes.
     std::size_t count = 0;
-    for (std::size_t s = 0; s < _keys.size(); ++s) {
-        if (_keys[s] == kNoPage)
-            continue;
-        const std::uint8_t *page = _pages[_pageOf[s]].get();
+    _pageTable.forEach([&](std::uint64_t, std::uint64_t slot) {
+        const std::uint8_t *page = _pages[slot - 1].get();
         for (std::size_t w = 0; w < pageBytes; w += 8) {
             std::uint64_t v;
             std::memcpy(&v, page + w, 8);
             if (v != 0)
                 ++count;
         }
-    }
+    });
     return count;
 }
 
 void
 FunctionalMemory::clear()
 {
-    for (std::size_t s = 0; s < _keys.size(); ++s) {
-        if (_keys[s] == kNoPage)
-            continue;
-        std::memset(_pages[_pageOf[s]].get(), 0, pageBytes);
-        _freePages.push_back(_pageOf[s]);
-        _keys[s] = kNoPage;
-    }
-    _used = 0;
+    _pageTable.forEach([&](std::uint64_t, std::uint64_t slot) {
+        std::memset(_pages[slot - 1].get(), 0, pageBytes);
+        _freePages.push_back(slot - 1);
+    });
+    _pageTable.clear();
     _lastBase = kNoPage;
     _lastPage = nullptr;
 }
@@ -267,15 +189,12 @@ void
 FunctionalMemory::reserve(std::size_t words)
 {
     const std::size_t pages = (words * 8 + pageBytes - 1) / pageBytes;
-    // Table sized so `pages` live entries stay under the 3/4 load
-    // factor.
-    growTable(pages * 4 / 3 + 1);
+    _pageTable.reserve(pages);
     _pages.reserve(std::max(_pages.size(), pages));
     _freePages.reserve(std::max(_freePages.size(), pages));
-    while (_used + _freePages.size() < pages) {
+    while (_pageTable.size() + _freePages.size() < pages) {
         _pages.push_back(std::make_unique<std::uint8_t[]>(pageBytes));
-        _freePages.push_back(
-            static_cast<std::uint32_t>(_pages.size() - 1));
+        _freePages.push_back(_pages.size() - 1);
     }
 }
 

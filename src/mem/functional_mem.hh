@@ -3,8 +3,8 @@
  * Sparse functional backing memory.
  *
  * Holds the architectural state below the cache. Storage is a sparse
- * set of zero-filled 4 KiB pages indexed by an open-addressing page
- * table: untouched memory reads as zero, and the block-granular
+ * set of zero-filled 4 KiB pages indexed by a WordMap page table:
+ * untouched memory reads as zero, and the block-granular
  * transfers on the miss path (readBytes/writeBytes of a whole cache
  * block) cost one page-table probe plus one memcpy instead of the old
  * per-word hash probe with per-byte shifting — the dominant cost of
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "mem/addr.hh"
+#include "mem/word_map.hh"
 
 namespace c8t::mem
 {
@@ -69,8 +70,8 @@ class FunctionalMemory
     void reserve(std::size_t words);
 
   private:
-    /** Sentinel for an empty page-table slot (page bases are aligned,
-     *  so an all-ones key can never collide with one). */
+    /** MRU sentinel (page bases are aligned, so an all-ones base can
+     *  never collide with one). */
     static constexpr Addr kNoPage = ~Addr(0);
 
     /** Base address of the page containing @p addr. */
@@ -81,8 +82,7 @@ class FunctionalMemory
 
     const std::uint8_t *findPage(Addr page_base) const;
     std::uint8_t *ensurePage(Addr page_base);
-    void growTable(std::size_t min_capacity);
-    std::uint32_t takePage();
+    std::size_t takePage();
 
     /**
      * One-entry most-recently-used page cache in front of the page
@@ -94,14 +94,12 @@ class FunctionalMemory
     mutable Addr _lastBase = kNoPage;
     mutable std::uint8_t *_lastPage = nullptr;
 
-    /** Open-addressing page table: _keys/_pageOf are parallel. */
-    std::vector<Addr> _keys;
-    std::vector<std::uint32_t> _pageOf;
-    std::size_t _used = 0;
+    /** Page table: page base -> index into _pages + 1 (0 = absent). */
+    WordMap _pageTable;
 
     /** Page pool; indices in _freePages are zeroed and reusable. */
     std::vector<std::unique_ptr<std::uint8_t[]>> _pages;
-    std::vector<std::uint32_t> _freePages;
+    std::vector<std::size_t> _freePages;
 };
 
 } // namespace c8t::mem

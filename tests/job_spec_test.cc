@@ -462,6 +462,72 @@ TEST(JobSpecTest, AdmissionCountsSaturateInsteadOfWrapping)
     EXPECT_THROW(spec.validate(), core::JobTooLarge);
 }
 
+TEST(JobSpecTest, ThirtyTwoBitKeysRejectWrapping)
+{
+    // Each value used to wrap through a 32-bit cast to a valid field
+    // (4294967300 ways ran a 4-way cache); now it is rejected naming
+    // the key.
+    const struct
+    {
+        const char *json;
+        const char *key;
+    } cases[] = {
+        {R"({"kind":"run","cache":{"ways":4294967300}})", "cache.ways"},
+        {R"({"kind":"run","cache":{"block":4294967328}})", "cache.block"},
+        {R"({"kind":"run","buffer_entries":4294967297})", "buffer_entries"},
+        {R"({"kind":"run","levels":[{"ways":4294967304}]})",
+         "levels[].ways"},
+        {R"({"kind":"run","levels":[{"block":4294967328}]})",
+         "levels[].block"},
+        {R"({"kind":"explore","explore":{"ways":[2,4294967298]}})",
+         "explore.ways[]"},
+        {R"({"kind":"explore","explore":{"blocks":[4294967360]}})",
+         "explore.blocks[]"},
+    };
+    for (const auto &c : cases)
+        expectParseError(c.json, std::string(c.key) + ": must be <= 4294967295");
+    // Past 2^64 a 64-bit key is rejected too, not cast out of range.
+    expectParseError(R"({"kind":"run","accesses":18446744073709551616})",
+                     "accesses: must be <= 18446744073709551615");
+}
+
+TEST(JobSpecTest, ExploreRunsTheTranslatedExplorerSpec)
+{
+    const JobSpec spec = JobSpec::fromJsonText(
+        R"({"kind":"explore","explore":{"workloads":["gcc"],)"
+        R"("vdd":[1.0,0.9],"l2_sizes_kb":[256],"shard_cells":3}})");
+    const core::ExplorerSpec espec = spec.explorerSpec();
+    EXPECT_EQ(espec.label, "c8tsim_explore");
+    EXPECT_EQ(espec.workloads, std::vector<std::string>{"gcc"});
+    EXPECT_EQ(espec.sizesKb, spec.exploreSizesKb);
+    EXPECT_EQ(espec.schemes, core::voltageStorySchemes());
+    EXPECT_EQ(espec.vddGrid, spec.exploreVdd);
+    EXPECT_EQ(espec.l2SizesKb, spec.exploreL2SizesKb);
+    EXPECT_EQ(espec.cellsPerShard, 3u);
+    EXPECT_EQ(spec.configRuns(), espec.configRunCount());
+    // No workload list = every calibrated SPEC profile.
+    EXPECT_EQ(JobSpec::fromJsonText(R"({"kind":"explore"})")
+                  .explorerSpec()
+                  .workloads.size(),
+              25u);
+}
+
+TEST(JobSpecTest, ExploreConfigRunsSaturate)
+{
+    // 2^16 entries on four axes: the cell product is 2^64, which
+    // wraps a plain 64-bit count to 0 and would pass admission.
+    JobSpec spec;
+    spec.kind = JobKind::Explore;
+    spec.exploreWorkloads = {"gcc"};
+    spec.exploreSizesKb.assign(1 << 16, 16);
+    spec.exploreWays.assign(1 << 16, 2);
+    spec.exploreBlocks.assign(1 << 16, 32);
+    spec.exploreRepls.assign(1 << 16, mem::ReplKind::Lru);
+    EXPECT_EQ(spec.explorerSpec().cellCount(), UINT64_MAX);
+    EXPECT_EQ(spec.configRuns(), UINT64_MAX);
+    EXPECT_THROW(spec.validate(), core::JobTooLarge);
+}
+
 TEST(JobSpecTest, CheckpointKnobsAreNotWireKeys)
 {
     // Server-side file paths stay out of the JSON schema by design.

@@ -18,6 +18,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,28 +66,13 @@ const char kUsage[] =
     "SIGTERM/SIGINT drain gracefully: accepted jobs finish and their\n"
     "final frames are delivered before the daemon exits.\n";
 
-std::uint64_t
-parseU64(const std::string &flag, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t v = std::stoull(value, &pos, 10);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing characters");
-        return v;
-    } catch (const std::exception &) {
-        throw std::invalid_argument(flag + ": expected an integer, got '" +
-                                    value + "'");
-    }
-}
-
 int
 run(const std::vector<std::string> &args)
 {
     net::DaemonConfig cfg;
     std::string metrics_out;
     std::string chrome_trace;
-    std::int64_t stream_cache_mb = -1;
+    std::optional<std::size_t> stream_cache_bytes;
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
@@ -104,20 +90,18 @@ run(const std::vector<std::string> &args)
             cfg.workers = app::parseWorkerCount(a, value(), true);
         } else if (a == "--max-inflight") {
             cfg.maxInflight =
-                static_cast<std::size_t>(parseU64(a, value()));
+                static_cast<std::size_t>(app::parseU64(a, value()));
             if (!cfg.maxInflight)
                 throw std::invalid_argument(
                     "--max-inflight: must be >= 1");
         } else if (a == "--byte-budget") {
-            cfg.responseByteBudget = parseU64(a, value());
+            cfg.responseByteBudget = app::parseU64(a, value());
         } else if (a == "--heartbeat-ms") {
-            cfg.heartbeatMs =
-                static_cast<unsigned>(parseU64(a, value()));
+            cfg.heartbeatMs = app::parseU32(a, value());
         } else if (a == "--no-memo") {
             cfg.memoizeResults = false;
         } else if (a == "--stream-cache") {
-            stream_cache_mb =
-                static_cast<std::int64_t>(parseU64(a, value()));
+            stream_cache_bytes = app::parseStreamCacheMb(a, value());
         } else if (a == "--metrics-out") {
             metrics_out = value();
         } else if (a == "--chrome-trace") {
@@ -134,10 +118,8 @@ run(const std::vector<std::string> &args)
         obs::setGlobalTracePath(chrome_trace);
     if (!metrics_out.empty())
         obs::setGlobalMetricsPath(metrics_out);
-    if (stream_cache_mb >= 0) {
-        core::globalStreamCache().setByteBudget(
-            static_cast<std::size_t>(stream_cache_mb) << 20);
-    }
+    if (stream_cache_bytes)
+        core::globalStreamCache().setByteBudget(*stream_cache_bytes);
 
     net::Daemon daemon(cfg);
     g_daemon = &daemon;

@@ -186,10 +186,8 @@ setupSinks(const app::SimOptions &opt)
         obs::setGlobalTracePath(opt.chromeTraceFile);
     if (!opt.metricsOutFile.empty())
         obs::setGlobalMetricsPath(opt.metricsOutFile);
-    if (opt.streamCacheMb >= 0) {
-        core::globalStreamCache().setByteBudget(
-            static_cast<std::size_t>(opt.streamCacheMb) << 20);
-    }
+    if (opt.streamCacheBytes)
+        core::globalStreamCache().setByteBudget(*opt.streamCacheBytes);
     if (opt.progress) {
         // The sweep engines (and the explorer) take their heartbeat
         // default from the environment; --progress is its equivalent.
@@ -219,18 +217,18 @@ runVddSweepCli(const app::SimOptions &opt)
 {
     setupSinks(opt);
 
-    const app::JobOutcome outcome =
-        app::runJobSpec(app::toJobSpec(opt), opt.jobs);
+    const core::JobSpec &job = opt.job;
+    const app::JobOutcome outcome = app::runJobSpec(job, opt.jobs);
     const core::VddSweepResult &result = *outcome.vdd;
 
     // In hierarchy mode (--l2) the grid sweeps the L2's supply while
     // the L1 stays pinned; columns are hierarchy-wide energy.
     const std::string subject =
         result.hierarchy
-            ? opt.cache.toString() + " + " +
-                  std::to_string(opt.l2SizeKb) + "K L2 (L2 swept)"
-            : opt.cache.toString();
-    stats::Table t("vdd sweep: " + opt.workload + " on " + subject +
+            ? job.cache.toString() + " + " +
+                  std::to_string(job.levels[0].sizeKb) + "K L2 (L2 swept)"
+            : job.cache.toString();
+    stats::Table t("vdd sweep: " + job.workload + " on " + subject +
                    " (energy/access, pJ; * = not operational)");
     std::vector<std::string> header{"vdd"};
     for (const core::VddCurve &c : result.curves)
@@ -287,8 +285,7 @@ runExploreCli(const app::SimOptions &opt)
 {
     setupSinks(opt);
 
-    app::JobOutcome outcome =
-        app::runJobSpec(app::toJobSpec(opt), opt.jobs);
+    app::JobOutcome outcome = app::runJobSpec(opt.job, opt.jobs);
     const core::ExploreResult &result = *outcome.explore;
 
     {
@@ -354,19 +351,19 @@ runExploreCli(const app::SimOptions &opt)
 int
 run(const app::SimOptions &opt)
 {
-    if (opt.explore)
+    const core::JobSpec &job = opt.job;
+    if (job.kind == core::JobKind::Explore)
         return runExploreCli(opt);
-    if (opt.vddSweep)
+    if (job.kind == core::JobKind::VddSweep)
         return runVddSweepCli(opt);
     setupSinks(opt);
 
     // Optionally record the exact stream being simulated.
     if (!opt.recordTrace.empty()) {
-        auto workload = app::makeWorkload(opt.workload);
+        auto workload = app::makeWorkload(job.workload);
         trace::TraceWriter writer(opt.recordTrace);
         trace::MemAccess a;
-        const std::uint64_t total =
-            opt.effectiveWarmup() + opt.accesses;
+        const std::uint64_t total = job.effectiveWarmup() + job.accesses;
         for (std::uint64_t i = 0; i < total && workload->next(a); ++i)
             writer.write(a);
         writer.finish();
@@ -376,7 +373,7 @@ run(const app::SimOptions &opt)
 
     ObsPlumbing obs_state;
     obs_state.ringCapacity = opt.traceEvents;
-    const std::size_t n_schemes = opt.schemes.size();
+    const std::size_t n_schemes = job.effectiveSchemes().size();
     obs_state.rings.resize(n_schemes);
     obs_state.registries.resize(n_schemes);
     obs_state.snapshotters.resize(n_schemes);
@@ -410,12 +407,12 @@ run(const app::SimOptions &opt)
                                        core::MultiSchemeRunner &r) {
         inspectRunner(opt, obs_state, i, scheme, r);
     };
-    const app::JobOutcome outcome = app::runJobSpec(
-        app::toJobSpec(opt), opt.jobs, hooks, obs::prof::enabled());
+    const app::JobOutcome outcome =
+        app::runJobSpec(job, opt.jobs, hooks, obs::prof::enabled());
     const std::vector<core::SchemeRunResult> &results = outcome.runs;
 
-    stats::Table t("c8tsim: " + opt.workload + " on " +
-                   opt.cache.toString());
+    stats::Table t("c8tsim: " + job.workload + " on " +
+                   job.cache.toString());
     t.setHeader({"scheme", "requests", "hits", "demand ops",
                  "fill ops", "grouped", "bypassed", "silent",
                  "read lat", "energy (uJ)"});
