@@ -39,6 +39,7 @@
 #include <unistd.h>
 
 #include "bench/common.hh"
+#include "core/decimal.hh"
 #include "core/job_spec.hh"
 #include "core/vdd_sweep.hh"
 #include "net/client.hh"
@@ -59,15 +60,13 @@ envCount(const char *name, std::size_t fallback)
     const char *env = std::getenv(name);
     if (!env)
         return fallback;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE || v == 0) {
+    const auto v = core::parseDecimal(env);
+    if (!v || *v == 0) {
         std::cerr << "bench_daemon: ignoring invalid " << name << "=\""
                   << env << "\" (want a positive integer)\n";
         return fallback;
     }
-    return static_cast<std::size_t>(v);
+    return static_cast<std::size_t>(*v);
 }
 
 /** One entry of the job mix: the wire spec plus its served weight. */

@@ -20,13 +20,13 @@
 #ifndef C8T_BENCH_COMMON_HH
 #define C8T_BENCH_COMMON_HH
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "core/decimal.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
 #include "core/write_scheme.hh"
@@ -51,17 +51,13 @@ measureAccesses()
     static const std::uint64_t chosen = [] {
         std::uint64_t v = 300'000;
         if (const char *env = std::getenv("C8T_BENCH_ACCESSES")) {
-            char *end = nullptr;
-            errno = 0;
-            const unsigned long long parsed =
-                std::strtoull(env, &end, 10);
-            if (end == env || *end != '\0' || errno == ERANGE ||
-                parsed == 0) {
+            const auto parsed = core::parseDecimal(env);
+            if (!parsed || *parsed == 0) {
                 std::cerr << "bench: ignoring invalid "
                              "C8T_BENCH_ACCESSES=\""
                           << env << "\" (want a positive integer)\n";
             } else {
-                v = parsed;
+                v = *parsed;
             }
         }
         std::cerr << "bench: measuring " << v

@@ -56,57 +56,36 @@ struct WayCompareFixture
             needles[s] = tags[s * kWays + s % kWays];
     }
 
-    /** One pass of kSets lookups at @p level; returns the OR of the
-     *  masks so the compiler cannot elide the compares. */
-    std::uint64_t passAt(mem::simd::SimdLevel level) const
+    /** One pass of kSets lookups; returns the OR of the masks so the
+     *  compiler cannot elide the compares. */
+    std::uint64_t pass() const
     {
         std::uint64_t acc = 0;
         for (std::size_t s = 0; s < kSets; ++s) {
-            acc |= mem::simd::matchBits(level, tags.data() + s * kWays,
-                                        kWays, needles[s]);
+            acc |= mem::simd::matchBits(tags.data() + s * kWays, kWays,
+                                        needles[s]);
         }
         return acc;
     }
 };
 
-/** BM_WayCompare's argument for the level C8T_SIMD=auto resolves to. */
-constexpr int kAutoLevelArg = -1;
-
 /**
- * The vectorized way-compare in isolation, per dispatch level.
- * items/s is tag lookups (one full 8-way compare each); the ratio
- * between the /scalar row and the /sse2 / /avx2 rows is the SIMD
- * speedup of the kernel alone, uncontaminated by the rest of the
- * access path. Levels the CPU cannot run are skipped. The last row
- * runs the level the C8T_SIMD=auto calibration picks (its label
- * reads "auto=<level>"): the guard that auto never lands on a level
- * measurably slower than the named rows.
+ * The built way-compare kernel in isolation (mem/simd.hh), labelled
+ * with its level. items/s is tag lookups (one full 8-way compare
+ * each), uncontaminated by the rest of the access path.
  */
 void
 BM_WayCompare(benchmark::State &state)
 {
-    const bool calibrated = state.range(0) == kAutoLevelArg;
-    const auto level =
-        calibrated ? mem::simd::autoCalibratedLevel()
-                   : static_cast<mem::simd::SimdLevel>(state.range(0));
-    if (mem::simd::setLevel(level) != level) {
-        state.SkipWithError("SIMD level unsupported on this CPU");
-        return;
-    }
     static const WayCompareFixture fixture;
     for (auto _ : state)
-        benchmark::DoNotOptimize(fixture.passAt(level));
+        benchmark::DoNotOptimize(fixture.pass());
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(WayCompareFixture::kSets));
-    state.SetLabel(std::string(calibrated ? "auto=" : "") +
-                   mem::simd::toString(level));
+    state.SetLabel(mem::simd::toString(mem::simd::activeLevel()));
 }
-BENCHMARK(BM_WayCompare)
-    ->Arg(static_cast<int>(mem::simd::SimdLevel::Scalar))
-    ->Arg(static_cast<int>(mem::simd::SimdLevel::Sse2))
-    ->Arg(static_cast<int>(mem::simd::SimdLevel::Avx2))
-    ->Arg(kAutoLevelArg);
+BENCHMARK(BM_WayCompare);
 
 void
 BM_MarkovStreamGeneration(benchmark::State &state)

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/decimal.hh"
+#include "core/stream_cache.hh"
 #include "core/sweep.hh"
 #include "sram/vmodel.hh"
 #include "trace/kernels.hh"
@@ -69,16 +71,10 @@ parseList(const std::string &flag, const std::string &value)
 std::uint64_t
 parseU64(const std::string &flag, const std::string &value)
 {
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t v = std::stoull(value, &pos, 10);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing characters");
-        return v;
-    } catch (const std::exception &) {
-        throw std::invalid_argument(flag + ": expected an integer, got '" +
-                                    value + "'");
-    }
+    if (const auto v = core::parseDecimal(value))
+        return *v;
+    throw std::invalid_argument(
+        flag + ": expected an unsigned integer, got '" + value + "'");
 }
 
 std::uint32_t
@@ -94,12 +90,12 @@ parseU32(const std::string &flag, const std::string &value)
 std::size_t
 parseStreamCacheMb(const std::string &flag, const std::string &value)
 {
-    constexpr std::size_t max_mb = SIZE_MAX >> 20;
-    const std::uint64_t mb = parseU64(flag, value);
-    if (mb > max_mb)
-        throw std::invalid_argument(flag + ": must be <= " +
-                                    std::to_string(max_mb) + " MB");
-    return static_cast<std::size_t>(mb) << 20;
+    if (const auto bytes =
+            core::StreamCache::budgetBytes(parseU64(flag, value)))
+        return *bytes;
+    throw std::invalid_argument(
+        flag + ": must be <= " +
+        std::to_string(core::StreamCache::kMaxBudgetMb) + " MB");
 }
 
 unsigned

@@ -93,8 +93,8 @@ SimOptions parseOptions(const std::vector<std::string> &args);
 /** The --help text. */
 std::string usageText();
 
-/** Parse a decimal flag value (c8tsim, c8td).
- *  @throws std::invalid_argument naming @p flag. */
+/** Parse an unsigned decimal flag value (c8tsim, c8td): digits only,
+ *  see core::parseDecimal. @throws std::invalid_argument naming @p flag. */
 std::uint64_t parseU64(const std::string &flag, const std::string &value);
 
 /** parseU64 for a 32-bit field: larger values are rejected naming

@@ -5,11 +5,11 @@
 
 #include "core/stream_cache.hh"
 
-#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 
+#include "core/decimal.hh"
 #include "obs/prof.hh"
 
 namespace c8t::core
@@ -31,16 +31,16 @@ StreamCache::defaultByteBudget()
         const char *env = std::getenv("C8T_STREAM_CACHE_MB");
         if (!env)
             return kDefaultBudgetBytes;
-        char *end = nullptr;
-        errno = 0;
-        const unsigned long long mb = std::strtoull(env, &end, 10);
-        if (end == env || *end != '\0' || errno == ERANGE) {
+        const auto mb = parseDecimal(env);
+        const auto bytes = mb ? budgetBytes(*mb) : std::nullopt;
+        if (!bytes) {
             std::cerr << "stream-cache: ignoring invalid "
                          "C8T_STREAM_CACHE_MB=\""
-                      << env << "\" (want a non-negative integer)\n";
+                      << env << "\" (want 0.." << kMaxBudgetMb
+                      << " MiB)\n";
             return kDefaultBudgetBytes;
         }
-        return static_cast<std::size_t>(mb) << 20;
+        return *bytes;
     }();
     return chosen;
 }

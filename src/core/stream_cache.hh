@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,18 @@ class StreamCache
     /** Budget from C8T_STREAM_CACHE_MB (default 512 MiB; "0"
      *  disables; invalid values warn once and use the default). */
     static std::size_t defaultByteBudget();
+
+    /** Largest budget in MiB whose byte count fits a size_t. */
+    static constexpr std::uint64_t kMaxBudgetMb = SIZE_MAX >> 20;
+
+    /** @p mb MiB in bytes, or nullopt above kMaxBudgetMb (the shift
+     *  would wrap): C8T_STREAM_CACHE_MB's and --stream-cache's. */
+    static std::optional<std::size_t> budgetBytes(std::uint64_t mb)
+    {
+        if (mb > kMaxBudgetMb)
+            return std::nullopt;
+        return static_cast<std::size_t>(mb) << 20;
+    }
 
   private:
     /** One generated window of a workload. */

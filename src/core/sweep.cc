@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "core/decimal.hh"
 #include "core/stream_cache.hh"
 #include "core/worker_pool.hh"
 #include "obs/chrome_trace.hh"
@@ -241,10 +242,9 @@ unsigned
 ParallelSweeper::defaultWorkers()
 {
     if (const char *env = std::getenv("C8T_JOBS")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1 && v <= kMaxWorkers)
-            return static_cast<unsigned>(v);
+        const auto v = parseDecimal(env);
+        if (v && *v >= 1 && *v <= kMaxWorkers)
+            return static_cast<unsigned>(*v);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;

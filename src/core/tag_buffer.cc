@@ -13,7 +13,6 @@ namespace c8t::core
 
 TagBuffer::TagBuffer(std::uint32_t entries, std::uint32_t ways)
     : _entries(entries), _ways(ways),
-      _simd(mem::simd::activeLevel()),
       _tags(static_cast<std::size_t>(entries) * ways, 0),
       _set(entries, 0), _valid(entries, 0), _dirty(entries, 0),
       _validMask(entries, 0), _lruStamp(entries, 0)

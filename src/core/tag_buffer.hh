@@ -75,8 +75,7 @@ class TagBuffer
             const mem::Addr *tags =
                 &_tags[static_cast<std::size_t>(i) * _ways];
             const std::uint64_t m =
-                mem::simd::matchBits(_simd, tags, _ways, tag) &
-                _validMask[i];
+                mem::simd::matchBits(tags, _ways, tag) & _validMask[i];
             if (m) {
                 r.tagMatch = true;
                 r.way =
@@ -215,9 +214,6 @@ class TagBuffer
   private:
     std::uint32_t _entries;
     std::uint32_t _ways;
-
-    /** Way-compare dispatch level, resolved once at construction. */
-    mem::simd::SimdLevel _simd;
 
     // Structure-of-arrays entry state.
     std::vector<mem::Addr> _tags;          //!< [entry * ways + way]

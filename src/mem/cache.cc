@@ -50,7 +50,6 @@ TagArray::TagArray(const CacheConfig &config)
     : _config(config),
       _layout((config.validate(), config.blockBytes), config.numSets()),
       _ways(config.ways),
-      _simd(simd::activeLevel()),
       _tagStore(static_cast<std::size_t>(config.numSets()) * config.ways,
                 0),
       _valid(config.numSets(), 0),
@@ -140,7 +139,7 @@ TagArray::planSets(const trace::MemAccess *chunk)
              i = next[i]) {
             const Addr tag = _plan.tag[i];
             const std::uint64_t m =
-                simd::matchBits(_simd, tags, _ways, tag) & valid;
+                simd::matchBits(tags, _ways, tag) & valid;
             std::uint32_t w;
             std::uint8_t flags;
             if (m) {

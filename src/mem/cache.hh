@@ -330,10 +330,6 @@ class TagArray
         return _dirtyEvictions.value();
     }
 
-    /** The SIMD level the way-compare runs at (resolved once at
-     *  construction from simd::activeLevel()). */
-    simd::SimdLevel simdLevel() const { return _simd; }
-
     /**
      * True when planChunk() covers this shape: every deterministic
      * policy (LRU/Tree-PLRU/FIFO) at any associativity. Random is
@@ -407,13 +403,12 @@ class TagArray
   private:
     /** Valid-way match mask of @p tag in @p set (bit w set when way w
      *  is valid and holds the tag). One SIMD compare over the flat
-     *  per-set tag words at the dispatched level (mem/simd.hh); every
-     *  level returns bit-identical masks. */
+     *  per-set tag words (mem/simd.hh). */
     std::uint64_t matchMask(std::uint32_t set, Addr tag) const
     {
         const Addr *tags =
             &_tagStore[static_cast<std::size_t>(set) * _ways];
-        return simd::matchBits(_simd, tags, _ways, tag) & _valid[set];
+        return simd::matchBits(tags, _ways, tag) & _valid[set];
     }
 
     /** Record a use of (set, way) in the packed replacement state. */
@@ -575,9 +570,6 @@ class TagArray
     CacheConfig _config;
     AddrLayout _layout;
     std::uint32_t _ways;
-
-    /** Way-compare dispatch level, resolved once at construction. */
-    simd::SimdLevel _simd;
 
     // Structure-of-arrays tag state.
     std::vector<Addr> _tagStore;        //!< [set * ways + way]

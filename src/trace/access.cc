@@ -25,6 +25,18 @@ AccessGenerator::fillChunk(MemAccess *dst, std::size_t n)
     return i;
 }
 
+const char *
+MemAccess::contractViolation() const
+{
+    if (type != AccessType::Read && type != AccessType::Write)
+        return "type is neither read nor write";
+    if (size != 1 && size != 2 && size != 4 && size != 8)
+        return "size is not 1, 2, 4 or 8 bytes";
+    if ((addr & 7) + size > 8)
+        return "access straddles an 8-byte word";
+    return nullptr;
+}
+
 std::string
 MemAccess::toString() const
 {

@@ -60,6 +60,11 @@ struct MemAccess
     /** True when the access is a read. */
     bool isRead() const { return type == AccessType::Read; }
 
+    /** Why the record breaks the contract of the fields above (type,
+     *  size, no straddled word), or nullptr when it keeps it. Trace
+     *  readers reject every record that breaks it. */
+    const char *contractViolation() const;
+
     /** Render as "R 0x1234 sz=8" style text (for debugging/traces). */
     std::string toString() const;
 

@@ -6,10 +6,12 @@
 #include "trace/trace_io.hh"
 
 #include <array>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace c8t::trace
 {
@@ -161,6 +163,12 @@ TraceReader::next(MemAccess &out)
     out.size = static_cast<std::uint8_t>(rec[20]);
     out.type = static_cast<AccessType>(rec[21]);
     ++_readSoFar;
+    if (const char *why = out.contractViolation()) {
+        throw std::runtime_error("TraceReader: record " +
+                                 std::to_string(_readSoFar) + " of " +
+                                 std::to_string(_total) + " in " + _path +
+                                 ": " + why);
+    }
     return true;
 }
 
@@ -195,6 +203,10 @@ readTextTrace(std::istream &is)
         ++lineno;
         if (line.empty())
             continue;
+        const auto fail = [&](const std::string &why) {
+            return std::runtime_error("readTextTrace: line " +
+                                      std::to_string(lineno) + ": " + why);
+        };
 
         std::istringstream ls(line);
         std::string type_tok, addr_tok, size_tok, gap_tok, data_tok;
@@ -207,33 +219,32 @@ readTextTrace(std::istream &is)
             a.type = AccessType::Write;
             ls >> data_tok;
         } else {
-            throw std::runtime_error(
-                "readTextTrace: bad type at line " + std::to_string(lineno));
+            throw fail("bad type '" + type_tok + "'");
         }
 
-        auto parseField = [&](const std::string &tok,
-                              const std::string &prefix) -> std::uint64_t {
-            if (tok.rfind(prefix, 0) != 0) {
-                throw std::runtime_error("readTextTrace: expected '" +
-                                         prefix + "...' at line " +
-                                         std::to_string(lineno));
-            }
-            const std::string value = tok.substr(prefix.size());
-            const int base =
-                value.rfind("0x", 0) == 0 ? 16 : 10;
-            return std::stoull(value, nullptr, base);
+        // "<prefix><digits>" in @p base, at most @p max: exactly what
+        // writeTextTrace() writes, so no sign, spaces or other base.
+        const auto field = [&](const std::string &tok,
+                               std::string_view prefix, int base,
+                               std::uint64_t max) {
+            if (!tok.starts_with(prefix))
+                throw fail("bad field '" + tok + "'");
+            std::uint64_t v = 0;
+            const char *end = tok.data() + tok.size();
+            const auto [ptr, ec] =
+                std::from_chars(tok.data() + prefix.size(), end, v, base);
+            if (ec != std::errc{} || ptr != end || v > max)
+                throw fail("bad field '" + tok + "'");
+            return v;
         };
-
-        if (addr_tok.rfind("0x", 0) != 0) {
-            throw std::runtime_error(
-                "readTextTrace: bad address at line " +
-                std::to_string(lineno));
-        }
-        a.addr = std::stoull(addr_tok, nullptr, 16);
-        a.size = static_cast<std::uint8_t>(parseField(size_tok, "sz="));
-        a.gap = static_cast<std::uint32_t>(parseField(gap_tok, "gap="));
+        a.addr = field(addr_tok, "0x", 16, UINT64_MAX);
+        a.size = static_cast<std::uint8_t>(field(size_tok, "sz=", 10, 8));
+        a.gap = static_cast<std::uint32_t>(
+            field(gap_tok, "gap=", 10, UINT32_MAX));
         if (a.isWrite())
-            a.data = parseField(data_tok, "data=");
+            a.data = field(data_tok, "data=0x", 16, UINT64_MAX);
+        if (const char *why = a.contractViolation())
+            throw fail(why);
 
         out.push_back(a);
     }

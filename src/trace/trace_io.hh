@@ -110,8 +110,10 @@ class TraceReader : public AccessGenerator
 void writeTextTrace(std::ostream &os, const std::vector<MemAccess> &trace);
 
 /**
- * Parse a text trace produced by writeTextTrace().
- * @throws std::runtime_error on malformed lines.
+ * Parse a text trace produced by writeTextTrace(): hex address and
+ * data, decimal size and gap.
+ * @throws std::runtime_error naming the line of a malformed record or
+ *         one that breaks the MemAccess contract.
  */
 std::vector<MemAccess> readTextTrace(std::istream &is);
 

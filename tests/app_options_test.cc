@@ -351,6 +351,32 @@ TEST(Options, ThirtyTwoBitFieldsRejectWrapping)
                  std::invalid_argument);
 }
 
+TEST(Options, UnsignedFlagsRejectSigns)
+{
+    // std::stoull read "-1" as 2^64 - 1: --jobs -1 failed as "must be
+    // <= 4096", --trace-events -1 as a vector length error, and
+    // --stream-cache -0 disabled the cache; c8td's JSON parser already
+    // rejected a negative. Only decimal digits are a value.
+    for (const char *bad :
+         {"-1", "-0", "+5", " 5", "5 ", "0x10", "", "18446744073709551616"}) {
+        try {
+            parseU64("--accesses", bad);
+            FAIL() << "accepted '" << bad << "'";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "--accesses: expected an unsigned integer"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(parseU64("--accesses", "18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseU64("--accesses", "007"), 7u);
+    EXPECT_THROW(parse({"--jobs", "-1"}), std::invalid_argument);
+    EXPECT_THROW(parse({"--trace-events", "-1"}), std::invalid_argument);
+    EXPECT_THROW(parse({"--stream-cache", "-0"}), std::invalid_argument);
+    EXPECT_THROW(parseU32("--heartbeat-ms", "-1"), std::invalid_argument);
+}
+
 TEST(Options, CliAndWireParseToOneSpec)
 {
     // A CLI run and a c8td request for the same job share one

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <iterator>
 #include <latch>
 #include <memory>
@@ -243,6 +244,33 @@ TEST(StreamCacheBehaviour, HitMissBypassAndBudget)
     EXPECT_EQ(off.stats().bypasses, 1u);
     EXPECT_NE(dynamic_cast<trace::MarkovStream *>(uncached.get()),
               nullptr);
+}
+
+TEST(StreamCacheBudget, EnvTakesOnlyDigitsThatFit)
+{
+    // C8T_STREAM_CACHE_MB is read once per process, so every value is
+    // checked in a freshly executed child. strtoull used to read "-1"
+    // as 2^64 - 1 MiB, and 2^44 MiB and up shifted to a 0-byte budget,
+    // silently disabling memoization; both now warn and keep the
+    // default, as --stream-cache rejects them.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto expectBudget = [](const std::string &mb, std::size_t want) {
+        EXPECT_EXIT(
+            {
+                ::setenv("C8T_STREAM_CACHE_MB", mb.c_str(), 1);
+                std::exit(StreamCache::defaultByteBudget() == want ? 0 : 1);
+            },
+            ::testing::ExitedWithCode(0), "")
+            << "C8T_STREAM_CACHE_MB=" << mb;
+    };
+    constexpr std::size_t kDefault = std::size_t{512} << 20;
+    for (const char *bad : {"-1", "-0", "+5", "5MB", "", "17592186044416",
+                            "18446744073709551615"})
+        expectBudget(bad, kDefault);
+    expectBudget("0", 0);
+    expectBudget("3", std::size_t{3} << 20);
+    constexpr std::size_t kMaxMb = SIZE_MAX >> 20;
+    expectBudget(std::to_string(kMaxMb), kMaxMb << 20);
 }
 
 TEST(StreamCacheBehaviour, EvictsLeastRecentlyUsedToFitBudget)

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "trace/kernels.hh"
 #include "trace/trace_io.hh"
@@ -170,6 +173,67 @@ TEST_F(TraceIoTest, KernelTraceRoundTrip)
     EXPECT_EQ(replayed, original);
 }
 
+/** Write @p trace to @p path, then read it back with a TraceReader
+ *  until it ends or throws; returns the error message ("" if none). */
+std::string
+readBackError(const std::string &path, const std::vector<MemAccess> &trace)
+{
+    {
+        TraceWriter w(path);
+        for (const auto &a : trace)
+            w.write(a);
+        w.finish();
+    }
+    try {
+        TraceReader r(path);
+        MemAccess a;
+        while (r.next(a)) {
+        }
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST_F(TraceIoTest, RecordsBreakingTheAccessContractRejected)
+{
+    // Each record used to be admitted as read: a size of 200 sent a
+    // replay past its 8-byte word (SIGSEGV in c8tsim), a type of 7 ran
+    // silently as a write. The error names the file and the record.
+    struct Case
+    {
+        const char *what;
+        MemAccess bad;
+    };
+    MemAccess huge, odd, straddle, type7;
+    huge.size = 200;
+    odd.size = 3;
+    straddle.addr = 0x1004;
+    straddle.size = 8;
+    type7.type = static_cast<AccessType>(7);
+    for (const Case &c : {Case{"size 200", huge}, Case{"size 3", odd},
+                          Case{"straddle", straddle},
+                          Case{"type 7", type7}}) {
+        std::vector<MemAccess> trace = sampleTrace();
+        trace.insert(trace.begin() + 1, c.bad);
+        const std::string err = readBackError(path(), trace);
+        EXPECT_NE(err.find("record 2 of 4 in " + path()),
+                  std::string::npos)
+            << c.what << ": '" << err << "'";
+    }
+    // Every legal size at every aligned offset still reads back.
+    std::vector<MemAccess> legal;
+    for (std::uint8_t size : {1, 2, 4, 8}) {
+        for (std::uint64_t off = 0; off + size <= 8; off += size) {
+            MemAccess a;
+            a.addr = 0x40 + off;
+            a.size = size;
+            legal.push_back(a);
+        }
+    }
+    EXPECT_EQ(readBackError(path(), legal), "");
+}
+
 TEST(TextTrace, RoundTrip)
 {
     const auto original = sampleTrace();
@@ -198,6 +262,30 @@ TEST(TextTrace, RejectsBadAddress)
 {
     std::stringstream ss("R 16 sz=8 gap=0\n");
     EXPECT_THROW(readTextTrace(ss), std::runtime_error);
+}
+
+TEST(TextTrace, RejectsFieldsBreakingTheAccessContract)
+{
+    // Each line used to be admitted: sz=264 narrowed to 8, gap=2^32 to
+    // 0, and a leading '-' read as a huge value before narrowing.
+    for (const char *line :
+         {"R 0x10 sz=264 gap=0", "R 0x10 sz=-8 gap=0", "R 0x10 sz=3 gap=0",
+          "R 0x14 sz=8 gap=0", "R 0x10 sz=8 gap=4294967296",
+          "R 0x10 sz=8 gap=-1", "R 0x-10 sz=8 gap=0",
+          "W 0x10 sz=8 gap=0 data=-1", "R 0x10 sz=8 gap=1x"}) {
+        std::stringstream ss(std::string("R 0x8 sz=8 gap=0\n") + line +
+                             "\n");
+        try {
+            readTextTrace(ss);
+            FAIL() << "accepted '" << line << "'";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("line 2"),
+                      std::string::npos)
+                << line << ": " << e.what();
+        }
+    }
+    std::stringstream ok("R 0x10 sz=8 gap=4294967295\n");
+    EXPECT_EQ(readTextTrace(ok).front().gap, UINT32_MAX);
 }
 
 TEST(Collect, RespectsLimit)

@@ -52,10 +52,8 @@ struct ObsPlumbing
     std::vector<std::unique_ptr<stats::Registry>> registries;
     std::vector<std::unique_ptr<obs::IntervalSnapshotter>> snapshotters;
     std::vector<std::string> statsText;
-    std::vector<std::string> statsJson;
     std::unique_ptr<std::ofstream> intervalOs;
     std::mutex intervalMutex;
-    std::uint64_t intervalAccesses = 0;
 };
 
 /** Attach rings / interval sampling to a just-constructed runner. */
@@ -105,13 +103,6 @@ inspectRunner(const app::SimOptions &opt, ObsPlumbing &obs_state,
         std::ostringstream os;
         reg.dump(os);
         obs_state.statsText[i] = os.str();
-    }
-    if (!opt.statsJsonFile.empty()) {
-        stats::Registry reg;
-        stack.registerStats(reg);
-        std::ostringstream os;
-        reg.dumpJson(os);
-        obs_state.statsJson[i] = os.str();
     }
     if (!obs_state.rings[i].empty()) {
         // pid 2 is the per-access track family (pid 1 holds the sweep
@@ -378,7 +369,6 @@ run(const app::SimOptions &opt)
     obs_state.registries.resize(n_schemes);
     obs_state.snapshotters.resize(n_schemes);
     obs_state.statsText.resize(n_schemes);
-    obs_state.statsJson.resize(n_schemes);
     if (!opt.intervalStatsFile.empty()) {
         obs_state.intervalOs = std::make_unique<std::ofstream>(
             opt.intervalStatsFile, std::ios::app);
@@ -387,7 +377,6 @@ run(const app::SimOptions &opt)
                                      opt.intervalStatsFile +
                                      "\" for append");
         }
-        obs_state.intervalAccesses = opt.intervalAccesses;
     }
 
     // Execution goes through the shared job path (DESIGN.md §13): one

@@ -32,7 +32,7 @@ cmdGen(const std::vector<std::string> &args)
         if (args[i] == "--workload" && i + 1 < args.size())
             workload = args[++i];
         else if (args[i] == "--accesses" && i + 1 < args.size())
-            accesses = std::stoull(args[++i]);
+            accesses = app::parseU64("--accesses", args[++i]);
         else if (args[i] == "--out" && i + 1 < args.size())
             out = args[++i];
         else
@@ -91,7 +91,7 @@ cmdDump(const std::vector<std::string> &args)
     std::uint64_t limit = 50;
     for (std::size_t i = 1; i < args.size(); ++i) {
         if (args[i] == "--limit" && i + 1 < args.size())
-            limit = std::stoull(args[++i]);
+            limit = app::parseU64("--limit", args[++i]);
         else
             throw std::invalid_argument("dump: unknown option " +
                                         args[i]);

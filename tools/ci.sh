@@ -3,24 +3,24 @@
 # builds and a Release performance A/B against the parent commit.
 #
 #   1. Configure + build the default tree and run the full ctest suite
-#      (this is the roadmap's tier-1 definition of "not broken"),
-#      then run it again with C8T_SIMD=scalar so the portable
-#      way-compare fallback stays exercised on hardware that would
-#      otherwise always dispatch to SSE2/AVX2.
+#      (this is the roadmap's tier-1 definition of "not broken").
 #   2. Configure + build an ASan/UBSan tree (-DC8T_ASAN=ON) and run the
 #      stream/cache/sweep/pool/alloc tests, the SEC-DED codec and
 #      fault-map campaign tests, the daemon tests plus the three
 #      users of the shared core::Memo (stream cache, fault-map cache,
 #      result memo), the array, Set-Buffer, controller and
 #      explorer tests (row views index one flat buffer per array) and
-#      the WordMap tests (FunctionalMemory's page table) under it. halt_on_error is the sanitizer default, so any heap
-#      misuse fails the script.
+#      the WordMap tests (FunctionalMemory's page table) and the trace
+#      reader tests (trace files are outside input) under it.
+#      halt_on_error is the sanitizer default, so any heap misuse
+#      fails the script.
 #   3. Configure + build a standalone UBSan tree (-DC8T_UBSAN=ON,
 #      -fno-sanitize-recover=all) and run the voltage-model tests
 #      under it (the numeric subsystem with the most UB surface:
 #      pow/exp/ceil scaling, bit_cast seeding, fault-map index math),
-#      plus the JobSpec and c8tsim option tests (the parsers of
-#      outside input: range checks before every narrowing cast).
+#      plus the JobSpec, c8tsim option and trace reader tests (the
+#      parsers of outside input: range checks before every narrowing
+#      cast).
 #   4. Configure + build a TSan tree (-DC8T_TSAN=ON) and run the
 #      parallel sweep, worker pool, metrics, Vdd sweep, explorer,
 #      fault-map memo, stream cache, daemon and result-memo tests under
@@ -83,32 +83,30 @@ cmake -B "$repo_root/build" -S "$repo_root"
 cmake --build "$repo_root/build" -j "$jobs"
 ctest --test-dir "$repo_root/build" --output-on-failure -j "$jobs"
 
-echo "==== tier-1: full test suite, forced-scalar dispatch ===="
-C8T_SIMD=scalar \
-    ctest --test-dir "$repo_root/build" --output-on-failure -j "$jobs"
-
-echo "==== asan: build + stream/sweep/pool/alloc/ecc/memo/daemon/array tests ===="
+echo "==== asan: build + stream/sweep/pool/alloc/ecc/memo/daemon/array/trace tests ===="
 cmake -B "$repo_root/build-asan" -S "$repo_root" -DC8T_ASAN=ON
 cmake --build "$repo_root/build-asan" -j "$jobs" --target \
     stream_identity_test simd_identity_test sweep_test \
     worker_pool_test hot_path_alloc_test functional_mem_test \
     ecc_test fault_injection_test daemon_test result_memo_test \
     fault_cache_test array_test set_buffer_test controller_test \
-    explorer_test word_map_test
+    explorer_test word_map_test trace_io_test
 for t in stream_identity_test simd_identity_test sweep_test \
          worker_pool_test hot_path_alloc_test functional_mem_test \
          ecc_test fault_injection_test daemon_test result_memo_test \
          fault_cache_test array_test set_buffer_test controller_test \
-         explorer_test word_map_test; do
+         explorer_test word_map_test trace_io_test; do
     echo "---- asan: $t ----"
     "$repo_root/build-asan/tests/$t"
 done
 
-echo "==== ubsan: build + voltage-model and spec-parser tests ===="
+echo "==== ubsan: build + voltage-model, spec-parser and trace-reader tests ===="
 cmake -B "$repo_root/build-ubsan" -S "$repo_root" -DC8T_UBSAN=ON
 cmake --build "$repo_root/build-ubsan" -j "$jobs" --target \
-    vmodel_test vdd_sweep_test job_spec_test app_options_test
-for t in vmodel_test vdd_sweep_test job_spec_test app_options_test; do
+    vmodel_test vdd_sweep_test job_spec_test app_options_test \
+    trace_io_test
+for t in vmodel_test vdd_sweep_test job_spec_test app_options_test \
+         trace_io_test; do
     echo "---- ubsan: $t ----"
     "$repo_root/build-ubsan/tests/$t"
 done
