@@ -5,20 +5,19 @@
 
 #include "net/daemon.hh"
 
+#include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
+#include <cstring>
 #include <iostream>
-#include <sstream>
-#include <thread>
+#include <optional>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include "app/job_runner.hh"
 #include "core/job_spec.hh"
 #include "core/worker_pool.hh"
-#include "net/frame.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
@@ -31,6 +30,8 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
+using std::chrono::ceil, std::chrono::milliseconds;
+using namespace std::chrono_literals;
 
 double
 usSince(Clock::time_point t0)
@@ -43,84 +44,63 @@ usSince(Clock::time_point t0)
  *  workers, 2 = per-access rings). */
 constexpr int kTracePid = 3;
 
+/** How long an executor waits on its connection for the next request
+ *  before handing the connection back to the loop: well above a
+ *  client's turnaround after an answer, well below any job. */
+constexpr timespec kLinger{0, 200'000};
+
+/** One accepted request. */
+struct Job
+{
+    std::string payload;
+    std::uint64_t index = 0;    ///< per-connection request index
+    Clock::time_point accepted; ///< latency and heartbeat timebase
+};
+
+/** One frame not yet fully written. */
+struct Pending
+{
+    std::string bytes;
+    bool answer = false; ///< a request's final or error frame
+};
+
 } // anonymous namespace
 
-/** Per-connection state shared by the reader/executor/heartbeat
- *  threads. */
+/** Per-connection state. One thread reads the socket at a time: the
+ *  loop while the connection is idle, its executor while it holds it
+ *  (scheduled). */
 struct Daemon::Connection
 {
     std::uint64_t id = 0;
     Fd fd;
     core::SweepPool::ClientId client = 0;
-
-    std::mutex mutex; ///< queue + lifecycle
-    std::condition_variable cv;
-    std::deque<std::string> queue; ///< request payloads, FIFO
-    std::size_t running = 0;       ///< 0 or 1 (executor is serial)
-    bool closed = false;           ///< reader saw EOF / fatal error
-
-    std::mutex writeMutex; ///< one frame at a time on the wire
-    std::uint64_t bytesOut = 0;
-    bool writeFailed = false;
-
-    std::uint64_t nextJob = 0;  ///< request index (reader)
-    std::atomic<std::uint64_t> activeJob{0};
-    std::atomic<bool> jobActive{false};
-    Clock::time_point jobStart;
-
-    std::uint64_t jobsDone = 0;
     double startUs = 0.0; ///< connection open, trace timebase
+    std::mutex mutex;     ///< guards the members below
+    FrameReader reader;
+    std::deque<Job> queue;      ///< accepted, not started, FIFO
+    std::optional<Job> current; ///< running or parked; set by its executor
+    bool scheduled = false; ///< ready, held by an executor or parked
+    bool readDone = false;  ///< EOF, protocol fault, drain or dead
+    bool dead = false;      ///< a write failed: the peer is gone
+    std::deque<Pending> out;
+    std::size_t outOff = 0;     ///< bytes of out.front() written
+    std::size_t answers = 0;    ///< answers among out
+    Clock::time_point outSince; ///< last progress on out
+    std::uint64_t nextJob = 0, jobsDone = 0;
 
-    std::thread reader;
-    std::thread executor;
-    std::atomic<bool> finished{false};
-
-    /**
-     * Send one frame. Advisory (droppable) frames are skipped once
-     * the response-byte budget is spent; mandatory frames always go
-     * out. A failed write means the peer is gone — that (not read-side
-     * EOF, which a half-closing client produces legitimately) is the
-     * daemon's disconnect signal, and it runs the cancel path.
-     * Returns false when the frame was dropped or the wire is dead.
-     */
-    bool send(Daemon &d, FrameType type, const std::string &payload,
-              bool droppable)
+    std::size_t inflight() const
     {
-        const std::string bytes = encodeFrame(type, payload);
-        bool just_died = false;
-        {
-            const std::lock_guard<std::mutex> lock(writeMutex);
-            if (writeFailed)
-                return false;
-            if (droppable && d._cfg.responseByteBudget &&
-                bytesOut + bytes.size() > d._cfg.responseByteBudget) {
-                d._framesDropped.fetch_add(1,
-                                           std::memory_order_relaxed);
-                return false;
-            }
-            try {
-                writeAll(fd.get(), bytes.data(), bytes.size());
-                bytesOut += bytes.size();
-                d._bytesOut.fetch_add(bytes.size(),
-                                      std::memory_order_relaxed);
-            } catch (const std::exception &) {
-                writeFailed = true;
-                just_died = true;
-            }
-        }
-        if (just_died)
-            d.onWireDead(*this);
-        return !just_died;
+        return queue.size() + (current ? 1 : 0) + answers;
     }
 };
 
 Daemon::Daemon(DaemonConfig cfg) : _cfg(std::move(cfg))
 {
     int fds[2];
-    if (::pipe(fds) != 0)
-        throw std::runtime_error("daemon: cannot create stop pipe");
-    _stopRead = Fd(fds[0]);
-    _stopWrite = Fd(fds[1]);
+    if (::pipe2(fds, O_NONBLOCK | O_CLOEXEC) != 0)
+        throw std::runtime_error("daemon: cannot create the self-pipe");
+    _pipeRead = Fd(fds[0]);
+    _pipeWrite = Fd(fds[1]);
 }
 
 Daemon::~Daemon() = default;
@@ -128,191 +108,247 @@ Daemon::~Daemon() = default;
 void
 Daemon::stop()
 {
-    // Async-signal-safe: a single write(2); serve()'s accept poll
-    // wakes on the pipe.
+    // Async-signal-safe: a single write(2).
     const char byte = 1;
     [[maybe_unused]] const ssize_t r =
-        ::write(_stopWrite.get(), &byte, 1);
+        ::write(_pipeWrite.get(), &byte, 1);
+}
+
+void
+Daemon::wakeLoop()
+{
+    // At most one wake byte is pending, so stop()'s byte always fits.
+    const char byte = 0;
+    if (!_wakePending.exchange(true))
+        [[maybe_unused]] const ssize_t r =
+            ::write(_pipeWrite.get(), &byte, 1);
 }
 
 void
 Daemon::publishMetrics()
 {
-    obs::Metrics::DaemonSnapshot snap;
-    snap.connectionsActive = _connectionsActive.load();
-    snap.connectionsTotal = _connectionsTotal.load();
-    snap.jobsAccepted = _jobsAccepted.load();
-    snap.jobsRunning = _jobsRunning.load();
-    snap.jobsSucceeded = _jobsSucceeded.load();
-    snap.jobsFailed = _jobsFailed.load();
-    snap.jobsCancelled = _jobsCancelled.load();
-    snap.bytesOut = _bytesOut.load();
-    snap.framesDropped = _framesDropped.load();
     const core::MemoStats memo = _memo.stats();
-    snap.memoHits = memo.hits;
-    snap.memoBytes = memo.bytes;
-    snap.memoEvictions = memo.evictions;
-    obs::globalMetrics().noteDaemon(snap);
-
+    obs::globalMetrics().noteDaemon(
+        {.connectionsActive = _connectionsActive,
+         .connectionsTotal = _connectionsTotal,
+         .jobsAccepted = _jobsAccepted,
+         .jobsRunning = _jobsRunning,
+         .jobsSucceeded = _jobsSucceeded,
+         .jobsFailed = _jobsFailed,
+         .jobsCancelled = _jobsCancelled,
+         .memoHits = memo.hits,
+         .bytesOut = _bytesOut,
+         .framesDropped = _framesDropped,
+         .memoBytes = memo.bytes,
+         .memoEvictions = memo.evictions});
     if (_pool) {
         const core::SweepPool::Stats ps = _pool->stats();
-        obs::Metrics::PoolStats out;
-        out.tasksRun = ps.tasksRun;
-        out.tasksCancelled = ps.tasksCancelled;
-        out.batches = ps.batches;
-        out.activeClients = ps.activeClients;
-        out.queuedTasks = ps.queuedTasks;
-        out.workers = ps.workers;
-        obs::globalMetrics().setPool(out);
+        obs::globalMetrics().setPool({ps.tasksRun, ps.tasksCancelled,
+                                      ps.batches, ps.activeClients,
+                                      ps.queuedTasks, ps.workers});
     }
 }
 
 void
-Daemon::connectionReader(const std::shared_ptr<Connection> &conn)
+Daemon::sendLocked(Connection &c, FrameType type,
+                   const std::string &payload)
 {
-    FrameReader reader;
-    char buf[64 * 1024];
-    bool protocol_fault = false;
-    std::string fault_what;
+    // An advisory frame never waits behind queued bytes, so a stalled
+    // client holds at most its unwritten answers plus one frame.
+    const bool advisory =
+        type == FrameType::Progress || type == FrameType::Partial;
+    if (c.dead)
+        return;
+    if (advisory && !c.out.empty()) {
+        ++_framesDropped;
+        return;
+    }
+    const bool was_empty = c.out.empty();
+    c.out.push_back({encodeFrame(type, payload), !advisory});
+    c.answers += !advisory;
+    c.outSince = Clock::now();
+    flushLocked(c);
+    if (was_empty && !c.out.empty())
+        wakeLoop(); // the loop polls for POLLOUT
+}
 
+void
+Daemon::flushLocked(Connection &c)
+{
     try {
-        for (;;) {
-            const std::size_t n =
-                readSome(conn->fd.get(), buf, sizeof(buf));
-            if (n == 0) {
-                if (reader.inProgress() && !_draining.load()) {
-                    // EOF inside a frame: a truncated request. There
-                    // is no job to answer; just note it.
-                    std::cerr << "c8td: connection " << conn->id
-                              << ": truncated frame at EOF\n";
-                }
-                break;
+        while (!c.out.empty()) {
+            const std::string &bytes = c.out.front().bytes;
+            const std::size_t n = sendSome(
+                c.fd.get(), bytes.data() + c.outOff, bytes.size() - c.outOff);
+            if (!n)
+                return; // the socket is full
+            _bytesOut += n;
+            c.outSince = Clock::now();
+            if ((c.outOff += n) < bytes.size())
+                continue;
+            c.answers -= c.out.front().answer;
+            c.out.pop_front();
+            c.outOff = 0;
+        }
+    } catch (const std::exception &) {
+        // A failed write, not read-side EOF (which a half-closing
+        // client produces legitimately), is the disconnect signal.
+        c.dead = true;
+        abandonLocked(c);
+    }
+}
+
+void
+Daemon::abandonLocked(Connection &c)
+{
+    // Cancelling the slot drops its unclaimed tasks; its in-flight
+    // batch completes with JobCancelled.
+    c.readDone = true;
+    c.queue.clear();
+    if (c.dead) {
+        c.out.clear();
+        c.outOff = c.answers = 0;
+    }
+    _pool->cancelClient(c.client);
+    wakeLoop();
+}
+
+void
+Daemon::receiveLocked(Connection &c)
+{
+    char buf[64 * 1024];
+    try {
+        const std::optional<std::size_t> n =
+            recvSome(c.fd.get(), buf, sizeof(buf));
+        if (!n)
+            return;
+        c.reader.feed(buf, *n);
+        if (*n)
+            return;
+        // EOF just ends the request stream (pipelining clients
+        // half-close): accepted jobs still run. EOF inside a frame is
+        // a truncated request with no job to answer.
+        if (c.reader.inProgress())
+            std::cerr << "c8td: connection " << c.id
+                      << ": truncated frame at EOF\n";
+        c.readDone = true;
+    } catch (const std::exception &e) {
+        faultLocked(c, e);
+    }
+}
+
+void
+Daemon::admitLocked(Connection &c)
+{
+    // Past the in-flight bound decoded frames wait in the reader and
+    // nobody reads the socket: backpressure that keeps response order
+    // exact and leaves the cost in the greedy client's socket buffer.
+    try {
+        Frame f;
+        while (!c.readDone && c.inflight() < _cfg.maxInflight &&
+               c.reader.next(f)) {
+            if (f.type != FrameType::Request) {
+                throw ProtocolError(std::string("client sent a ") +
+                                    net::toString(f.type) + " frame");
             }
-            reader.feed(buf, n);
-            Frame f;
-            while (reader.next(f)) {
-                if (f.type != FrameType::Request) {
-                    throw ProtocolError(
-                        std::string("client sent a ") +
-                        net::toString(f.type) + " frame");
-                }
-                _jobsAccepted.fetch_add(1, std::memory_order_relaxed);
-                std::unique_lock<std::mutex> lock(conn->mutex);
-                // In-flight budget: backpressure. Holding the frame
-                // here (not reading more bytes) keeps response order
-                // exact and pushes the cost onto the greedy client's
-                // socket buffer.
-                conn->cv.wait(lock, [&] {
-                    return conn->queue.size() + conn->running <
-                               _cfg.maxInflight ||
-                           conn->closed;
-                });
-                if (conn->closed)
-                    break;
-                conn->queue.push_back(std::move(f.payload));
-                conn->cv.notify_all();
-            }
+            c.queue.push_back({std::move(f.payload), c.nextJob++,
+                               Clock::now()});
+            ++_jobsAccepted;
         }
     } catch (const ProtocolError &e) {
-        protocol_fault = true;
-        fault_what = e.what();
-    } catch (const std::exception &e) {
-        protocol_fault = true;
-        fault_what = e.what();
+        faultLocked(c, e);
     }
-
-    if (protocol_fault) {
-        // The stream is unrecoverable; tell the client why, then
-        // abandon its work.
-        conn->send(*this, FrameType::Error,
-                   "{\"job\":-1,\"error\":\"" +
-                       stats::jsonEscape(fault_what) + "\"}",
-                   /*droppable=*/false);
-    }
-
-    // Plain EOF just ends the request stream (a pipelining client
-    // half-closes after its last request; a SIGTERM drain SHUT_RDs
-    // us): accepted jobs still run and deliver their finals. A client
-    // that actually vanished is detected on the *write* side — the
-    // next heartbeat/progress/final frame fails and runs the cancel
-    // path (onWireDead).
-    {
-        const std::lock_guard<std::mutex> lock(conn->mutex);
-        conn->closed = true;
-    }
-    conn->cv.notify_all();
-    if (protocol_fault)
-        onWireDead(*conn);
 }
 
 void
-Daemon::onWireDead(Connection &conn)
+Daemon::faultLocked(Connection &c, const std::exception &e)
 {
-    // The peer is unreachable: nothing it asked for can be delivered,
-    // so drop its queue and cancel its slot in the shared pool (the
-    // in-flight batch completes with JobCancelled; unclaimed tasks
-    // are dropped, freeing the workers for live clients).
-    if (_pool)
-        _pool->cancelClient(conn.client);
-    {
-        const std::lock_guard<std::mutex> lock(conn.mutex);
-        conn.closed = true;
-        conn.queue.clear();
-    }
-    conn.cv.notify_all();
+    // The stream is unrecoverable: say why, abandon its work.
+    sendLocked(c, FrameType::Error,
+               "{\"job\":-1,\"error\":\"" + stats::jsonEscape(e.what()) +
+                   "\"}");
+    abandonLocked(c);
 }
 
-void
-Daemon::connectionExecutor(const std::shared_ptr<Connection> &conn)
+bool
+Daemon::runNext()
 {
-    const core::SweepPool::ClientScope scope(conn->client);
-
+    ConnPtr cp;
+    {
+        std::unique_lock<std::mutex> lock(_mutex);
+        _readyCv.wait(lock,
+                      [&] { return _teamStop || !_readyQueue.empty(); });
+        if (_teamStop)
+            return false;
+        cp = std::move(_readyQueue.front());
+        _readyQueue.pop_front();
+    }
+    // Serve the connection while it has work and nobody else waits.
     for (;;) {
-        std::string payload;
+        Connection &c = *cp;
         {
-            std::unique_lock<std::mutex> lock(conn->mutex);
-            conn->cv.wait(lock, [&] {
-                return !conn->queue.empty() || conn->closed;
-            });
-            if (conn->queue.empty())
-                break; // closed and drained
-            payload = std::move(conn->queue.front());
-            conn->queue.pop_front();
-            conn->running = 1;
-            conn->cv.notify_all(); // reader backpressure release
+            const std::lock_guard<std::mutex> lock(c.mutex);
+            if (!c.current) {
+                if (c.queue.empty()) { // abandoned while it waited
+                    c.scheduled = false;
+                    wakeLoop();
+                    return true;
+                }
+                c.current = std::move(c.queue.front());
+                c.queue.pop_front();
+                ++_jobsRunning;
+            }
         }
-
-        const std::uint64_t job = conn->nextJob++;
-        conn->activeJob.store(job);
-        conn->jobStart = Clock::now();
-        conn->jobActive.store(true);
-        _jobsRunning.fetch_add(1, std::memory_order_relaxed);
-        bool cancelled = false;
+        const Job &job = *c.current;
+        const std::string tag = "{\"job\":" + std::to_string(job.index) + ",";
+        const auto send = [&](FrameType type, const std::string &payload) {
+            const std::lock_guard<std::mutex> lock(c.mutex);
+            sendLocked(c, type, payload);
+        };
+        const core::SweepPool::ClientScope scope(c.client);
+        std::string key; // set while this request leads its memo key
+        // The leader's end, whatever its outcome, puts the requests
+        // parked on its key back on the ready queue.
+        const auto unpark = [&] {
+            const std::lock_guard<std::mutex> lock(_mutex);
+            const auto it = _computing.find(key);
+            for (ConnPtr &p : it->second)
+                _readyQueue.push_back(std::move(p));
+            if (!it->second.empty())
+                _readyCv.notify_all();
+            _computing.erase(it);
+        };
 
         try {
-            const core::JobSpec spec =
-                core::JobSpec::fromJsonText(payload);
-
+            const core::JobSpec spec = core::JobSpec::fromJsonText(job.payload);
+            std::string canonical = spec.toJson();
+            {
+                // A follower parks on its key instead of holding an
+                // executor; the leader's end puts it back on the ready
+                // queue, to be served from the memo or to lead in turn.
+                const std::lock_guard<std::mutex> lock(_mutex);
+                const auto [it, leader] =
+                    _computing.try_emplace(std::move(canonical));
+                if (!leader) {
+                    it->second.push_back(cp);
+                    return true;
+                }
+                key = it->first;
+            }
             // Only a computing request streams progress and partial
-            // frames; a memo hit, also one that waited for an
-            // identical in-flight request, sends just its final.
+            // frames; a memo hit sends just its final.
             const auto compute = [&] {
                 app::JobHooks hooks;
                 hooks.onProgress = [&](std::uint64_t done,
                                        std::uint64_t total) {
-                    std::ostringstream os;
-                    os << "{\"job\":" << job
-                       << ",\"state\":\"running\",\"done\":" << done
-                       << ",\"total\":" << total << "}";
-                    conn->send(*this, FrameType::Progress, os.str(),
-                               /*droppable=*/true);
+                    send(FrameType::Progress,
+                         tag + "\"state\":\"running\",\"done\":" +
+                             std::to_string(done) +
+                             ",\"total\":" + std::to_string(total) + "}");
                 };
                 hooks.onPartial = [&](const std::string &partial) {
-                    std::ostringstream os;
-                    os << "{\"job\":" << job
-                       << ",\"partial\":" << partial << "}";
-                    conn->send(*this, FrameType::Partial, os.str(),
-                               /*droppable=*/true);
+                    send(FrameType::Partial,
+                         tag + "\"partial\":" + partial + "}");
                 };
                 // The daemon never embeds the process profile: the
                 // document must stay byte-comparable to a non-profiled
@@ -321,134 +357,225 @@ Daemon::connectionExecutor(const std::shared_ptr<Connection> &conn)
                                        /*includeProfile=*/false)
                     .document;
             };
-
+            // Only the leader fills its key, so the memo never blocks; a
+            // leader that throws (error or its client's cancellation)
+            // leaves the key to the next parked request.
+            bool hit = false;
             std::shared_ptr<const std::string> document;
-            if (_cfg.memoizeResults) {
-                // Blocks this executor, never a pool worker, while an
-                // identical request computes; a leader that throws
-                // (error or its client's cancellation) leaves the key
-                // to the next waiter.
-                bool hit = false;
-                document = _memo.getOrCompute(spec.toJson(), compute, hit);
-            } else {
-                document = std::make_shared<const std::string>(compute());
+            try {
+                document = _memo.getOrCompute(key, compute, hit);
+            } catch (...) {
+                unpark();
+                throw;
             }
-
-            conn->send(*this, FrameType::Final, *document,
-                       /*droppable=*/false);
-            _jobsSucceeded.fetch_add(1, std::memory_order_relaxed);
+            unpark();
+            send(FrameType::Final, *document);
+            ++_jobsSucceeded;
         } catch (const core::JobCancelled &) {
-            _jobsCancelled.fetch_add(1, std::memory_order_relaxed);
-            cancelled = true;
+            ++_jobsCancelled;
         } catch (const std::exception &e) {
-            std::ostringstream os;
-            os << "{\"job\":" << job << ",\"error\":\""
-               << stats::jsonEscape(e.what()) << "\"}";
-            conn->send(*this, FrameType::Error, os.str(),
-                       /*droppable=*/false);
-            _jobsFailed.fetch_add(1, std::memory_order_relaxed);
+            send(FrameType::Error,
+                 tag + "\"error\":\"" + stats::jsonEscape(e.what()) + "\"}");
+            ++_jobsFailed;
         }
 
-        const double wall_us =
-            std::chrono::duration<double, std::micro>(Clock::now() -
-                                                      conn->jobStart)
-                .count();
-        conn->jobActive.store(false);
-        _jobsRunning.fetch_sub(1, std::memory_order_relaxed);
+        const double wall_us = usSince(job.accepted);
+        --_jobsRunning;
         obs::globalMetrics().recordDaemonJobNs(
             static_cast<std::uint64_t>(wall_us * 1000.0));
-        ++conn->jobsDone;
-
         if (obs::ChromeTraceWriter *trace = obs::globalTrace()) {
             trace->completeEvent(
-                "conn" + std::to_string(conn->id) + "/job" +
-                    std::to_string(job),
-                "daemon", kTracePid,
-                static_cast<int>(conn->id) + 1,
-                usSince(Clock::time_point{}) - wall_us - _traceT0Us,
-                wall_us);
+                "conn" + std::to_string(c.id) + "/job" +
+                    std::to_string(job.index),
+                "daemon", kTracePid, static_cast<int>(c.id) + 1,
+                usSince(Clock::time_point{}) - wall_us - _traceT0Us, wall_us);
         }
-
-        // The job's result-building scopes ran on this thread after
-        // its sweep flushed the workers; fold them before the rewrite.
+        // The job's result-building scopes ran on this thread after its
+        // sweep flushed the workers; fold them before the rewrite.
         if (obs::prof::enabled())
             obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
         publishMetrics();
         obs::writeGlobalMetrics();
 
+        bool others = false; // connections wait for an executor
         {
-            const std::lock_guard<std::mutex> lock(conn->mutex);
-            conn->running = 0;
-            conn->cv.notify_all();
+            const std::lock_guard<std::mutex> lock(_mutex);
+            others = !_readyQueue.empty();
         }
-        if (cancelled)
-            break;
+        std::unique_lock<std::mutex> lock(c.mutex);
+        c.current.reset();
+        ++c.jobsDone;
+        admitLocked(c);
+        if (c.queue.empty() && !c.readDone && !others &&
+            c.inflight() < _cfg.maxInflight) {
+            // Linger: a client's next request usually follows its answer
+            // within microseconds. Waiting for it on the socket runs it
+            // without a hand-off through the loop; only while no other
+            // connection waits for an executor, so it costs nobody a turn.
+            lock.unlock();
+            pollfd p{c.fd.get(), POLLIN, 0};
+            const bool readable = ::ppoll(&p, 1, &kLinger, nullptr) > 0;
+            lock.lock();
+            if (readable) {
+                receiveLocked(c);
+                admitLocked(c);
+            }
+        }
+        c.scheduled = !c.queue.empty();
+        if (!c.scheduled) {
+            wakeLoop(); // the loop reads the connection again, or retires it
+            return true;
+        }
+        if (others) { // this executor takes one more: no notify
+            const std::lock_guard<std::mutex> ready(_mutex);
+            _readyQueue.push_back(cp);
+            return true;
+        }
     }
-
-    // Last one out: close the wire and the pool slot.
-    conn->fd.shutdownBoth();
-    if (_pool)
-        _pool->unregisterClient(conn->client);
-    if (obs::ChromeTraceWriter *trace = obs::globalTrace()) {
-        std::ostringstream args;
-        args << "{\"jobs\":" << conn->jobsDone << "}";
-        trace->completeEvent(
-            "conn" + std::to_string(conn->id), "daemon", kTracePid,
-            static_cast<int>(conn->id) + 1, conn->startUs - _traceT0Us,
-            usSince(Clock::time_point{}) - conn->startUs, args.str());
-    }
-    _connectionsActive.fetch_sub(1, std::memory_order_relaxed);
-    publishMetrics();
-    conn->finished.store(true);
 }
 
 void
-Daemon::heartbeatLoop()
+Daemon::pollLoop(UnixListener &listener)
 {
-    if (!_cfg.heartbeatMs)
-        return;
-    while (!_draining.load()) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(_cfg.heartbeatMs));
-        std::vector<std::shared_ptr<Connection>> conns;
-        {
-            const std::lock_guard<std::mutex> lock(_connMutex);
-            conns = _connections;
-        }
-        for (const auto &conn : conns) {
-            if (!conn->jobActive.load())
+    const milliseconds period(_cfg.heartbeatMs);
+    Clock::time_point next_beat = Clock::now() + period;
+    bool accepting = true; // false: out of descriptors until a retire
+    std::vector<pollfd> fds;
+
+    for (;;) {
+        // Settle every connection: queue an idle one's decoded
+        // requests and dispatch it, heartbeat, retire, choose events.
+        const Clock::time_point now = Clock::now();
+        const bool beat = period.count() && now >= next_beat;
+        if (beat)
+            next_beat = now + period;
+        fds.assign({{_pipeRead.get(), POLLIN, 0},
+                    {accepting && !_draining ? listener.fd() : -1, POLLIN,
+                     0}});
+        std::size_t kept = 0, started = 0;
+        for (ConnPtr &c : _connections) {
+            std::unique_lock<std::mutex> lock(c->mutex);
+            if (!c->scheduled)
+                admitLocked(*c);
+            const bool start = !c->scheduled && !c->queue.empty();
+            if (start) {
+                c->scheduled = true;
+                const std::lock_guard<std::mutex> ready(_mutex);
+                _readyQueue.push_back(c);
+            }
+            // Every accepted, unanswered job (waiting, parked or
+            // running) gets heartbeats: the probe that finds a
+            // vanished client.
+            const Job *job = c->current       ? &*c->current
+                             : c->queue.empty() ? nullptr
+                                                : &c->queue.front();
+            if (beat && job) {
+                sendLocked(*c, FrameType::Progress,
+                           "{\"job\":" + std::to_string(job->index) +
+                               ",\"state\":\"heartbeat\",\"elapsed_ms\":" +
+                               std::to_string((now - job->accepted) / 1ms) +
+                               "}");
+            }
+            const bool idle = !c->scheduled && c->queue.empty();
+            if (_draining && idle && !c->out.empty() &&
+                now - c->outSince >= period) {
+                c->dead = true; // counts as vanished
+                abandonLocked(*c);
+            }
+            const short events =
+                (!c->scheduled && !c->readDone &&
+                         c->inflight() < _cfg.maxInflight
+                     ? POLLIN
+                     : 0) |
+                (c->out.empty() ? 0 : POLLOUT);
+            if (!idle || !c->readDone || !c->out.empty()) {
+                lock.unlock();
+                started += start;
+                fds.push_back({events ? c->fd.get() : -1, events, 0});
+                _connections[kept++] = std::move(c);
                 continue;
-            const double elapsed_ms =
-                std::chrono::duration<double, std::milli>(
-                    Clock::now() - conn->jobStart)
-                    .count();
-            std::ostringstream os;
-            os << "{\"job\":" << conn->activeJob.load()
-               << ",\"state\":\"heartbeat\",\"elapsed_ms\":"
-               << static_cast<std::uint64_t>(elapsed_ms) << "}";
-            conn->send(*this, FrameType::Progress, os.str(),
-                       /*droppable=*/true);
+            }
+            // Retire: its last job is done, nothing is joined.
+            lock.unlock();
+            c->fd.close();
+            _pool->unregisterClient(c->client);
+            if (obs::ChromeTraceWriter *trace = obs::globalTrace()) {
+                trace->completeEvent(
+                    "conn" + std::to_string(c->id), "daemon", kTracePid,
+                    static_cast<int>(c->id) + 1, c->startUs - _traceT0Us,
+                    usSince(Clock::time_point{}) - c->startUs,
+                    "{\"jobs\":" + std::to_string(c->jobsDone) + "}");
+            }
+            --_connectionsActive;
+            publishMetrics();
+            accepting = true;
         }
-        publishMetrics();
-        obs::writeGlobalMetrics();
-    }
-}
+        _connections.resize(kept);
+        if (beat) {
+            publishMetrics();
+            obs::writeGlobalMetrics();
+        }
+        if (_draining && _connections.empty())
+            return;
 
-void
-Daemon::reapFinished()
-{
-    const std::lock_guard<std::mutex> lock(_connMutex);
-    auto it = _connections.begin();
-    while (it != _connections.end()) {
-        if ((*it)->finished.load()) {
-            if ((*it)->reader.joinable())
-                (*it)->reader.join();
-            if ((*it)->executor.joinable())
-                (*it)->executor.join();
-            it = _connections.erase(it);
-        } else {
-            ++it;
+        const auto wait = std::max(next_beat - Clock::now(), Clock::duration{});
+        const int timeout =
+            period.count() ? static_cast<int>(ceil<milliseconds>(wait).count())
+                           : -1;
+        for (; started; --started)
+            _readyCv.notify_one();
+        if (::poll(fds.data(), fds.size(), timeout) < 0 && errno != EINTR)
+            throw std::runtime_error(std::string("daemon: poll: ") +
+                                     std::strerror(errno));
+
+        for (std::size_t i = 0; i + 2 < fds.size(); ++i) {
+            Connection &c = *_connections[i];
+            const pollfd &p = fds[i + 2];
+            if (p.revents & POLLOUT) {
+                const std::lock_guard<std::mutex> lock(c.mutex);
+                flushLocked(c);
+            }
+            if ((p.events & POLLIN) &&
+                (p.revents & (POLLIN | POLLHUP | POLLERR))) {
+                const std::lock_guard<std::mutex> lock(c.mutex);
+                receiveLocked(c); // queued by the next settle pass
+            }
         }
+
+        while (fds[1].revents & POLLIN) {
+            Fd fd = listener.accept();
+            if (!fd.valid()) {
+                accepting = errno == EAGAIN || errno == EWOULDBLOCK;
+                break;
+            }
+            _connections.push_back(std::make_shared<Connection>(
+                _nextConnId++, std::move(fd), _pool->registerClient(),
+                usSince(Clock::time_point{})));
+            ++_connectionsTotal;
+            ++_connectionsActive;
+            publishMetrics();
+        }
+
+        char wake[64];
+        for (ssize_t n;
+             fds[0].revents &&
+             (n = ::read(_pipeRead.get(), wake, sizeof(wake))) > 0;) {
+            if (_draining || !std::memchr(wake, 1, n))
+                continue;
+            // stop(): no new connections or requests; accepted jobs
+            // run to the end.
+            _draining = true;
+            for (const ConnPtr &c : _connections) {
+                c->fd.shutdownRead();
+                const std::lock_guard<std::mutex> lock(c->mutex);
+                c->readDone = true;
+            }
+        }
+        // Cleared after the drain: a wake-up that finds the flag set
+        // changed its state before this point, so the next settle
+        // sees it; one that finds it clear writes a byte.
+        if (fds[0].revents)
+            _wakePending.store(false);
     }
 }
 
@@ -458,76 +585,46 @@ Daemon::serve()
     if (_cfg.socketPath.empty())
         throw std::invalid_argument("daemon: no socket path");
 
+    UnixListener listener(_cfg.socketPath);
     _pool = std::make_unique<core::SweepPool>(_cfg.workers);
     core::setGlobalSweepPool(_pool.get());
     _traceT0Us = usSince(Clock::time_point{});
 
-    UnixListener listener(_cfg.socketPath);
+    // Every exit, also by exception: cancel what still runs, join the
+    // team and uninstall the pool before anyone can use it freed.
+    struct Teardown
+    {
+        Daemon &d;
+        ~Teardown()
+        {
+            {
+                const std::lock_guard<std::mutex> lock(d._mutex);
+                d._teamStop = true;
+            }
+            for (const ConnPtr &c : d._connections)
+                d._pool->cancelClient(c->client);
+            d._readyCv.notify_all();
+            for (std::thread &t : d._team)
+                t.join();
+            core::setGlobalSweepPool(nullptr);
+            d._pool.reset();
+            d._ready.store(false);
+            d.publishMetrics();
+            obs::writeGlobalMetrics();
+        }
+    } teardown{*this};
+
+    // A fixed team, one executor per pool worker: up to that many
+    // jobs share the pool at once, whatever the connection count.
+    for (unsigned i = 0; i < _pool->workers(); ++i)
+        _team.emplace_back([this] { while (runNext()) {} });
+
     // Publish before ready(): once a caller sees ready(), the global
     // daemon snapshot is this daemon's, not a previous one's.
     publishMetrics();
     obs::writeGlobalMetrics();
     _ready.store(true);
-
-    std::thread heartbeat([this] { heartbeatLoop(); });
-
-    for (;;) {
-        Fd conn_fd = listener.accept(_stopRead.get());
-        if (!conn_fd.valid())
-            break; // stop() fired
-        reapFinished();
-
-        auto conn = std::make_shared<Connection>();
-        conn->fd = std::move(conn_fd);
-        conn->client = _pool->registerClient();
-        conn->startUs = usSince(Clock::time_point{});
-        {
-            const std::lock_guard<std::mutex> lock(_connMutex);
-            conn->id = _nextConnId++;
-            _connections.push_back(conn);
-        }
-        _connectionsTotal.fetch_add(1, std::memory_order_relaxed);
-        _connectionsActive.fetch_add(1, std::memory_order_relaxed);
-        publishMetrics();
-
-        conn->reader =
-            std::thread([this, conn] { connectionReader(conn); });
-        conn->executor =
-            std::thread([this, conn] { connectionExecutor(conn); });
-    }
-
-    // Graceful drain: stop reading new requests (our own SHUT_RD; the
-    // reader sees EOF with _draining set and does NOT cancel), let
-    // executors finish the accepted queues and deliver their finals.
-    _draining.store(true);
-    {
-        const std::lock_guard<std::mutex> lock(_connMutex);
-        for (const auto &conn : _connections)
-            conn->fd.shutdownRead();
-    }
-    {
-        std::vector<std::shared_ptr<Connection>> conns;
-        {
-            const std::lock_guard<std::mutex> lock(_connMutex);
-            conns = _connections;
-        }
-        for (const auto &conn : conns) {
-            if (conn->reader.joinable())
-                conn->reader.join();
-            if (conn->executor.joinable())
-                conn->executor.join();
-        }
-        const std::lock_guard<std::mutex> lock(_connMutex);
-        _connections.clear();
-    }
-    if (heartbeat.joinable())
-        heartbeat.join();
-
-    core::setGlobalSweepPool(nullptr);
-    _pool.reset();
-    _ready.store(false);
-    publishMetrics();
-    obs::writeGlobalMetrics();
+    pollLoop(listener);
 }
 
 } // namespace c8t::net

@@ -3,49 +3,40 @@
  * c8td — the persistent sweep service (DESIGN.md §13).
  *
  * One daemon process serves sweep / Vdd-sweep / explore jobs to many
- * concurrent clients over a Unix domain socket, multiplexing them
- * onto ONE process-wide SweepPool (fair round-robin across clients),
- * ONE StreamCache and ONE fault-map memo — so a warm daemon answers
- * repeat operating points without regenerating a stream or re-running
- * a Monte-Carlo campaign, and identical requests are served verbatim
- * from a whole-result memo (a core::Memo, like the other two):
- * single-flight, so identical requests that arrive together compute
- * once.
+ * clients over a Unix domain socket, multiplexing them onto ONE
+ * process-wide SweepPool (fair round-robin across clients), ONE
+ * StreamCache, ONE fault-map memo and a single-flight whole-result
+ * memo. Final frames carry the raw schema-v5 document, byte-identical
+ * to `c8tsim --stats-json` for the same spec.
  *
- * Per connection the daemon runs a reader thread (frame decode,
- * request queue, disconnect detection) and an executor thread
- * (strict FIFO job execution through app::runJobSpec). Final-result
- * frames carry the raw schema-v5 document bytes — byte-identical to
- * `c8tsim --stats-json` for the same spec, proven by the golden
- * tests. Budgets: the request queue is bounded (maxInflight; the
- * reader applies backpressure by not consuming further frames, so
- * FIFO response order is never violated) and advisory frames
- * (progress/partial) are dropped once a connection's response-byte
- * budget is spent — final/error frames are always delivered.
- *
- * Lifecycle: read-side EOF just ends a connection's request stream
- * (pipelining clients half-close after their last request) — accepted
- * jobs still run and deliver their finals. A client that actually
- * vanished is detected on the write side: the next heartbeat /
- * progress / final frame fails (EPIPE), which drops the client's
- * queue and cancels its slot in the shared pool (unclaimed work is
- * dropped; the in-flight batch completes with JobCancelled and the
- * result is discarded). stop() — the SIGTERM hook — drains: accepted
- * jobs finish and their final frames are delivered before serve()
- * returns.
+ * Threads: the thread that calls serve() runs one poll() loop that
+ * accepts, reads idle connections, flushes and sends heartbeats; a
+ * fixed team, one executor per pool worker, runs the jobs and reads
+ * the connection it holds between them. Nothing blocks on a client:
+ * sockets are used without blocking, and an executor waits at most
+ * 200 µs for its connection's next request. A connection holds at
+ * most maxInflight requests, and
+ * advisory frames are dropped while bytes are queued on it. A failed
+ * write means the client vanished: its queue is dropped and its pool
+ * slot cancelled. DESIGN.md §13 has the rules, the drain included.
  */
 
 #ifndef C8T_NET_DAEMON_HH
 #define C8T_NET_DAEMON_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/memo.hh"
+#include "net/frame.hh"
 #include "net/socket.hh"
 
 namespace c8t::core
@@ -65,24 +56,13 @@ struct DaemonConfig
     /** Shared-pool worker threads; 0 = C8T_JOBS / hardware. */
     unsigned workers = 0;
 
-    /** Per-connection request-queue bound (queued + running). The
-     *  reader stops consuming frames while at the bound —
-     *  backpressure, not rejection, so response order is preserved. */
+    /** Per-connection bound on requests queued, running or with an
+     *  unwritten answer. At the bound nobody reads the connection:
+     *  backpressure, not rejection, so response order holds. */
     std::size_t maxInflight = 8;
 
-    /** Per-connection response-byte budget for *advisory* frames:
-     *  once a connection has been sent this many bytes, progress and
-     *  partial frames are dropped (counted in the metrics);
-     *  final/error frames are always sent. 0 = unlimited. */
-    std::uint64_t responseByteBudget = 0;
-
-    /** Liveness heartbeat period for running jobs (ms; 0 = off). */
+    /** Liveness heartbeat period for accepted jobs (ms; 0 = off). */
     unsigned heartbeatMs = 1000;
-
-    /** Serve identical requests from the whole-result memo, and
-     *  coalesce concurrent identical requests onto one computation.
-     *  false: every request computes. */
-    bool memoizeResults = true;
 };
 
 /** The sweep service. */
@@ -96,14 +76,16 @@ class Daemon
 
     /**
      * Bind the socket and serve until stop(). Returns after the
-     * graceful drain (all accepted jobs answered, workers joined).
+     * graceful drain (all accepted jobs answered, the team joined).
+     * Every exit, also by exception, joins the team and uninstalls
+     * the shared pool.
      * @throws std::runtime_error when the socket cannot be bound.
      */
     void serve();
 
     /**
      * Request a graceful shutdown (async-signal-safe: one write(2) to
-     * the stop pipe — install it directly as the SIGTERM handler's
+     * the self-pipe — install it directly as the SIGTERM handler's
      * action). serve() stops accepting, drains accepted jobs and
      * returns.
      */
@@ -116,26 +98,45 @@ class Daemon
 
   private:
     struct Connection;
+    using ConnPtr = std::shared_ptr<Connection>;
 
-    void connectionReader(const std::shared_ptr<Connection> &conn);
-    void connectionExecutor(const std::shared_ptr<Connection> &conn);
-    /** Disconnect handling: a frame write failed, the peer is gone —
-     *  drop its queue and cancel its pool slot. */
-    void onWireDead(Connection &conn);
-    void heartbeatLoop();
+    // *Locked: the caller holds c.mutex.
+    /** Accept, read, flush and heartbeat every connection; return
+     *  once drained. */
+    void pollLoop(UnixListener &listener);
+    /** Executor: take the next ready connection and run (or park)
+     *  its jobs while nobody else waits; false once the team stops. */
+    bool runNext();
+    /** Read what @p c's socket holds into its reader. */
+    void receiveLocked(Connection &c);
+    /** Queue @p c's decoded requests while under maxInflight. */
+    void admitLocked(Connection &c);
+    /** A protocol fault: answer it, then abandon @p c's work. */
+    void faultLocked(Connection &c, const std::exception &e);
+    /** Queue a frame on @p c and write what the socket takes now. */
+    void sendLocked(Connection &c, FrameType type,
+                    const std::string &payload);
+    void flushLocked(Connection &c);
+    /** Drop @p c's queued requests and cancel its pool slot. */
+    void abandonLocked(Connection &c);
+    void wakeLoop();
     void publishMetrics();
-    /** Join and drop finished connections (called between accepts). */
-    void reapFinished();
 
     DaemonConfig _cfg;
     std::unique_ptr<core::SweepPool> _pool;
-    Fd _stopRead, _stopWrite; ///< self-pipe: stop() -> accept wakeup
+    Fd _pipeRead, _pipeWrite; ///< byte 1 = stop(), byte 0 = wakeLoop()
+    std::atomic<bool> _wakePending{false};
     std::atomic<bool> _ready{false};
-    std::atomic<bool> _draining{false};
+    bool _draining = false;             ///< loop only
+    std::uint64_t _nextConnId = 0;      ///< loop only
+    std::vector<ConnPtr> _connections; ///< loop only
 
-    std::mutex _connMutex;
-    std::vector<std::shared_ptr<Connection>> _connections;
-    std::uint64_t _nextConnId = 0;
+    std::mutex _mutex; ///< guards the three members below
+    std::condition_variable _readyCv;
+    std::deque<ConnPtr> _readyQueue; ///< connections with work, FIFO
+    /** Memo key being computed -> the connections parked on it. */
+    std::unordered_map<std::string, std::vector<ConnPtr>> _computing;
+    bool _teamStop = false;
 
     // Aggregate counters for the obs::Metrics daemon snapshot.
     std::atomic<std::uint64_t> _connectionsTotal{0};
@@ -154,6 +155,7 @@ class Daemon
     core::Memo<std::string> _memo{256ull << 20};
 
     double _traceT0Us = 0.0; ///< serve() start on the steady clock
+    std::vector<std::thread> _team; ///< the executors, declared last
 };
 
 } // namespace c8t::net

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -42,6 +41,23 @@ makeAddr(const std::string &path)
     return addr;
 }
 
+/** One recv(2), EINTR-retried: the bytes read, 0 at EOF, -1 when a
+ *  non-blocking read finds nothing. ECONNRESET reads as EOF: a
+ *  vanished peer and a closing peer are the same event to the daemon. */
+ssize_t
+recvOnce(int fd, char *buf, std::size_t n, int flags)
+{
+    for (;;) {
+        const ssize_t r = ::recv(fd, buf, n, flags);
+        if (r >= 0 || errno == EAGAIN || errno == EWOULDBLOCK)
+            return r;
+        if (errno == ECONNRESET)
+            return 0;
+        if (errno != EINTR)
+            throwErrno("read");
+    }
+}
+
 } // anonymous namespace
 
 Fd &
@@ -65,13 +81,6 @@ Fd::close()
 }
 
 void
-Fd::shutdownBoth()
-{
-    if (_fd >= 0)
-        ::shutdown(_fd, SHUT_RDWR);
-}
-
-void
 Fd::shutdownRead()
 {
     if (_fd >= 0)
@@ -81,16 +90,16 @@ Fd::shutdownRead()
 std::size_t
 readSome(int fd, char *buf, std::size_t n)
 {
-    for (;;) {
-        const ssize_t r = ::read(fd, buf, n);
-        if (r >= 0)
-            return static_cast<std::size_t>(r);
-        if (errno == EINTR)
-            continue;
-        if (errno == ECONNRESET)
-            return 0; // vanished peer == closing peer
-        throwErrno("read");
-    }
+    return static_cast<std::size_t>(recvOnce(fd, buf, n, 0));
+}
+
+std::optional<std::size_t>
+recvSome(int fd, char *buf, std::size_t n)
+{
+    const ssize_t r = recvOnce(fd, buf, n, MSG_DONTWAIT);
+    if (r < 0)
+        return std::nullopt;
+    return static_cast<std::size_t>(r);
 }
 
 void
@@ -99,8 +108,7 @@ writeAll(int fd, const char *buf, std::size_t n)
     std::size_t off = 0;
     while (off < n) {
         // MSG_NOSIGNAL: a vanished peer must be an EPIPE exception,
-        // not a process-killing SIGPIPE — the daemon's disconnect
-        // detection lives on this error path.
+        // not a process-killing SIGPIPE.
         const ssize_t w =
             ::send(fd, buf + off, n - off, MSG_NOSIGNAL);
         if (w >= 0) {
@@ -113,10 +121,25 @@ writeAll(int fd, const char *buf, std::size_t n)
     }
 }
 
+std::size_t
+sendSome(int fd, const char *buf, std::size_t n)
+{
+    for (;;) {
+        // The daemon's disconnect detection lives on the EPIPE path.
+        const ssize_t w = ::send(fd, buf, n, MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (w >= 0)
+            return static_cast<std::size_t>(w);
+        if (errno == EAGAIN || errno == EWOULDBLOCK)
+            return 0;
+        if (errno != EINTR)
+            throwErrno("write");
+    }
+}
+
 UnixListener::UnixListener(const std::string &path) : _path(path)
 {
     const sockaddr_un addr = makeAddr(path);
-    Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+    Fd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
     if (!fd.valid())
         throwErrno("socket");
     // A stale socket file from a killed daemon would make bind fail;
@@ -137,31 +160,18 @@ UnixListener::~UnixListener()
 }
 
 Fd
-UnixListener::accept(int wake_fd)
+UnixListener::accept()
 {
     for (;;) {
-        pollfd fds[2];
-        fds[0].fd = _fd.get();
-        fds[0].events = POLLIN;
-        fds[1].fd = wake_fd;
-        fds[1].events = POLLIN;
-        const int n = ::poll(fds, wake_fd >= 0 ? 2 : 1, -1);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throwErrno("poll");
-        }
-        if (wake_fd >= 0 && (fds[1].revents & (POLLIN | POLLHUP)))
-            return Fd{}; // stop requested
-        if (!(fds[0].revents & POLLIN))
+        const int conn = ::accept4(_fd.get(), nullptr, nullptr, SOCK_CLOEXEC);
+        if (conn >= 0)
+            return Fd(conn);
+        if (errno == EINTR || errno == ECONNABORTED)
             continue;
-        const int conn = ::accept(_fd.get(), nullptr, nullptr);
-        if (conn < 0) {
-            if (errno == EINTR || errno == ECONNABORTED)
-                continue;
-            throwErrno("accept");
-        }
-        return Fd(conn);
+        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EMFILE ||
+            errno == ENFILE || errno == ENOBUFS || errno == ENOMEM)
+            return Fd{};
+        throwErrno("accept");
     }
 }
 

@@ -9,6 +9,7 @@
 #define C8T_NET_SOCKET_HH
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 namespace c8t::net
@@ -30,8 +31,6 @@ class Fd
     bool valid() const { return _fd >= 0; }
     /** Close now (idempotent). */
     void close();
-    /** shutdown(2) both directions (wakes a blocked reader). */
-    void shutdownBoth();
     /** shutdown(2) the read side only. */
     void shutdownRead();
 
@@ -40,7 +39,8 @@ class Fd
 };
 
 /**
- * Read up to @p n bytes (one read(2), EINTR-retried).
+ * Read up to @p n bytes from a blocking socket (one recv(2),
+ * EINTR-retried).
  * @return bytes read; 0 = orderly EOF.
  * @throws std::runtime_error on a read error (except ECONNRESET,
  *         which is reported as EOF — a vanished peer and a closing
@@ -48,9 +48,17 @@ class Fd
  */
 std::size_t readSome(int fd, char *buf, std::size_t n);
 
+/** readSome without blocking: nullopt when nothing is pending. */
+std::optional<std::size_t> recvSome(int fd, char *buf, std::size_t n);
+
 /** Write all @p n bytes (EINTR-retried, partial writes resumed).
  *  @throws std::runtime_error on error (including EPIPE). */
 void writeAll(int fd, const char *buf, std::size_t n);
+
+/** Write what the socket takes now without blocking.
+ *  @return bytes written; 0 when its buffer is full.
+ *  @throws std::runtime_error on error (including EPIPE). */
+std::size_t sendSome(int fd, const char *buf, std::size_t n);
 
 /** A listening AF_UNIX stream socket bound to @p path. */
 class UnixListener
@@ -69,11 +77,13 @@ class UnixListener
     UnixListener &operator=(const UnixListener &) = delete;
 
     /**
-     * Accept one connection, or return an invalid Fd when @p wake_fd
-     * becomes readable first (the daemon's stop pipe) or accept is
-     * interrupted by shutdown.
+     * Accept one pending connection without blocking (the listener is
+     * non-blocking). Returns an invalid Fd when none is pending
+     * (errno EAGAIN) or the process is out of descriptors or memory
+     * (errno EMFILE, ENFILE, ENOBUFS or ENOMEM).
+     * @throws std::runtime_error on any other accept(2) error.
      */
-    Fd accept(int wake_fd);
+    Fd accept();
 
     int fd() const { return _fd.get(); }
     const std::string &path() const { return _path; }

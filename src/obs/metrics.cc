@@ -457,7 +457,7 @@ Metrics::writePrometheus(std::ostream &os) const
                      "Response bytes written to clients.",
                      _daemon.bytesOut);
         writeCounter(os, "c8t_daemon_frames_dropped_total",
-                     "Advisory frames dropped by response budgets.",
+                     "Advisory frames dropped behind queued bytes.",
                      _daemon.framesDropped);
         writeSummary(os, "c8t_daemon_job_seconds",
                      "End-to-end daemon job latency distribution.",

@@ -126,7 +126,7 @@ class Metrics
         std::uint64_t jobsCancelled = 0;
         std::uint64_t memoHits = 0;   ///< whole-result duplicate hits
         std::uint64_t bytesOut = 0;   ///< response bytes written
-        std::uint64_t framesDropped = 0; ///< budget-dropped frames
+        std::uint64_t framesDropped = 0; ///< advisory, behind queued bytes
         std::uint64_t memoBytes = 0;     ///< resident result-memo bytes
         std::uint64_t memoEvictions = 0; ///< budget-evicted documents
     };

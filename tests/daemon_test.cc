@@ -5,7 +5,10 @@
  * coalescing of concurrent identical requests, protocol robustness
  * (truncated frames, oversized prefixes, bad and oversized specs),
  * mid-job client disconnect, concurrent clients, the SIGTERM-style
- * drain and the phase rollup of profiled jobs.
+ * drain, the phase rollup of profiled jobs, and the bounds of the one
+ * poll loop: a thousand connections on a fixed thread count, running
+ * out of descriptors, clients that stop reading and a serve() that
+ * fails to bind.
  *
  * The daemon runs in-process (serve() on a thread, stop() to end it);
  * the CI daemon stage covers the real c8td/c8tctl binaries and the
@@ -16,17 +19,22 @@
 #include <barrier>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "app/job_runner.hh"
 #include "core/job_spec.hh"
+#include "core/worker_pool.hh"
 #include "net/client.hh"
 #include "net/daemon.hh"
 #include "net/frame.hh"
@@ -560,33 +568,6 @@ TEST(DaemonTest, FailingSpecGivesEveryRequesterItsOwnError)
     }
 }
 
-TEST(DaemonTest, WithoutTheMemoIdenticalRequestsBothCompute)
-{
-    net::DaemonConfig cfg;
-    cfg.memoizeResults = false;
-    const std::string spec =
-        "{\"kind\":\"run\",\"workload\":\"spec:mcf\","
-        "\"accesses\":100000}";
-    const std::string expected =
-        app::runJobSpec(core::JobSpec::fromJsonText(spec)).document;
-
-    DaemonFixture fx(cfg);
-    std::vector<Reply> got(2);
-    withConcurrentClients(fx.socket(), 2,
-                          [&](std::size_t i, net::DaemonClient &c) {
-                              c.submit(spec);
-                              got[i] = readReply(c);
-                          });
-    for (const Reply &r : got) {
-        EXPECT_EQ(r.final, expected);
-        EXPECT_GT(r.partials, 0); // computed, not replayed
-    }
-    EXPECT_TRUE(eventually([&] {
-        return obs::globalMetrics().daemon().jobsSucceeded == 2;
-    }));
-    EXPECT_EQ(obs::globalMetrics().daemon().memoHits, 0u);
-}
-
 TEST(DaemonTest, OversizedSpecGetsAdmissionErrorFrame)
 {
     DaemonFixture fx;
@@ -677,6 +658,254 @@ TEST(DaemonTest, StopDrainsAcceptedJobs)
     }
     // Both accepted jobs were answered before the connection closed.
     EXPECT_EQ(finals, 2);
+}
+
+/** Entries of a /proc/self directory (threads, open descriptors). */
+std::size_t
+procEntries(const char *dir)
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator(dir))
+        ++n;
+    return n;
+}
+
+/**
+ * Run @p body in a death-test child under a 60 s alarm, expecting it
+ * to return true: a body that hangs, aborts or fails a check fails the
+ * test instead of wedging the suite.
+ */
+template <typename Fn>
+void
+expectInChild(Fn &&body)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            ::alarm(60);
+            std::exit(body() ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+}
+
+const char kVddSpec[] =
+    "{\"kind\":\"vdd_sweep\",\"workload\":\"spec:gcc\","
+    "\"accesses\":20000}";
+
+/**
+ * Pipeline @p n Vdd-sweep requests on @p client and never read: once
+ * the socket buffer is full, their finals queue inside the daemon.
+ * Returns once no job runs and the succeeded count holds still.
+ */
+bool
+stall(net::DaemonClient &client, int n)
+{
+    for (int i = 0; i < n; ++i)
+        client.submit(kVddSpec);
+    std::uint64_t last = ~std::uint64_t{0};
+    for (int i = 0; i < 600; ++i) {
+        std::this_thread::sleep_for(50ms);
+        const obs::Metrics::DaemonSnapshot d = obs::globalMetrics().daemon();
+        if (d.jobsSucceeded > 0 && d.jobsRunning == 0 &&
+            d.jobsSucceeded == last)
+            return true;
+        last = d.jobsSucceeded;
+    }
+    std::cerr << "the stalled client's jobs never settled\n";
+    return false;
+}
+
+TEST(DaemonTest, ThousandConnectionsKeepTheThreadCountBounded)
+{
+    rlimit lim{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &lim), 0);
+    lim.rlim_cur = lim.rlim_max;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lim), 0);
+    if (lim.rlim_cur < 2100) {
+        GTEST_SKIP() << "RLIMIT_NOFILE hard limit " << lim.rlim_max
+                     << " is under the 2100 descriptors 1000 "
+                        "connections need";
+    }
+
+    constexpr std::size_t kConnections = 1000, kPipelining = 10;
+    constexpr std::size_t kSpecs = 8;
+    std::vector<std::string> specs, expected;
+    for (std::size_t k = 0; k < kSpecs; ++k) {
+        specs.push_back("{\"kind\":\"run\",\"workload\":\"spec:gcc\","
+                        "\"accesses\":" +
+                        std::to_string(2000 * (k + 1)) + "}");
+        expected.push_back(
+            app::runJobSpec(core::JobSpec::fromJsonText(specs.back()))
+                .document);
+    }
+
+    const std::size_t before = procEntries("/proc/self/task");
+    net::DaemonConfig cfg;
+    cfg.workers = 2;
+    DaemonFixture fx(cfg);
+    // Pool workers, one executor per worker, the serve() thread and
+    // one spare.
+    const std::size_t bound = before + 2 * cfg.workers + 2;
+    std::size_t peak = 0;
+    const auto sample = [&] {
+        peak = std::max(peak, procEntries("/proc/self/task"));
+    };
+
+    std::vector<std::unique_ptr<net::DaemonClient>> clients;
+    for (std::size_t i = 0; i < kConnections; ++i) {
+        clients.push_back(std::make_unique<net::DaemonClient>(fx.socket()));
+        if (i % 100 == 0)
+            sample();
+    }
+    // Every 100th connection pipelines maxInflight requests; the other
+    // 990 stay idle.
+    const auto specFor = [&](std::size_t c, std::size_t k) {
+        return (c + k) % kSpecs;
+    };
+    for (std::size_t c = 0; c < kPipelining; ++c) {
+        for (std::size_t k = 0; k < cfg.maxInflight; ++k)
+            clients[c * 100]->submit(specs[specFor(c, k)]);
+    }
+    sample();
+    for (std::size_t c = 0; c < kPipelining; ++c) {
+        for (std::size_t k = 0; k < cfg.maxInflight; ++k) {
+            const Reply r = readReply(*clients[c * 100]);
+            EXPECT_TRUE(r.error.empty()) << r.error;
+            EXPECT_EQ(r.final, expected[specFor(c, k)])
+                << "client " << c << " job " << k;
+            sample();
+        }
+    }
+    EXPECT_LE(peak, bound) << "threads before the daemon: " << before;
+}
+
+TEST(DaemonTest, RunningOutOfDescriptorsPausesAcceptInsteadOfAborting)
+{
+    expectInChild([] {
+        net::DaemonConfig cfg;
+        cfg.workers = 1;
+        DaemonFixture fx(cfg);
+        std::vector<std::unique_ptr<net::DaemonClient>> clients;
+        for (int i = 0; i < 4; ++i)
+            clients.push_back(
+                std::make_unique<net::DaemonClient>(fx.socket()));
+        if (!eventually([] {
+                return obs::globalMetrics().daemon().connectionsActive == 4;
+            }))
+            return false;
+
+        // Cap the descriptor table near its use and fill it, then free
+        // one slot for a fifth client: the daemon's accept of it finds
+        // no descriptor left (EMFILE).
+        rlimit lim{};
+        ::getrlimit(RLIMIT_NOFILE, &lim);
+        lim.rlim_cur = procEntries("/proc/self/fd") + 8;
+        ::setrlimit(RLIMIT_NOFILE, &lim);
+        std::vector<net::Fd> filler;
+        for (net::Fd fd(::open("/dev/null", O_RDONLY)); fd.valid();
+             fd = net::Fd(::open("/dev/null", O_RDONLY)))
+            filler.push_back(std::move(fd));
+        filler.pop_back();
+        clients.push_back(std::make_unique<net::DaemonClient>(fx.socket()));
+        std::this_thread::sleep_for(200ms);
+
+        // Two clients leave; their connections retire, which frees
+        // descriptors and resumes accepting.
+        clients[0]->close();
+        clients[1]->close();
+        return !clients.back()->call(kRunSpec).empty() &&
+               !clients[2]->call(kRunSpec).empty();
+        // ~DaemonFixture: stop() must return.
+    });
+}
+
+TEST(DaemonTest, FailedServeLeavesNoPoolInstalled)
+{
+    // In a child: a sweep on a pool left installed and then freed may
+    // crash or hang.
+    expectInChild([] {
+        {
+            net::DaemonConfig cfg;
+            cfg.socketPath = "/tmp/" + std::string(200, 'x') + ".sock";
+            net::Daemon daemon(cfg);
+            try {
+                daemon.serve();
+                return false;
+            } catch (const std::runtime_error &) {
+            }
+            if (core::globalSweepPool()) {
+                std::cerr << "serve() threw with its pool installed\n";
+                return false;
+            }
+        }
+        // A later sweep (runJobSpec's ParallelSweeper::run) must not
+        // reach the daemon's freed pool.
+        const std::string spec = "{\"kind\":\"run\",\"workload\":"
+                                 "\"spec:gcc\",\"accesses\":2000}";
+        return !app::runJobSpec(core::JobSpec::fromJsonText(spec))
+                    .document.empty();
+    });
+}
+
+TEST(DaemonTest, StalledReaderDoesNotHangTheDrain)
+{
+    expectInChild([] {
+        net::DaemonConfig cfg;
+        cfg.workers = 2;
+        cfg.heartbeatMs = 100;
+        auto fx = std::make_unique<DaemonFixture>(cfg);
+        net::DaemonClient stalled(fx->socket());
+        if (!stall(stalled, 60))
+            return false;
+        // Drain: the stalled client's unwritten finals make no
+        // progress for a heartbeat period, so it counts as vanished.
+        const auto t0 = std::chrono::steady_clock::now();
+        fx.reset();
+        const double s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+        std::cerr << "drain took " << s << " s\n";
+        return s < 5.0;
+    });
+}
+
+TEST(DaemonTest, StalledReaderDoesNotDelayAnotherClientsCancellation)
+{
+    expectInChild([] {
+        net::DaemonConfig cfg;
+        cfg.workers = 2;
+        cfg.heartbeatMs = 10;
+        DaemonFixture fx(cfg);
+        net::DaemonClient stalled(fx.socket());
+        if (!stall(stalled, 60))
+            return false;
+
+        const obs::Metrics::DaemonSnapshot d0 =
+            obs::globalMetrics().daemon();
+        {
+            // A long sweep: no progress frame between its first and
+            // its last, so only heartbeats can find its client gone.
+            net::DaemonClient gone(fx.socket());
+            gone.submit("{\"kind\":\"vdd_sweep\",\"workload\":"
+                        "\"spec:mcf\",\"accesses\":1000000}");
+            if (!eventually([&] {
+                    return obs::globalMetrics().daemon().jobsAccepted >
+                           d0.jobsAccepted;
+                }))
+                return false;
+            std::this_thread::sleep_for(100ms);
+        }
+        if (!eventually([&] {
+                return obs::globalMetrics().daemon().jobsCancelled >
+                       d0.jobsCancelled;
+            })) {
+            std::cerr << "the vanished client's job was not cancelled\n";
+            return false;
+        }
+        return obs::globalMetrics().daemon().jobsSucceeded ==
+               d0.jobsSucceeded;
+    });
 }
 
 } // namespace

@@ -49,22 +49,23 @@ const char kUsage[] =
     "  --socket PATH       Unix socket to listen on (required)\n"
     "  --jobs N            shared-pool worker threads (default:\n"
     "                      C8T_JOBS, else hardware concurrency)\n"
-    "  --max-inflight N    per-connection request-queue bound; the\n"
-    "                      reader backpressures at the bound (default 8)\n"
-    "  --byte-budget N     per-connection byte budget for advisory\n"
-    "                      progress/partial frames; 0 = unlimited\n"
-    "  --heartbeat-ms N    running-job heartbeat period; 0 = off\n"
+    "  --max-inflight N    per-connection bound on requests queued,\n"
+    "                      running or with an unwritten answer; the\n"
+    "                      daemon stops reading at the bound (default 8)\n"
+    "  --heartbeat-ms N    heartbeat period for accepted jobs; 0 = off\n"
     "                      (default 1000)\n"
-    "  --no-memo           disable the whole-result request memo and\n"
-    "                      the coalescing of concurrent identical\n"
-    "                      requests: every request computes\n"
     "  --stream-cache MB   stream-cache byte budget (0 disables)\n"
     "  --metrics-out FILE  Prometheus exposition file (also C8T_METRICS)\n"
     "  --chrome-trace FILE Chrome trace (also C8T_CHROME_TRACE)\n"
     "  --help              this text\n"
     "\n"
+    "One poll loop accepts and watches every connection; jobs run on\n"
+    "one executor per pool worker. Progress, partial and heartbeat\n"
+    "frames are dropped while a connection has unwritten bytes.\n"
+    "\n"
     "SIGTERM/SIGINT drain gracefully: accepted jobs finish and their\n"
-    "final frames are delivered before the daemon exits.\n";
+    "final frames are delivered before the daemon exits (a client that\n"
+    "stops reading them is dropped after one heartbeat period).\n";
 
 int
 run(const std::vector<std::string> &args)
@@ -94,12 +95,8 @@ run(const std::vector<std::string> &args)
             if (!cfg.maxInflight)
                 throw std::invalid_argument(
                     "--max-inflight: must be >= 1");
-        } else if (a == "--byte-budget") {
-            cfg.responseByteBudget = app::parseU64(a, value());
         } else if (a == "--heartbeat-ms") {
             cfg.heartbeatMs = app::parseU32(a, value());
-        } else if (a == "--no-memo") {
-            cfg.memoizeResults = false;
         } else if (a == "--stream-cache") {
             stream_cache_bytes = app::parseStreamCacheMb(a, value());
         } else if (a == "--metrics-out") {

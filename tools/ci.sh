@@ -10,17 +10,18 @@
 #      users of the shared core::Memo (stream cache, fault-map cache,
 #      result memo), the array, Set-Buffer, controller and
 #      explorer tests (row views index one flat buffer per array) and
-#      the WordMap tests (FunctionalMemory's page table) and the trace
-#      reader tests (trace files are outside input) under it.
+#      the WordMap tests (FunctionalMemory's page table), the trace
+#      reader tests (trace files are outside input) and the frame
+#      decoder tests (c8td's wire input) under it.
 #      halt_on_error is the sanitizer default, so any heap misuse
 #      fails the script.
 #   3. Configure + build a standalone UBSan tree (-DC8T_UBSAN=ON,
 #      -fno-sanitize-recover=all) and run the voltage-model tests
 #      under it (the numeric subsystem with the most UB surface:
 #      pow/exp/ceil scaling, bit_cast seeding, fault-map index math),
-#      plus the JobSpec, c8tsim option and trace reader tests (the
-#      parsers of outside input: range checks before every narrowing
-#      cast).
+#      plus the JobSpec, c8tsim option, trace reader and frame decoder
+#      tests (the parsers of outside input: range checks before every
+#      narrowing cast).
 #   4. Configure + build a TSan tree (-DC8T_TSAN=ON) and run the
 #      parallel sweep, worker pool, metrics, Vdd sweep, explorer,
 #      fault-map memo, stream cache, daemon and result-memo tests under
@@ -83,30 +84,30 @@ cmake -B "$repo_root/build" -S "$repo_root"
 cmake --build "$repo_root/build" -j "$jobs"
 ctest --test-dir "$repo_root/build" --output-on-failure -j "$jobs"
 
-echo "==== asan: build + stream/sweep/pool/alloc/ecc/memo/daemon/array/trace tests ===="
+echo "==== asan: build + stream/sweep/pool/alloc/ecc/memo/daemon/array/trace/frame tests ===="
 cmake -B "$repo_root/build-asan" -S "$repo_root" -DC8T_ASAN=ON
 cmake --build "$repo_root/build-asan" -j "$jobs" --target \
     stream_identity_test simd_identity_test sweep_test \
     worker_pool_test hot_path_alloc_test functional_mem_test \
     ecc_test fault_injection_test daemon_test result_memo_test \
     fault_cache_test array_test set_buffer_test controller_test \
-    explorer_test word_map_test trace_io_test
+    explorer_test word_map_test trace_io_test net_frame_test
 for t in stream_identity_test simd_identity_test sweep_test \
          worker_pool_test hot_path_alloc_test functional_mem_test \
          ecc_test fault_injection_test daemon_test result_memo_test \
          fault_cache_test array_test set_buffer_test controller_test \
-         explorer_test word_map_test trace_io_test; do
+         explorer_test word_map_test trace_io_test net_frame_test; do
     echo "---- asan: $t ----"
     "$repo_root/build-asan/tests/$t"
 done
 
-echo "==== ubsan: build + voltage-model, spec-parser and trace-reader tests ===="
+echo "==== ubsan: build + voltage-model, spec-parser, trace-reader and frame-decoder tests ===="
 cmake -B "$repo_root/build-ubsan" -S "$repo_root" -DC8T_UBSAN=ON
 cmake --build "$repo_root/build-ubsan" -j "$jobs" --target \
     vmodel_test vdd_sweep_test job_spec_test app_options_test \
-    trace_io_test
+    trace_io_test net_frame_test
 for t in vmodel_test vdd_sweep_test job_spec_test app_options_test \
-         trace_io_test; do
+         trace_io_test net_frame_test; do
     echo "---- ubsan: $t ----"
     "$repo_root/build-ubsan/tests/$t"
 done
