@@ -71,7 +71,7 @@ CacheController::CacheController(const ControllerConfig &config,
         _vddPfailWrite.set(_vddPoint.pfailWrite);
     }
 
-    if (usesGroupingBuffer(_config.scheme)) {
+    if (_traits.needsGroupingBuffer) {
         _tagBuffer = std::make_unique<TagBuffer>(_config.bufferEntries,
                                                  _config.cache.ways);
         _setBuffer = std::make_unique<SetBuffer>(_config.bufferEntries,
@@ -123,6 +123,18 @@ CacheController::demandReadRef(std::uint32_t row)
     auditEnergy(EnergyEvent::RowRead, 0);
     note(obs::EventType::ArrayRead, 0, row);
     return out;
+}
+
+inline void
+CacheController::demandRead(AccessOutcome &out, std::uint32_t set,
+                            std::uint32_t offset, std::uint8_t size,
+                            std::uint64_t earliest)
+{
+    const std::uint64_t start = scheduleOp(
+        sram::PortUse::ReadPort, earliest, _config.latency.rowReadCycles);
+    out.data = extractData(demandReadRef(set), offset, size);
+    out.latencyCycles = start + _config.latency.rowReadCycles - _requestCycle;
+    _readLatency.sample(static_cast<double>(out.latencyCycles));
 }
 
 void
@@ -201,6 +213,18 @@ CacheController::endGroup(std::uint32_t e, stats::Counter &cause)
     _entryWritesSinceWb[e] = 0;
 }
 
+inline void
+CacheController::settleSet(std::uint32_t set, stats::Counter &cause)
+{
+    if (!_tagBuffer)
+        return;
+    const std::uint32_t e = entryOfSet(set);
+    if (e < _tagBuffer->entries()) {
+        endGroup(e, cause);
+        _tagBuffer->invalidate(e);
+    }
+}
+
 template <typename FillFn>
 std::uint32_t
 CacheController::handleMiss(mem::Addr block_addr, FillFn &&fill_tags)
@@ -209,13 +233,7 @@ CacheController::handleMiss(mem::Addr block_addr, FillFn &&fill_tags)
 
     // The buffered row image and tag list become stale when the set's
     // contents change, so a miss to the buffered set ends its group.
-    if (_tagBuffer) {
-        const std::uint32_t e = entryOfSet(set);
-        if (e < _tagBuffer->entries()) {
-            endGroup(e, _missFlushWritebacks);
-            _tagBuffer->invalidate(e);
-        }
-    }
+    settleSet(set, _missFlushWritebacks);
 
     const std::uint32_t block_bytes = _config.cache.blockBytes;
 
@@ -433,13 +451,7 @@ CacheController::extractInvalidate(mem::Addr block_addr,
 
     // Settle any buffered group covering the set into the array so the
     // row image read below is the freshest copy of the line.
-    if (_tagBuffer) {
-        const std::uint32_t e = entryOfSet(set);
-        if (e < _tagBuffer->entries()) {
-            endGroup(e, _backInvalFlushes);
-            _tagBuffer->invalidate(e);
-        }
-    }
+    settleSet(set, _backInvalFlushes);
 
     const bool dirty = _tags.isDirty(set, r.way);
     const sram::RowView row = _array.rowView(set);
@@ -458,18 +470,9 @@ AccessOutcome
 CacheController::dispatch(const trace::MemAccess &request,
                           ResolveFn &&resolve)
 {
-    switch (_config.scheme) {
-      case WriteScheme::SixTDirect:
-      case WriteScheme::WordGranular:
-        return accessDirectImpl(request, resolve);
-      case WriteScheme::Rmw:
-      case WriteScheme::LocalRmw:
-        return accessRmwImpl(request, resolve);
-      case WriteScheme::WriteGrouping:
-      case WriteScheme::WriteGroupingReadBypass:
-        return accessGroupedImpl(request, resolve);
-    }
-    return {};
+    return _traits.needsGroupingBuffer
+               ? accessGroupedImpl(request, resolve)
+               : accessUngroupedImpl(request, resolve);
 }
 
 AccessOutcome
@@ -522,77 +525,23 @@ CacheController::accessChunk(const trace::MemAccess *chunk,
                              std::size_t count,
                              const mem::ChunkPlan *plan)
 {
-    // One scheme-specialized loop per chunk: the dispatch runs once,
-    // the request paths stay hot in the branch predictor, and each
-    // iteration is statistics-identical to access(). When the batched
-    // pipeline qualifies, run stage 1 (or adopt the caller's shared
-    // plan) and drive the loop off it.
+    // Each iteration is statistics-identical to access(). When the
+    // batched pipeline qualifies, run stage 1 (or adopt the caller's
+    // shared plan) and drive the loop off it.
     const mem::ChunkPlan *p = nullptr;
     if (plannedChunkEligible() && count > 0)
         p = plan ? plan : &_tags.planChunk(chunk, count);
 
-    switch (_config.scheme) {
-      case WriteScheme::SixTDirect:
-      case WriteScheme::WordGranular:
-        runChunk(chunk, count, p,
-                 [this](const trace::MemAccess &a, auto &&resolve) {
-                     accessDirectImpl(a, resolve);
-                 });
-        break;
-      case WriteScheme::Rmw:
-      case WriteScheme::LocalRmw:
-        runChunk(chunk, count, p,
-                 [this](const trace::MemAccess &a, auto &&resolve) {
-                     accessRmwImpl(a, resolve);
-                 });
-        break;
-      case WriteScheme::WriteGrouping:
-      case WriteScheme::WriteGroupingReadBypass:
-        runChunk(chunk, count, p,
-                 [this](const trace::MemAccess &a, auto &&resolve) {
-                     accessGroupedImpl(a, resolve);
-                 });
-        break;
-    }
+    runChunk(chunk, count, p,
+             [this](const trace::MemAccess &a, auto &&resolve) {
+                 dispatch(a, resolve);
+             });
 }
 
 template <typename ResolveFn>
 AccessOutcome
-CacheController::accessDirectImpl(const trace::MemAccess &a,
-                                  ResolveFn &&resolve)
-{
-    AccessOutcome out;
-    const mem::Addr block_addr = _tags.layout().blockAlign(a.addr);
-    const ResidentRef res = resolve(block_addr);
-    out.hit = res.hit;
-    const std::uint32_t way = res.way;
-    const std::uint32_t set = _tags.layout().setOf(a.addr);
-    const std::uint32_t offset = rowOffsetOf(a.addr, way);
-
-    std::uint64_t extra = out.hit ? 0 : _lastMissPenalty;
-
-    if (a.isRead()) {
-        const std::uint64_t start = scheduleOp(
-            sram::PortUse::ReadPort, _cycle + extra,
-            _config.latency.rowReadCycles);
-        out.data = extractData(demandReadRef(set), offset, a.size);
-        out.latencyCycles =
-            start + _config.latency.rowReadCycles - _requestCycle;
-        _readLatency.sample(static_cast<double>(out.latencyCycles));
-    } else {
-        std::uint8_t bytes[8];
-        storeLe(bytes, a.data, a.size);
-        demandMerge(set, offset, bytes, a.size);
-        _tags.markDirtyWay(set, way);
-        out.latencyCycles = extra + _config.latency.rowWriteCycles;
-    }
-    return out;
-}
-
-template <typename ResolveFn>
-AccessOutcome
-CacheController::accessRmwImpl(const trace::MemAccess &a,
-                               ResolveFn &&resolve)
+CacheController::accessUngroupedImpl(const trace::MemAccess &a,
+                                     ResolveFn &&resolve)
 {
     AccessOutcome out;
     const mem::Addr block_addr = _tags.layout().blockAlign(a.addr);
@@ -605,13 +554,17 @@ CacheController::accessRmwImpl(const trace::MemAccess &a,
     const std::uint64_t extra = out.hit ? 0 : _lastMissPenalty;
 
     if (a.isRead()) {
-        const std::uint64_t start = scheduleOp(
-            sram::PortUse::ReadPort, _cycle + extra,
-            _config.latency.rowReadCycles);
-        out.data = extractData(demandReadRef(set), offset, a.size);
-        out.latencyCycles =
-            start + _config.latency.rowReadCycles - _requestCycle;
-        _readLatency.sample(static_cast<double>(out.latencyCycles));
+        demandRead(out, set, offset, a.size, _cycle + extra);
+        return out;
+    }
+
+    if (_traits.rowReadsPerWrite == 0) {
+        // Partial writes are safe on this array (6T cells, or word-
+        // granular write word lines): one merge, no read phase.
+        std::uint8_t bytes[8];
+        storeLe(bytes, a.data, a.size);
+        demandMerge(set, offset, bytes, a.size);
+        out.latencyCycles = extra + _config.latency.rowWriteCycles;
     } else {
         // Read-modify-write: read the row, merge the store, write the
         // row back. Under plain RMW both ports are held for the whole
@@ -628,10 +581,9 @@ CacheController::accessRmwImpl(const trace::MemAccess &a,
         ++_ecounts.rowWrites;
         auditEnergy(EnergyEvent::RowWrite, 0);
         note(obs::EventType::ArrayWrite, a.addr, set);
-
-        _tags.markDirtyWay(set, way);
         out.latencyCycles = extra + duration;
     }
+    _tags.markDirtyWay(set, way);
     return out;
 }
 
@@ -662,18 +614,19 @@ CacheController::accessGroupedImpl(const trace::MemAccess &a,
     const std::uint64_t extra = out.hit ? 0 : _lastMissPenalty;
 
     if (a.isRead()) {
+        // On a Tag-Buffer miss the array row is current for this set (a
+        // dirty buffered row for the same set would have produced a tag
+        // match or been flushed by the miss path). A tag match implies
+        // a hit, so extra is 0 there.
+        std::uint64_t earliest = _cycle + extra;
         if (probe.tagMatch) {
             const std::uint32_t e = probe.entry;
             _tagBuffer->touch(e);
-            if (bypassesReads(_config.scheme)) {
+            if (_traits.canBypassReads) {
                 // WG+RB: serve straight from the Set-Buffer. No array
                 // access, no premature write-back.
-                std::uint8_t buf[8] = {};
-                _setBuffer->readBytes(e, offset, buf, a.size);
-                std::uint64_t v = 0;
-                for (std::uint8_t i = 0; i < a.size; ++i)
-                    v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
-                out.data = v;
+                out.data = extractData(_setBuffer->readRowRef(e), offset,
+                                       a.size);
                 out.bypassed = true;
                 ++_bypassedReads;
                 note(obs::EventType::ReadBypass, a.addr, set);
@@ -686,96 +639,63 @@ CacheController::accessGroupedImpl(const trace::MemAccess &a,
             }
             // WG: update the cache first if the buffer is newer, then
             // read from the array as usual.
-            std::uint64_t earliest = _cycle;
             if (_tagBuffer->dirty(e)) {
                 note(obs::EventType::PrematureWriteback, a.addr, set);
                 writebackEntry(e, _prematureWritebacks);
                 earliest += _config.latency.rowWriteCycles;
             }
-            const std::uint64_t start = scheduleOp(
-                sram::PortUse::ReadPort, earliest,
-                _config.latency.rowReadCycles);
-            out.data = extractData(demandReadRef(set), offset, a.size);
-            out.latencyCycles =
-                start + _config.latency.rowReadCycles - _requestCycle;
-            _readLatency.sample(static_cast<double>(out.latencyCycles));
-            return out;
         }
+        demandRead(out, set, offset, a.size, earliest);
+        return out;
+    }
 
-        // Tag-Buffer miss: the array row is current for this set
-        // (a dirty buffered row for the same set would have produced a
-        // tag match or been flushed by the miss path).
+    // Write request. A Tag-Buffer hit joins the entry's open group; a
+    // miss ends the victim entry's group and opens a new one for this
+    // set by reading its row (Algorithm 1's write-miss path).
+    std::uint32_t e = probe.entry;
+    if (!probe.tagMatch) {
+        assert(entryOfSet(set) == _tagBuffer->entries() &&
+               "a buffered set can only reach here via a flushed miss");
+        e = _tagBuffer->victim();
+        if (_tagBuffer->entryValid(e))
+            endGroup(e, _groupWritebacks);
+
         const std::uint64_t start = scheduleOp(
             sram::PortUse::ReadPort, _cycle + extra,
             _config.latency.rowReadCycles);
-        out.data = extractData(demandReadRef(set), offset, a.size);
-        out.latencyCycles =
-            start + _config.latency.rowReadCycles - _requestCycle;
-        _readLatency.sample(static_cast<double>(out.latencyCycles));
-        return out;
+        _setBuffer->fill(e, demandReadRef(set));
+        ++_ecounts.setBufferWriteRows;
+        auditEnergy(EnergyEvent::SetBufferWrite, _setBuffer->rowBytes());
+        _tags.copyTagsOfSet(set, _tagScratch.data());
+        _tagBuffer->load(e, set, _tagScratch.data(), _tags.validMask(set));
+        _entryGroupSize[e] = 0;
+        _entryWritesSinceWb[e] = 0;
+        out.latencyCycles = start + _config.latency.rowReadCycles +
+                            _config.latency.setBufferCycles - _requestCycle;
     }
-
-    // Write request.
-    std::uint8_t bytes[8];
-    storeLe(bytes, a.data, a.size);
-
-    if (probe.tagMatch) {
-        // Grouped: merge into the Set-Buffer, zero array operations.
-        const std::uint32_t e = probe.entry;
-        _tagBuffer->touch(e);
-        const bool changed =
-            _setBuffer->updateBytes(e, offset, bytes, a.size);
-        if (changed || !_config.silentDetection)
-            _tagBuffer->setDirty(e, true);
-        if (!changed && _config.silentDetection) {
-            ++_silentWritesDetected;
-            note(obs::EventType::SilentWriteDrop, a.addr, set);
-        }
-        ++_groupedWrites;
-        note(obs::EventType::SetBufferMerge, a.addr, set);
-        ++_entryGroupSize[e];
-        ++_entryWritesSinceWb[e];
-        _tags.markDirtyWay(set, way);
-        ++_ecounts.setBufferWrites[a.size];
-        auditEnergy(EnergyEvent::SetBufferWrite, a.size);
-        out.latencyCycles = _config.latency.setBufferCycles;
-        return out;
-    }
-
-    // Tag-Buffer miss: end the victim entry's group and open a new one
-    // for this set (Algorithm 1's write-miss path).
-    assert(entryOfSet(set) == _tagBuffer->entries() &&
-           "a buffered set can only reach here via a flushed miss");
-
-    const std::uint32_t e = _tagBuffer->victim();
-    if (_tagBuffer->entryValid(e))
-        endGroup(e, _groupWritebacks);
-
-    // Fill the Set-Buffer by reading the row.
-    const std::uint64_t start = scheduleOp(
-        sram::PortUse::ReadPort, _cycle + extra,
-        _config.latency.rowReadCycles);
-    _setBuffer->fill(e, demandReadRef(set));
-    ++_ecounts.setBufferWriteRows;
-    auditEnergy(EnergyEvent::SetBufferWrite, _setBuffer->rowBytes());
-    _tags.copyTagsOfSet(set, _tagScratch.data());
-    _tagBuffer->load(e, set, _tagScratch.data(), _tags.validMask(set));
     _tagBuffer->touch(e);
 
-    const bool changed =
-        _setBuffer->updateBytes(e, offset, bytes, a.size);
+    std::uint8_t bytes[8];
+    storeLe(bytes, a.data, a.size);
+    const bool changed = _setBuffer->updateBytes(e, offset, bytes, a.size);
     if (changed || !_config.silentDetection)
         _tagBuffer->setDirty(e, true);
     if (!changed && _config.silentDetection) {
         ++_silentWritesDetected;
         note(obs::EventType::SilentWriteDrop, a.addr, set);
     }
-    _entryGroupSize[e] = 1;
-    _entryWritesSinceWb[e] = 1;
+    ++_entryGroupSize[e];
+    ++_entryWritesSinceWb[e];
     _tags.markDirtyWay(set, way);
 
-    out.latencyCycles = start + _config.latency.rowReadCycles +
-                        _config.latency.setBufferCycles - _requestCycle;
+    if (probe.tagMatch) {
+        // Grouped: the write cost zero array operations.
+        ++_groupedWrites;
+        note(obs::EventType::SetBufferMerge, a.addr, set);
+        ++_ecounts.setBufferWrites[a.size];
+        auditEnergy(EnergyEvent::SetBufferWrite, a.size);
+        out.latencyCycles = _config.latency.setBufferCycles;
+    }
     return out;
 }
 

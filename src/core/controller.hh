@@ -182,8 +182,7 @@ class CacheController
     /**
      * Service @p count requests from @p chunk back to back. Result-,
      * statistics-, event- and audit-identical to calling access() per
-     * element; the scheme dispatch is hoisted out of the loop so each
-     * chunk runs one scheme-specialized loop (MultiSchemeRunner's
+     * element: each element runs the same dispatch() (MultiSchemeRunner's
      * replay path).
      *
      * When the controller qualifies (deterministic replacement, no
@@ -250,9 +249,6 @@ class CacheController
      *  schemes. */
     const TagBuffer *tagBuffer() const { return _tagBuffer.get(); }
 
-    /** The Set-Buffer; null for non-grouping schemes. */
-    const SetBuffer *setBuffer() const { return _setBuffer.get(); }
-
     /** The port scheduler (contention statistics). */
     const sram::PortScheduler &ports() const { return _ports; }
 
@@ -284,9 +280,6 @@ class CacheController
      * @throws std::invalid_argument on a block-size mismatch.
      */
     void attachNextLevel(CacheController *next);
-
-    /** The backing level; nullptr for the lowest (memory-backed). */
-    CacheController *nextLevel() const { return _next; }
 
     /**
      * Inclusion-maintenance hook, fired once per valid victim this
@@ -529,9 +522,6 @@ class CacheController
      */
     void attachEventRing(obs::EventRing *ring) { _events = ring; }
 
-    /** The attached event ring; nullptr when tracing is off. */
-    const obs::EventRing *eventRing() const { return _events; }
-
     /**
      * Register every statistic of the controller and its components
      * (tag array, data array, ports, buffers) with @p reg under
@@ -548,30 +538,36 @@ class CacheController
     void dumpStats(std::ostream &os);
 
   private:
-    // Request paths. Each scheme body is a template over the resolver
-    // that makes the block resident — the live tag lookup
-    // (ensureResident) or the planned-outcome application
-    // (applyPlanned) — so both paths execute the identical scheme
-    // logic (defined in controller.cc; used only there).
+    // Request paths: two bodies, both templates over the resolver that
+    // makes the block resident — the live tag lookup (ensureResident)
+    // or the planned-outcome application (applyPlanned) — so both
+    // paths execute the identical scheme logic. Every scheme fact they
+    // need is read from _traits (defined in controller.cc; used only
+    // there).
+
+    /** The schemes without a grouping buffer: array reads, and writes
+     *  as one merge (rowReadsPerWrite 0) or a read-modify-write on
+     *  _traits.writePortUse. */
     template <typename ResolveFn>
-    AccessOutcome accessDirectImpl(const trace::MemAccess &a,
-                                   ResolveFn &&resolve);
-    template <typename ResolveFn>
-    AccessOutcome accessRmwImpl(const trace::MemAccess &a,
-                                ResolveFn &&resolve);
+    AccessOutcome accessUngroupedImpl(const trace::MemAccess &a,
+                                      ResolveFn &&resolve);
+
+    /** Algorithm 1 (WG, WG+RB): Tag-Buffer probe, grouped writes,
+     *  premature write-backs and, with canBypassReads, read bypass. */
     template <typename ResolveFn>
     AccessOutcome accessGroupedImpl(const trace::MemAccess &a,
                                     ResolveFn &&resolve);
 
-    /** The scheme switch: run @p request's scheme body with
-     *  residency resolved by @p resolve (access(), the L2 bursts). */
+    /** Run @p request's body — grouped or ungrouped, by
+     *  _traits.needsGroupingBuffer — with residency resolved by
+     *  @p resolve (access(), accessChunk(), the L2 bursts). */
     template <typename ResolveFn>
     AccessOutcome dispatch(const trace::MemAccess &request,
                            ResolveFn &&resolve);
 
-    /** The one chunk loop: runs the scheme @p body over @p count
-     *  requests, resolving residency through @p plan (stage 2 of the
-     *  pipeline) or, when it is null, live through ensureResident(). */
+    /** The one chunk loop: runs @p body over @p count requests,
+     *  resolving residency through @p plan (stage 2 of the pipeline)
+     *  or, when it is null, live through ensureResident(). */
     template <typename BodyFn>
     void runChunk(const trace::MemAccess *chunk, std::size_t count,
                   const mem::ChunkPlan *plan, BodyFn &&body);
@@ -645,6 +641,11 @@ class CacheController
      *  elide, and reset the per-entry group state. */
     void endGroup(std::uint32_t e, stats::Counter &cause);
 
+    /** End the buffered group of @p set, if any, counting a write-back
+     *  under @p cause, and invalidate its entry (the set's contents are
+     *  about to change). */
+    void settleSet(std::uint32_t set, stats::Counter &cause);
+
     /** Find the buffer entry holding @p set; entries() if none. */
     std::uint32_t entryOfSet(std::uint32_t set) const;
 
@@ -677,6 +678,15 @@ class CacheController
     sram::RowView demandReadRef(std::uint32_t row);
     void demandMerge(std::uint32_t row, std::uint32_t offset,
                      const std::uint8_t *bytes, std::uint32_t len);
+
+    /** The demand read every request path shares: schedule the read
+     *  port at @p earliest, read @p set's row (counted), extract
+     *  @p size bytes at @p offset into @p out, and record the
+     *  request-to-completion latency. Inline (controller.cc): runs
+     *  once per array read. */
+    void demandRead(AccessOutcome &out, std::uint32_t set,
+                    std::uint32_t offset, std::uint8_t size,
+                    std::uint64_t earliest);
 
     ControllerConfig _config;
 

@@ -556,8 +556,7 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
     ParallelSweeper sweeper(workers);
     sweeper.setProgress(false); // the explorer heartbeats per shard
 
-    const bool progress_on =
-        spec.progress || ParallelSweeper::defaultProgress();
+    const bool progress_on = ParallelSweeper::defaultProgress();
     auto last_beat = t0;
     std::uint64_t shards_accounted = 0;
     std::uint64_t cells_accounted = 0;

@@ -157,9 +157,6 @@ struct ExplorerSpec
     /** Shuffle seed. */
     std::uint64_t shuffleSeed = 1;
 
-    /** Force the heartbeat on (also honours C8T_PROGRESS). */
-    bool progress = false;
-
     /** @throws std::invalid_argument on an empty axis, an unknown
      *  workload, an ascending/non-positive grid or cellsPerShard 0. */
     void validate() const;

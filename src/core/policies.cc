@@ -72,10 +72,11 @@ sram::ArrayGeometry
 dataArrayGeometry(const mem::CacheConfig &cache, WriteScheme s,
                   std::uint32_t degree)
 {
-    return sram::ArrayGeometry{
-        cache.numSets(), cache.setBytes(),
-        schemeTraits(s).requiresNonInterleaved ? 1u : degree,
-        s == WriteScheme::WordGranular};
+    // Only word-granular write word lines make a non-interleaved array
+    // safe for partial writes, so the one trait sets both.
+    const bool word_granular = schemeTraits(s).requiresNonInterleaved;
+    return sram::ArrayGeometry{cache.numSets(), cache.setBytes(),
+                               word_granular ? 1u : degree, word_granular};
 }
 
 } // namespace c8t::core

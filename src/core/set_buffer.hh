@@ -75,18 +75,12 @@ class SetBuffer
         return changed;
     }
 
-    /** Read @p len bytes at @p offset from entry @p e. Inline: runs
-     *  once per bypassed read under WG+RB. */
-    void readBytes(std::uint32_t e, std::uint32_t offset,
-                   std::uint8_t *dst, std::size_t len) const
+    /** Counted read access to entry @p e's row image: the view a
+     *  bypassed read (WG+RB) extracts its bytes from. */
+    sram::RowView readRowRef(std::uint32_t e) const
     {
-        assert(e < _entries);
-        assert(offset + len <= _rowBytes);
         ++_reads;
-        if (len == 8)
-            __builtin_memcpy(dst, entryData(e) + offset, 8);
-        else
-            std::memcpy(dst, entryData(e) + offset, len);
+        return rowView(e);
     }
 
     /** Whole row image of entry @p e (for write-back). */

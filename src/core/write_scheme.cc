@@ -48,26 +48,6 @@ parseWriteScheme(const std::string &name)
     throw std::invalid_argument("unknown write scheme: " + name);
 }
 
-bool
-usesGroupingBuffer(WriteScheme s)
-{
-    return s == WriteScheme::WriteGrouping ||
-           s == WriteScheme::WriteGroupingReadBypass;
-}
-
-bool
-usesRmw(WriteScheme s)
-{
-    return s == WriteScheme::Rmw || s == WriteScheme::LocalRmw ||
-           usesGroupingBuffer(s);
-}
-
-bool
-bypassesReads(WriteScheme s)
-{
-    return s == WriteScheme::WriteGroupingReadBypass;
-}
-
 const std::vector<WriteScheme> &
 voltageStorySchemes()
 {

@@ -65,15 +65,6 @@ const char *toString(WriteScheme s);
  *  @throws std::invalid_argument on unknown names. */
 WriteScheme parseWriteScheme(const std::string &name);
 
-/** True for the schemes that use the Set-Buffer/Tag-Buffer pair. */
-bool usesGroupingBuffer(WriteScheme s);
-
-/** True for the schemes whose writes require read-modify-write. */
-bool usesRmw(WriteScheme s);
-
-/** True when reads may be served from the Set-Buffer. */
-bool bypassesReads(WriteScheme s);
-
 /** The paper's voltage story: the 6T direct-write baseline against the
  *  8T RMW, WG and WG+RB. The default scheme set of a Vdd sweep and of
  *  an explore. */

@@ -246,13 +246,6 @@ Metrics::streamCache() const
     return _streamCache;
 }
 
-Metrics::FaultCacheStats
-Metrics::faultCache() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _faultCache;
-}
-
 Metrics::PoolStats
 Metrics::pool() const
 {
@@ -265,13 +258,6 @@ Metrics::daemon() const
 {
     const std::lock_guard<std::mutex> lock(_mutex);
     return _daemon;
-}
-
-Histogram
-Metrics::daemonJob() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _daemonJob;
 }
 
 void

@@ -153,12 +153,10 @@ class Metrics
     Histogram jobWall() const;
     Histogram chunkReplay() const;
     Histogram shardWall() const;
-    Histogram daemonJob() const;
     SweepSnapshot sweep() const;
     ExplorerSnapshot explorer() const;
     std::vector<WorkerStats> workers() const;
     StreamCacheStats streamCache() const;
-    FaultCacheStats faultCache() const;
     PoolStats pool() const;
     DaemonSnapshot daemon() const;
 

@@ -166,15 +166,6 @@ struct FaultMap
 
     /** Total physical cells in the array. */
     std::uint64_t totalCells = 0;
-
-    /** Fraction of cells faulty in this draw. */
-    double faultFraction() const
-    {
-        return totalCells == 0
-                   ? 0.0
-                   : static_cast<double>(faultyCells.size()) /
-                         static_cast<double>(totalCells);
-    }
 };
 
 /** Per-word SEC-DED outcome counts over one evaluated fault map. */

@@ -7,9 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/controller.hh"
+#include "trace/rng.hh"
 
 namespace
 {
@@ -428,6 +435,193 @@ TEST_F(ControllerTest, ResetStatsKeepsArchitecturalState)
     EXPECT_EQ(c.requests(), 0u);
     // Data survives the reset.
     EXPECT_EQ(c.access(readAcc(addrA)).data, 0x42u);
+}
+
+// --- golden digests of every scheme ---------------------------------
+
+/** FNV-1a over 64-bit words and byte strings. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    bytes(const void *p, std::size_t n)
+    {
+        const auto *b = static_cast<const unsigned char *>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= b[i];
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    void word(std::uint64_t v) { bytes(&v, sizeof v); }
+};
+
+/** A stream that mixes misses (a footprint 4x the cache), Tag-Buffer
+ *  hits (half the requests stay on the previous block) and silent
+ *  stores (most stores write 0 or 1). */
+std::vector<MemAccess>
+goldenStream()
+{
+    c8t::trace::Rng rng(0x60d5);
+    std::vector<MemAccess> out;
+    std::uint64_t block = 0;
+    for (int i = 0; i < 6000; ++i) {
+        if (rng.below(2) == 0)
+            block = rng.below(512) * 32;
+        MemAccess a;
+        a.size = static_cast<std::uint8_t>(1u << rng.below(4));
+        a.addr = block + rng.below(32 / a.size) * a.size;
+        a.gap = static_cast<std::uint32_t>(rng.below(3));
+        if (rng.below(2) != 0) {
+            a.type = AccessType::Write;
+            const std::uint64_t v = rng.below(4) == 0 ? rng.next()
+                                                      : rng.below(2);
+            a.data = a.size == 8 ? v : v & ((1ull << (8 * a.size)) - 1);
+        }
+        out.push_back(a);
+    }
+    return out;
+}
+
+/** Digests of one run: the per-access outcomes (access() runs only),
+ *  the registerStats JSON after drain(), and dynamicEnergy()'s bits. */
+struct GoldenDigest
+{
+    std::uint64_t outcomes = 0;
+    std::uint64_t stats = 0;
+    std::uint64_t energy = 0;
+};
+
+GoldenDigest
+runGolden(WriteScheme scheme, std::uint32_t entries, c8t::mem::ReplKind repl,
+          bool chunked)
+{
+    ControllerConfig cfg;
+    cfg.cache = c8t::mem::CacheConfig{4 * 1024, 4, 32};
+    cfg.cache.replacement = repl;
+    cfg.scheme = scheme;
+    cfg.bufferEntries = entries;
+    FunctionalMemory mem;
+    CacheController ctrl(cfg, mem);
+
+    const std::vector<MemAccess> stream = goldenStream();
+    Fnv outcomes;
+    if (chunked) {
+        for (std::size_t off = 0; off < stream.size(); off += 1500)
+            ctrl.accessChunk(stream.data() + off,
+                             std::min<std::size_t>(1500,
+                                                   stream.size() - off));
+    } else {
+        for (const MemAccess &a : stream) {
+            const AccessOutcome o = ctrl.access(a);
+            outcomes.word(o.hit);
+            outcomes.word(o.tagBufferHit);
+            outcomes.word(o.bypassed);
+            outcomes.word(o.data);
+            outcomes.word(o.latencyCycles);
+        }
+    }
+    ctrl.drain();
+
+    c8t::stats::Registry reg;
+    ctrl.registerStats(reg);
+    std::ostringstream json;
+    reg.dumpJson(json);
+    Fnv stats;
+    stats.bytes(json.str().data(), json.str().size());
+
+    GoldenDigest d;
+    d.outcomes = chunked ? 0 : outcomes.h;
+    d.stats = stats.h;
+    d.energy = std::bit_cast<std::uint64_t>(ctrl.dynamicEnergy());
+    return d;
+}
+
+struct GoldenRow
+{
+    WriteScheme scheme;
+    std::uint32_t entries;
+    c8t::mem::ReplKind repl;
+    GoldenDigest want;
+};
+
+// Every scheme, LocalRMW and WordGranular included, must reproduce its
+// digests bit for bit: a changed digest is a changed simulation result.
+const GoldenRow kGolden[] = {
+    {WriteScheme::SixTDirect, 1, c8t::mem::ReplKind::Lru,
+     {0x813356f1162d7858ull, 0x6ae456e1752b4fdcull, 0x3e73f9689a643918ull}},
+    {WriteScheme::SixTDirect, 1, c8t::mem::ReplKind::Random,
+     {0x7c847e103c34dd6cull, 0x0545e4c1c8540144ull, 0x3e73f08bdea78286ull}},
+    {WriteScheme::SixTDirect, 4, c8t::mem::ReplKind::Lru,
+     {0x813356f1162d7858ull, 0x6ae456e1752b4fdcull, 0x3e73f9689a643918ull}},
+    {WriteScheme::SixTDirect, 4, c8t::mem::ReplKind::Random,
+     {0x7c847e103c34dd6cull, 0x0545e4c1c8540144ull, 0x3e73f08bdea78286ull}},
+    {WriteScheme::Rmw, 1, c8t::mem::ReplKind::Lru,
+     {0xec2b1b3f2e629306ull, 0xb7be41fad3da2319ull, 0x3e828ade73813094ull}},
+    {WriteScheme::Rmw, 1, c8t::mem::ReplKind::Random,
+     {0x8dacd16883e79c66ull, 0x36dba0292a64ff06ull, 0x3e82867015a2d54cull}},
+    {WriteScheme::Rmw, 4, c8t::mem::ReplKind::Lru,
+     {0xec2b1b3f2e629306ull, 0xb7be41fad3da2319ull, 0x3e828ade73813094ull}},
+    {WriteScheme::Rmw, 4, c8t::mem::ReplKind::Random,
+     {0x8dacd16883e79c66ull, 0x36dba0292a64ff06ull, 0x3e82867015a2d54cull}},
+    {WriteScheme::LocalRmw, 1, c8t::mem::ReplKind::Lru,
+     {0x16526e711da5c250ull, 0x56adbdb1a6b4c133ull, 0x3e828ade73813094ull}},
+    {WriteScheme::LocalRmw, 1, c8t::mem::ReplKind::Random,
+     {0x00c9e3c35a18213cull, 0x5e62eff772b45bc4ull, 0x3e82867015a2d54cull}},
+    {WriteScheme::LocalRmw, 4, c8t::mem::ReplKind::Lru,
+     {0x16526e711da5c250ull, 0x56adbdb1a6b4c133ull, 0x3e828ade73813094ull}},
+    {WriteScheme::LocalRmw, 4, c8t::mem::ReplKind::Random,
+     {0x00c9e3c35a18213cull, 0x5e62eff772b45bc4ull, 0x3e82867015a2d54cull}},
+    {WriteScheme::WordGranular, 1, c8t::mem::ReplKind::Lru,
+     {0x813356f1162d7858ull, 0x6ae456e1752b4fdcull, 0x3e73f9689a643918ull}},
+    {WriteScheme::WordGranular, 1, c8t::mem::ReplKind::Random,
+     {0x7c847e103c34dd6cull, 0x0545e4c1c8540144ull, 0x3e73f08bdea78286ull}},
+    {WriteScheme::WordGranular, 4, c8t::mem::ReplKind::Lru,
+     {0x813356f1162d7858ull, 0x6ae456e1752b4fdcull, 0x3e73f9689a643918ull}},
+    {WriteScheme::WordGranular, 4, c8t::mem::ReplKind::Random,
+     {0x7c847e103c34dd6cull, 0x0545e4c1c8540144ull, 0x3e73f08bdea78286ull}},
+    {WriteScheme::WriteGrouping, 1, c8t::mem::ReplKind::Lru,
+     {0x40c50ae50d9a70d5ull, 0x6b8c972ba3073f15ull, 0x3e7ede4d036ebfa1ull}},
+    {WriteScheme::WriteGrouping, 1, c8t::mem::ReplKind::Random,
+     {0x6b4f5fc4ccb9c9f3ull, 0xc7c6a97f59024d71ull, 0x3e7ed41927539b74ull}},
+    {WriteScheme::WriteGrouping, 4, c8t::mem::ReplKind::Lru,
+     {0xbe3a63ec1a267c82ull, 0x13297a1308d8e241ull, 0x3e7eaf62f011c89dull}},
+    {WriteScheme::WriteGrouping, 4, c8t::mem::ReplKind::Random,
+     {0x95eb0ccb52c7ed05ull, 0x336d3ee56e03090eull, 0x3e7ea928a5888ba7ull}},
+    {WriteScheme::WriteGroupingReadBypass, 1, c8t::mem::ReplKind::Lru,
+     {0x38119c995a0570d7ull, 0x2d65d778d3e95bfaull, 0x3e7c456953777926ull}},
+    {WriteScheme::WriteGroupingReadBypass, 1, c8t::mem::ReplKind::Random,
+     {0xa5947016610bd5b0ull, 0x9da9b35c62802301ull, 0x3e7c3a3d6871b6f2ull}},
+    {WriteScheme::WriteGroupingReadBypass, 4, c8t::mem::ReplKind::Lru,
+     {0x3f63ef172e00b87bull, 0x134101ce3b859b15ull, 0x3e7bee6c778fb0e5ull}},
+    {WriteScheme::WriteGroupingReadBypass, 4, c8t::mem::ReplKind::Random,
+     {0x76ed6e60085aaf0dull, 0x9c3ed41a16eb1ff4ull, 0x3e7bede5f05ad412ull}},
+};
+
+TEST(ControllerGolden, EverySchemeMatchesItsDigestsThroughEveryPath)
+{
+    for (const GoldenRow &row : kGolden) {
+        SCOPED_TRACE(std::string(toString(row.scheme)) + " entries " +
+                     std::to_string(row.entries) + " " +
+                     c8t::mem::toString(row.repl));
+        const GoldenDigest one =
+            runGolden(row.scheme, row.entries, row.repl, false);
+        // Chunked: planned under LRU, live under Random.
+        const GoldenDigest chunk =
+            runGolden(row.scheme, row.entries, row.repl, true);
+        char line[160];
+        std::snprintf(line, sizeof line,
+                      "{0x%016llxull, 0x%016llxull, 0x%016llxull}",
+                      static_cast<unsigned long long>(one.outcomes),
+                      static_cast<unsigned long long>(one.stats),
+                      static_cast<unsigned long long>(one.energy));
+        EXPECT_EQ(one.outcomes, row.want.outcomes) << line;
+        EXPECT_EQ(one.stats, row.want.stats) << line;
+        EXPECT_EQ(one.energy, row.want.energy) << line;
+        EXPECT_EQ(chunk.stats, row.want.stats);
+        EXPECT_EQ(chunk.energy, row.want.energy);
+    }
 }
 
 } // anonymous namespace

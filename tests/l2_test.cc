@@ -357,8 +357,9 @@ TEST(L2Bursts, MatchThePerWordOracle)
                   }
                 }
             }
-            if (core::usesGroupingBuffer(scheme))
+            if (core::schemeTraits(scheme).needsGroupingBuffer) {
                 EXPECT_GT(fresher_set_fetches, 0u);
+            }
 
             EXPECT_EQ(burst.dump(), oracle.dump());
             EXPECT_EQ(burst.ring.typeCounts(), oracle.ring.typeCounts());

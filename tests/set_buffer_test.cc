@@ -69,10 +69,9 @@ TEST(SetBuffer, ReadBytes)
 {
     SetBuffer sb(1, 128);
     sb.fill(0, patternRow(128, 5));
-    std::uint8_t out[8];
-    sb.readBytes(0, 32, out, 8);
+    const c8t::sram::RowView out = sb.readRowRef(0);
     for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(out[i], 5 + 32 + i);
+        EXPECT_EQ(out[32 + i], 5 + 32 + i);
     EXPECT_EQ(sb.reads(), 1u);
 }
 
@@ -110,8 +109,7 @@ TEST(SetBuffer, ResetCountersKeepsContents)
 {
     SetBuffer sb(1, 64);
     sb.fill(0, patternRow(64, 7));
-    std::uint8_t out[1];
-    sb.readBytes(0, 0, out, 1);
+    sb.readRowRef(0);
     sb.resetCounters();
     EXPECT_EQ(sb.fills(), 0u);
     EXPECT_EQ(sb.reads(), 0u);

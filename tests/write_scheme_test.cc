@@ -30,25 +30,31 @@ TEST(WriteScheme, NamesRoundTrip)
 
 TEST(WriteScheme, GroupingPredicates)
 {
-    EXPECT_TRUE(usesGroupingBuffer(WriteScheme::WriteGrouping));
-    EXPECT_TRUE(usesGroupingBuffer(WriteScheme::WriteGroupingReadBypass));
-    EXPECT_FALSE(usesGroupingBuffer(WriteScheme::Rmw));
-    EXPECT_FALSE(usesGroupingBuffer(WriteScheme::SixTDirect));
+    const auto grouping = [](WriteScheme s) {
+        return schemeTraits(s).needsGroupingBuffer;
+    };
+    EXPECT_TRUE(grouping(WriteScheme::WriteGrouping));
+    EXPECT_TRUE(grouping(WriteScheme::WriteGroupingReadBypass));
+    EXPECT_FALSE(grouping(WriteScheme::Rmw));
+    EXPECT_FALSE(grouping(WriteScheme::SixTDirect));
 }
 
 TEST(WriteScheme, RmwPredicates)
 {
-    EXPECT_TRUE(usesRmw(WriteScheme::Rmw));
-    EXPECT_TRUE(usesRmw(WriteScheme::LocalRmw));
-    EXPECT_TRUE(usesRmw(WriteScheme::WriteGrouping));
-    EXPECT_FALSE(usesRmw(WriteScheme::SixTDirect));
-    EXPECT_FALSE(usesRmw(WriteScheme::WordGranular));
+    const auto rmw = [](WriteScheme s) {
+        return schemeTraits(s).rowReadsPerWrite > 0;
+    };
+    EXPECT_TRUE(rmw(WriteScheme::Rmw));
+    EXPECT_TRUE(rmw(WriteScheme::LocalRmw));
+    EXPECT_TRUE(rmw(WriteScheme::WriteGrouping));
+    EXPECT_FALSE(rmw(WriteScheme::SixTDirect));
+    EXPECT_FALSE(rmw(WriteScheme::WordGranular));
 }
 
 TEST(WriteScheme, BypassOnlyInWgRb)
 {
     for (WriteScheme s : allSchemes) {
-        EXPECT_EQ(bypassesReads(s),
+        EXPECT_EQ(schemeTraits(s).canBypassReads,
                   s == WriteScheme::WriteGroupingReadBypass);
     }
 }

@@ -79,6 +79,32 @@ set -euo pipefail
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 jobs=${1:-$(nproc)}
 
+# Build the named test binaries in tree $1 (e.g. build-asan), then run
+# each of them there.
+sanitizer_tests() {
+    local tree=$1
+    shift
+    cmake --build "$repo_root/$tree" -j "$jobs" --target "$@"
+    for t in "$@"; do
+        echo "---- ${tree#build-}: $t ----"
+        "$repo_root/$tree/tests/$t"
+    done
+}
+
+# Start the tier-1 c8td on socket $1 in the background and wait for the
+# socket to appear; sets daemon_pid. Fails the script if it never does.
+start_daemon() {
+    "$repo_root/build/tools/c8td" --socket "$1" > /dev/null &
+    daemon_pid=$!
+    for _ in $(seq 1 100); do
+        if [ -S "$1" ]; then return 0; fi
+        sleep 0.1
+    done
+    echo "ci: c8td did not come up on $1" >&2
+    kill "$daemon_pid" 2>/dev/null || true
+    exit 1
+}
+
 echo "==== tier-1: build + full test suite ===="
 cmake -B "$repo_root/build" -S "$repo_root"
 cmake --build "$repo_root/build" -j "$jobs"
@@ -86,43 +112,26 @@ ctest --test-dir "$repo_root/build" --output-on-failure -j "$jobs"
 
 echo "==== asan: build + stream/sweep/pool/alloc/ecc/memo/daemon/array/trace/frame tests ===="
 cmake -B "$repo_root/build-asan" -S "$repo_root" -DC8T_ASAN=ON
-cmake --build "$repo_root/build-asan" -j "$jobs" --target \
+sanitizer_tests build-asan \
     stream_identity_test simd_identity_test sweep_test \
     worker_pool_test hot_path_alloc_test functional_mem_test \
     ecc_test fault_injection_test daemon_test result_memo_test \
     fault_cache_test array_test set_buffer_test controller_test \
     explorer_test word_map_test trace_io_test net_frame_test
-for t in stream_identity_test simd_identity_test sweep_test \
-         worker_pool_test hot_path_alloc_test functional_mem_test \
-         ecc_test fault_injection_test daemon_test result_memo_test \
-         fault_cache_test array_test set_buffer_test controller_test \
-         explorer_test word_map_test trace_io_test net_frame_test; do
-    echo "---- asan: $t ----"
-    "$repo_root/build-asan/tests/$t"
-done
 
 echo "==== ubsan: build + voltage-model, spec-parser, trace-reader and frame-decoder tests ===="
 cmake -B "$repo_root/build-ubsan" -S "$repo_root" -DC8T_UBSAN=ON
-cmake --build "$repo_root/build-ubsan" -j "$jobs" --target \
+sanitizer_tests build-ubsan \
     vmodel_test vdd_sweep_test job_spec_test app_options_test \
     trace_io_test net_frame_test
-for t in vmodel_test vdd_sweep_test job_spec_test app_options_test \
-         trace_io_test net_frame_test; do
-    echo "---- ubsan: $t ----"
-    "$repo_root/build-ubsan/tests/$t"
-done
 
 echo "==== tsan: build + parallel sweep, memo and daemon tests ===="
 cmake -B "$repo_root/build-tsan" -S "$repo_root" -DC8T_TSAN=ON
-cmake --build "$repo_root/build-tsan" -j "$jobs" --target \
+sanitizer_tests build-tsan \
     sweep_test worker_pool_test metrics_test vdd_sweep_test \
-    explorer_test fault_cache_test daemon_test result_memo_test \
+    explorer_test fault_cache_test daemon_test result_memo_test
+cmake --build "$repo_root/build-tsan" -j "$jobs" --target \
     stream_identity_test
-for t in sweep_test worker_pool_test metrics_test vdd_sweep_test \
-         explorer_test fault_cache_test daemon_test result_memo_test; do
-    echo "---- tsan: $t ----"
-    "$repo_root/build-tsan/tests/$t"
-done
 echo "---- tsan: stream_identity_test (StreamCacheBehaviour.*) ----"
 "$repo_root/build-tsan/tests/stream_identity_test" \
     --gtest_filter='StreamCacheBehaviour.*'
@@ -210,18 +219,7 @@ echo "==== daemon: c8td answers vs one-shot c8tsim + SIGTERM drain ===="
 # through the real binaries). Uses the tier-1 tree.
 daemon_dir=$(mktemp -d)
 daemon_sock="$daemon_dir/c8td.sock"
-"$repo_root/build/tools/c8td" --socket "$daemon_sock" > /dev/null &
-daemon_pid=$!
-daemon_up=0
-for _ in $(seq 1 100); do
-    if [ -S "$daemon_sock" ]; then daemon_up=1; break; fi
-    sleep 0.1
-done
-if [ "$daemon_up" != 1 ]; then
-    echo "ci: c8td did not come up on $daemon_sock" >&2
-    kill "$daemon_pid" 2>/dev/null || true
-    exit 1
-fi
+start_daemon "$daemon_sock"
 "$repo_root/build/tools/c8tctl" --socket "$daemon_sock" \
     --output "$daemon_dir/a.json" \
     '{"kind":"run","workload":"spec:gcc","accesses":20000}' &
@@ -269,37 +267,21 @@ echo "==== hierarchy: ASan two-level tests + daemon golden diff ===="
 # The two-level paths (L2 fetch, dirty-victim write-back bursts,
 # back-invalidation on L2 eviction) are the newest pointer-heavy
 # surface; run their tests under the ASan tree built above.
-cmake --build "$repo_root/build-asan" -j "$jobs" --target \
-    l2_test hierarchy_test
-for t in l2_test hierarchy_test; do
-    echo "---- asan: $t ----"
-    "$repo_root/build-asan/tests/$t"
-done
+sanitizer_tests build-asan l2_test hierarchy_test
 # One two-level JobSpec through the daemon must answer byte-identical
 # to the one-shot driver — same contract the single-level stage checks,
 # now with a "levels" array in the spec.
 hier_dir=$(mktemp -d)
 hier_sock="$hier_dir/c8td.sock"
-"$repo_root/build/tools/c8td" --socket "$hier_sock" > /dev/null &
-hier_pid=$!
-hier_up=0
-for _ in $(seq 1 100); do
-    if [ -S "$hier_sock" ]; then hier_up=1; break; fi
-    sleep 0.1
-done
-if [ "$hier_up" != 1 ]; then
-    echo "ci: c8td did not come up on $hier_sock" >&2
-    kill "$hier_pid" 2>/dev/null || true
-    exit 1
-fi
+start_daemon "$hier_sock"
 "$repo_root/build/tools/c8tctl" --socket "$hier_sock" \
     --output "$hier_dir/h.json" \
     '{"kind":"run","workload":"spec:gcc","accesses":20000,"levels":[{"size_kb":256}]}'
 "$repo_root/build/tools/c8tctl" --socket "$hier_sock" \
     --output "$hier_dir/v.json" \
     '{"kind":"vdd_sweep","workload":"spec:gcc","accesses":20000,"levels":[{"size_kb":256}]}'
-kill -TERM "$hier_pid"
-wait "$hier_pid"
+kill -TERM "$daemon_pid"
+wait "$daemon_pid"
 "$repo_root/build/tools/c8tsim" --workload spec:gcc --accesses 20000 \
     --l2 256 --stats-json "$hier_dir/h.ref" > /dev/null
 "$repo_root/build/tools/c8tsim" --vdd-sweep --workload spec:gcc \
