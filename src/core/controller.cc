@@ -80,6 +80,7 @@ CacheController::CacheController(const ControllerConfig &config,
         _entryGroupSize.assign(_config.bufferEntries, 0);
     }
     _tagScratch.assign(_config.cache.ways, 0);
+    _stagedBlock.assign(_config.cache.blockBytes, 0);
 }
 
 std::uint32_t
@@ -227,7 +228,8 @@ CacheController::settleSet(std::uint32_t set, stats::Counter &cause)
 
 template <typename FillFn>
 std::uint32_t
-CacheController::handleMiss(mem::Addr block_addr, FillFn &&fill_tags)
+CacheController::handleMiss(mem::Addr block_addr, FillFn &&fill_tags,
+                            const std::uint8_t *staged, bool stores_victim)
 {
     const std::uint32_t set = _tags.layout().setOf(block_addr);
 
@@ -237,17 +239,23 @@ CacheController::handleMiss(mem::Addr block_addr, FillFn &&fill_tags)
 
     const std::uint32_t block_bytes = _config.cache.blockBytes;
 
-    // Resolve the fill source *before* touching the tag state: a
+    // A live miss stages its fill *before* touching the tag state: a
     // next-level fetch can evict a line down there and back-invalidate
     // our copy, and doing that against settled tags keeps the victim
     // and fill ways chosen below coherent with what actually remains
     // resident. (Inclusion then guarantees the dirty-victim write
-    // burst issued further down always hits — see DESIGN.md §14.)
-    if (_next) {
-        _lastMissPenalty = static_cast<std::uint32_t>(_next->fetchBlock(
-            block_addr, _fetchScratch.data(), block_bytes));
-    } else {
-        _lastMissPenalty = _config.latency.missPenaltyCycles;
+    // burst issued further down always hits — see DESIGN.md §14.) The
+    // fill never aliases the victim, so reading it from memory before
+    // the victim is stored reads the same bytes.
+    _lastMissPenalty = _config.latency.missPenaltyCycles;
+    if (!staged) {
+        if (_next)
+            _lastMissPenalty = static_cast<std::uint32_t>(
+                _next->fetchBlock(block_addr, _stagedBlock.data(),
+                                  block_bytes));
+        else
+            _mem.readBytes(block_addr, _stagedBlock.data(), block_bytes);
+        staged = _stagedBlock.data();
     }
 
     const mem::FillResult fill = fill_tags();
@@ -282,19 +290,14 @@ CacheController::handleMiss(mem::Addr block_addr, FillFn &&fill_tags)
             if (_next)
                 _next->acceptBlockWriteback(fill.evictedBlockAddr,
                                             victim, block_bytes);
-            else
+            else if (stores_victim)
                 _mem.writeBytes(fill.evictedBlockAddr, victim,
                                 block_bytes);
         }
     }
 
-    const sram::RowSpan row = _array.updateRow(set);
-    if (_next)
-        std::memcpy(row.data() + fill.way * block_bytes,
-                    _fetchScratch.data(), block_bytes);
-    else
-        _mem.readBytes(block_addr, row.data() + fill.way * block_bytes,
-                       block_bytes);
+    std::memcpy(_array.updateRow(set).data() + fill.way * block_bytes,
+                staged, block_bytes);
 
     ++_fillRowWrites;
     ++_ecounts.rowWrites;
@@ -308,53 +311,51 @@ CacheController::ensureResident(mem::Addr block_addr)
     const mem::LookupResult r = _tags.access(block_addr);
     if (r.hit)
         return {true, r.way};
-    return {false, handleMiss(block_addr,
-                              [&] { return _tags.fill(block_addr); })};
+    return {false, handleMiss(
+                       block_addr, [&] { return _tags.fill(block_addr); },
+                       nullptr, true)};
 }
 
 CacheController::ResidentRef
-CacheController::applyPlanned(mem::Addr block_addr,
-                              const mem::ChunkPlan &plan, std::size_t i)
+CacheController::applyPlanned(mem::Addr block_addr, const PlannedStep &step,
+                              bool stores_victim)
 {
-    const std::uint32_t set = plan.set[i];
-    const std::uint32_t way = plan.way[i];
-    const std::uint8_t flags = plan.flags[i];
-
-    if (flags & mem::ChunkPlan::kHit) {
+    if (step.flags & mem::ChunkPlan::kHit) {
         assert(_tags.probe(block_addr).hit &&
-               _tags.probe(block_addr).way == way &&
+               _tags.probe(block_addr).way == step.way &&
                "planned hit disagrees with live tag state");
-        _tags.applyPlannedHit(set, plan.replWord[i]);
-        return {true, way};
+        _tags.applyPlannedHit(step.set, step.replWord);
+        return {true, step.way};
     }
 
     // Planned miss: the live miss body, with the tag-side allocation
     // stage 1 already worked out (victim choice, eviction metadata,
-    // replacement word).
+    // replacement word) and the fill already staged.
     assert(!_tags.probe(block_addr).hit &&
            "planned miss disagrees with live tag state");
-    return {false, handleMiss(block_addr, [&] {
-                mem::FillResult f;
-                f.way = way;
-                f.evictedValid = flags & mem::ChunkPlan::kEvictValid;
-                f.evictedDirty = flags & mem::ChunkPlan::kEvictDirty;
-                if (f.evictedValid)
-                    f.evictedBlockAddr = plan.evictedAddr[i];
-                _tags.applyPlannedFill(set, way, plan.tag[i],
-                                       plan.replWord[i]);
-                return f;
-            })};
+    return {false, handleMiss(
+                       block_addr,
+                       [&] {
+                           mem::FillResult f;
+                           f.way = step.way;
+                           f.evictedValid =
+                               step.flags & mem::ChunkPlan::kEvictValid;
+                           f.evictedDirty =
+                               step.flags & mem::ChunkPlan::kEvictDirty;
+                           f.evictedBlockAddr = step.evictedAddr;
+                           _tags.applyPlannedFill(step.set, step.way,
+                                                  step.tag, step.replWord);
+                           return f;
+                       },
+                       step.fill, stores_victim)};
 }
 
 void
 CacheController::attachNextLevel(CacheController *next)
 {
-    if (next) {
-        if (next->config().cache.blockBytes != _config.cache.blockBytes)
-            throw std::invalid_argument(
-                "CacheController: next-level block size must match");
-        _fetchScratch.assign(_config.cache.blockBytes, 0);
-    }
+    if (next && next->config().cache.blockBytes != _config.cache.blockBytes)
+        throw std::invalid_argument(
+            "CacheController: next-level block size must match");
     _next = next;
 }
 
@@ -492,32 +493,53 @@ CacheController::planReplayChunk(const trace::MemAccess *chunk,
     return &_tags.planChunk(chunk, count);
 }
 
-template <typename BodyFn>
 void
-CacheController::runChunk(const trace::MemAccess *chunk,
-                          std::size_t count, const mem::ChunkPlan *plan,
-                          BodyFn &&body)
+CacheController::applyPlanGroup(std::span<CacheController *const> group,
+                                const trace::MemAccess *chunk,
+                                std::size_t count,
+                                const mem::ChunkPlan &plan)
 {
-    if (!plan) {
-        for (std::size_t i = 0; i < count; ++i) {
-            beginAccess(chunk[i]);
-            body(chunk[i],
-                 [this](mem::Addr b) { return ensureResident(b); });
-        }
-        return;
-    }
+    CacheController &lead = *group.front();
+    assert(plan.count == count);
+    for ([[maybe_unused]] const CacheController *m : group)
+        assert(m->plannedChunkEligible() &&
+               m->_config.cache == lead._config.cache &&
+               &m->_mem == &lead._mem);
+
+    const mem::AddrLayout &layout = lead._tags.layout();
+    const std::uint32_t block_bytes = lead._config.cache.blockBytes;
+    std::uint8_t *const staged = lead._stagedBlock.data();
+
     // Stage 2 of the pipeline: apply the plan in original request
-    // order. Each scheme body consumes the planned lookup outcome
-    // instead of performing a live one; the tag array's hit/miss sums
-    // are order-free and folded in once per chunk.
-    assert(plan->count == count);
+    // order, each access to every member before the next. Each scheme
+    // body consumes the planned lookup outcome instead of performing a
+    // live one; the tag arrays' hit/miss sums are order-free and folded
+    // in once per chunk.
     for (std::size_t i = 0; i < count; ++i) {
-        beginAccess(chunk[i]);
-        body(chunk[i], [this, plan, i](mem::Addr b) {
-            return applyPlanned(b, *plan, i);
-        });
+        const trace::MemAccess &a = chunk[i];
+        PlannedStep step;
+        step.set = plan.set[i];
+        step.way = plan.way[i];
+        step.flags = plan.flags[i];
+        step.replWord = plan.replWord[i];
+        if (!(step.flags & mem::ChunkPlan::kHit)) {
+            step.tag = plan.tag[i];
+            if (step.flags & mem::ChunkPlan::kEvictValid)
+                step.evictedAddr = plan.evictedAddr[i];
+            lead._mem.readBytes(layout.blockAlign(a.addr), staged,
+                                block_bytes);
+            step.fill = staged;
+        }
+        for (CacheController *m : group) {
+            m->beginAccess(a);
+            const bool stores_victim = m == &lead;
+            m->dispatch(a, [m, &step, stores_victim](mem::Addr b) {
+                return m->applyPlanned(b, step, stores_victim);
+            });
+        }
     }
-    _tags.addPlannedCounts(*plan);
+    for (CacheController *m : group)
+        m->_tags.addPlannedCounts(plan);
 }
 
 void
@@ -525,17 +547,16 @@ CacheController::accessChunk(const trace::MemAccess *chunk,
                              std::size_t count,
                              const mem::ChunkPlan *plan)
 {
-    // Each iteration is statistics-identical to access(). When the
-    // batched pipeline qualifies, run stage 1 (or adopt the caller's
-    // shared plan) and drive the loop off it.
-    const mem::ChunkPlan *p = nullptr;
-    if (plannedChunkEligible() && count > 0)
-        p = plan ? plan : &_tags.planChunk(chunk, count);
-
-    runChunk(chunk, count, p,
-             [this](const trace::MemAccess &a, auto &&resolve) {
-                 dispatch(a, resolve);
-             });
+    if (plannedChunkEligible() && count > 0) {
+        // Run stage 1 (or adopt the caller's shared plan) and apply it
+        // as a plan group of one.
+        CacheController *const self = this;
+        applyPlanGroup({&self, 1}, chunk, count,
+                       plan ? *plan : _tags.planChunk(chunk, count));
+        return;
+    }
+    for (std::size_t i = 0; i < count; ++i)
+        access(chunk[i]);
 }
 
 template <typename ResolveFn>

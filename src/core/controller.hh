@@ -27,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -155,10 +156,11 @@ struct AccessOutcome
 };
 
 /**
- * The controller. One instance per (scheme, shape) under test; several
- * instances typically share one FunctionalMemory per *logical machine*,
- * but comparison runs give each scheme its own memory so final states
- * can be compared.
+ * The controller. One instance per (scheme, shape) under test. The
+ * levels of one hierarchy share one FunctionalMemory, and so do the
+ * members of a plan group (applyPlanGroup()): they hold the same
+ * architectural bytes, so one memory serves them all. Any other
+ * controller gets its own memory.
  */
 class CacheController
 {
@@ -182,25 +184,58 @@ class CacheController
     /**
      * Service @p count requests from @p chunk back to back. Result-,
      * statistics-, event- and audit-identical to calling access() per
-     * element: each element runs the same dispatch() (MultiSchemeRunner's
-     * replay path).
+     * element: each element runs the same dispatch().
      *
-     * When the controller qualifies (deterministic replacement, no
-     * next level — see plannedChunkEligible()), the chunk runs as the
-     * two-stage set-batched pipeline (DESIGN.md §7): stage 1 plans
-     * every tag lookup in per-set batches (SIMD way-compares,
-     * replacement arithmetic on stack-local state) and stage 2 applies
-     * the plan in original request order through the same scheme
-     * bodies and miss handling as access(), so attached observers
-     * (event ring, energy audit, eviction hook) see the per-access
-     * sequence. @p plan optionally supplies a stage-1 result computed
-     * by a controller with an identical cache (the sweep drivers share
-     * one plan across same-shape controllers); it is ignored when this
-     * controller does not qualify, and the chunk then resolves every
-     * access live.
+     * When the controller qualifies (see plannedChunkEligible()), the
+     * chunk runs as the two-stage set-batched pipeline (DESIGN.md §7):
+     * stage 1 plans every tag lookup in per-set batches (SIMD
+     * way-compares, replacement arithmetic on stack-local state) and
+     * stage 2 applies the plan as a plan group of one
+     * (applyPlanGroup()), in original request order through the same
+     * scheme bodies and miss handling as access(), so attached
+     * observers (event ring, energy audit, eviction hook) see the
+     * per-access sequence. @p plan optionally supplies a stage-1
+     * result computed by a controller with an identical cache; it is
+     * ignored when this controller does not qualify, and the chunk
+     * then resolves every access live.
      */
     void accessChunk(const trace::MemAccess *chunk, std::size_t count,
                      const mem::ChunkPlan *plan = nullptr);
+
+    /**
+     * Stage 2 for a plan group (DESIGN.md §7): same-shape controllers
+     * that replay one stream march in lockstep, so one stage-1 @p plan
+     * of @p chunk serves them all. Access i is applied to every member
+     * of @p group, in group order, before access i+1; the chunk record
+     * and the plan entry are read once per access. Each member still
+     * runs its own beginAccess/dispatch/miss sequence, so its counters,
+     * ring notes, audit order and eviction hook are exactly those of
+     * accessChunk() on it alone.
+     *
+     * The members share one FunctionalMemory: a planned miss reads the
+     * fill block from it once and every member copies that staged
+     * block into its row, and only the first member stores dirty
+     * victims — every member evicts the same block holding the same
+     * architectural bytes (tests/simulator_test.cc, PlanGroupMemories).
+     *
+     * Requires: every member plannedChunkEligible(), with the cache
+     * shape @p plan was made for and the first member's memory.
+     */
+    static void applyPlanGroup(std::span<CacheController *const> group,
+                               const trace::MemAccess *chunk,
+                               std::size_t count,
+                               const mem::ChunkPlan &plan);
+
+    /** True when the batched pipeline may run: the replacement policy
+     *  is deterministic (not Random) and no next level exists — an L1
+     *  miss fetches from the next level, whose evictions can
+     *  back-invalidate this level's tags behind the plan's back.
+     *  Observers (ring, audit, eviction hook) fire from the shared
+     *  miss body and do not disqualify. */
+    bool plannedChunkEligible() const
+    {
+        return !_next && _tags.planEligible();
+    }
 
     /**
      * Stage 1 only: plan @p count accesses against this controller's
@@ -560,28 +595,10 @@ class CacheController
 
     /** Run @p request's body — grouped or ungrouped, by
      *  _traits.needsGroupingBuffer — with residency resolved by
-     *  @p resolve (access(), accessChunk(), the L2 bursts). */
+     *  @p resolve (access(), applyPlanGroup(), the L2 bursts). */
     template <typename ResolveFn>
     AccessOutcome dispatch(const trace::MemAccess &request,
                            ResolveFn &&resolve);
-
-    /** The one chunk loop: runs @p body over @p count requests,
-     *  resolving residency through @p plan (stage 2 of the pipeline)
-     *  or, when it is null, live through ensureResident(). */
-    template <typename BodyFn>
-    void runChunk(const trace::MemAccess *chunk, std::size_t count,
-                  const mem::ChunkPlan *plan, BodyFn &&body);
-
-    /** True when the batched pipeline may run: the replacement policy
-     *  is deterministic (not Random) and no next level exists — an L1
-     *  miss fetches from the next level, whose evictions can
-     *  back-invalidate this level's tags behind the plan's back.
-     *  Observers (ring, audit, eviction hook) fire from the shared
-     *  miss body and do not disqualify. */
-    bool plannedChunkEligible() const
-    {
-        return !_next && _tags.planEligible();
-    }
 
     /** Outcome of ensureResident(): hit state plus the resident way,
      *  so the request paths never pay a second tag lookup. */
@@ -595,21 +612,40 @@ class CacheController
      *  and the way now holding it. */
     ResidentRef ensureResident(mem::Addr block_addr);
 
-    /** Planned-path equivalent of ensureResident(): apply access @p i
-     *  of @p plan in request order — a hit stores the planned
-     *  replacement word, a miss runs handleMiss() with the planned
-     *  fill. */
-    ResidentRef applyPlanned(mem::Addr block_addr,
-                             const mem::ChunkPlan &plan, std::size_t i);
+    /** One plan entry as a plan group applies it: decoded once per
+     *  access and shared by every member. */
+    struct PlannedStep
+    {
+        std::uint32_t set = 0;
+        std::uint32_t way = 0;
+        std::uint8_t flags = 0;
+        std::uint64_t replWord = 0;
+        mem::Addr tag = 0;          //!< misses only
+        mem::Addr evictedAddr = 0;  //!< misses with kEvictValid
+        const std::uint8_t *fill = nullptr; //!< staged block (misses)
+    };
+
+    /** Planned-path equivalent of ensureResident(): apply @p step in
+     *  request order — a hit stores the planned replacement word, a
+     *  miss runs handleMiss() with the planned fill and the group's
+     *  staged block, storing a dirty victim only when
+     *  @p stores_victim. */
+    ResidentRef applyPlanned(mem::Addr block_addr, const PlannedStep &step,
+                             bool stores_victim);
 
     /** Miss handling: victim write-back + fill; returns the filled
      *  way. @p fill_tags performs the tag-side allocation —
      *  TagArray::fill() live, or a planned fill — and returns its
-     *  FillResult. */
+     *  FillResult. The fill is copied from the staged block
+     *  @p staged; a live miss passes nullptr and stages it here,
+     *  from the next level or the memory. A dirty victim goes to the
+     *  next level, or to the memory when @p stores_victim. */
     template <typename FillFn>
-    std::uint32_t handleMiss(mem::Addr block_addr, FillFn &&fill_tags);
+    std::uint32_t handleMiss(mem::Addr block_addr, FillFn &&fill_tags,
+                             const std::uint8_t *staged,
+                             bool stores_victim);
 
-    /** Per-request prologue shared by access() and runChunk():
+    /** Per-request prologue shared by access() and applyPlanGroup():
      *  request counters and the inter-request clock advance. */
     void beginAccess(const trace::MemAccess &request)
     {
@@ -720,8 +756,11 @@ class CacheController
      *  setEvictionHook(); keeps the eviction path allocation-free). */
     std::vector<std::uint8_t> _victimScratch;
 
-    /** Staged next-level fetch (pre-sized at attachNextLevel()). */
-    std::vector<std::uint8_t> _fetchScratch;
+    /** The staged fill block of a miss: a live miss's next-level
+     *  fetch or memory read, or a plan group's one read for all its
+     *  members (the first member's). One block, sized at
+     *  construction. */
+    std::vector<std::uint8_t> _stagedBlock;
 
     /** Deferred energy accounting state (see dynamicEnergy()). */
     EnergyCounts _ecounts;

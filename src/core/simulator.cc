@@ -27,25 +27,30 @@ MultiSchemeRunner::MultiSchemeRunner(std::vector<ControllerConfig> configs)
     if (_configs.empty())
         throw std::invalid_argument("MultiSchemeRunner: no configs");
 
-    _memories.reserve(_configs.size());
     _stacks.reserve(_configs.size());
-    for (const auto &cfg : _configs) {
-        _memories.push_back(std::make_unique<mem::FunctionalMemory>());
-        _stacks.push_back(
-            std::make_unique<LevelStack>(cfg, *_memories.back()));
-    }
-
-    // Plan-sharing groups (see sharesPlan()): the first controller of
-    // each group leads and runs stage 1 for it. (A stacked top level
-    // is plan-ineligible anyway; the grouping just keeps leaders from
-    // doing stage-1 work nobody can adopt.)
-    _planLeader.resize(_configs.size());
-    _leaderPlan.assign(_configs.size(), nullptr);
     for (std::size_t i = 0; i < _configs.size(); ++i) {
-        std::size_t leader = 0;
-        while (leader < i && !sharesPlan(_configs[leader], _configs[i]))
-            ++leader;
-        _planLeader[i] = leader;
+        PlanGroup *group = nullptr;
+        for (PlanGroup &g : _groups) {
+            if (sharesPlan(_configs[g.first], _configs[i])) {
+                group = &g;
+                break;
+            }
+        }
+        // A planned group's members share its first member's memory.
+        if (group && group->planned) {
+            _stacks.push_back(std::make_unique<LevelStack>(
+                _configs[i], _stacks[group->first]->memory()));
+        } else {
+            _memories.push_back(std::make_unique<mem::FunctionalMemory>());
+            _stacks.push_back(
+                std::make_unique<LevelStack>(_configs[i], *_memories.back()));
+        }
+        if (!group) {
+            group = &_groups.emplace_back();
+            group->first = i;
+            group->planned = _stacks.back()->top().plannedChunkEligible();
+        }
+        group->tops.push_back(&_stacks.back()->top());
     }
 }
 
@@ -104,28 +109,29 @@ MultiSchemeRunner::replayWindow(trace::AccessGenerator &gen,
         if (prof_on)
             chunk_t0 = std::chrono::steady_clock::now();
 
-        // Controllers are fully independent (each owns its memory), so
-        // feeding them one after the other from the flat chunk is
-        // result-identical to interleaving them per access. accessChunk
-        // hoists the write-scheme dispatch out of the per-access loop,
-        // and same-shape controllers share the group leader's stage-1
-        // plan: their tag trajectories are identical, so the tag
-        // compares and replacement arithmetic run once per shape, not
-        // once per scheme.
+        // Plan groups are independent of each other, so feeding them
+        // one after the other from the flat chunk is result-identical
+        // to interleaving them per access. A planned group runs stage 1
+        // once on its first member and applies that plan to all of
+        // them in one fused loop over their shared memory: the tag
+        // compares, the replacement arithmetic and the miss-fill reads
+        // run once per shape, not once per scheme.
         {
             const obs::prof::ScopedPhase replay_scope(
                 obs::prof::Phase::Replay, prof_on);
-            for (std::size_t i = 0; i < _stacks.size(); ++i) {
+            for (const PlanGroup &g : _groups) {
+                if (!g.planned) {
+                    for (CacheController *c : g.tops)
+                        c->accessChunk(chunk, got);
+                    continue;
+                }
                 const mem::ChunkPlan *plan = nullptr;
-                if (_planLeader[i] == i) {
+                {
                     const obs::prof::ScopedPhase plan_scope(
                         obs::prof::Phase::Plan, prof_on);
-                    plan = _stacks[i]->planReplayChunk(chunk, got);
-                    _leaderPlan[i] = plan;
-                } else {
-                    plan = _leaderPlan[_planLeader[i]];
+                    plan = g.tops.front()->planReplayChunk(chunk, got);
                 }
-                _stacks[i]->accessChunk(chunk, got, plan);
+                CacheController::applyPlanGroup(g.tops, chunk, got, *plan);
             }
         }
         if (prof_on) {

@@ -117,8 +117,13 @@ bool sharesPlan(const ControllerConfig &a, const ControllerConfig &b);
 
 /**
  * Run one workload through several controllers in a single generation
- * pass (every controller sees the byte-identical stream). Each
- * controller gets its own functional memory.
+ * pass (every controller sees the byte-identical stream). The
+ * controllers fall into plan groups (sharesPlan()). A group whose top
+ * level plans its chunks (no next level, not Random) shares one
+ * functional memory and replays as one fused loop
+ * (CacheController::applyPlanGroup()); every other configuration —
+ * hierarchy L1s, Random replacement — gets its own memory and replays
+ * live.
  *
  * The generator is reset() first; after warm-up every controller's
  * statistics are reset; after the measurement window every controller
@@ -174,8 +179,8 @@ class MultiSchemeRunner
     /** Accesses pulled per chunk in run(). 4096 records = 96 KiB of
      *  scratch: large enough to amortise the per-chunk dispatch, small
      *  enough to stay cache-resident while every controller replays
-     *  it. Each plan leader's chunk planner sizes its scratch to the
-     *  first chunk it plans (at most this many accesses). */
+     *  it. Each planned group's first member sizes its planner scratch
+     *  to the first chunk it plans (at most this many accesses). */
     static constexpr std::size_t kChunkAccesses =
         CacheController::kReplayChunkAccesses;
 
@@ -189,21 +194,35 @@ class MultiSchemeRunner
     std::uint64_t replayWindow(trace::AccessGenerator &gen,
                                std::uint64_t accesses, bool measured);
 
+    /**
+     * One plan group: the configurations that sharesPlan() with its
+     * first member, in input order. Every controller sees every
+     * access, and tag evolution is scheme-independent, so same-shape
+     * tag states march in lockstep — the first member's stage-1 plan
+     * is exact for the whole group and is computed once per chunk.
+     */
+    struct PlanGroup
+    {
+        /** Index of the first member in _configs and _stacks. */
+        std::size_t first = 0;
+
+        /** The members' top levels, in input order. */
+        std::vector<CacheController *> tops;
+
+        /** The first member plans its chunks, and the group shares
+         *  its memory; otherwise each member replays live over its
+         *  own memory. */
+        bool planned = false;
+    };
+
     std::vector<ControllerConfig> _configs;
     std::vector<std::unique_ptr<mem::FunctionalMemory>> _memories;
     std::vector<std::unique_ptr<LevelStack>> _stacks;
+    std::vector<PlanGroup> _groups;
     /** Copy buffer for generators that cannot lend a chunk
      *  (borrowChunk() returns null); allocated on first such chunk. */
     std::vector<trace::MemAccess> _chunk;
 
-    /** Plan-sharing groups: _planLeader[i] is the first controller
-     *  that sharesPlan() with controller i. Every controller sees
-     *  every access, and tag evolution is scheme-independent, so
-     *  same-shape tag states march in lockstep — the leader's stage-1
-     *  plan is exact for the whole group and is computed once per
-     *  chunk instead of once per controller. */
-    std::vector<std::size_t> _planLeader;
-    std::vector<const mem::ChunkPlan *> _leaderPlan;
     std::uint64_t _intervalAccesses = 0;
     std::function<void(std::uint64_t)> _intervalHook;
 };

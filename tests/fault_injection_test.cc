@@ -218,10 +218,12 @@ TEST(FaultMapCampaign, StreamedMatchesMaterialisedMap)
             EXPECT_EQ(got.detectedUncorrectable,
                       want.detectedUncorrectable);
             EXPECT_EQ(got.silentCorruptions, want.silentCorruptions);
-            if (p == 0.0)
+            if (p == 0.0) {
                 EXPECT_EQ(got.cleanWords, got.words);
-            if (p == 1.0)
+            }
+            if (p == 1.0) {
                 EXPECT_EQ(got.cleanWords, 0u);
+            }
             ++configs;
         }
     }

@@ -40,8 +40,12 @@ std::atomic<std::uint64_t> g_allocatedBytes{0};
 } // anonymous namespace
 
 // Counting global allocator. Only the test binary links this; the
-// library under test goes through it for every new/delete.
-void *
+// library under test goes through it for every new/delete. Every form
+// is kept out of line, so a caller sees each new paired with its own
+// delete. Inlined, the malloc() and free() inside would meet the
+// caller's new and delete and read as mismatched pairs
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
@@ -51,31 +55,31 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t size)
 {
     return ::operator new(size);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -219,6 +223,54 @@ TEST(HotPathAllocations, BatchedChunkPipelineIsAllocationFree)
             << " heap allocations in " << kMeasure
             << " batched accesses";
     }
+}
+
+TEST(HotPathAllocations, FusedPlanGroupIsAllocationFree)
+{
+    // A MultiSchemeRunner-shaped plan group: three schemes over one
+    // shared, pre-sized memory. The first member plans each chunk and
+    // applyPlanGroup() applies the plan to all three, staging each
+    // miss fill once. The first chunk sizes the planner scratch; after
+    // it the fused loop must never touch the heap.
+    const auto stream = pregenerate(kWarmup + kMeasure);
+    constexpr std::size_t kChunk = CacheController::kReplayChunkAccesses;
+    mem::FunctionalMemory memory;
+    memory.reserve(1u << 20);
+
+    std::vector<std::unique_ptr<CacheController>> ctrls;
+    std::vector<CacheController *> group;
+    for (const WriteScheme scheme :
+         {WriteScheme::Rmw, WriteScheme::WriteGrouping,
+          WriteScheme::WriteGroupingReadBypass}) {
+        ControllerConfig cfg;
+        cfg.scheme = scheme;
+        ctrls.push_back(std::make_unique<CacheController>(cfg, memory));
+        group.push_back(ctrls.back().get());
+    }
+
+    const auto feed = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; i += kChunk) {
+            const std::size_t n = std::min(kChunk, end - i);
+            const mem::ChunkPlan *plan =
+                group.front()->planReplayChunk(stream.data() + i, n);
+            ASSERT_NE(plan, nullptr);
+            CacheController::applyPlanGroup(group, stream.data() + i, n,
+                                            *plan);
+        }
+    };
+    feed(0, kChunk);
+
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    feed(kChunk, stream.size());
+    const std::uint64_t delta =
+        g_allocations.load(std::memory_order_relaxed) - before;
+
+    EXPECT_EQ(delta, 0u) << delta << " heap allocations in "
+                         << stream.size() - kChunk
+                         << " fused group accesses";
+    for (const CacheController *c : group)
+        EXPECT_EQ(c->requests(), stream.size());
 }
 
 TEST(HotPathAllocations, DrainAndFlushStayAllocationFree)

@@ -155,8 +155,9 @@ TEST(L2, NeverChangesValues)
             ASSERT_EQ(acc_a, acc_b);
             const auto out_a = a.access(acc_a);
             const auto out_b = b.access(acc_b);
-            if (acc_a.isRead())
+            if (acc_a.isRead()) {
                 ASSERT_EQ(out_a.data, out_b.data) << "access " << i;
+            }
         }
         // End state agrees architecturally, word by spot-checked word.
         a.drain();

@@ -3,7 +3,7 @@
  * Way-compare kernel and batched-pipeline identity guarantees.
  *
  * The way-compare kernel (mem/simd.hh) and the set-batched chunk
- * pipeline (TagArray::planChunk + CacheController::runChunk)
+ * pipeline (TagArray::planChunk + CacheController::applyPlanGroup)
  * are pure performance mechanisms: each must be invisible in every
  * result. This suite pins that:
  *
@@ -199,8 +199,8 @@ TEST(BatchedPipeline, PlannedChunksMatchPerAccessLoop)
             ASSERT_NE(probe.planReplayChunk(buffer->data(), 64), nullptr)
                 << shape.toString();
         }
-        // Batched: the runner plans each chunk and applies it
-        // through runChunk.
+        // Batched: the runner plans each chunk and applies it to the
+        // whole plan group through applyPlanGroup.
         core::MultiSchemeRunner runner(allSchemeConfigs(shape));
         trace::ReplayGenerator replay("gcc", buffer);
         RunDigest batched;

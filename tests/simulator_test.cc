@@ -5,9 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "app/options.hh"
 #include "core/simulator.hh"
+#include "obs/event_ring.hh"
 #include "trace/kernels.hh"
 #include "trace/markov_stream.hh"
 #include "trace/spec_profiles.hh"
@@ -16,6 +23,9 @@ namespace
 {
 
 using namespace c8t::core;
+using c8t::mem::Addr;
+using c8t::mem::FunctionalMemory;
+using c8t::trace::MemAccess;
 
 std::vector<ControllerConfig>
 threeSchemes()
@@ -148,5 +158,270 @@ TEST(SnapshotResult, CopiesCounters)
     EXPECT_EQ(r.writes, 2u);
     EXPECT_EQ(r.groupedWrites, 1u);
 }
+
+constexpr WriteScheme kAllSchemes[] = {
+    WriteScheme::SixTDirect,    WriteScheme::Rmw,
+    WriteScheme::LocalRmw,      WriteScheme::WordGranular,
+    WriteScheme::WriteGrouping, WriteScheme::WriteGroupingReadBypass};
+
+/** Two plan-group shapes: many small blocks, and few large ones. */
+const c8t::mem::CacheConfig kGroupShapes[] = {{32 * 1024, 4, 32},
+                                              {8 * 1024, 2, 64}};
+
+/** The 25 SPEC profiles and the six kernels, as workload specifiers. */
+std::vector<std::string>
+groupStreams()
+{
+    std::vector<std::string> out;
+    for (const std::string &b : c8t::trace::specBenchmarkNames())
+        out.push_back("spec:" + b);
+    for (const std::string &k : c8t::app::kernelNames())
+        out.push_back("kernel:" + k);
+    return out;
+}
+
+/** gtest parameter name of a workload specifier ("spec:gcc" ->
+ *  "spec_gcc"). */
+std::string
+streamCaseName(const ::testing::TestParamInfo<std::string> &info)
+{
+    std::string name = info.param;
+    std::replace(name.begin(), name.end(), ':', '_');
+    return name;
+}
+
+/** The first @p n accesses of @p workload (fewer if it ends). */
+std::vector<MemAccess>
+pullStream(const std::string &workload, std::size_t n)
+{
+    const auto gen = c8t::app::makeWorkload(workload);
+    std::vector<MemAccess> out(n);
+    std::size_t got = 0;
+    while (got < n) {
+        const std::size_t k = gen->fillChunk(out.data() + got, n - got);
+        if (k == 0)
+            break;
+        got += k;
+    }
+    out.resize(got);
+    return out;
+}
+
+/** The distinct block addresses @p stream touches. */
+std::vector<Addr>
+blockFootprint(const std::vector<MemAccess> &stream,
+               std::uint32_t block_bytes)
+{
+    std::vector<Addr> blocks;
+    blocks.reserve(stream.size());
+    for (const MemAccess &a : stream)
+        blocks.push_back(a.addr & ~static_cast<Addr>(block_bytes - 1));
+    std::sort(blocks.begin(), blocks.end());
+    blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+    return blocks;
+}
+
+/** The first block of @p blocks on which @p a and @p b differ, or
+ *  blocks.size() when they agree on all of them. */
+std::size_t
+firstMismatch(const FunctionalMemory &a, const FunctionalMemory &b,
+              const std::vector<Addr> &blocks, std::uint32_t block_bytes)
+{
+    std::vector<std::uint8_t> x(block_bytes), y(block_bytes);
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        a.readBytes(blocks[i], x.data(), block_bytes);
+        b.readBytes(blocks[i], y.data(), block_bytes);
+        if (std::memcmp(x.data(), y.data(), block_bytes) != 0)
+            return i;
+    }
+    return blocks.size();
+}
+
+/** The architectural memory after @p stream: every write applied in
+ *  order, little endian, to a zero memory — a reference that shares no
+ *  code with the controllers. */
+void
+applyWrites(const std::vector<MemAccess> &stream, FunctionalMemory &out)
+{
+    for (const MemAccess &a : stream) {
+        if (!a.isWrite())
+            continue;
+        std::uint8_t bytes[8];
+        for (std::uint8_t k = 0; k < a.size; ++k)
+            bytes[k] = static_cast<std::uint8_t>(a.data >> (8 * k));
+        out.writeBytes(a.addr, bytes, a.size);
+    }
+}
+
+/**
+ * The gate for one backing memory per plan group: the members of a
+ * plan group, each over its own memory and replaying one shared
+ * stage-1 plan, hold equal memories after every chunk — every scheme
+ * writes back the same architectural bytes at the same evictions. So
+ * a miss fill reads the same block from any member's memory, and one
+ * memory can serve the whole group. Every scheme, at two shapes, with
+ * one and four buffer entries and with silent detection on and off.
+ */
+class PlanGroupMemories : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(PlanGroupMemories, EqualAfterEveryChunk)
+{
+    constexpr std::size_t kChunk = CacheController::kReplayChunkAccesses;
+    constexpr std::size_t kChunks = 5;
+    const std::vector<MemAccess> stream =
+        pullStream(GetParam(), kChunk * kChunks);
+    ASSERT_FALSE(stream.empty());
+
+    for (const c8t::mem::CacheConfig &shape : kGroupShapes) {
+        const std::vector<Addr> blocks =
+            blockFootprint(stream, shape.blockBytes);
+        for (const std::uint32_t entries : {1u, 4u}) {
+            for (const bool silent : {true, false}) {
+                std::vector<std::unique_ptr<FunctionalMemory>> memories;
+                std::vector<std::unique_ptr<CacheController>> group;
+                for (const WriteScheme scheme : kAllSchemes) {
+                    ControllerConfig cfg;
+                    cfg.cache = shape;
+                    cfg.scheme = scheme;
+                    cfg.bufferEntries = entries;
+                    cfg.silentDetection = silent;
+                    memories.push_back(
+                        std::make_unique<FunctionalMemory>());
+                    group.push_back(std::make_unique<CacheController>(
+                        cfg, *memories.back()));
+                }
+
+                for (std::size_t at = 0; at < stream.size(); at += kChunk) {
+                    const std::size_t n =
+                        std::min(kChunk, stream.size() - at);
+                    const c8t::mem::ChunkPlan *plan =
+                        group.front()->planReplayChunk(stream.data() + at,
+                                                       n);
+                    ASSERT_NE(plan, nullptr);
+                    for (auto &ctrl : group)
+                        ctrl->accessChunk(stream.data() + at, n, plan);
+
+                    for (std::size_t m = 1; m < group.size(); ++m) {
+                        const std::size_t bad =
+                            firstMismatch(*memories.front(), *memories[m],
+                                          blocks, shape.blockBytes);
+                        ASSERT_EQ(bad, blocks.size())
+                            << toString(kAllSchemes[m]) << " vs "
+                            << toString(kAllSchemes[0]) << " at "
+                            << shape.toString() << ", " << entries
+                            << " entries, silent " << silent
+                            << ": block 0x" << std::hex << blocks[bad]
+                            << std::dec << " after chunk "
+                            << at / kChunk;
+                    }
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Streams, PlanGroupMemories,
+                         ::testing::ValuesIn(groupStreams()),
+                         streamCaseName);
+
+/**
+ * One memory per plan group changes nothing observable. A fused runner
+ * — every configuration in one runner, each planned group over one
+ * memory — against one runner per configuration (groups of one, each
+ * over its own memory): equal results and event totals, and after
+ * drain and flush equal memories and equal words, each the value the
+ * stream's writes left there. The
+ * two shapes are interleaved, so the fused runner's groups are not
+ * contiguous, and a Random-replacement pair replays live over memories
+ * of its own.
+ */
+class SharedGroupMemory : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(SharedGroupMemory, MatchesSeparateMemories)
+{
+    std::vector<ControllerConfig> cfgs;
+    for (const WriteScheme scheme : kAllSchemes) {
+        for (const c8t::mem::CacheConfig &shape : kGroupShapes) {
+            ControllerConfig cfg;
+            cfg.cache = shape;
+            cfg.scheme = scheme;
+            cfgs.push_back(cfg);
+        }
+    }
+    for (const WriteScheme scheme :
+         {WriteScheme::Rmw, WriteScheme::WriteGroupingReadBypass}) {
+        ControllerConfig cfg;
+        cfg.cache = kGroupShapes[0];
+        cfg.cache.replacement = c8t::mem::ReplKind::Random;
+        cfg.scheme = scheme;
+        cfgs.push_back(cfg);
+    }
+    // A partial last chunk, and statistics reset between the windows.
+    const RunConfig rc{2048, 3 * CacheController::kReplayChunkAccesses +
+                                 123};
+
+    // Rings first, so they outlive the controllers they observe.
+    std::vector<std::unique_ptr<c8t::obs::EventRing>> rings;
+    const auto attachRing = [&rings](CacheController &c) {
+        rings.push_back(std::make_unique<c8t::obs::EventRing>(64));
+        c.attachEventRing(rings.back().get());
+    };
+
+    MultiSchemeRunner fused(cfgs);
+    for (std::size_t i = 0; i < cfgs.size(); ++i)
+        attachRing(fused.controller(i));
+    const auto fused_gen = c8t::app::makeWorkload(GetParam());
+    const std::vector<SchemeRunResult> fused_res = fused.run(*fused_gen, rc);
+    ASSERT_EQ(fused_res.size(), cfgs.size());
+
+    std::vector<std::unique_ptr<MultiSchemeRunner>> alone;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        alone.push_back(std::make_unique<MultiSchemeRunner>(
+            std::vector<ControllerConfig>{cfgs[i]}));
+        attachRing(alone.back()->controller(0));
+        const auto gen = c8t::app::makeWorkload(GetParam());
+        const std::vector<SchemeRunResult> res = alone.back()->run(*gen, rc);
+        ASSERT_EQ(res.size(), 1u);
+        EXPECT_EQ(res[0], fused_res[i]) << "config " << i;
+        EXPECT_EQ(rings[cfgs.size() + i]->typeCounts(),
+                  rings[i]->typeCounts())
+            << "config " << i;
+    }
+
+    // run() drained every controller; flush every member of the fused
+    // runner into its group's memory, then each lone runner.
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        fused.stack(i).flushToMemory();
+        alone[i]->stack(0).flushToMemory();
+    }
+    const std::vector<MemAccess> stream =
+        pullStream(GetParam(), rc.warmupAccesses + rc.measureAccesses);
+    FunctionalMemory written;
+    applyWrites(stream, written);
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        const std::uint32_t block_bytes = cfgs[i].cache.blockBytes;
+        const std::vector<Addr> blocks = blockFootprint(stream, block_bytes);
+        const std::size_t bad =
+            firstMismatch(fused.stack(i).memory(),
+                          alone[i]->stack(0).memory(), blocks, block_bytes);
+        ASSERT_EQ(bad, blocks.size())
+            << "config " << i << ": block 0x" << std::hex << blocks[bad];
+        for (const Addr block : blocks) {
+            for (Addr w = block; w < block + block_bytes; w += 8) {
+                ASSERT_EQ(fused.stack(i).peekWord(w),
+                          alone[i]->stack(0).peekWord(w))
+                    << "config " << i << ": word 0x" << std::hex << w;
+                ASSERT_EQ(fused.stack(i).peekWord(w), written.readWord(w))
+                    << "config " << i << ": word 0x" << std::hex << w;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Streams, SharedGroupMemory,
+                         ::testing::ValuesIn(groupStreams()),
+                         streamCaseName);
 
 } // anonymous namespace

@@ -154,8 +154,9 @@ TEST(WordMap, RandomizedCrossCheckAgainstUnorderedMap)
         ASSERT_EQ(m.get(k), v) << "key " << k;
     for (std::uint64_t k = 0; k < 4096 * 8; k += 8) {
         ASSERT_EQ(m.contains(k), ref.count(k) != 0) << "key " << k;
-        if (!ref.count(k))
+        if (!ref.count(k)) {
             ASSERT_EQ(m.get(k), 0u) << "key " << k;
+        }
     }
 }
 

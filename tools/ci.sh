@@ -9,8 +9,10 @@
 #      fault-map campaign tests, the daemon tests plus the three
 #      users of the shared core::Memo (stream cache, fault-map cache,
 #      result memo), the array, Set-Buffer, controller and
-#      explorer tests (row views index one flat buffer per array) and
-#      the WordMap tests (FunctionalMemory's page table), the trace
+#      explorer tests (row views index one flat buffer per array),
+#      the simulator tests (a plan group's members share one
+#      FunctionalMemory and copy each miss fill from one staged block)
+#      and the WordMap tests (FunctionalMemory's page table), the trace
 #      reader tests (trace files are outside input) and the frame
 #      decoder tests (c8td's wire input) under it.
 #      halt_on_error is the sanitizer default, so any heap misuse
@@ -110,14 +112,15 @@ cmake -B "$repo_root/build" -S "$repo_root"
 cmake --build "$repo_root/build" -j "$jobs"
 ctest --test-dir "$repo_root/build" --output-on-failure -j "$jobs"
 
-echo "==== asan: build + stream/sweep/pool/alloc/ecc/memo/daemon/array/trace/frame tests ===="
+echo "==== asan: build + stream/sweep/simulator/pool/alloc/ecc/memo/daemon/array/trace/frame tests ===="
 cmake -B "$repo_root/build-asan" -S "$repo_root" -DC8T_ASAN=ON
 sanitizer_tests build-asan \
     stream_identity_test simd_identity_test sweep_test \
     worker_pool_test hot_path_alloc_test functional_mem_test \
     ecc_test fault_injection_test daemon_test result_memo_test \
     fault_cache_test array_test set_buffer_test controller_test \
-    explorer_test word_map_test trace_io_test net_frame_test
+    explorer_test simulator_test word_map_test trace_io_test \
+    net_frame_test
 
 echo "==== ubsan: build + voltage-model, spec-parser, trace-reader and frame-decoder tests ===="
 cmake -B "$repo_root/build-ubsan" -S "$repo_root" -DC8T_UBSAN=ON
