@@ -95,7 +95,7 @@ main()
 
     std::vector<stats::Cell> total{std::string("TOTAL")};
     for (auto &c : ctrls)
-        total.push_back(static_cast<std::int64_t>(c.demandAccesses()));
+        total.emplace_back(static_cast<std::int64_t>(c.demandAccesses()));
     t.addRow(std::move(total));
 
     t.print(std::cout);

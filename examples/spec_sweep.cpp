@@ -56,11 +56,11 @@ main(int argc, char **argv)
         const double rmw = static_cast<double>(res[1].demandAccesses);
         std::vector<stats::Cell> row{p.name};
         for (const auto &r : res)
-            row.push_back(r.demandAccesses / rmw);
-        row.push_back(100.0 * res[4].groupedWrites /
-                      std::max<std::uint64_t>(res[4].writes, 1));
-        row.push_back(100.0 * res[5].bypassedReads /
-                      std::max<std::uint64_t>(res[5].reads, 1));
+            row.emplace_back(r.demandAccesses / rmw);
+        row.emplace_back(100.0 * res[4].groupedWrites /
+                         std::max<std::uint64_t>(res[4].writes, 1));
+        row.emplace_back(100.0 * res[5].bypassedReads /
+                         std::max<std::uint64_t>(res[5].reads, 1));
         t.addRow(std::move(row));
 
         wg_sum += 100.0 * (1.0 - res[4].demandAccesses / rmw);

@@ -26,7 +26,45 @@ storeLe(std::uint8_t *dst, std::uint64_t value, std::uint8_t size)
         dst[i] = static_cast<std::uint8_t>(value >> (8 * i));
 }
 
+/** True when @p config runs at a supply other than the nominal one:
+ *  the voltage model is attached. 0 or exactly vmodel.nominalVdd keeps
+ *  it detached, so such a run is bit-identical to a pre-vmodel one. */
+bool
+supplyAttached(const ControllerConfig &config)
+{
+    return config.vdd > 0.0 && config.vdd != config.vmodel.nominalVdd;
+}
+
 } // anonymous namespace
+
+LatencyParams
+resolvedLatency(const ControllerConfig &config)
+{
+    LatencyParams l = config.latency;
+    if (supplyAttached(config)) {
+        const sram::VddModel vm(config.vmodel);
+        l.rowReadCycles = vm.scaleCycles(l.rowReadCycles, config.vdd);
+        l.rowWriteCycles = vm.scaleCycles(l.rowWriteCycles, config.vdd);
+        l.setBufferCycles = vm.scaleCycles(l.setBufferCycles, config.vdd);
+    }
+    return l;
+}
+
+sram::EnergyEventRates
+eventRates(const ControllerConfig &config)
+{
+    const mem::CacheConfig &cache = config.cache;
+    const sram::EnergyEventRates nominal =
+        sram::EnergyModel(dataArrayGeometry(cache, config.scheme,
+                                            config.interleaveDegree),
+                          config.tech)
+            .eventRates(mem::AddrLayout(cache.blockBytes, cache.numSets())
+                            .tagBits(),
+                        cache.ways, cache.setBytes());
+    if (!supplyAttached(config))
+        return nominal;
+    return sram::VddModel(config.vmodel).scaleRates(nominal, config.vdd);
+}
 
 CacheController::CacheController(const ControllerConfig &config,
                                  mem::FunctionalMemory &memory)
@@ -43,26 +81,16 @@ CacheController::CacheController(const ControllerConfig &config,
     // Deferred energy accounting: precompute every per-event energy
     // once (the exact addends the per-access accumulation used), so
     // the hot path only bumps integer counters.
-    _rates = _energy.eventRates(_tags.layout().tagBits(),
-                                _config.cache.ways,
-                                _config.cache.setBytes());
+    _rates = eventRates(_config);
 
     // Supply-voltage operating point (DESIGN.md §10): applied entirely
-    // here — the energy rates and the array latency cycle counts are
-    // rewritten once, so the hot path is identical whether a model is
-    // attached or not. The miss penalty models the next level of the
-    // hierarchy on its own supply and stays unscaled.
-    if (_config.vdd > 0.0 && _config.vdd != _config.vmodel.nominalVdd) {
-        const sram::VddModel vm(_config.vmodel);
-        _vddPoint = vm.at(_config.vdd, cellType());
+    // here — the energy rates above and the array latency cycle counts
+    // are resolved once, so the hot path is identical whether a model
+    // is attached or not.
+    _config.latency = resolvedLatency(_config);
+    if (supplyAttached(_config)) {
+        _vddPoint = sram::VddModel(_config.vmodel).at(_config.vdd, cellType());
         _vddActive = true;
-        _rates = vm.scaleRates(_rates, _config.vdd);
-        _config.latency.rowReadCycles =
-            vm.scaleCycles(_config.latency.rowReadCycles, _config.vdd);
-        _config.latency.rowWriteCycles =
-            vm.scaleCycles(_config.latency.rowWriteCycles, _config.vdd);
-        _config.latency.setBufferCycles =
-            vm.scaleCycles(_config.latency.setBufferCycles, _config.vdd);
         _vddSupply.set(_vddPoint.vdd);
         _vddEnergyScale.set(_vddPoint.energyScale);
         _vddLeakScale.set(_vddPoint.leakageScale);
@@ -774,29 +802,29 @@ CacheController::peekWord(mem::Addr addr) const
 }
 
 double
-CacheController::dynamicEnergy() const
+CacheController::dynamicEnergy(const sram::EnergyEventRates &rates) const
 {
     // Count-then-multiply materialization: each addend below is the
     // product of an integer event count (exact) and the per-event
     // constant the per-access accumulation would have added, so the
     // total differs from a sequential accumulation only in summation
     // order (ULP-level rounding; the deferred-energy test pins this).
-    double e = static_cast<double>(_ecounts.rowReads) * _rates.rowRead +
-               static_cast<double>(_ecounts.rowWrites) * _rates.rowWrite;
+    double e = static_cast<double>(_ecounts.rowReads) * rates.rowRead +
+               static_cast<double>(_ecounts.rowWrites) * rates.rowWrite;
     for (std::uint32_t b = 1;
          b <= sram::EnergyEventRates::kMaxRequestBytes; ++b) {
         e += static_cast<double>(_ecounts.partialWrites[b]) *
-                 _rates.partialWrite[b] +
+                 rates.partialWrite[b] +
              static_cast<double>(_ecounts.setBufferReads[b]) *
-                 _rates.setBufferRead[b] +
+                 rates.setBufferRead[b] +
              static_cast<double>(_ecounts.setBufferWrites[b]) *
-                 _rates.setBufferWrite[b];
+                 rates.setBufferWrite[b];
     }
     e += static_cast<double>(_ecounts.setBufferReadRows) *
-             _rates.setBufferReadRow +
+             rates.setBufferReadRow +
          static_cast<double>(_ecounts.setBufferWriteRows) *
-             _rates.setBufferWriteRow +
-         static_cast<double>(_ecounts.tagCompares) * _rates.tagCompare;
+             rates.setBufferWriteRow +
+         static_cast<double>(_ecounts.tagCompares) * rates.tagCompare;
     return e;
 }
 

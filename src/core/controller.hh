@@ -134,7 +134,29 @@ struct ControllerConfig
 
     /** Voltage model constants (consulted only when vdd is attached). */
     sram::VddModelParams vmodel;
+
+    bool operator==(const ControllerConfig &other) const = default;
 };
+
+/**
+ * The array timing @p config runs at: the row-read, row-write and
+ * Set-Buffer cycles scaled to its supply as ceil(cycles x delayFactor)
+ * when a non-nominal supply is attached (DESIGN.md §10), the nominal
+ * cycles otherwise. The miss penalty models the next level on its own
+ * supply and stays unscaled. The controller runs at exactly this
+ * timing, and core::sharesReplay() compares it.
+ */
+LatencyParams resolvedLatency(const ControllerConfig &config);
+
+/**
+ * The per-event dynamic energies of @p config's data array at its
+ * supply: the nominal rates, scaled by the voltage model when a
+ * non-nominal supply is attached. The controller prices its own
+ * events at these; a run priced at another configuration's rates
+ * (CacheController::dynamicEnergy(rates)) reads that configuration's
+ * energy, since no rate ever feeds back into the replay.
+ */
+sram::EnergyEventRates eventRates(const ControllerConfig &config);
 
 /** Per-access result. */
 struct AccessOutcome
@@ -523,9 +545,14 @@ class CacheController
     /** The raw deferred energy event counts. */
     const EnergyCounts &energyCounts() const { return _ecounts; }
 
-    /** Accumulated dynamic energy (J) of the data path, materialized
-     *  from the deferred event counts. */
-    double dynamicEnergy() const;
+    /** Dynamic energy (J) of the data path: the deferred event counts
+     *  priced at @p rates, one count x rate addend per event kind in
+     *  a fixed order. */
+    double dynamicEnergy(const sram::EnergyEventRates &rates) const;
+
+    /** Dynamic energy (J) priced at this controller's own supply
+     *  (eventRates() of its configuration). */
+    double dynamicEnergy() const { return dynamicEnergy(_rates); }
 
     /** Distribution of write-group sizes (writes per group). */
     const stats::Distribution &groupSizes() const { return _groupSizes; }

@@ -646,8 +646,8 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
                 cells.push_back(std::move(cell));
             }
 
-            // Each cell appends its operating-point jobs (one per plan
-            // group of each grid point; each runs its own schemes'
+            // Each cell appends its operating-point jobs (one per
+            // timing class and plan group; each runs its own runs'
             // fault-map campaigns on its worker). cell_jobs[vi] is the
             // first job of cell vi, so a cell's runs are found whatever
             // the job layout.

@@ -11,15 +11,15 @@
 namespace c8t::core
 {
 
-namespace
-{
-
-/** Derive a full controller configuration for one lower level:
- *  process and voltage-model constants come from the top config, the
- *  rest from the level entry. */
 ControllerConfig
-configForLevel(const ControllerConfig &top, const LevelConfig &level)
+levelConfig(const ControllerConfig &config, std::size_t i)
 {
+    if (i == 0) {
+        ControllerConfig c = config;
+        c.lowerLevels.clear();
+        return c;
+    }
+    const LevelConfig &level = config.lowerLevels.at(i - 1);
     ControllerConfig c;
     c.cache = level.cache;
     c.scheme = level.scheme;
@@ -27,20 +27,21 @@ configForLevel(const ControllerConfig &top, const LevelConfig &level)
     c.silentDetection = level.silentDetection;
     c.interleaveDegree = level.interleaveDegree;
     c.latency = level.latency;
-    c.tech = top.tech;
+    c.tech = config.tech;
     c.vdd = level.vdd;
-    c.vmodel = top.vmodel;
+    c.vmodel = config.vmodel;
     return c;
 }
-
-} // anonymous namespace
 
 std::string
 levelStatsPrefix(std::size_t i)
 {
     if (i == 0)
         return std::string();
-    return "l" + std::to_string(i + 1) + ".";
+    std::string prefix = "l";
+    prefix += std::to_string(i + 1);
+    prefix += '.';
+    return prefix;
 }
 
 LevelStack::LevelStack(const ControllerConfig &config,
@@ -51,7 +52,8 @@ LevelStack::LevelStack(const ControllerConfig &config,
     _levels.push_back(std::make_unique<CacheController>(config, _mem));
 
     std::uint64_t upper_size = config.cache.sizeBytes;
-    for (const LevelConfig &lvl : config.lowerLevels) {
+    for (std::size_t i = 1; i <= config.lowerLevels.size(); ++i) {
+        const LevelConfig &lvl = config.lowerLevels[i - 1];
         if (lvl.cache.blockBytes != config.cache.blockBytes)
             throw std::invalid_argument(
                 "LevelStack: every level must use the top level's "
@@ -61,8 +63,8 @@ LevelStack::LevelStack(const ControllerConfig &config,
                 "LevelStack: a lower level must be at least as large "
                 "as the level above it (inclusion needs the room)");
         upper_size = lvl.cache.sizeBytes;
-        _levels.push_back(std::make_unique<CacheController>(
-            configForLevel(config, lvl), _mem));
+        _levels.push_back(
+            std::make_unique<CacheController>(levelConfig(config, i), _mem));
     }
 
     // Wire the chain: each level fetches from / writes back to the one
@@ -125,15 +127,6 @@ LevelStack::registerStats(stats::Registry &reg)
 {
     for (std::size_t i = 0; i < _levels.size(); ++i)
         _levels[i]->registerStats(reg, levelStatsPrefix(i));
-}
-
-double
-LevelStack::dynamicEnergy() const
-{
-    double e = 0.0;
-    for (const auto &lvl : _levels)
-        e += lvl->dynamicEnergy();
-    return e;
 }
 
 } // namespace c8t::core

@@ -129,13 +129,18 @@ class LevelStack
      */
     void registerStats(stats::Registry &reg);
 
-    /** Hierarchy-wide dynamic energy: the sum over all levels (J). */
-    double dynamicEnergy() const;
-
   private:
     mem::FunctionalMemory &_mem;
     std::vector<std::unique_ptr<CacheController>> _levels;
 };
+
+/**
+ * The configuration level @p i of @p config's stack is built from
+ * (0 = the top level), without the levels behind it: a lower level
+ * takes its process (tech) and voltage-model constants from the top
+ * configuration and the rest from lowerLevels[i - 1].
+ */
+ControllerConfig levelConfig(const ControllerConfig &config, std::size_t i);
 
 /** Stats prefix of level @p i: "" for 0, "l2."/"l3."/... below. */
 std::string levelStatsPrefix(std::size_t i);

@@ -15,10 +15,72 @@
 namespace c8t::core
 {
 
+namespace
+{
+
+/** Level @p i of @p config as its replay sees it: the supply resolved
+ *  into latency cycles, the voltage itself dropped. */
+ControllerConfig
+replayedLevel(const ControllerConfig &config, std::size_t i)
+{
+    ControllerConfig c = levelConfig(config, i);
+    c.latency = resolvedLatency(c);
+    c.vdd = 0.0;
+    return c;
+}
+
+/** The snapshot of one level, its energy priced at @p dynamic_energy;
+ *  a lone controller is its own hierarchy, so the total is that one
+ *  addend, bit-identically. */
+SchemeRunResult
+snapshotLevel(const std::string &workload, const CacheController &ctrl,
+              double dynamic_energy)
+{
+    SchemeRunResult r;
+    r.workload = workload;
+    r.scheme = toString(ctrl.config().scheme);
+    r.requests = ctrl.requests();
+    r.reads = ctrl.readRequests();
+    r.writes = ctrl.writeRequests();
+    r.demandAccesses = ctrl.demandAccesses();
+    r.demandRowReads = ctrl.demandRowReads();
+    r.demandRowWrites = ctrl.demandRowWrites();
+    r.fillAccesses = ctrl.fillRowReads() + ctrl.fillRowWrites();
+    r.hits = ctrl.tags().hits();
+    r.misses = ctrl.tags().misses();
+    r.groupedWrites = ctrl.groupedWrites();
+    r.bypassedReads = ctrl.bypassedReads();
+    r.prematureWritebacks = ctrl.prematureWritebacks();
+    r.silentWritesDetected = ctrl.silentWritesDetected();
+    r.silentGroupsElided = ctrl.silentGroupsElided();
+    r.meanGroupSize = ctrl.groupSizes().mean();
+    r.portStallCycles = ctrl.ports().stallCycles();
+    r.portConflicts = ctrl.ports().conflicts();
+    r.meanReadLatency = ctrl.readLatency().mean();
+    r.dynamicEnergy = dynamic_energy;
+    r.cycles = ctrl.cycle();
+    r.totalDynamicEnergy = r.dynamicEnergy;
+    return r;
+}
+
+} // anonymous namespace
+
 bool
 sharesPlan(const ControllerConfig &a, const ControllerConfig &b)
 {
     return a.cache == b.cache && a.lowerLevels == b.lowerLevels;
+}
+
+bool
+sharesReplay(const ControllerConfig &a, const ControllerConfig &b)
+{
+    if (a.lowerLevels.size() != b.lowerLevels.size())
+        return false;
+    for (std::size_t i = 0; i <= a.lowerLevels.size(); ++i) {
+        if (!(replayedLevel(a, i) == replayedLevel(b, i)))
+            return false;
+    }
+    return true;
 }
 
 MultiSchemeRunner::MultiSchemeRunner(std::vector<ControllerConfig> configs)
@@ -27,8 +89,21 @@ MultiSchemeRunner::MultiSchemeRunner(std::vector<ControllerConfig> configs)
     if (_configs.empty())
         throw std::invalid_argument("MultiSchemeRunner: no configs");
 
-    _stacks.reserve(_configs.size());
+    // The configuration that built each stack, in _stacks order.
+    std::vector<std::size_t> built;
+    _stackOf.reserve(_configs.size());
     for (std::size_t i = 0; i < _configs.size(); ++i) {
+        // A configuration the replay cannot tell from an earlier one
+        // rides on that one's stack and is only priced on its own.
+        const auto same =
+            std::find_if(built.begin(), built.end(), [&](std::size_t j) {
+                return sharesReplay(_configs[j], _configs[i]);
+            });
+        _stackOf.push_back(static_cast<std::size_t>(same - built.begin()));
+        if (same != built.end())
+            continue;
+        built.push_back(i);
+
         PlanGroup *group = nullptr;
         for (PlanGroup &g : _groups) {
             if (sharesPlan(_configs[g.first], _configs[i])) {
@@ -39,7 +114,7 @@ MultiSchemeRunner::MultiSchemeRunner(std::vector<ControllerConfig> configs)
         // A planned group's members share its first member's memory.
         if (group && group->planned) {
             _stacks.push_back(std::make_unique<LevelStack>(
-                _configs[i], _stacks[group->first]->memory()));
+                _configs[i], _stacks[_stackOf[group->first]]->memory()));
         } else {
             _memories.push_back(std::make_unique<mem::FunctionalMemory>());
             _stacks.push_back(
@@ -57,13 +132,13 @@ MultiSchemeRunner::MultiSchemeRunner(std::vector<ControllerConfig> configs)
 CacheController &
 MultiSchemeRunner::controller(std::size_t i)
 {
-    return _stacks.at(i)->top();
+    return stack(i).top();
 }
 
 LevelStack &
 MultiSchemeRunner::stack(std::size_t i)
 {
-    return *_stacks.at(i);
+    return *_stacks[_stackOf.at(i)];
 }
 
 std::uint64_t
@@ -168,9 +243,10 @@ MultiSchemeRunner::run(trace::AccessGenerator &gen, const RunConfig &run)
             obs::prof::Phase::Energy);
         for (auto &stack : _stacks)
             stack->drain();
-        results.reserve(_stacks.size());
-        for (auto &stack : _stacks)
-            results.push_back(snapshotResult(gen.name(), *stack));
+        results.reserve(_configs.size());
+        for (std::size_t i = 0; i < _configs.size(); ++i)
+            results.push_back(
+                snapshotResult(gen.name(), stack(i), _configs[i]));
     }
     return results;
 }
@@ -178,45 +254,32 @@ MultiSchemeRunner::run(trace::AccessGenerator &gen, const RunConfig &run)
 SchemeRunResult
 snapshotResult(const std::string &workload, const CacheController &ctrl)
 {
-    SchemeRunResult r;
-    r.workload = workload;
-    r.scheme = toString(ctrl.config().scheme);
-    r.requests = ctrl.requests();
-    r.reads = ctrl.readRequests();
-    r.writes = ctrl.writeRequests();
-    r.demandAccesses = ctrl.demandAccesses();
-    r.demandRowReads = ctrl.demandRowReads();
-    r.demandRowWrites = ctrl.demandRowWrites();
-    r.fillAccesses = ctrl.fillRowReads() + ctrl.fillRowWrites();
-    r.hits = ctrl.tags().hits();
-    r.misses = ctrl.tags().misses();
-    r.groupedWrites = ctrl.groupedWrites();
-    r.bypassedReads = ctrl.bypassedReads();
-    r.prematureWritebacks = ctrl.prematureWritebacks();
-    r.silentWritesDetected = ctrl.silentWritesDetected();
-    r.silentGroupsElided = ctrl.silentGroupsElided();
-    r.meanGroupSize = ctrl.groupSizes().mean();
-    r.portStallCycles = ctrl.ports().stallCycles();
-    r.portConflicts = ctrl.ports().conflicts();
-    r.meanReadLatency = ctrl.readLatency().mean();
-    r.dynamicEnergy = ctrl.dynamicEnergy();
-    r.cycles = ctrl.cycle();
-    // A lone controller is its own hierarchy: the total is the one
-    // addend, bit-identically.
-    r.totalDynamicEnergy = r.dynamicEnergy;
+    return snapshotLevel(workload, ctrl, ctrl.dynamicEnergy());
+}
+
+SchemeRunResult
+snapshotResult(const std::string &workload, const LevelStack &stack,
+               const ControllerConfig &config)
+{
+    const auto priced = [&](std::size_t i) {
+        const CacheController &level = stack.level(i);
+        return snapshotLevel(
+            workload, level,
+            level.dynamicEnergy(eventRates(levelConfig(config, i))));
+    };
+    SchemeRunResult r = priced(0);
+    r.levels.reserve(stack.depth() - 1);
+    for (std::size_t i = 1; i < stack.depth(); ++i)
+        r.levels.push_back(priced(i));
+    for (const SchemeRunResult &lvl : r.levels)
+        r.totalDynamicEnergy += lvl.dynamicEnergy;
     return r;
 }
 
 SchemeRunResult
 snapshotResult(const std::string &workload, const LevelStack &stack)
 {
-    SchemeRunResult r = snapshotResult(workload, stack.top());
-    r.levels.reserve(stack.depth() - 1);
-    for (std::size_t i = 1; i < stack.depth(); ++i)
-        r.levels.push_back(snapshotResult(workload, stack.level(i)));
-    for (const SchemeRunResult &lvl : r.levels)
-        r.totalDynamicEnergy += lvl.dynamicEnergy;
-    return r;
+    return snapshotResult(workload, stack, stack.top().config());
 }
 
 StreamStats

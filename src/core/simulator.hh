@@ -116,11 +116,27 @@ struct SchemeRunResult
 bool sharesPlan(const ControllerConfig &a, const ControllerConfig &b);
 
 /**
+ * The replay predicate: true when @p a and @p b run the same replay on
+ * any stream — every counter, cycle and latency equal — so one run
+ * serves both and each is priced at its own energy rates
+ * (snapshotResult()). That holds when the two are equal at every
+ * level once each level's supply is resolved into latency cycles
+ * (resolvedLatency()), the voltage itself ignored: a supply changes a
+ * run only through those cycles and through its energy rates, which
+ * never feed back into the replay. Supplies that resolve alike (0.95
+ * to 0.80 V on the default grid) therefore share a replay
+ * (DESIGN.md §10).
+ */
+bool sharesReplay(const ControllerConfig &a, const ControllerConfig &b);
+
+/**
  * Run one workload through several controllers in a single generation
- * pass (every controller sees the byte-identical stream). The
- * controllers fall into plan groups (sharesPlan()). A group whose top
- * level plans its chunks (no next level, not Random) shares one
- * functional memory and replays as one fused loop
+ * pass (every controller sees the byte-identical stream). A
+ * configuration that sharesReplay() with an earlier one gets no stack
+ * of its own: its result is the earlier stack's run, priced at its own
+ * supply. The stacks fall into plan groups (sharesPlan()). A group
+ * whose top level plans its chunks (no next level, not Random) shares
+ * one functional memory and replays as one fused loop
  * (CacheController::applyPlanGroup()); every other configuration —
  * hierarchy L1s, Random replacement — gets its own memory and replays
  * live.
@@ -148,16 +164,22 @@ class MultiSchemeRunner
     std::vector<SchemeRunResult> run(trace::AccessGenerator &gen,
                                      const RunConfig &run);
 
-    /** Access a top-level controller (e.g. for invariant checks after
-     *  run()); identical to stack(i).top(). */
+    /** Access the top-level controller that replays configuration
+     *  @p i (e.g. for invariant checks after run()); identical to
+     *  stack(i).top(). */
     CacheController &controller(std::size_t i);
 
-    /** Access the whole level stack of configuration @p i (per-level
-     *  controllers, hierarchy peek/flush). */
+    /** Access the level stack that replays configuration @p i
+     *  (per-level controllers, hierarchy peek/flush). A configuration
+     *  that sharesReplay() with an earlier one returns that one's
+     *  stack: its counters and memory are this configuration's too,
+     *  but its supply, energy rates and vdd.* statistics are the
+     *  earlier configuration's. */
     LevelStack &stack(std::size_t i);
 
-    /** Number of controllers (= configurations = stacks). */
-    std::size_t controllers() const { return _stacks.size(); }
+    /** Number of configurations (one result each); configurations
+     *  that share a replay share one stack. */
+    std::size_t controllers() const { return _configs.size(); }
 
     /**
      * Install an interval hook: during run()'s measurement window the
@@ -203,7 +225,7 @@ class MultiSchemeRunner
      */
     struct PlanGroup
     {
-        /** Index of the first member in _configs and _stacks. */
+        /** Index in _configs of the first member. */
         std::size_t first = 0;
 
         /** The members' top levels, in input order. */
@@ -216,7 +238,10 @@ class MultiSchemeRunner
     };
 
     std::vector<ControllerConfig> _configs;
+    /** _stackOf[i]: the index in _stacks of configuration i's replay. */
+    std::vector<std::size_t> _stackOf;
     std::vector<std::unique_ptr<mem::FunctionalMemory>> _memories;
+    /** One stack per configuration the replay can tell apart. */
     std::vector<std::unique_ptr<LevelStack>> _stacks;
     std::vector<PlanGroup> _groups;
     /** Copy buffer for generators that cannot lend a chunk
@@ -251,15 +276,27 @@ StreamStats analyzeStream(trace::AccessGenerator &gen,
                           const mem::AddrLayout &layout,
                           std::uint64_t accesses);
 
-/** Extract a result snapshot from a controller. The snapshot's
- *  totalDynamicEnergy equals its own dynamicEnergy (single level). */
+/** Extract a result snapshot from a controller, priced at its own
+ *  supply. The snapshot's totalDynamicEnergy equals its own
+ *  dynamicEnergy (single level). */
 SchemeRunResult snapshotResult(const std::string &workload,
                                const CacheController &ctrl);
 
-/** Extract a result snapshot from a whole stack: the top level's
- *  snapshot plus one `levels` entry per lower level and the
- *  hierarchy-wide totalDynamicEnergy. Identical to the controller
- *  overload for a depth-1 stack. */
+/**
+ * Extract a result snapshot from a whole stack, priced at @p config:
+ * the top level's snapshot plus one `levels` entry per lower level,
+ * each level's dynamicEnergy at eventRates() of @p config's level
+ * (levelConfig()), and the hierarchy-wide totalDynamicEnergy summed
+ * top level first. @p config must sharesReplay() with the stack's own
+ * configuration. Identical to the controller overload for a depth-1
+ * stack priced at its own configuration.
+ */
+SchemeRunResult snapshotResult(const std::string &workload,
+                               const LevelStack &stack,
+                               const ControllerConfig &config);
+
+/** The snapshot of @p stack priced at its own configuration: its top
+ *  controller's, which names every level's supply. */
 SchemeRunResult snapshotResult(const std::string &workload,
                                const LevelStack &stack);
 

@@ -71,11 +71,12 @@ struct SweepJob
 
     /**
      * Supply voltage this job evaluates, 0 when the job has no voltage
-     * dimension (every pre-vmodel sweep). Annotation only — the
-     * operating point that actually drives the simulation is
-     * configs[i].vdd — carried here so progress tooling and the Chrome
-     * trace can label jobs of a VddSweep without digging through
-     * configs.
+     * dimension (every pre-vmodel sweep); for a VddSweep job that
+     * covers a timing class of several supplies, the class's first.
+     * Annotation only — the operating points that actually drive the
+     * simulation are configs[i].vdd — carried here so progress tooling
+     * and the Chrome trace can label jobs of a VddSweep without
+     * digging through configs.
      */
     double vdd = 0.0;
 

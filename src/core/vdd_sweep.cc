@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "core/fault_cache.hh"
@@ -77,6 +78,14 @@ operatingGrid(const VddSweepSpec &spec)
                              : spec.grid;
 }
 
+/** The supply grid point @p gi's configurations run at: nominal-only
+ *  runs keep the voltage model detached. */
+double
+pointVdd(const VddSweepSpec &spec, std::size_t gi)
+{
+    return spec.grid.empty() ? 0.0 : spec.grid[gi];
+}
+
 /** The configuration that runs @p scheme at supply @p vdd: a
  *  single-level spec puts both on its cache; in hierarchy mode the L1
  *  is pinned while the scheme axis and the grid voltage ride on the
@@ -100,30 +109,69 @@ pointConfig(const VddSweepSpec &spec, WriteScheme scheme, double vdd)
     return cfg;
 }
 
-/** The plan groups of every grid point of @p spec, as scheme indices:
- *  one group per set of configurations that core::sharesPlan, in order
- *  of their first scheme. Every config of a point shares its supply,
- *  so the grouping is the same at each point: one group of every
- *  scheme for a single-level spec, one group per scheme in hierarchy
- *  mode (the schemes' L2s differ). */
+/** Group the indices 0..@p n-1 into classes of @p same with their
+ *  first member, in order of that first member. */
+template <typename Same>
 std::vector<std::vector<std::size_t>>
-planGroups(const VddSweepSpec &spec)
+classesOf(std::size_t n, Same same)
 {
-    std::vector<ControllerConfig> configs;
-    for (const WriteScheme s : spec.schemes)
-        configs.push_back(pointConfig(spec, s, 0.0));
-    std::vector<std::vector<std::size_t>> groups;
-    for (std::size_t si = 0; si < configs.size(); ++si) {
-        const auto g = std::find_if(
-            groups.begin(), groups.end(), [&](const auto &group) {
-                return sharesPlan(configs[group.front()], configs[si]);
-            });
-        if (g == groups.end())
-            groups.push_back({si});
+    std::vector<std::vector<std::size_t>> classes;
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto c = std::find_if(
+            classes.begin(), classes.end(),
+            [&](const auto &members) { return same(members.front(), i); });
+        if (c == classes.end())
+            classes.push_back({i});
         else
-            g->push_back(si);
+            c->push_back(i);
     }
-    return groups;
+    return classes;
+}
+
+/** One job of a sweep: its (grid point, scheme) runs, in result
+ *  order. */
+using JobRuns = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/**
+ * The job layout of @p spec (DESIGN.md §5): one job per (timing class,
+ * plan group). A plan group is a set of schemes whose configurations
+ * core::sharesPlan — every scheme for a single-level spec, one scheme
+ * each in hierarchy mode (the schemes' L2s differ); every config of a
+ * grid point shares its supply, so the grouping is the same at each
+ * point. A timing class is a set of grid points whose configurations
+ * core::sharesReplay for every scheme. A job lists its class's points
+ * in grid order, each with its group's schemes in spec order; the
+ * runner replays the first point's configs and prices the rest.
+ */
+std::vector<JobRuns>
+jobLayout(const VddSweepSpec &spec)
+{
+    const auto groups =
+        classesOf(spec.schemes.size(), [&](std::size_t a, std::size_t b) {
+            return sharesPlan(pointConfig(spec, spec.schemes[a], 0.0),
+                              pointConfig(spec, spec.schemes[b], 0.0));
+        });
+    const auto timing = classesOf(
+        operatingGrid(spec).size(), [&](std::size_t ga, std::size_t gb) {
+            return std::all_of(
+                spec.schemes.begin(), spec.schemes.end(),
+                [&](WriteScheme s) {
+                    return sharesReplay(
+                        pointConfig(spec, s, pointVdd(spec, ga)),
+                        pointConfig(spec, s, pointVdd(spec, gb)));
+                });
+        });
+    std::vector<JobRuns> jobs;
+    for (const std::vector<std::size_t> &points : timing) {
+        for (const std::vector<std::size_t> &group : groups) {
+            JobRuns &job = jobs.emplace_back();
+            for (const std::size_t gi : points) {
+                for (const std::size_t si : group)
+                    job.emplace_back(gi, si);
+            }
+        }
+    }
+    return jobs;
 }
 
 } // anonymous namespace
@@ -244,58 +292,56 @@ appendOperatingPointJobs(const VddSweepSpec &spec, VddFaultTable &faults,
                          std::vector<SweepJob> &jobs)
 {
     const bool nominal_only = spec.grid.empty();
-    const std::vector<double> grid = operatingGrid(spec);
     const sram::VddModel model(spec.model);
     const std::uint32_t words_per_row =
         std::max<std::uint32_t>(1, sweptShape(spec).setBytes() / 8);
-    const std::vector<std::vector<std::size_t>> groups = planGroups(spec);
+    const std::vector<JobRuns> layout = jobLayout(spec);
 
-    faults.assign(grid.size(),
+    faults.assign(operatingGrid(spec).size(),
                   std::vector<sram::FaultMapStats>(spec.schemes.size()));
-    for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-        // Nominal-only runs keep the voltage model detached.
-        const double vdd = nominal_only ? 0.0 : grid[gi];
-        for (const std::vector<std::size_t> &group : groups) {
-            SweepJob job;
-            job.makeGenerator = spec.makeGenerator;
-            job.streamKey = spec.streamKey;
-            job.vdd = vdd;
-            // Fault maps depend on (seed, vdd, geometry, cell): schemes
-            // of the same cell flavour and interleave degree share one
-            // evaluation through the process-global single-flight
-            // memo, across jobs and requests too (a warm c8td
-            // re-serves known operating points for free).
-            std::vector<std::pair<std::size_t, sram::FaultMapConfig>>
-                campaigns;
-            for (const std::size_t si : group) {
-                const WriteScheme s = spec.schemes[si];
-                job.configs.push_back(pointConfig(spec, s, vdd));
-                if (nominal_only)
-                    continue;
-                sram::FaultMapConfig fmc;
-                fmc.runSeed = spec.runSeed;
-                fmc.vdd = vdd;
-                fmc.cell = cellOf(s);
-                fmc.pfailCell = model.at(fmc.vdd, fmc.cell).pfailCell;
-                fmc.rows = spec.faultRows;
-                fmc.wordsPerRow = words_per_row;
-                fmc.degree = sweptGeometry(spec, s).interleaveDegree;
-                campaigns.emplace_back(si, fmc);
-            }
-            if (!nominal_only) {
-                // The campaigns run on the job's worker right after
-                // its replay, overlapping the other jobs' replay; each
-                // job writes only its own schemes' cells of @p faults.
-                job.inspect = [campaigns = std::move(campaigns),
-                               &row = faults[gi]](MultiSchemeRunner &) {
-                    for (const auto &[si, fmc] : campaigns)
-                        row[si] = globalFaultMapCache().evaluate(fmc);
-                };
-            }
-            jobs.push_back(std::move(job));
+    for (const JobRuns &runs : layout) {
+        SweepJob job;
+        job.makeGenerator = spec.makeGenerator;
+        job.streamKey = spec.streamKey;
+        job.vdd = pointVdd(spec, runs.front().first);
+        // Fault maps depend on (seed, vdd, geometry, cell): schemes of
+        // the same cell flavour and interleave degree share one
+        // evaluation through the process-global single-flight memo,
+        // across jobs and requests too (a warm c8td re-serves known
+        // operating points for free). Each point of a timing class
+        // still has a campaign of its own.
+        std::vector<std::tuple<std::size_t, std::size_t,
+                               sram::FaultMapConfig>>
+            campaigns;
+        for (const auto &[gi, si] : runs) {
+            const WriteScheme s = spec.schemes[si];
+            job.configs.push_back(pointConfig(spec, s, pointVdd(spec, gi)));
+            if (nominal_only)
+                continue;
+            sram::FaultMapConfig fmc;
+            fmc.runSeed = spec.runSeed;
+            fmc.vdd = spec.grid[gi];
+            fmc.cell = cellOf(s);
+            fmc.pfailCell = model.at(fmc.vdd, fmc.cell).pfailCell;
+            fmc.rows = spec.faultRows;
+            fmc.wordsPerRow = words_per_row;
+            fmc.degree = sweptGeometry(spec, s).interleaveDegree;
+            campaigns.emplace_back(gi, si, fmc);
         }
+        if (!nominal_only) {
+            // The campaigns run on the job's worker right after its
+            // replay, overlapping the other jobs' replay; each job
+            // writes only its own (grid point, scheme) cells of
+            // @p faults.
+            job.inspect = [campaigns = std::move(campaigns),
+                           &faults](MultiSchemeRunner &) {
+                for (const auto &[gi, si, fmc] : campaigns)
+                    faults[gi][si] = globalFaultMapCache().evaluate(fmc);
+            };
+        }
+        jobs.push_back(std::move(job));
     }
-    return grid.size() * groups.size();
+    return layout.size();
 }
 
 std::vector<VddCurve>
@@ -307,14 +353,15 @@ reduceOperatingPoints(const VddSweepSpec &spec, const VddFaultTable &faults,
     const sram::VddModel model(spec.model);
     const double period = model.clockPeriod();
 
-    // Where scheme si's run sits among each grid point's jobs: job
-    // slot[si].first of the point, result slot[si].second of the job.
-    const std::vector<std::vector<std::size_t>> groups = planGroups(spec);
-    std::vector<std::pair<std::size_t, std::size_t>> slot(
-        spec.schemes.size());
-    for (std::size_t j = 0; j < groups.size(); ++j) {
-        for (std::size_t k = 0; k < groups[j].size(); ++k)
-            slot[groups[j][k]] = {j, k};
+    // Where each (grid point, scheme) run sits: result
+    // slot[gi][si].second of job slot[gi][si].first.
+    const std::vector<JobRuns> layout = jobLayout(spec);
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> slot(
+        grid.size(),
+        std::vector<std::pair<std::size_t, std::size_t>>(spec.schemes.size()));
+    for (std::size_t j = 0; j < layout.size(); ++j) {
+        for (std::size_t k = 0; k < layout[j].size(); ++k)
+            slot[layout[j][k].first][layout[j][k].second] = {j, k};
     }
     const sram::TechParams tech = ControllerConfig{}.tech;
 
@@ -359,8 +406,7 @@ reduceOperatingPoints(const VddSweepSpec &spec, const VddFaultTable &faults,
             pt.operational =
                 nominal_only ||
                 pt.faults.postEccFailureRate() <= spec.failureThreshold;
-            pt.run = runs[gi * groups.size() + slot[si].first]
-                         [slot[si].second];
+            pt.run = runs[slot[gi][si].first][slot[gi][si].second];
 
             const double requests =
                 static_cast<double>(pt.run.requests);

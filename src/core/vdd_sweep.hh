@@ -5,11 +5,15 @@
  *
  * An operating-point sweep evaluates every write scheme at every
  * supply of a grid. appendOperatingPointJobs() turns a VddSweepSpec
- * into one SweepJob per plan group of each grid point (core::
- * sharesPlan): a single-level point is one job with one controller
- * per scheme, a hierarchy point one job per scheme, since the schemes'
- * L2s differ. Every job replays the byte-identical workload stream
- * (shared via the job streamKey) with the voltage model attached.
+ * into one SweepJob per (timing class, plan group): a plan group is a
+ * set of schemes that core::sharesPlan — all of them for a
+ * single-level spec, one each in hierarchy mode, since the schemes'
+ * L2s differ — and a timing class is a set of grid points whose
+ * supplies resolve to the same latency cycles for every scheme
+ * (core::sharesReplay). A job replays its class once and prices each
+ * of its points at that point's own energy rates. Every job replays
+ * the byte-identical workload stream (shared via the job streamKey)
+ * with the voltage model attached.
  * reduceOperatingPoints() then combines three ingredients into a
  * per-scheme VddCurve:
  *
@@ -27,9 +31,10 @@
  * one spec per cell and summarises each curve at its min-Vdd point.
  *
  * Fault maps depend only on (run seed, Vdd, geometry, cell type), so
- * each job evaluates its own schemes' campaigns on its worker, right
- * after its replay, through the process-global FaultMapCache: once
- * per (cell, degree, Vdd), shared across schemes, jobs and cells.
+ * each job evaluates the campaigns of its own (grid point, scheme)
+ * runs on its worker, right after its replay, through the
+ * process-global FaultMapCache: once per (cell, degree, Vdd), shared
+ * across schemes, jobs and cells.
  * Results are bit-identical for any sweep worker count.
  */
 
@@ -217,16 +222,21 @@ class VddSweepResult
 using VddFaultTable = std::vector<std::vector<sram::FaultMapStats>>;
 
 /**
- * Append @p spec's jobs to @p jobs, grid point by grid point, and
- * return how many were appended. Each grid point gets one SweepJob per
- * plan group of its configurations (core::sharesPlan), so no job mixes
- * plan groups: a single-level spec puts the scheme and the grid
- * voltage on its cache, and all schemes share one job; in hierarchy
- * mode the top level is pinned to (topScheme, topVdd) and both ride on
- * the first lower level, so every scheme gets a job of its own. Each
- * job's inspect hook evaluates its own schemes' fault-map campaigns on
- * its worker into their cells of @p faults, which is sized here and
- * must outlive the run.
+ * Append @p spec's jobs to @p jobs and return how many were appended:
+ * one SweepJob per (timing class, plan group), classes in order of
+ * their first grid point. Two configurations of one job either
+ * core::sharesPlan (schemes of one group at one point) or
+ * core::sharesReplay (one scheme at two points of a class). A
+ * single-level spec puts the scheme and the grid voltage on its
+ * cache, so all schemes share a job; in hierarchy mode the top level
+ * is pinned to (topScheme, topVdd) and both ride on the first lower
+ * level, so every scheme gets jobs of its own. A job's configs list
+ * its class's points in grid order, each with its group's schemes;
+ * SweepJob::vdd annotates the class's first supply. Each job's inspect
+ * hook evaluates the fault-map campaigns of its (grid point, scheme)
+ * runs on its worker into their cells of @p faults, which is sized
+ * here and must outlive the run. The default grid's 11 supplies fall
+ * into 7 timing classes.
  *
  * An empty grid selects nominal-only mode: the jobs of one point at
  * the nominal supply, with the voltage model detached and no
@@ -240,7 +250,8 @@ std::size_t appendOperatingPointJobs(const VddSweepSpec &spec,
 /**
  * Reduce the runs of @p spec's jobs (one result vector per job, in
  * appendOperatingPointJobs order; each (grid point, scheme) run is
- * found whatever the job layout) and their campaign outcomes to one
+ * found through the same layout the jobs were built from) and their
+ * campaign outcomes to one
  * curve per scheme: per-point energy, cycles and EDP per access, the
  * operational verdict and the min-Vdd reachability walk. In nominal-
  * only mode the single nominal point is operational by definition.

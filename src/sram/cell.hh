@@ -156,6 +156,8 @@ struct StabilityParams
      *  the 8T equivalent near 0.7 V — representative of the regime the
      *  paper describes (6T caps Vmin; 8T unlocks low-voltage levels). */
     double sigmaVth = 0.018;
+
+    bool operator==(const StabilityParams &other) const = default;
 };
 
 /**

@@ -68,6 +68,8 @@ struct TechParams
 
     /** Columns per subarray after horizontal partitioning. */
     std::uint32_t colsPerSubarray = 256;
+
+    bool operator==(const TechParams &other) const = default;
 };
 
 /**

@@ -72,6 +72,8 @@ struct VddModelParams
 
     /** @throws std::invalid_argument on non-physical constants. */
     void validate() const;
+
+    bool operator==(const VddModelParams &other) const = default;
 };
 
 /** One evaluated operating point for a specific cell type. */

@@ -353,21 +353,24 @@ TEST(Explorer, SingleCellMatchesRunVddSweepAtMinVdd)
     }
 }
 
-TEST(Explorer, HierarchyCellMatchesPerConfigReference)
+/** Run one cell (gcc, 16 KB/4w L1, optionally over a 32 KB/8w L2) on
+ *  @p grid through the explorer and require every summary to equal a
+ *  reference that runs each (grid point, scheme) config through a
+ *  runner of its own. */
+void
+expectCellMatchesPerConfigReference(const std::vector<double> &grid,
+                                    bool hierarchy)
 {
-    // One two-level cell (gcc, 16 KB/4w L1 over a 32 KB/8w L2, three
-    // grid points): the explorer's jobs put each (grid point, scheme)
-    // in a job of its own, and its summaries must equal a reference
-    // that runs every such config through its own runner.
     ExplorerSpec espec;
-    espec.label = "explorer_test_l2";
+    espec.label = "explorer_test_ref";
     espec.workloads = {"gcc"};
     espec.sizesKb = {16};
     espec.ways = {4};
     espec.blocks = {32};
-    espec.l2SizesKb = {32};
+    if (hierarchy)
+        espec.l2SizesKb = {32};
     espec.schemes = {WriteScheme::Rmw, WriteScheme::WriteGrouping};
-    espec.vddGrid = {1.0, 0.8, 0.6};
+    espec.vddGrid = grid;
     espec.faultRows = 128;
 
     core::VddSweepSpec vspec;
@@ -375,9 +378,11 @@ TEST(Explorer, HierarchyCellMatchesPerConfigReference)
     vspec.faultRows = espec.faultRows;
     vspec.cache = mem::CacheConfig{16 * 1024, 4, 32};
     vspec.schemes = espec.schemes;
-    core::LevelConfig l2;
-    l2.cache = mem::CacheConfig{32 * 1024, 8, 32};
-    vspec.lowerLevels = {l2};
+    if (hierarchy) {
+        core::LevelConfig l2;
+        l2.cache = mem::CacheConfig{32 * 1024, 8, 32};
+        vspec.lowerLevels = {l2};
+    }
     vspec.makeGenerator = [] {
         return std::make_unique<trace::MarkovStream>(
             trace::specProfile("gcc"));
@@ -400,7 +405,7 @@ TEST(Explorer, HierarchyCellMatchesPerConfigReference)
             ASSERT_NE(c, nullptr);
             const core::VddPointResult *at = core::minVddPoint(*c);
             const core::VddPointResult &pt = at ? *at : c->points.front();
-            EXPECT_EQ(p.l2SizeBytes, 32u * 1024);
+            EXPECT_EQ(p.l2SizeBytes, hierarchy ? 32u * 1024 : 0u);
             EXPECT_EQ(p.minVdd, c->minVdd);
             EXPECT_EQ(p.operational, at != nullptr);
             EXPECT_EQ(p.energyPerAccess, pt.energyPerAccess);
@@ -410,6 +415,23 @@ TEST(Explorer, HierarchyCellMatchesPerConfigReference)
                       static_cast<double>(pt.run.misses) /
                           static_cast<double>(pt.run.requests));
         }
+    }
+}
+
+TEST(Explorer, HierarchyCellMatchesPerConfigReference)
+{
+    // Each (grid point, scheme) of a two-level cell is a job of its
+    // own: no two of these supplies resolve alike.
+    expectCellMatchesPerConfigReference({1.0, 0.8, 0.6}, true);
+}
+
+TEST(Explorer, SharedTimingClassCellMatchesPerConfigReference)
+{
+    // 0.9 V and 0.8 V resolve to the same latency cycles, so the
+    // cell's jobs replay them once and price each point on its own.
+    for (const bool hierarchy : {false, true}) {
+        SCOPED_TRACE(hierarchy ? "hierarchy" : "single level");
+        expectCellMatchesPerConfigReference({1.0, 0.9, 0.8}, hierarchy);
     }
 }
 

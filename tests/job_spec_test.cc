@@ -381,8 +381,11 @@ TEST(JobSpecTest, AdmissionLimitRejectsHugeGrids)
     // of one access each: small in accesses, over the run bound.
     const auto list = [](int n) {
         std::string out = "[";
-        for (int i = 1; i <= n; ++i)
-            out += (i > 1 ? "," : "") + std::to_string(i);
+        for (int i = 1; i <= n; ++i) {
+            if (i > 1)
+                out += ',';
+            out += std::to_string(i);
+        }
         return out + "]";
     };
     try {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -135,6 +137,109 @@ TEST(AnalyzeStream, ResetsGeneratorFirst)
     const StreamStats b = analyzeStream(gen, layout, 200);
     EXPECT_EQ(a.accesses, b.accesses);
     EXPECT_DOUBLE_EQ(a.wwShare, b.wwShare);
+}
+
+/** A WG controller at supply @p vdd (0 = detached). */
+ControllerConfig
+wgAt(double vdd)
+{
+    ControllerConfig c;
+    c.scheme = WriteScheme::WriteGrouping;
+    c.vdd = vdd;
+    return c;
+}
+
+/** A 6T L1 at nominal over a WG L2 at supply @p l2_vdd. */
+ControllerConfig
+wgL2At(double l2_vdd)
+{
+    ControllerConfig c;
+    c.cache = c8t::mem::CacheConfig{16 * 1024, 4, 32};
+    c.scheme = WriteScheme::SixTDirect;
+    LevelConfig l2;
+    l2.cache = c8t::mem::CacheConfig{32 * 1024, 4, 32};
+    l2.scheme = WriteScheme::WriteGrouping;
+    l2.vdd = l2_vdd;
+    c.lowerLevels = {l2};
+    return c;
+}
+
+TEST(SharesReplay, SuppliesThatResolveAlikeShareAReplay)
+{
+    // 0.90 V and 0.80 V both resolve to {3,3,2} cycles; 1.00 V is the
+    // nominal {2,2,1} and 0.95 V already {3,3,2}.
+    ASSERT_EQ(resolvedLatency(wgAt(0.9)), resolvedLatency(wgAt(0.8)));
+    EXPECT_TRUE(sharesReplay(wgAt(0.9), wgAt(0.8)));
+    EXPECT_TRUE(sharesReplay(wgAt(0.8), wgAt(0.9)));
+    EXPECT_FALSE(sharesReplay(wgAt(1.0), wgAt(0.95)));
+    // Detached and attached at nominal are the same run.
+    EXPECT_TRUE(sharesReplay(wgAt(0.0), wgAt(1.0)));
+    EXPECT_TRUE(sharesReplay(wgL2At(0.9), wgL2At(0.85)));
+}
+
+TEST(SharesReplay, AnyOtherDifferenceBreaksTheMatch)
+{
+    ControllerConfig rmw = wgAt(0.9);
+    rmw.scheme = WriteScheme::Rmw;
+    EXPECT_FALSE(sharesReplay(wgAt(0.9), rmw));
+
+    ControllerConfig buffered = wgAt(0.8);
+    buffered.bufferEntries = 2;
+    EXPECT_FALSE(sharesReplay(wgAt(0.9), buffered));
+
+    // The L2's supply counts through its own cycles: 0.60 V is
+    // {7,7,4}, and a depth mismatch never matches.
+    EXPECT_FALSE(sharesReplay(wgL2At(0.9), wgL2At(0.6)));
+    EXPECT_FALSE(sharesReplay(wgL2At(0.9), wgAt(0.9)));
+
+    // Detached supplies resolve alike whatever the model constants,
+    // but the constants still have to match.
+    ControllerConfig other_model = wgAt(1.0);
+    other_model.vmodel.alpha = 1.4;
+    ASSERT_EQ(resolvedLatency(wgAt(1.0)), resolvedLatency(other_model));
+    EXPECT_FALSE(sharesReplay(wgAt(1.0), other_model));
+}
+
+TEST(MultiSchemeRunner, SharedReplayIsPricedPerSupply)
+{
+    // WG at 0.90 / 0.85 / 0.50 V: the first two share a replay, the
+    // third does not. Each result equals the config's own lone run,
+    // energies included, bit for bit.
+    for (const bool hierarchy : {false, true}) {
+        SCOPED_TRACE(hierarchy ? "hierarchy" : "single level");
+        const auto at = [&](double vdd) {
+            return hierarchy ? wgL2At(vdd) : wgAt(vdd);
+        };
+        const std::vector<ControllerConfig> configs{at(0.9), at(0.85),
+                                                    at(0.5)};
+        const RunConfig rc{1'000, 6'000};
+        MultiSchemeRunner runner(configs);
+        EXPECT_EQ(runner.controllers(), 3u);
+        EXPECT_EQ(&runner.stack(0), &runner.stack(1));
+        EXPECT_NE(&runner.stack(0), &runner.stack(2));
+        c8t::trace::MarkovStream gen(c8t::trace::specProfile("gcc"));
+        const auto got = runner.run(gen, rc);
+        ASSERT_EQ(got.size(), configs.size());
+        EXPECT_NE(got[0].totalDynamicEnergy, got[1].totalDynamicEnergy);
+
+        const auto bits = [](double d) {
+            return std::bit_cast<std::uint64_t>(d);
+        };
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            MultiSchemeRunner alone({configs[i]});
+            c8t::trace::MarkovStream g(c8t::trace::specProfile("gcc"));
+            const SchemeRunResult want = alone.run(g, rc).front();
+            EXPECT_EQ(got[i], want) << "config " << i;
+            EXPECT_EQ(bits(got[i].dynamicEnergy), bits(want.dynamicEnergy));
+            EXPECT_EQ(bits(got[i].totalDynamicEnergy),
+                      bits(want.totalDynamicEnergy));
+            ASSERT_EQ(got[i].levels.size(), hierarchy ? 1u : 0u);
+            if (hierarchy) {
+                EXPECT_EQ(bits(got[i].levels[0].dynamicEnergy),
+                          bits(want.levels[0].dynamicEnergy));
+            }
+        }
+    }
 }
 
 TEST(SnapshotResult, CopiesCounters)

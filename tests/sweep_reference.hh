@@ -3,11 +3,11 @@
  * Test-only reference for the operating-point engine: the curves of a
  * VddSweepSpec computed one scheme at a time, with every (grid point,
  * scheme) configuration run serially through a MultiSchemeRunner of
- * its own. A one-scheme spec has one configuration per grid point, so
- * the reference does not depend on how the engine groups several
- * schemes into jobs or finds their runs again; the fault campaigns
- * come from the engine's own inspect hooks and the per-scheme
- * reduction from reduceOperatingPoints.
+ * its own. No two configurations share a runner, so the reference
+ * depends neither on how the engine groups schemes into jobs nor on
+ * which supplies it replays once and prices per point; the fault
+ * campaigns come from the engine's own inspect hooks and the
+ * per-scheme reduction from reduceOperatingPoints.
  */
 
 #ifndef C8T_TESTS_SWEEP_REFERENCE_HH
@@ -36,11 +36,16 @@ referenceCurves(const VddSweepSpec &spec, const RunConfig &rc)
 
         std::vector<std::vector<SchemeRunResult>> runs;
         for (const SweepJob &job : jobs) {
-            MultiSchemeRunner runner(job.configs);
-            const auto gen = one.makeGenerator();
-            runs.push_back(runner.run(*gen, rc));
-            if (job.inspect)
-                job.inspect(runner);
+            std::vector<SchemeRunResult> &job_runs = runs.emplace_back();
+            for (const ControllerConfig &config : job.configs) {
+                MultiSchemeRunner runner({config});
+                const auto gen = one.makeGenerator();
+                job_runs.push_back(runner.run(*gen, rc).front());
+                // The job's hook (its fault campaigns) runs once, after
+                // its last configuration.
+                if (job.inspect && job_runs.size() == job.configs.size())
+                    job.inspect(runner);
+            }
         }
         curves.push_back(reduceOperatingPoints(one, faults, runs).front());
     }

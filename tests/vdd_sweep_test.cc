@@ -450,4 +450,62 @@ TEST(VddSweepJobs, HierarchyLayoutNeverChangesAResult)
     }
 }
 
+TEST(VddSweepJobs, DefaultGridReplaysEachTimingClassOnce)
+{
+    // The default grid's 11 supplies resolve to 7 latency triples
+    // (0.95-0.80 V alike, 0.75-0.70 V alike), so a sweep runs one job
+    // per (timing class, plan group): 7 single-level, 7 x 4 in
+    // hierarchy mode. Pricing each point of a class from the class's
+    // one replay gives exactly the point's own lone run.
+    const RunConfig rc{500, 3'000};
+    VddSweepSpec single = testSpec();
+    single.cache = mem::CacheConfig{16 * 1024, 4, 32};
+    VddSweepSpec hier = hierarchySpec();
+    hier.grid = VddSweepSpec{}.grid;
+    hier.schemes = VddSweepSpec{}.schemes;
+    ASSERT_EQ(single.grid.size(), 11u);
+
+    for (const VddSweepSpec &spec : {single, hier}) {
+        const bool hierarchy = !spec.lowerLevels.empty();
+        SCOPED_TRACE(hierarchy ? "hierarchy" : "single level");
+        core::VddFaultTable faults;
+        std::vector<core::SweepJob> jobs;
+        const std::size_t appended =
+            core::appendOperatingPointJobs(spec, faults, jobs);
+        EXPECT_EQ(jobs.size(), 7 * (hierarchy ? spec.schemes.size() : 1));
+        EXPECT_EQ(appended, jobs.size());
+        std::size_t configs = 0;
+        for (const core::SweepJob &job : jobs) {
+            configs += job.configs.size();
+            for (const ControllerConfig &a : job.configs) {
+                for (const ControllerConfig &b : job.configs)
+                    EXPECT_TRUE(core::sharesPlan(a, b) ||
+                                core::sharesReplay(a, b));
+            }
+        }
+        EXPECT_EQ(configs, spec.grid.size() * spec.schemes.size());
+
+        const VddSweepResult r = core::runVddSweep(spec, rc, 2);
+        for (std::size_t si = 0; si < spec.schemes.size(); ++si) {
+            for (std::size_t gi = 0; gi < spec.grid.size(); ++gi) {
+                ControllerConfig cfg;
+                if (hierarchy) {
+                    cfg = hierarchyPointConfig(spec, spec.schemes[si],
+                                               spec.grid[gi]);
+                } else {
+                    cfg.cache = spec.cache;
+                    cfg.vmodel = spec.model;
+                    cfg.scheme = spec.schemes[si];
+                    cfg.vdd = spec.grid[gi];
+                }
+                core::MultiSchemeRunner alone({cfg});
+                const auto gen = spec.makeGenerator();
+                EXPECT_EQ(r.curves[si].points[gi].run,
+                          alone.run(*gen, rc).front())
+                    << "scheme " << si << ", point " << gi;
+            }
+        }
+    }
+}
+
 } // anonymous namespace

@@ -11,7 +11,10 @@
 #      result memo), the array, Set-Buffer, controller and
 #      explorer tests (row views index one flat buffer per array),
 #      the simulator tests (a plan group's members share one
-#      FunctionalMemory and copy each miss fill from one staged block)
+#      FunctionalMemory and copy each miss fill from one staged block),
+#      the Vdd sweep tests (a job of several supplies writes each
+#      point's fault-map cell through a captured table reference, and
+#      supplies that share a replay read one shared stack)
 #      and the WordMap tests (FunctionalMemory's page table), the trace
 #      reader tests (trace files are outside input) and the frame
 #      decoder tests (c8td's wire input) under it.
@@ -62,7 +65,7 @@
 #      same operating point (the shared-JobSpec contract extended to
 #      the hierarchy), and require a small two-level explore to write
 #      the same document at --jobs 1 and --jobs 4 (a hierarchy sweep
-#      runs one job per grid point and scheme, so its job layout
+#      runs one job per timing class and scheme, so its job layout
 #      depends on nothing but the spec).
 #   9. Perf gate: tools/perf_ab.sh HEAD~1, a same-host A/B of the
 #      repository benchmark (perfbench) between the parent commit and
@@ -112,15 +115,15 @@ cmake -B "$repo_root/build" -S "$repo_root"
 cmake --build "$repo_root/build" -j "$jobs"
 ctest --test-dir "$repo_root/build" --output-on-failure -j "$jobs"
 
-echo "==== asan: build + stream/sweep/simulator/pool/alloc/ecc/memo/daemon/array/trace/frame tests ===="
+echo "==== asan: build + stream/sweep/simulator/vdd/pool/alloc/ecc/memo/daemon/array/trace/frame tests ===="
 cmake -B "$repo_root/build-asan" -S "$repo_root" -DC8T_ASAN=ON
 sanitizer_tests build-asan \
     stream_identity_test simd_identity_test sweep_test \
     worker_pool_test hot_path_alloc_test functional_mem_test \
     ecc_test fault_injection_test daemon_test result_memo_test \
     fault_cache_test array_test set_buffer_test controller_test \
-    explorer_test simulator_test word_map_test trace_io_test \
-    net_frame_test
+    explorer_test simulator_test vdd_sweep_test word_map_test \
+    trace_io_test net_frame_test
 
 echo "==== ubsan: build + voltage-model, spec-parser, trace-reader and frame-decoder tests ===="
 cmake -B "$repo_root/build-ubsan" -S "$repo_root" -DC8T_UBSAN=ON
