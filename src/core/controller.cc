@@ -67,9 +67,10 @@ eventRates(const ControllerConfig &config)
 }
 
 CacheController::CacheController(const ControllerConfig &config,
-                                 mem::FunctionalMemory &memory)
+                                 mem::FunctionalMemory &memory,
+                                 MemoryRole role)
     : _config(config), _traits(schemeTraits(config.scheme)),
-      _mem(memory), _tags(config.cache),
+      _mem(memory), _role(role), _tags(config.cache),
       _array(dataArrayGeometry(config.cache, config.scheme,
                                config.interleaveDegree)),
       _energy(_array.geometry(), config.tech)
@@ -257,7 +258,7 @@ CacheController::settleSet(std::uint32_t set, stats::Counter &cause)
 template <typename FillFn>
 std::uint32_t
 CacheController::handleMiss(mem::Addr block_addr, FillFn &&fill_tags,
-                            const std::uint8_t *staged, bool stores_victim)
+                            const std::uint8_t *staged)
 {
     const std::uint32_t set = _tags.layout().setOf(block_addr);
 
@@ -318,7 +319,7 @@ CacheController::handleMiss(mem::Addr block_addr, FillFn &&fill_tags,
             if (_next)
                 _next->acceptBlockWriteback(fill.evictedBlockAddr,
                                             victim, block_bytes);
-            else if (stores_victim)
+            else if (_role == MemoryRole::Owner)
                 _mem.writeBytes(fill.evictedBlockAddr, victim,
                                 block_bytes);
         }
@@ -341,12 +342,11 @@ CacheController::ensureResident(mem::Addr block_addr)
         return {true, r.way};
     return {false, handleMiss(
                        block_addr, [&] { return _tags.fill(block_addr); },
-                       nullptr, true)};
+                       nullptr)};
 }
 
 CacheController::ResidentRef
-CacheController::applyPlanned(mem::Addr block_addr, const PlannedStep &step,
-                              bool stores_victim)
+CacheController::applyPlanned(mem::Addr block_addr, const PlannedStep &step)
 {
     if (step.flags & mem::ChunkPlan::kHit) {
         assert(_tags.probe(block_addr).hit &&
@@ -375,7 +375,7 @@ CacheController::applyPlanned(mem::Addr block_addr, const PlannedStep &step,
                                                   step.tag, step.replWord);
                            return f;
                        },
-                       step.fill, stores_victim)};
+                       step.fill)};
 }
 
 void
@@ -521,53 +521,76 @@ CacheController::planReplayChunk(const trace::MemAccess *chunk,
     return &_tags.planChunk(chunk, count);
 }
 
+template <typename ResolverFn>
+inline void
+CacheController::lockstep(std::span<CacheController *const> group,
+                          const trace::MemAccess *chunk, std::size_t count,
+                          ResolverFn &&resolver)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        const trace::MemAccess &a = chunk[i];
+        const auto resolve = resolver(i);
+        for (CacheController *m : group) {
+            m->beginAccess(a);
+            m->dispatch(a, [m, &resolve](mem::Addr b) {
+                return resolve(*m, b);
+            });
+        }
+    }
+}
+
 void
 CacheController::applyPlanGroup(std::span<CacheController *const> group,
                                 const trace::MemAccess *chunk,
                                 std::size_t count,
-                                const mem::ChunkPlan &plan)
+                                const mem::ChunkPlan *plan)
 {
     CacheController &lead = *group.front();
-    assert(plan.count == count);
     for ([[maybe_unused]] const CacheController *m : group)
-        assert(m->plannedChunkEligible() &&
+        assert((!plan || m->plannedChunkEligible()) &&
                m->_config.cache == lead._config.cache &&
                &m->_mem == &lead._mem);
 
+    // The planned/live choice, once per chunk. Live, every member looks
+    // its tags up, fills and fetches itself.
+    if (!plan) {
+        lockstep(group, chunk, count, [](std::size_t) {
+            return [](CacheController &m, mem::Addr b) {
+                return m.ensureResident(b);
+            };
+        });
+        return;
+    }
+
+    assert(plan->count == count);
     const mem::AddrLayout &layout = lead._tags.layout();
     const std::uint32_t block_bytes = lead._config.cache.blockBytes;
     std::uint8_t *const staged = lead._stagedBlock.data();
 
-    // Stage 2 of the pipeline: apply the plan in original request
-    // order, each access to every member before the next. Each scheme
-    // body consumes the planned lookup outcome instead of performing a
-    // live one; the tag arrays' hit/miss sums are order-free and folded
-    // in once per chunk.
-    for (std::size_t i = 0; i < count; ++i) {
-        const trace::MemAccess &a = chunk[i];
+    // Planned: each scheme body consumes the planned lookup outcome
+    // instead of performing a live one, and a miss fill is read once
+    // for the whole group; the tag arrays' hit/miss sums are order-free
+    // and folded in once per chunk.
+    lockstep(group, chunk, count, [&](std::size_t i) {
         PlannedStep step;
-        step.set = plan.set[i];
-        step.way = plan.way[i];
-        step.flags = plan.flags[i];
-        step.replWord = plan.replWord[i];
+        step.set = plan->set[i];
+        step.way = plan->way[i];
+        step.flags = plan->flags[i];
+        step.replWord = plan->replWord[i];
         if (!(step.flags & mem::ChunkPlan::kHit)) {
-            step.tag = plan.tag[i];
+            step.tag = plan->tag[i];
             if (step.flags & mem::ChunkPlan::kEvictValid)
-                step.evictedAddr = plan.evictedAddr[i];
-            lead._mem.readBytes(layout.blockAlign(a.addr), staged,
+                step.evictedAddr = plan->evictedAddr[i];
+            lead._mem.readBytes(layout.blockAlign(chunk[i].addr), staged,
                                 block_bytes);
             step.fill = staged;
         }
-        for (CacheController *m : group) {
-            m->beginAccess(a);
-            const bool stores_victim = m == &lead;
-            m->dispatch(a, [m, &step, stores_victim](mem::Addr b) {
-                return m->applyPlanned(b, step, stores_victim);
-            });
-        }
-    }
+        return [step](CacheController &m, mem::Addr b) {
+            return m.applyPlanned(b, step);
+        };
+    });
     for (CacheController *m : group)
-        m->_tags.addPlannedCounts(plan);
+        m->_tags.addPlannedCounts(*plan);
 }
 
 void
@@ -575,16 +598,10 @@ CacheController::accessChunk(const trace::MemAccess *chunk,
                              std::size_t count,
                              const mem::ChunkPlan *plan)
 {
-    if (plannedChunkEligible() && count > 0) {
-        // Run stage 1 (or adopt the caller's shared plan) and apply it
-        // as a plan group of one.
-        CacheController *const self = this;
-        applyPlanGroup({&self, 1}, chunk, count,
-                       plan ? *plan : _tags.planChunk(chunk, count));
-        return;
-    }
-    for (std::size_t i = 0; i < count; ++i)
-        access(chunk[i]);
+    if (!plan || !plannedChunkEligible() || count == 0)
+        plan = planReplayChunk(chunk, count);
+    CacheController *const self = this;
+    applyPlanGroup({&self, 1}, chunk, count, plan);
 }
 
 template <typename ResolveFn>

@@ -177,12 +177,17 @@ struct AccessOutcome
     std::uint64_t latencyCycles = 0;
 };
 
+/** Whether a controller stores its dirty victims in its memory. A plan
+ *  group's members share one memory and evict the same bytes at the
+ *  same access, so only the first, the Owner, stores them (DESIGN.md
+ *  §7); only a level with no next level ever does. */
+enum class MemoryRole : std::uint8_t { Owner, Follower };
+
 /**
  * The controller. One instance per (scheme, shape) under test. The
  * levels of one hierarchy share one FunctionalMemory, and so do the
  * members of a plan group (applyPlanGroup()): they hold the same
- * architectural bytes, so one memory serves them all. Any other
- * controller gets its own memory.
+ * architectural bytes, so one memory serves them all.
  */
 class CacheController
 {
@@ -190,10 +195,12 @@ class CacheController
     /**
      * @param config Validated configuration.
      * @param memory Backing store (must outlive the controller).
+     * @param role   Whether dirty victims are stored in @p memory.
      * @throws std::invalid_argument on inconsistent configuration.
      */
     CacheController(const ControllerConfig &config,
-                    mem::FunctionalMemory &memory);
+                    mem::FunctionalMemory &memory,
+                    MemoryRole role = MemoryRole::Owner);
 
     /** Service one request (Algorithm 1 for the grouping schemes). */
     AccessOutcome access(const trace::MemAccess &request);
@@ -204,49 +211,37 @@ class CacheController
     static constexpr std::size_t kReplayChunkAccesses = 4096;
 
     /**
-     * Service @p count requests from @p chunk back to back. Result-,
-     * statistics-, event- and audit-identical to calling access() per
-     * element: each element runs the same dispatch().
-     *
-     * When the controller qualifies (see plannedChunkEligible()), the
-     * chunk runs as the two-stage set-batched pipeline (DESIGN.md §7):
-     * stage 1 plans every tag lookup in per-set batches (SIMD
-     * way-compares, replacement arithmetic on stack-local state) and
-     * stage 2 applies the plan as a plan group of one
-     * (applyPlanGroup()), in original request order through the same
-     * scheme bodies and miss handling as access(), so attached
-     * observers (event ring, energy audit, eviction hook) see the
-     * per-access sequence. @p plan optionally supplies a stage-1
-     * result computed by a controller with an identical cache; it is
-     * ignored when this controller does not qualify, and the chunk
-     * then resolves every access live.
+     * Service @p count requests from @p chunk back to back, as a plan
+     * group of one (applyPlanGroup()). Result-, statistics-, event- and
+     * audit-identical to calling access() per element. @p plan
+     * optionally supplies a stage-1 result computed by a controller
+     * with an identical cache; when this controller plans and none is
+     * given it plans the chunk itself (planReplayChunk()), and when it
+     * does not plan, @p plan is ignored and every access resolves live.
      */
     void accessChunk(const trace::MemAccess *chunk, std::size_t count,
                      const mem::ChunkPlan *plan = nullptr);
 
     /**
-     * Stage 2 for a plan group (DESIGN.md §7): same-shape controllers
-     * that replay one stream march in lockstep, so one stage-1 @p plan
-     * of @p chunk serves them all. Access i is applied to every member
-     * of @p group, in group order, before access i+1; the chunk record
-     * and the plan entry are read once per access. Each member still
-     * runs its own beginAccess/dispatch/miss sequence, so its counters,
-     * ring notes, audit order and eviction hook are exactly those of
-     * accessChunk() on it alone.
+     * Stage 2 of the replay (DESIGN.md §7), the one loop every chunk
+     * runs through. Access i is applied to every member of @p group,
+     * in group order, before access i+1; each member runs its own
+     * beginAccess/dispatch/miss sequence, so its counters, ring notes,
+     * audit order and eviction hook are exactly those of access() on
+     * it alone. With a stage-1 @p plan of @p chunk (planReplayChunk()
+     * on the first member) each plan entry is decoded once, and a
+     * planned miss reads its fill from the shared memory once into a
+     * staged block that every member copies. With a null @p plan
+     * (Random, hierarchy L1s) every member resolves each access live.
      *
-     * The members share one FunctionalMemory: a planned miss reads the
-     * fill block from it once and every member copies that staged
-     * block into its row, and only the first member stores dirty
-     * victims — every member evicts the same block holding the same
-     * architectural bytes (tests/simulator_test.cc, PlanGroupMemories).
-     *
-     * Requires: every member plannedChunkEligible(), with the cache
-     * shape @p plan was made for and the first member's memory.
+     * Requires: same-shape members over the first member's memory, of
+     * which only the Owner stores victims (MemoryRole), each
+     * plannedChunkEligible() when @p plan is given.
      */
     static void applyPlanGroup(std::span<CacheController *const> group,
                                const trace::MemAccess *chunk,
                                std::size_t count,
-                               const mem::ChunkPlan &plan);
+                               const mem::ChunkPlan *plan);
 
     /** True when the batched pipeline may run: the replacement policy
      *  is deterministic (not Random) and no next level exists — an L1
@@ -264,7 +259,8 @@ class CacheController
      * tag state for sharing with same-shape controllers (their tag
      * trajectories are identical on identical streams, so one plan
      * serves all). Returns nullptr when the batched pipeline does not
-     * apply here (see accessChunk()); the plan stays valid until the
+     * apply here (plannedChunkEligible()) or @p count is 0, and the
+     * chunk then replays live; the plan stays valid until the
      * next planReplayChunk()/accessChunk() call on this controller.
      */
     const mem::ChunkPlan *planReplayChunk(const trace::MemAccess *chunk,
@@ -655,10 +651,17 @@ class CacheController
     /** Planned-path equivalent of ensureResident(): apply @p step in
      *  request order — a hit stores the planned replacement word, a
      *  miss runs handleMiss() with the planned fill and the group's
-     *  staged block, storing a dirty victim only when
-     *  @p stores_victim. */
-    ResidentRef applyPlanned(mem::Addr block_addr, const PlannedStep &step,
-                             bool stores_victim);
+     *  staged block. */
+    ResidentRef applyPlanned(mem::Addr block_addr, const PlannedStep &step);
+
+    /** applyPlanGroup()'s loop: every member of @p group runs access
+     *  i's body with the resolver @p resolver(i) returns, called as
+     *  resolve(member, block_addr). Inline (controller.cc), once per
+     *  resolver kind. */
+    template <typename ResolverFn>
+    static void lockstep(std::span<CacheController *const> group,
+                         const trace::MemAccess *chunk, std::size_t count,
+                         ResolverFn &&resolver);
 
     /** Miss handling: victim write-back + fill; returns the filled
      *  way. @p fill_tags performs the tag-side allocation —
@@ -666,11 +669,11 @@ class CacheController
      *  FillResult. The fill is copied from the staged block
      *  @p staged; a live miss passes nullptr and stages it here,
      *  from the next level or the memory. A dirty victim goes to the
-     *  next level, or to the memory when @p stores_victim. */
+     *  next level, or to the memory when this controller is its
+     *  memory's Owner. */
     template <typename FillFn>
     std::uint32_t handleMiss(mem::Addr block_addr, FillFn &&fill_tags,
-                             const std::uint8_t *staged,
-                             bool stores_victim);
+                             const std::uint8_t *staged);
 
     /** Per-request prologue shared by access() and applyPlanGroup():
      *  request counters and the inter-request clock advance. */
@@ -757,6 +760,7 @@ class CacheController
     SchemeTraits _traits;
 
     mem::FunctionalMemory &_mem;
+    MemoryRole _role;
     mem::TagArray _tags;
     sram::SRAMArray _array;
     sram::EnergyModel _energy;

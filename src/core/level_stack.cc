@@ -45,11 +45,13 @@ levelStatsPrefix(std::size_t i)
 }
 
 LevelStack::LevelStack(const ControllerConfig &config,
-                       mem::FunctionalMemory &memory)
+                       mem::FunctionalMemory &memory, MemoryRole role)
     : _mem(memory)
 {
+    // Every level gets @p role; only the bottom one, which has no next
+    // level, ever writes a victim to the memory.
     _levels.reserve(1 + config.lowerLevels.size());
-    _levels.push_back(std::make_unique<CacheController>(config, _mem));
+    _levels.push_back(std::make_unique<CacheController>(config, _mem, role));
 
     std::uint64_t upper_size = config.cache.sizeBytes;
     for (std::size_t i = 1; i <= config.lowerLevels.size(); ++i) {
@@ -63,8 +65,8 @@ LevelStack::LevelStack(const ControllerConfig &config,
                 "LevelStack: a lower level must be at least as large "
                 "as the level above it (inclusion needs the room)");
         upper_size = lvl.cache.sizeBytes;
-        _levels.push_back(
-            std::make_unique<CacheController>(levelConfig(config, i), _mem));
+        _levels.push_back(std::make_unique<CacheController>(
+            levelConfig(config, i), _mem, role));
     }
 
     // Wire the chain: each level fetches from / writes back to the one

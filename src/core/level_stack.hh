@@ -52,14 +52,18 @@ class LevelStack
      * config itself, one further level per lowerLevels entry (nearest
      * first). Lower levels inherit the top's process (tech) and
      * voltage-model constants; geometry, scheme, buffering and Vdd are
-     * per level. All levels share @p memory.
+     * per level. All levels share @p memory. The bottom level stores
+     * its dirty victims in @p memory when @p role is Owner; a plan
+     * group's followers share their first member's memory and do not
+     * (CacheController::applyPlanGroup()).
      *
      * @throws std::invalid_argument when a lower level's block size
      *         differs from the top's or its capacity is smaller than
      *         the level above it (inclusion needs the room).
      */
     LevelStack(const ControllerConfig &config,
-               mem::FunctionalMemory &memory);
+               mem::FunctionalMemory &memory,
+               MemoryRole role = MemoryRole::Owner);
 
     LevelStack(const LevelStack &) = delete;
     LevelStack &operator=(const LevelStack &) = delete;
@@ -87,7 +91,8 @@ class LevelStack
         return top().access(request);
     }
 
-    /** Replay a chunk through the top level (see CacheController). */
+    /** Replay a chunk through the top level, as a plan group of one
+     *  (see CacheController). */
     void accessChunk(const trace::MemAccess *chunk, std::size_t count,
                      const mem::ChunkPlan *plan = nullptr)
     {

@@ -89,43 +89,33 @@ MultiSchemeRunner::MultiSchemeRunner(std::vector<ControllerConfig> configs)
     if (_configs.empty())
         throw std::invalid_argument("MultiSchemeRunner: no configs");
 
-    // The configuration that built each stack, in _stacks order.
-    std::vector<std::size_t> built;
-    _stackOf.reserve(_configs.size());
-    for (std::size_t i = 0; i < _configs.size(); ++i) {
-        // A configuration the replay cannot tell from an earlier one
-        // rides on that one's stack and is only priced on its own.
-        const auto same =
-            std::find_if(built.begin(), built.end(), [&](std::size_t j) {
-                return sharesReplay(_configs[j], _configs[i]);
-            });
-        _stackOf.push_back(static_cast<std::size_t>(same - built.begin()));
-        if (same != built.end())
-            continue;
-        built.push_back(i);
-
-        PlanGroup *group = nullptr;
-        for (PlanGroup &g : _groups) {
-            if (sharesPlan(_configs[g.first], _configs[i])) {
-                group = &g;
-                break;
-            }
+    // One stack per class of configurations the replay cannot tell
+    // apart: the class's first member builds it, and the others ride
+    // on it and are only priced on their own.
+    const auto replays =
+        classesOf(_configs.size(), [&](std::size_t a, std::size_t b) {
+            return sharesReplay(_configs[a], _configs[b]);
+        });
+    const auto groups =
+        classesOf(replays.size(), [&](std::size_t a, std::size_t b) {
+            return sharesPlan(_configs[replays[a].front()],
+                              _configs[replays[b].front()]);
+        });
+    _stackOf.resize(_configs.size());
+    _stacks.resize(replays.size());
+    // One memory per plan group: its first stack stores victims there,
+    // and the others follow.
+    for (const std::vector<std::size_t> &members : groups) {
+        _memories.push_back(std::make_unique<mem::FunctionalMemory>());
+        std::vector<CacheController *> &tops = _groups.emplace_back();
+        for (const std::size_t r : members) {
+            _stacks[r] = std::make_unique<LevelStack>(
+                _configs[replays[r].front()], *_memories.back(),
+                tops.empty() ? MemoryRole::Owner : MemoryRole::Follower);
+            tops.push_back(&_stacks[r]->top());
+            for (const std::size_t i : replays[r])
+                _stackOf[i] = r;
         }
-        // A planned group's members share its first member's memory.
-        if (group && group->planned) {
-            _stacks.push_back(std::make_unique<LevelStack>(
-                _configs[i], _stacks[_stackOf[group->first]]->memory()));
-        } else {
-            _memories.push_back(std::make_unique<mem::FunctionalMemory>());
-            _stacks.push_back(
-                std::make_unique<LevelStack>(_configs[i], *_memories.back()));
-        }
-        if (!group) {
-            group = &_groups.emplace_back();
-            group->first = i;
-            group->planned = _stacks.back()->top().plannedChunkEligible();
-        }
-        group->tops.push_back(&_stacks.back()->top());
     }
 }
 
@@ -186,27 +176,23 @@ MultiSchemeRunner::replayWindow(trace::AccessGenerator &gen,
 
         // Plan groups are independent of each other, so feeding them
         // one after the other from the flat chunk is result-identical
-        // to interleaving them per access. A planned group runs stage 1
-        // once on its first member and applies that plan to all of
-        // them in one fused loop over their shared memory: the tag
-        // compares, the replacement arithmetic and the miss-fill reads
-        // run once per shape, not once per scheme.
+        // to interleaving them per access. Each group replays as one
+        // fused loop over its shared memory. When its first member
+        // plans, stage 1 runs once on it and the tag compares, the
+        // replacement arithmetic and the miss-fill reads run once per
+        // shape, not once per scheme; otherwise (Random, hierarchy L1s)
+        // every member resolves each access live.
         {
             const obs::prof::ScopedPhase replay_scope(
                 obs::prof::Phase::Replay, prof_on);
-            for (const PlanGroup &g : _groups) {
-                if (!g.planned) {
-                    for (CacheController *c : g.tops)
-                        c->accessChunk(chunk, got);
-                    continue;
-                }
+            for (const std::vector<CacheController *> &tops : _groups) {
                 const mem::ChunkPlan *plan = nullptr;
-                {
+                if (tops.front()->plannedChunkEligible()) {
                     const obs::prof::ScopedPhase plan_scope(
                         obs::prof::Phase::Plan, prof_on);
-                    plan = g.tops.front()->planReplayChunk(chunk, got);
+                    plan = tops.front()->planReplayChunk(chunk, got);
                 }
-                CacheController::applyPlanGroup(g.tops, chunk, got, *plan);
+                CacheController::applyPlanGroup(tops, chunk, got, plan);
             }
         }
         if (prof_on) {

@@ -8,6 +8,8 @@
 #ifndef C8T_CORE_SIMULATOR_HH
 #define C8T_CORE_SIMULATOR_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -130,16 +132,39 @@ bool sharesPlan(const ControllerConfig &a, const ControllerConfig &b);
 bool sharesReplay(const ControllerConfig &a, const ControllerConfig &b);
 
 /**
+ * Group the indices 0..@p n-1 into classes of @p same, each index
+ * compared with a class's first member: classes in order of their
+ * first member, members in index order. MultiSchemeRunner forms its
+ * replays (sharesReplay()) and plan groups (sharesPlan()) with it, and
+ * the Vdd sweep its plan groups and timing classes.
+ */
+template <typename Same>
+std::vector<std::vector<std::size_t>>
+classesOf(std::size_t n, Same same)
+{
+    std::vector<std::vector<std::size_t>> classes;
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto c = std::find_if(
+            classes.begin(), classes.end(),
+            [&](const auto &members) { return same(members.front(), i); });
+        if (c == classes.end())
+            classes.push_back({i});
+        else
+            c->push_back(i);
+    }
+    return classes;
+}
+
+/**
  * Run one workload through several controllers in a single generation
  * pass (every controller sees the byte-identical stream). A
  * configuration that sharesReplay() with an earlier one gets no stack
  * of its own: its result is the earlier stack's run, priced at its own
- * supply. The stacks fall into plan groups (sharesPlan()). A group
- * whose top level plans its chunks (no next level, not Random) shares
- * one functional memory and replays as one fused loop
- * (CacheController::applyPlanGroup()); every other configuration —
- * hierarchy L1s, Random replacement — gets its own memory and replays
- * live.
+ * supply. The stacks fall into plan groups (sharesPlan()). Every group
+ * shares one functional memory and replays as one fused loop
+ * (CacheController::applyPlanGroup()): planned when its top level
+ * plans its chunks (no next level, not Random), live otherwise
+ * (hierarchy L1s, Random replacement).
  *
  * The generator is reset() first; after warm-up every controller's
  * statistics are reset; after the measurement window every controller
@@ -216,34 +241,21 @@ class MultiSchemeRunner
     std::uint64_t replayWindow(trace::AccessGenerator &gen,
                                std::uint64_t accesses, bool measured);
 
-    /**
-     * One plan group: the configurations that sharesPlan() with its
-     * first member, in input order. Every controller sees every
-     * access, and tag evolution is scheme-independent, so same-shape
-     * tag states march in lockstep — the first member's stage-1 plan
-     * is exact for the whole group and is computed once per chunk.
-     */
-    struct PlanGroup
-    {
-        /** Index in _configs of the first member. */
-        std::size_t first = 0;
-
-        /** The members' top levels, in input order. */
-        std::vector<CacheController *> tops;
-
-        /** The first member plans its chunks, and the group shares
-         *  its memory; otherwise each member replays live over its
-         *  own memory. */
-        bool planned = false;
-    };
-
     std::vector<ControllerConfig> _configs;
     /** _stackOf[i]: the index in _stacks of configuration i's replay. */
     std::vector<std::size_t> _stackOf;
+    /** One memory per plan group. */
     std::vector<std::unique_ptr<mem::FunctionalMemory>> _memories;
     /** One stack per configuration the replay can tell apart. */
     std::vector<std::unique_ptr<LevelStack>> _stacks;
-    std::vector<PlanGroup> _groups;
+    /**
+     * The plan groups: the top levels of the stacks that sharesPlan()
+     * with the group's first, in input order. Every controller sees
+     * every access, and tag evolution is scheme-independent, so
+     * same-shape tag states march in lockstep — the first member's
+     * stage-1 plan, when it plans, is exact for the whole group.
+     */
+    std::vector<std::vector<CacheController *>> _groups;
     /** Copy buffer for generators that cannot lend a chunk
      *  (borrowChunk() returns null); allocated on first such chunk. */
     std::vector<trace::MemAccess> _chunk;

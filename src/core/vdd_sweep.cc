@@ -109,25 +109,6 @@ pointConfig(const VddSweepSpec &spec, WriteScheme scheme, double vdd)
     return cfg;
 }
 
-/** Group the indices 0..@p n-1 into classes of @p same with their
- *  first member, in order of that first member. */
-template <typename Same>
-std::vector<std::vector<std::size_t>>
-classesOf(std::size_t n, Same same)
-{
-    std::vector<std::vector<std::size_t>> classes;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto c = std::find_if(
-            classes.begin(), classes.end(),
-            [&](const auto &members) { return same(members.front(), i); });
-        if (c == classes.end())
-            classes.push_back({i});
-        else
-            c->push_back(i);
-    }
-    return classes;
-}
-
 /** One job of a sweep: its (grid point, scheme) runs, in result
  *  order. */
 using JobRuns = std::vector<std::pair<std::size_t, std::size_t>>;
@@ -455,20 +436,20 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
     appendOperatingPointJobs(spec, faults, jobs);
 
     VddSweepResult result;
-    result.workload = spec.makeGenerator()->name();
     result.failureThreshold = spec.failureThreshold;
     result.grid = spec.grid;
     result.hierarchy = !spec.lowerLevels.empty();
 
     // Hierarchy sweeps get their own label so their heartbeat and
     // trace spans are told apart from a single-level sweep's.
-    const std::string label =
-        "vdd_sweep:" + result.workload + (result.hierarchy ? "+l2" : "");
-
     const ParallelSweeper sweeper(workers);
-    result.curves =
-        reduceOperatingPoints(spec, faults, sweeper.run(jobs, rc, label));
+    const std::vector<std::vector<SchemeRunResult>> runs = sweeper.run(
+        jobs, rc, result.hierarchy ? "vdd_sweep+l2" : "vdd_sweep");
 
+    // Every run replays the one stream, so the first names the
+    // workload; the factory is called only inside the jobs.
+    result.workload = runs.front().front().workload;
+    result.curves = reduceOperatingPoints(spec, faults, runs);
     return result;
 }
 

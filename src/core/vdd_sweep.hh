@@ -266,9 +266,10 @@ const VddPointResult *minVddPoint(const VddCurve &curve);
 
 /**
  * Run the sweep: the parallel SweepJobs of appendOperatingPointJobs
- * (label
- * "vdd_sweep:<workload>" for the heartbeat and trace spans, with a
- * "+l2" suffix in hierarchy mode), reduced by reduceOperatingPoints.
+ * (label "vdd_sweep" for the heartbeat and trace spans, "vdd_sweep+l2"
+ * in hierarchy mode), reduced by reduceOperatingPoints. The workload
+ * factory is called only inside the jobs; the result's workload name
+ * is the first run's.
  *
  * @param spec    Sweep configuration (validated; throws
  *                std::invalid_argument on an empty/ascending grid, no

@@ -146,26 +146,11 @@ TagArray::planSets(const trace::MemAccess *chunk)
                 w = static_cast<std::uint32_t>(std::countr_zero(m));
                 flags = ChunkPlan::kHit;
                 ++_plan.hits;
-                if constexpr (K == ReplKind::Lru)
-                    repl = lruMovedToFront(repl, w);
-                else if constexpr (K == ReplKind::TreePlru)
-                    repl = plruPointedAway(repl, _ways, w);
-                // FIFO: hits do not move the fill counter.
+                repl = replAfterHit(K, repl, _ways, w);
             } else {
                 ++_plan.misses;
                 flags = 0;
-                // Victim choice, identical to victimRepl(): invalid
-                // ways first in ascending order, then the packed
-                // heuristic.
-                w = static_cast<std::uint32_t>(std::countr_one(valid));
-                if (w >= _ways) {
-                    if constexpr (K == ReplKind::Lru)
-                        w = lruVictimOf(repl, _ways);
-                    else if constexpr (K == ReplKind::TreePlru)
-                        w = plruVictimOf(repl, _ways);
-                    else
-                        w = static_cast<std::uint32_t>(repl % _ways);
-                }
+                w = victimWay(K, valid, repl, _ways, _victimRng);
                 const std::uint64_t bit = 1ull << w;
                 if (valid & bit) {
                     flags |= ChunkPlan::kEvictValid;
@@ -180,12 +165,7 @@ TagArray::planSets(const trace::MemAccess *chunk)
                 tags[w] = tag;
                 valid |= bit;
                 dirty &= ~bit;
-                if constexpr (K == ReplKind::Lru)
-                    repl = lruMovedToFront(repl, w);
-                else if constexpr (K == ReplKind::TreePlru)
-                    repl = plruPointedAway(repl, _ways, w);
-                else
-                    ++repl; // FIFO fill counter
+                repl = replAfterFill(K, repl, _ways, w);
             }
             if (chunk[i].isWrite())
                 dirty |= 1ull << w; // markDirtyWay

@@ -193,8 +193,7 @@ class TagArray
         if (m) {
             const auto way =
                 static_cast<std::uint32_t>(std::countr_zero(m));
-            ++_hits;
-            touchRepl(set, way);
+            recordHit(set, way);
             return {true, way};
         }
         ++_misses;
@@ -210,7 +209,8 @@ class TagArray
     {
         assert(isValid(set, way));
         ++_hits;
-        touchRepl(set, way);
+        _replWord[set] =
+            replAfterHit(_config.replacement, _replWord[set], _ways, way);
     }
 
     /**
@@ -224,7 +224,9 @@ class TagArray
         assert(!probe(addr).hit && "fill of a resident block");
 
         const std::uint32_t set = _layout.setOf(addr);
-        const std::uint32_t way = victimRepl(set);
+        const std::uint32_t way = victimWay(
+            _config.replacement, _valid[set], _replWord[set], _ways,
+            _victimRng);
 
         FillResult result;
         result.way = way;
@@ -245,14 +247,15 @@ class TagArray
         _tagStore[idx] = _layout.tagOf(addr);
         _valid[set] |= bit;
         _dirty[set] &= ~bit;
-        insertRepl(set, way);
+        _replWord[set] =
+            replAfterFill(_config.replacement, _replWord[set], _ways, way);
         return result;
     }
 
     /**
      * Drop the block in (set, way): clears valid and dirty without
      * touching replacement state (the stale repl entry ages out
-     * naturally; victimRepl may pick the hole next, which is the
+     * naturally; victimWay may pick the hole next, which is the
      * desired behaviour for a back-invalidated frame). Used by the
      * hierarchy's inclusion maintenance — an L2 eviction must
      * invalidate the line's L1 copy.
@@ -411,72 +414,68 @@ class TagArray
         return simd::matchBits(tags, _ways, tag) & _valid[set];
     }
 
-    /** Record a use of (set, way) in the packed replacement state. */
-    void touchRepl(std::uint32_t set, std::uint32_t way)
-    {
-        switch (_config.replacement) {
-          case ReplKind::Lru:
-            lruMoveToFront(set, way);
-            break;
-          case ReplKind::TreePlru:
-            plruPointAway(set, way);
-            break;
-          case ReplKind::Fifo:
-          case ReplKind::Random:
-            break; // hits do not move FIFO/Random state
-        }
-    }
+    // The replacement transitions, one copy for both paths: the live
+    // per-access path passes the configured policy and the chunk
+    // planner (planSets<K>) its compile-time K on stack-local state, so
+    // both compute bit-identical words and victims.
 
-    /** Record a fill of (set, way). */
-    void insertRepl(std::uint32_t set, std::uint32_t way)
+    /** Replacement word @p repl after a hit on @p way under @p k
+     *  (FIFO and Random hits leave it as it is). */
+    static std::uint64_t replAfterHit(ReplKind k, std::uint64_t repl,
+                                      std::uint32_t ways, std::uint32_t way)
     {
-        switch (_config.replacement) {
+        switch (k) {
           case ReplKind::Lru:
-            lruMoveToFront(set, way);
-            break;
+            return lruMovedToFront(repl, way);
           case ReplKind::TreePlru:
-            plruPointAway(set, way);
-            break;
+            return plruPointedAway(repl, ways, way);
           case ReplKind::Fifo:
-            ++_replWord[set];
-            break;
           case ReplKind::Random:
             break;
         }
+        return repl;
     }
 
-    /** Choose the victim way of @p set (invalid ways first). */
-    std::uint32_t victimRepl(std::uint32_t set)
+    /** Replacement word @p repl after a fill of @p way under @p k: a
+     *  hit's update, except that FIFO counts the fill. */
+    static std::uint64_t replAfterFill(ReplKind k, std::uint64_t repl,
+                                       std::uint32_t ways, std::uint32_t way)
     {
-        const std::uint64_t valid = _valid[set];
+        return k == ReplKind::Fifo ? repl + 1
+                                   : replAfterHit(k, repl, ways, way);
+    }
 
-        // Invalid ways are preferred before any replacement
-        // heuristic, in ascending way order.
+    /** The victim way of a set with valid-way mask @p valid and
+     *  replacement word @p repl under @p k: invalid ways first, in
+     *  ascending way order, then the policy's choice (a draw from
+     *  @p rng under Random). */
+    static std::uint32_t victimWay(ReplKind k, std::uint64_t valid,
+                                   std::uint64_t repl, std::uint32_t ways,
+                                   trace::Rng &rng)
+    {
         const auto first_invalid =
             static_cast<std::uint32_t>(std::countr_one(valid));
-        if (first_invalid < _ways)
+        if (first_invalid < ways)
             return first_invalid;
 
-        switch (_config.replacement) {
+        switch (k) {
           case ReplKind::Lru:
-            return lruVictimOf(_replWord[set], _ways);
+            return lruVictimOf(repl, ways);
           case ReplKind::TreePlru:
-            return plruVictimOf(_replWord[set], _ways);
+            return plruVictimOf(repl, ways);
           case ReplKind::Fifo:
             // Fills land on invalid ways in ascending order and the
-            // only path to valid is fill(), so fill order is
+            // only path to valid is a fill, so fill order is
             // round-robin: the oldest fill is the fill counter modulo
             // the associativity.
-            return static_cast<std::uint32_t>(_replWord[set] % _ways);
+            return static_cast<std::uint32_t>(repl % ways);
           case ReplKind::Random:
-            return static_cast<std::uint32_t>(_victimRng.below(_ways));
+            return static_cast<std::uint32_t>(rng.below(ways));
         }
         return 0;
     }
 
-    // Pure packed-encoding transforms, shared verbatim between the
-    // live per-access path and the chunk planner's stack-local
-    // simulation so both compute bit-identical replacement words.
+    // Pure packed-encoding transforms behind the transitions above.
 
     /** Nibble i of an LRU recency word holds the way at recency rank
      *  i (0 = MRU); ranks at or above the associativity stay 0. */
@@ -543,18 +542,6 @@ class TagArray
             span = half;
         }
         return base;
-    }
-
-    /** Move @p way to the MRU nibble of the set's recency word. */
-    void lruMoveToFront(std::uint32_t set, std::uint32_t way)
-    {
-        _replWord[set] = lruMovedToFront(_replWord[set], way);
-    }
-
-    /** Point every PLRU tree node on @p way's path away from it. */
-    void plruPointAway(std::uint32_t set, std::uint32_t way)
-    {
-        _replWord[set] = plruPointedAway(_replWord[set], _ways, way);
     }
 
     /** Size the plan and its set-sort scratch for chunks of up to

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/controller.hh"
+#include "core/level_stack.hh"
 #include "obs/event_ring.hh"
 #include "obs/histogram.hh"
 #include "obs/metrics.hh"
@@ -244,7 +245,10 @@ TEST(HotPathAllocations, FusedPlanGroupIsAllocationFree)
           WriteScheme::WriteGroupingReadBypass}) {
         ControllerConfig cfg;
         cfg.scheme = scheme;
-        ctrls.push_back(std::make_unique<CacheController>(cfg, memory));
+        ctrls.push_back(std::make_unique<CacheController>(
+            cfg, memory,
+            ctrls.empty() ? core::MemoryRole::Owner
+                          : core::MemoryRole::Follower));
         group.push_back(ctrls.back().get());
     }
 
@@ -255,7 +259,7 @@ TEST(HotPathAllocations, FusedPlanGroupIsAllocationFree)
                 group.front()->planReplayChunk(stream.data() + i, n);
             ASSERT_NE(plan, nullptr);
             CacheController::applyPlanGroup(group, stream.data() + i, n,
-                                            *plan);
+                                            plan);
         }
     };
     feed(0, kChunk);
@@ -271,6 +275,58 @@ TEST(HotPathAllocations, FusedPlanGroupIsAllocationFree)
                          << " fused group accesses";
     for (const CacheController *c : group)
         EXPECT_EQ(c->requests(), stream.size());
+
+    // The live groups run the same loop with a null plan, also over one
+    // memory: a Random group, and a two-level group whose L1s each
+    // fetch from an L2 of their own. Every member resolves each access
+    // itself; after the first chunk neither may touch the heap.
+    for (const bool two_level : {false, true}) {
+        mem::FunctionalMemory live_memory;
+        live_memory.reserve(1u << 20);
+        std::vector<std::unique_ptr<core::LevelStack>> stacks;
+        std::vector<CacheController *> tops;
+        for (const WriteScheme scheme :
+             {WriteScheme::Rmw, WriteScheme::WriteGrouping,
+              WriteScheme::WriteGroupingReadBypass}) {
+            ControllerConfig cfg;
+            cfg.scheme = scheme;
+            if (two_level)
+                cfg.lowerLevels.emplace_back();
+            else
+                cfg.cache.replacement = mem::ReplKind::Random;
+            stacks.push_back(std::make_unique<core::LevelStack>(
+                cfg, live_memory,
+                stacks.empty() ? core::MemoryRole::Owner
+                               : core::MemoryRole::Follower));
+            tops.push_back(&stacks.back()->top());
+        }
+
+        const auto live_feed = [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; i += kChunk) {
+                const std::size_t n = std::min(kChunk, end - i);
+                ASSERT_EQ(tops.front()->planReplayChunk(stream.data() + i,
+                                                        n),
+                          nullptr);
+                CacheController::applyPlanGroup(tops, stream.data() + i, n,
+                                                nullptr);
+            }
+        };
+        live_feed(0, kChunk);
+
+        const std::uint64_t live_before =
+            g_allocations.load(std::memory_order_relaxed);
+        live_feed(kChunk, stream.size());
+        const std::uint64_t live_delta =
+            g_allocations.load(std::memory_order_relaxed) - live_before;
+
+        const char *const kind = two_level ? "two-level" : "Random";
+        EXPECT_EQ(live_delta, 0u)
+            << live_delta << " heap allocations in "
+            << stream.size() - kChunk << " live " << kind
+            << " group accesses";
+        for (const CacheController *c : tops)
+            EXPECT_EQ(c->requests(), stream.size()) << kind;
+    }
 }
 
 TEST(HotPathAllocations, DrainAndFlushStayAllocationFree)

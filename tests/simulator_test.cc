@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -342,6 +343,28 @@ firstMismatch(const FunctionalMemory &a, const FunctionalMemory &b,
     return blocks.size();
 }
 
+/** Empty when every memory of @p memories, one per scheme of
+ *  kAllSchemes, equals the first on @p blocks; otherwise names the
+ *  first member that differs and the block. */
+std::string
+memoryMismatch(const std::vector<std::unique_ptr<FunctionalMemory>> &memories,
+               const std::vector<Addr> &blocks, std::uint32_t block_bytes)
+{
+    for (std::size_t m = 1; m < memories.size(); ++m) {
+        const std::size_t bad = firstMismatch(*memories.front(),
+                                              *memories[m], blocks,
+                                              block_bytes);
+        if (bad != blocks.size()) {
+            std::ostringstream os;
+            os << toString(kAllSchemes[m]) << " vs "
+               << toString(kAllSchemes[0]) << ": block 0x" << std::hex
+               << blocks[bad];
+            return os.str();
+        }
+    }
+    return {};
+}
+
 /** The architectural memory after @p stream: every write applied in
  *  order, little endian, to a zero memory — a reference that shares no
  *  code with the controllers. */
@@ -360,12 +383,16 @@ applyWrites(const std::vector<MemAccess> &stream, FunctionalMemory &out)
 
 /**
  * The gate for one backing memory per plan group: the members of a
- * plan group, each over its own memory and replaying one shared
- * stage-1 plan, hold equal memories after every chunk — every scheme
- * writes back the same architectural bytes at the same evictions. So
- * a miss fill reads the same block from any member's memory, and one
- * memory can serve the whole group. Every scheme, at two shapes, with
- * one and four buffer entries and with silent detection on and off.
+ * plan group, each over its own memory, hold equal memories after
+ * every chunk — every scheme writes back the same architectural bytes
+ * at the same evictions. So a miss fill reads the same block from any
+ * member's memory, and one memory can serve the whole group. Planned
+ * groups replay one shared stage-1 plan: every scheme, at two shapes,
+ * with one and four buffer entries and with silent detection on and
+ * off. The live groups, which do not plan, run in lockstep (access i
+ * reaches every member before access i+1, as applyPlanGroup() runs
+ * them): a Random-replacement group, and a two-level group of one L1
+ * shape over one L2, every scheme at the top level.
  */
 class PlanGroupMemories : public ::testing::TestWithParam<std::string>
 {};
@@ -407,21 +434,50 @@ TEST_P(PlanGroupMemories, EqualAfterEveryChunk)
                     for (auto &ctrl : group)
                         ctrl->accessChunk(stream.data() + at, n, plan);
 
-                    for (std::size_t m = 1; m < group.size(); ++m) {
-                        const std::size_t bad =
-                            firstMismatch(*memories.front(), *memories[m],
-                                          blocks, shape.blockBytes);
-                        ASSERT_EQ(bad, blocks.size())
-                            << toString(kAllSchemes[m]) << " vs "
-                            << toString(kAllSchemes[0]) << " at "
-                            << shape.toString() << ", " << entries
-                            << " entries, silent " << silent
-                            << ": block 0x" << std::hex << blocks[bad]
-                            << std::dec << " after chunk "
-                            << at / kChunk;
-                    }
+                    ASSERT_EQ(memoryMismatch(memories, blocks,
+                                             shape.blockBytes),
+                              "")
+                        << shape.toString() << ", " << entries
+                        << " entries, silent " << silent
+                        << ", after chunk " << at / kChunk;
                 }
             }
+        }
+    }
+
+    for (const bool two_level : {false, true}) {
+        ControllerConfig cfg;
+        cfg.cache = kGroupShapes[1];
+        if (two_level) {
+            LevelConfig l2;
+            l2.cache = {32 * 1024, 4, 64};
+            cfg.lowerLevels.push_back(l2);
+        } else {
+            cfg.cache.replacement = c8t::mem::ReplKind::Random;
+        }
+        std::vector<std::unique_ptr<FunctionalMemory>> memories;
+        std::vector<std::unique_ptr<LevelStack>> group;
+        for (const WriteScheme scheme : kAllSchemes) {
+            cfg.scheme = scheme;
+            memories.push_back(std::make_unique<FunctionalMemory>());
+            group.push_back(
+                std::make_unique<LevelStack>(cfg, *memories.back()));
+        }
+        const std::vector<Addr> blocks =
+            blockFootprint(stream, cfg.cache.blockBytes);
+
+        for (std::size_t at = 0; at < stream.size(); at += kChunk) {
+            const std::size_t n = std::min(kChunk, stream.size() - at);
+            ASSERT_EQ(group.front()->planReplayChunk(stream.data() + at, n),
+                      nullptr);
+            for (std::size_t i = at; i < at + n; ++i) {
+                for (auto &stack : group)
+                    stack->access(stream[i]);
+            }
+            ASSERT_EQ(memoryMismatch(memories, blocks, cfg.cache.blockBytes),
+                      "")
+                << (two_level ? "two-level" : "Random")
+                << " group, after chunk " << at / kChunk;
         }
     }
 }
@@ -432,14 +488,14 @@ INSTANTIATE_TEST_SUITE_P(Streams, PlanGroupMemories,
 
 /**
  * One memory per plan group changes nothing observable. A fused runner
- * — every configuration in one runner, each planned group over one
+ * — every configuration in one runner, each plan group over one
  * memory — against one runner per configuration (groups of one, each
  * over its own memory): equal results and event totals, and after
  * drain and flush equal memories and equal words, each the value the
- * stream's writes left there. The
- * two shapes are interleaved, so the fused runner's groups are not
- * contiguous, and a Random-replacement pair replays live over memories
- * of its own.
+ * stream's writes left there. The two shapes are interleaved, so the
+ * fused runner's groups are not contiguous, and two live groups share
+ * a memory each: a Random-replacement pair and a two-level group of
+ * every scheme over one L2.
  */
 class SharedGroupMemory : public ::testing::TestWithParam<std::string>
 {};
@@ -463,6 +519,15 @@ TEST_P(SharedGroupMemory, MatchesSeparateMemories)
         cfg.scheme = scheme;
         cfgs.push_back(cfg);
     }
+    for (const WriteScheme scheme : kAllSchemes) {
+        ControllerConfig cfg;
+        cfg.cache = kGroupShapes[0];
+        cfg.scheme = scheme;
+        LevelConfig l2;
+        l2.cache = {64 * 1024, 8, 32};
+        cfg.lowerLevels.push_back(l2);
+        cfgs.push_back(cfg);
+    }
     // A partial last chunk, and statistics reset between the windows.
     const RunConfig rc{2048, 3 * CacheController::kReplayChunkAccesses +
                                  123};
@@ -480,6 +545,13 @@ TEST_P(SharedGroupMemory, MatchesSeparateMemories)
     const auto fused_gen = c8t::app::makeWorkload(GetParam());
     const std::vector<SchemeRunResult> fused_res = fused.run(*fused_gen, rc);
     ASSERT_EQ(fused_res.size(), cfgs.size());
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        for (std::size_t j = 0; j < cfgs.size(); ++j) {
+            EXPECT_EQ(&fused.stack(i).memory() == &fused.stack(j).memory(),
+                      sharesPlan(cfgs[i], cfgs[j]))
+                << "configs " << i << " and " << j;
+        }
+    }
 
     std::vector<std::unique_ptr<MultiSchemeRunner>> alone;
     for (std::size_t i = 0; i < cfgs.size(); ++i) {

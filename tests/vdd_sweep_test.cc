@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -256,6 +257,29 @@ TEST(VddSweep, ResultIsIdenticalForAnyWorkerCount)
     ASSERT_EQ(dumps.size(), 5u);
     for (std::size_t i = 1; i < dumps.size(); ++i)
         EXPECT_EQ(dumps[0], dumps[i]) << "run " << i;
+}
+
+TEST(VddSweep, CallsTheFactoryOnlyInsideItsJobs)
+{
+    // With no stream key every job builds its own generator, and the
+    // result takes the workload name from its first run, so the
+    // factory runs exactly once per job: 7 on the default grid, one
+    // per timing class.
+    VddSweepSpec spec = testSpec();
+    spec.streamKey.clear();
+    std::atomic<int> calls{0};
+    spec.makeGenerator = [&calls] {
+        ++calls;
+        return std::make_unique<trace::MarkovStream>(
+            trace::specProfile("gcc"));
+    };
+    core::VddFaultTable faults;
+    std::vector<core::SweepJob> jobs;
+    ASSERT_EQ(core::appendOperatingPointJobs(spec, faults, jobs), 7u);
+
+    const VddSweepResult r = core::runVddSweep(spec, RunConfig{100, 1'000}, 2);
+    EXPECT_EQ(calls.load(), 7);
+    EXPECT_EQ(r.workload, "gcc");
 }
 
 TEST(VddSweep, DumpJsonIsVersionedAndWellFormed)

@@ -12,6 +12,9 @@
 #      explorer tests (row views index one flat buffer per array),
 #      the simulator tests (a plan group's members share one
 #      FunctionalMemory and copy each miss fill from one staged block),
+#      the tag-array and packed-replacement tests (the live path and
+#      the chunk planner share one set of replacement transitions, and
+#      the planner indexes a stack-local tag copy),
 #      the Vdd sweep tests (a job of several supplies writes each
 #      point's fault-map cell through a captured table reference, and
 #      supplies that share a replay read one shared stack)
@@ -44,6 +47,10 @@
 #      plain and with an event ring and Chrome trace attached
 #      (--trace-events 4096 --chrome-trace) and require byte-identical
 #      stdout and --stats-json: tracing must not change a result.
+#      Last, run c8tsim --vdd-sweep --repl random at --jobs 1 and
+#      --jobs 4 and require byte-identical --stats-json: a single-level
+#      sweep keeps all four schemes in one job, so a four-member live
+#      (Random) plan group replays over one shared memory end to end.
 #   6. Explorer smoke: the same small design-space explore three ways
 #      — uninterrupted, interrupted after one shard (checkpointed),
 #      and resumed from those checkpoints — and require the resumed
@@ -115,7 +122,7 @@ cmake -B "$repo_root/build" -S "$repo_root"
 cmake --build "$repo_root/build" -j "$jobs"
 ctest --test-dir "$repo_root/build" --output-on-failure -j "$jobs"
 
-echo "==== asan: build + stream/sweep/simulator/vdd/pool/alloc/ecc/memo/daemon/array/trace/frame tests ===="
+echo "==== asan: build + stream/sweep/simulator/vdd/pool/alloc/ecc/memo/daemon/array/trace/frame/cache tests ===="
 cmake -B "$repo_root/build-asan" -S "$repo_root" -DC8T_ASAN=ON
 sanitizer_tests build-asan \
     stream_identity_test simd_identity_test sweep_test \
@@ -123,7 +130,7 @@ sanitizer_tests build-asan \
     ecc_test fault_injection_test daemon_test result_memo_test \
     fault_cache_test array_test set_buffer_test controller_test \
     explorer_test simulator_test vdd_sweep_test word_map_test \
-    trace_io_test net_frame_test
+    trace_io_test net_frame_test cache_test packed_repl_property_test
 
 echo "==== ubsan: build + voltage-model, spec-parser, trace-reader and frame-decoder tests ===="
 cmake -B "$repo_root/build-ubsan" -S "$repo_root" -DC8T_UBSAN=ON
@@ -189,6 +196,20 @@ if [ ! -s "$trace_dir/trace.json" ]; then
 fi
 rm -rf "$trace_dir"
 echo "ci: tracing byte-identity holds on the 16-way shape"
+
+random_dir=$(mktemp -d)
+for j in 1 4; do
+    "$repo_root/build/tools/c8tsim" --vdd-sweep --repl random \
+        --accesses 20000 --jobs "$j" \
+        --stats-json "$random_dir/j$j.json" > /dev/null
+done
+if ! cmp -s "$random_dir/j1.json" "$random_dir/j4.json"; then
+    echo "ci: c8tsim --vdd-sweep --repl random differs between" \
+         "--jobs 1 and --jobs 4" >&2
+    exit 1
+fi
+rm -rf "$random_dir"
+echo "ci: a shared-memory Random plan group is worker-count independent"
 
 echo "==== explorer: CLI interrupt/resume byte-identity ===="
 # A small explore (16 config-runs over 2 workloads) run three ways:
