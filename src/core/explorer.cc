@@ -11,11 +11,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "core/decimal.hh"
 #include "core/policies.hh"
 #include "core/stream_cache.hh"
 #include "core/sweep.hh"
@@ -50,8 +53,7 @@ parseDoubleToken(const std::string &tok)
     char *end = nullptr;
     const double v = std::strtod(tok.c_str(), &end);
     if (!end || *end != '\0' || end == tok.c_str())
-        throw std::runtime_error("explorer checkpoint: bad number \"" +
-                                 tok + "\"");
+        throw std::runtime_error("bad number \"" + tok + "\"");
     return v;
 }
 
@@ -210,12 +212,17 @@ writeShardCheckpoint(const std::string &dir, std::uint64_t shard,
     std::filesystem::rename(tmp, path);
 }
 
-/** Load one shard checkpoint; returns the skipped-cell count and
- *  appends the points to @p out. */
+/**
+ * Load one shard checkpoint; returns the skipped-cell count and
+ * appends the points to @p out. A checkpoint holds one point per
+ * scheme of every cell it did not skip; any field that does not parse,
+ * or counts that do not add up, fail with an error naming the file.
+ */
 std::uint64_t
 loadShardCheckpoint(const std::string &path,
                     const std::string &signature, std::uint64_t shard,
                     std::uint64_t first, std::uint64_t count,
+                    std::size_t schemes,
                     std::vector<DesignPointSummary> &out)
 {
     const obs::prof::ScopedPhase serialize_scope(
@@ -259,35 +266,134 @@ loadShardCheckpoint(const std::string &path,
     if (f_first != first || f_count != count)
         throw fail("cell range mismatch");
     parseHeader("skipped", 1, &skipped, &unused);
+    if (skipped > count)
+        throw fail("more cells skipped than the shard holds");
     parseHeader("points", 1, &n_points, &unused);
+    if (n_points != satMul(count - skipped, schemes))
+        throw fail("point count does not match the cells run");
     for (std::uint64_t i = 0; i < n_points; ++i) {
         if (!std::getline(is, line))
             throw fail("truncated point list");
         std::istringstream ls(line);
-        std::string tag, repl_name, op_tok, min_vdd, energy, edp, cycles,
-            miss;
+        std::string tag, size, ways, block, repl_name, op_tok, min_vdd,
+            energy, edp, cycles, miss, l2, rest;
         DesignPointSummary p;
-        if (!(ls >> tag >> p.workload >> p.sizeBytes >> p.ways >>
-              p.blockBytes >> repl_name >> p.scheme >> op_tok >>
-              min_vdd >> energy >> edp >> cycles >> miss) ||
-            tag != "p")
+        if (!(ls >> tag >> p.workload >> size >> ways >> block >>
+              repl_name >> p.scheme >> op_tok >> min_vdd >> energy >> edp >>
+              cycles >> miss) ||
+            tag != "p" || (ls >> l2 && ls >> rest))
             throw fail("bad point line");
-        p.repl = mem::parseReplKind(repl_name);
-        p.cell = cellOf(parseWriteScheme(p.scheme));
+        // Digits only: a stream reads "-1" as 2^64 - 1.
+        const auto whole = [&](const std::string &tok, std::uint64_t max) {
+            const std::optional<std::uint64_t> v = parseDecimal(tok);
+            if (!v || *v > max)
+                throw fail("bad count \"" + tok + "\"");
+            return *v;
+        };
+        p.sizeBytes = whole(size, UINT64_MAX);
+        p.ways = static_cast<std::uint32_t>(whole(ways, UINT32_MAX));
+        p.blockBytes = static_cast<std::uint32_t>(whole(block, UINT32_MAX));
+        // The trailing L2 capacity is optional.
+        if (!l2.empty())
+            p.l2SizeBytes = whole(l2, UINT64_MAX);
+        if (op_tok != "0" && op_tok != "1")
+            throw fail("bad operational flag \"" + op_tok + "\"");
         p.operational = op_tok == "1";
-        p.minVdd = parseDoubleToken(min_vdd);
-        p.energyPerAccess = parseDoubleToken(energy);
-        p.edpPerAccess = parseDoubleToken(edp);
-        p.cyclesPerAccess = parseDoubleToken(cycles);
-        p.missRate = parseDoubleToken(miss);
-        std::uint64_t l2_bytes = 0;
-        if (ls >> l2_bytes)
-            p.l2SizeBytes = l2_bytes;
+        try {
+            p.repl = mem::parseReplKind(repl_name);
+            p.cell = cellOf(parseWriteScheme(p.scheme));
+            p.minVdd = parseDoubleToken(min_vdd);
+            p.energyPerAccess = parseDoubleToken(energy);
+            p.edpPerAccess = parseDoubleToken(edp);
+            p.cyclesPerAccess = parseDoubleToken(cycles);
+            p.missRate = parseDoubleToken(miss);
+        } catch (const std::exception &e) {
+            throw fail(e.what());
+        }
         out.push_back(std::move(p));
     }
     if (!std::getline(is, line) || line != "end")
         throw fail("missing end marker");
     return skipped;
+}
+
+/** One executed shard from expansion to checkpoint: its valid cells,
+ *  their operating-point jobs and the sweep running them. */
+struct ShardRun
+{
+    std::uint64_t shard = 0;
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+    std::uint64_t skipped = 0; ///< invalid geometries
+    std::chrono::steady_clock::time_point t0;
+    std::vector<CellSweep> cells;
+    std::vector<VddFaultTable> faults; ///< written by the jobs
+    std::vector<SweepJob> jobs;
+    std::vector<std::size_t> cellJobs; ///< [vi]: first job of cell vi
+    /** Declared last, so destruction drains the jobs before the state
+     *  they read and write goes. */
+    std::optional<PendingSweep> sweep;
+};
+
+/**
+ * Expand shard @p shard (@p count cells from @p first) into its
+ * operating-point jobs and start them on @p sweeper. Heap-allocated:
+ * the running jobs hold references into it.
+ */
+std::unique_ptr<ShardRun>
+startShard(const ExplorerSpec &spec, const RunConfig &rc,
+           const ParallelSweeper &sweeper, std::uint64_t shard,
+           std::uint64_t first, std::uint64_t count)
+{
+    auto run = std::make_unique<ShardRun>();
+    run->shard = shard;
+    run->first = first;
+    run->count = count;
+    run->t0 = std::chrono::steady_clock::now();
+
+    // Expand the shard's valid cells into operating-point sweeps.
+    // Invalid geometries (e.g. a set smaller than one block) are
+    // skipped — the verdict depends only on the spec, so it is
+    // identical on every run/resume.
+    for (std::uint64_t ci = first; ci < first + count; ++ci) {
+        CellSweep cell = decodeCell(spec, ci);
+        const mem::CacheConfig &cache = cell.sweep.cache;
+        try {
+            cache.validate();
+            if (!cell.sweep.lowerLevels.empty()) {
+                // An L2 that cannot hold the L1 breaks inclusion —
+                // skipped like any other invalid geometry,
+                // deterministically from the spec.
+                const mem::CacheConfig &l2 =
+                    cell.sweep.lowerLevels.front().cache;
+                l2.validate();
+                if (l2.sizeBytes < cache.sizeBytes)
+                    throw std::invalid_argument("L2 smaller than L1");
+            }
+        } catch (const std::invalid_argument &) {
+            ++run->skipped;
+            continue;
+        }
+        run->cells.push_back(std::move(cell));
+    }
+
+    // Each cell appends its operating-point jobs (one per timing class
+    // and plan group; each runs its own runs' fault-map campaigns on
+    // its worker). cellJobs[vi] is the first job of cell vi, so a
+    // cell's runs are found whatever the job layout.
+    run->faults.resize(run->cells.size());
+    run->cellJobs.assign(run->cells.size() + 1, 0);
+    for (std::size_t vi = 0; vi < run->cells.size(); ++vi) {
+        run->cellJobs[vi + 1] =
+            run->cellJobs[vi] +
+            appendOperatingPointJobs(run->cells[vi].sweep, run->faults[vi],
+                                     run->jobs);
+    }
+    if (!run->jobs.empty()) {
+        run->sweep.emplace(sweeper.start(
+            run->jobs, rc, spec.label + ":shard" + std::to_string(shard)));
+    }
+    return run;
 }
 
 } // anonymous namespace
@@ -599,112 +705,9 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
         std::fflush(stderr);
     };
 
-    for (const std::uint64_t shard : order) {
-        const std::uint64_t first = shard * spec.cellsPerShard;
-        const std::uint64_t count = std::min<std::uint64_t>(
-            spec.cellsPerShard, result.cellsTotal - first);
-        const std::string path =
-            ckpt_on ? shardPath(spec.checkpointDir, shard)
-                    : std::string();
-
-        if (ckpt_on && std::filesystem::exists(path)) {
-            result.cellsSkipped += loadShardCheckpoint(
-                path, sig, shard, first, count, result.summaries);
-            ++result.shardsResumed;
-            ++shards_accounted;
-            cells_accounted += count;
-        } else if (!spec.maxShards ||
-                   result.shardsExecuted < spec.maxShards) {
-            const auto shard_t0 = std::chrono::steady_clock::now();
-
-            // Expand the shard's valid cells into operating-point
-            // sweeps. Invalid geometries (e.g. a set smaller than one
-            // block) are skipped — the verdict depends only on the
-            // spec, so it is identical on every run/resume.
-            std::vector<CellSweep> cells;
-            std::uint64_t skipped = 0;
-            for (std::uint64_t ci = first; ci < first + count; ++ci) {
-                CellSweep cell = decodeCell(spec, ci);
-                const mem::CacheConfig &cache = cell.sweep.cache;
-                try {
-                    cache.validate();
-                    if (!cell.sweep.lowerLevels.empty()) {
-                        // An L2 that cannot hold the L1 breaks
-                        // inclusion — skipped like any other invalid
-                        // geometry, deterministically from the spec.
-                        const mem::CacheConfig &l2 =
-                            cell.sweep.lowerLevels.front().cache;
-                        l2.validate();
-                        if (l2.sizeBytes < cache.sizeBytes)
-                            throw std::invalid_argument(
-                                "L2 smaller than L1");
-                    }
-                } catch (const std::invalid_argument &) {
-                    ++skipped;
-                    continue;
-                }
-                cells.push_back(std::move(cell));
-            }
-
-            // Each cell appends its operating-point jobs (one per
-            // timing class and plan group; each runs its own runs'
-            // fault-map campaigns on its worker). cell_jobs[vi] is the
-            // first job of cell vi, so a cell's runs are found whatever
-            // the job layout.
-            std::vector<VddFaultTable> faults(cells.size());
-            std::vector<SweepJob> jobs;
-            std::vector<std::size_t> cell_jobs(cells.size() + 1, 0);
-            for (std::size_t vi = 0; vi < cells.size(); ++vi) {
-                cell_jobs[vi + 1] =
-                    cell_jobs[vi] + appendOperatingPointJobs(
-                                        cells[vi].sweep, faults[vi], jobs);
-            }
-
-            std::vector<DesignPointSummary> shard_points;
-            if (!jobs.empty()) {
-                const auto runs = sweeper.run(
-                    jobs, rc,
-                    spec.label + ":shard" + std::to_string(shard));
-                shard_points.reserve(cells.size() * spec.schemes.size());
-                for (std::size_t vi = 0; vi < cells.size(); ++vi) {
-                    const auto cell_runs = std::span(runs).subspan(
-                        cell_jobs[vi], cell_jobs[vi + 1] - cell_jobs[vi]);
-                    summarizeCell(cells[vi],
-                                  reduceOperatingPoints(cells[vi].sweep,
-                                                        faults[vi],
-                                                        cell_runs),
-                                  shard_points);
-                }
-            }
-
-            if (ckpt_on) {
-                writeShardCheckpoint(spec.checkpointDir, shard, sig,
-                                     first, count, skipped,
-                                     shard_points);
-            }
-            result.summaries.insert(
-                result.summaries.end(),
-                std::make_move_iterator(shard_points.begin()),
-                std::make_move_iterator(shard_points.end()));
-            result.cellsSkipped += skipped;
-            result.configRunsExecuted +=
-                (count - skipped) * spec.runsPerCell();
-            ++result.shardsExecuted;
-            ++shards_accounted;
-            cells_accounted += count;
-
-            const auto shard_t1 = std::chrono::steady_clock::now();
-            obs::globalMetrics().recordShardWallNs(
-                static_cast<std::uint64_t>(
-                    std::chrono::duration<double, std::nano>(shard_t1 -
-                                                             shard_t0)
-                        .count()));
-        } else {
-            // Shard budget exhausted and this shard has no checkpoint:
-            // leave it for the next run.
-            continue;
-        }
-
+    // Explorer progress gauges and the stderr heartbeat, after every
+    // shard accounted (loaded or executed).
+    const auto note_progress = [&] {
         const double elapsed = std::chrono::duration<double>(
                                    std::chrono::steady_clock::now() - t0)
                                    .count();
@@ -726,7 +729,83 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
                 : 0.0;
         obs::globalMetrics().noteExplorer(snap);
         heartbeat(false);
+    };
+
+    // Wait for a started shard, reduce it to summaries and checkpoint
+    // it, on this thread.
+    const auto complete_shard = [&](ShardRun &run) {
+        std::vector<DesignPointSummary> shard_points;
+        if (run.sweep) {
+            const auto runs = run.sweep->finish();
+            shard_points.reserve(run.cells.size() * spec.schemes.size());
+            for (std::size_t vi = 0; vi < run.cells.size(); ++vi) {
+                const auto cell_runs = std::span(runs).subspan(
+                    run.cellJobs[vi], run.cellJobs[vi + 1] - run.cellJobs[vi]);
+                summarizeCell(run.cells[vi],
+                              reduceOperatingPoints(run.cells[vi].sweep,
+                                                    run.faults[vi],
+                                                    cell_runs),
+                              shard_points);
+            }
+        }
+        if (ckpt_on) {
+            writeShardCheckpoint(spec.checkpointDir, run.shard, sig,
+                                 run.first, run.count, run.skipped,
+                                 shard_points);
+        }
+        result.summaries.insert(
+            result.summaries.end(),
+            std::make_move_iterator(shard_points.begin()),
+            std::make_move_iterator(shard_points.end()));
+        result.cellsSkipped += run.skipped;
+        result.configRunsExecuted +=
+            (run.count - run.skipped) * spec.runsPerCell();
+        ++result.shardsExecuted;
+        ++shards_accounted;
+        cells_accounted += run.count;
+        obs::globalMetrics().recordShardWallNs(static_cast<std::uint64_t>(
+            std::chrono::duration<double, std::nano>(
+                std::chrono::steady_clock::now() - run.t0)
+                .count()));
+        note_progress();
+    };
+
+    // Two shards in flight: shard k+1 is expanded and queued before
+    // shard k is completed, so the workers run it while this thread
+    // reduces and checkpoints shard k. At most two shards' jobs are
+    // alive. On every exit, by exception too, the destructors drain
+    // the shard still in flight before runExplore returns.
+    std::uint64_t shards_started = 0;
+    std::unique_ptr<ShardRun> in_flight;
+    for (const std::uint64_t shard : order) {
+        const std::uint64_t first = shard * spec.cellsPerShard;
+        const std::uint64_t count = std::min<std::uint64_t>(
+            spec.cellsPerShard, result.cellsTotal - first);
+        const std::string path =
+            ckpt_on ? shardPath(spec.checkpointDir, shard)
+                    : std::string();
+
+        if (ckpt_on && std::filesystem::exists(path)) {
+            result.cellsSkipped +=
+                loadShardCheckpoint(path, sig, shard, first, count,
+                                    spec.schemes.size(), result.summaries);
+            ++result.shardsResumed;
+            ++shards_accounted;
+            cells_accounted += count;
+            note_progress();
+        } else if (!spec.maxShards || shards_started < spec.maxShards) {
+            ++shards_started;
+            std::unique_ptr<ShardRun> next =
+                startShard(spec, rc, sweeper, shard, first, count);
+            if (in_flight)
+                complete_shard(*in_flight);
+            in_flight = std::move(next);
+        }
+        // Else the shard budget is spent and this shard has no
+        // checkpoint: leave it for the next run.
     }
+    if (in_flight)
+        complete_shard(*in_flight);
 
     result.completed = shards_accounted == result.shardsTotal;
 

@@ -24,10 +24,15 @@
  *
  *  * **Sharding.** Cells (one cell = one workload × geometry ×
  *    replacement, i.e. runsPerCell() = schemes × grid config-runs) are
- *    grouped into fixed-size shards; each shard runs as one
- *    ParallelSweeper batch and is reduced immediately to per-design
- *    summaries — raw per-point rows are never materialized across
- *    shards, so memory stays flat regardless of grid size.
+ *    grouped into fixed-size shards; each shard runs as one sweep on
+ *    the explore's one ParallelSweeper (one pool for the whole
+ *    explore) and is reduced to per-design summaries as soon as it
+ *    finishes. Two shards are in flight: shard k+1's jobs are queued
+ *    before shard k is reduced and checkpointed on the calling thread,
+ *    so the workers never idle at a shard barrier. Raw per-point rows
+ *    are never materialized beyond those two shards, so memory stays
+ *    flat regardless of grid size; every exit drains the shard in
+ *    flight before runExplore returns.
  *
  *  * **Resumable checkpointing.** With a checkpoint directory set,
  *    every completed shard writes its reduced summaries to
@@ -291,8 +296,10 @@ struct ExploreResult
 
 /**
  * Run the explore: expand the spec workload-major into cells, execute
- * (or resume) each shard on a ParallelSweeper, reduce to summaries and
- * mark the per-workload Pareto frontiers.
+ * (or resume) each shard on one ParallelSweeper with two shards in
+ * flight, reduce to summaries and mark the per-workload Pareto
+ * frontiers. A malformed checkpoint fails with an error naming its
+ * file.
  *
  * @param spec    Explore configuration (validated).
  * @param rc      Warm-up/measure window per config-run.

@@ -186,15 +186,19 @@ class Heartbeat
 
 /**
  * Emit one complete span per job onto the worker's track of the
- * process-global Chrome trace (no-op when tracing is off).
+ * process-global Chrome trace (no-op when tracing is off). Spans are
+ * measured from the sweep's start @p t0 and stamped on the trace's
+ * epoch, so every sweep of a process shares one clock.
  */
 void
 emitTraceSpans(const std::string &label,
-               const std::vector<JobSpan> &spans, unsigned pool)
+               const std::vector<JobSpan> &spans, unsigned pool,
+               Clock::time_point t0)
 {
     obs::ChromeTraceWriter *trace = obs::globalTrace();
     if (!trace)
         return;
+    const double t0Us = trace->usAt(t0);
 
     constexpr int pid = 1; // the sweep's process track
     trace->processName(pid, "sweep");
@@ -211,7 +215,8 @@ emitTraceSpans(const std::string &label,
         args << '}';
         trace->completeEvent(label + "/job" + std::to_string(i), "sweep",
                              pid, static_cast<int>(s.worker) + 1,
-                             s.startUs, s.endUs - s.startUs, args.str());
+                             t0Us + s.startUs, s.endUs - s.startUs,
+                             args.str());
 
         // Phase sub-spans (profiler on only): each job's per-phase
         // self times, laid out back-to-back from the job's start so
@@ -220,7 +225,7 @@ emitTraceSpans(const std::string &label,
         // the proportions and totals are exact.
         if (s.phases.empty())
             continue;
-        double cursor = s.startUs;
+        double cursor = t0Us + s.startUs;
         for (std::size_t p = 0; p < obs::prof::kNumPhases; ++p) {
             const double dur_us =
                 static_cast<double>(s.phases.ns[p]) / 1000.0;
@@ -262,78 +267,78 @@ ParallelSweeper::ParallelSweeper(unsigned workers)
 {
 }
 
-std::vector<std::vector<SchemeRunResult>>
-ParallelSweeper::run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
-                     const std::string &label) const
+/** Everything a started sweep's jobs write to, at a stable address. */
+struct PendingSweep::State
 {
-    // SweepPool(0) means "auto-size", so an empty list must not reach
-    // the scoped pool below.
-    if (jobs.empty())
-        return {};
-
-    const auto t0 = Clock::now();
-    const bool prof_on = obs::prof::enabled();
-    if (prof_on) {
-        // Flush whatever phase time this thread accumulated before
-        // the sweep into the process rollup, so a nested sweep's first
-        // per-job delta on the calling worker starts from zero.
-        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
-    }
-    std::vector<std::vector<SchemeRunResult>> results(jobs.size());
-    std::vector<JobSpan> spans(jobs.size());
-
-    std::uint64_t accesses_per_job = 0;
-    for (const SweepJob &job : jobs) {
-        accesses_per_job = std::max<std::uint64_t>(
-            accesses_per_job,
-            job.configs.size() * (rc.warmupAccesses + rc.measureAccesses));
+    State(const std::vector<SweepJob> &jobs_in, const RunConfig &rc_in,
+          const std::string &label_in)
+        : jobs(jobs_in), rc(rc_in), label(label_in),
+          results(jobs_in.size()), spans(jobs_in.size())
+    {
     }
 
-    // One executor: the calling worker's pool when nested (runBatch
-    // runs the batch inline on that worker), else the installed global
-    // pool (c8td), else a pool scoped to this call (default slot only).
-    std::optional<SweepPool> scoped;
-    SweepPool *pool = SweepPool::current();
-    if (!pool)
-        pool = globalSweepPool();
-    if (!pool) {
-        pool = &scoped.emplace(static_cast<unsigned>(
-            std::min<std::size_t>(_workers, jobs.size())));
-    }
-    const unsigned tracks = pool->workers();
+    const std::vector<SweepJob> &jobs;
+    const RunConfig rc;
+    const std::string label;
+    const Clock::time_point t0 = Clock::now();
+    const bool profOn = obs::prof::enabled();
+    std::vector<std::vector<SchemeRunResult>> results;
+    std::vector<JobSpan> spans;
+    std::shared_ptr<SweepPool> ownPool; ///< keeps the sweeper's pool alive
+    SweepPool *pool = nullptr;
+    std::optional<Heartbeat> heartbeat;
+    SweepPool::Ticket ticket;
 
-    Heartbeat heartbeat(_progress, label, jobs.size(), accesses_per_job,
-                        tracks, t0);
-
-    const auto run_one = [&](std::size_t i, unsigned worker) {
-        spans[i].worker = worker;
-        spans[i].vdd = jobs[i].vdd;
-        spans[i].startUs = usSince(t0, Clock::now());
+    /** Worker-thread body of job @p i. */
+    void runOne(std::size_t i, unsigned worker)
+    {
+        JobSpan &span = spans[i];
+        span.worker = worker;
+        span.vdd = jobs[i].vdd;
+        span.startUs = usSince(t0, Clock::now());
         results[i] = executeJob(jobs[i], rc);
-        spans[i].endUs = usSince(t0, Clock::now());
-        spans[i].configRuns = results[i].size();
-        if (prof_on) {
+        span.endUs = usSince(t0, Clock::now());
+        span.configRuns = results[i].size();
+        if (profOn) {
             // Nothing else ran on this thread since the previous
             // take, so the thread-local delta is exactly this job's.
-            spans[i].phases = obs::prof::takeThreadTimes();
+            span.phases = obs::prof::takeThreadTimes();
             obs::globalMetrics().recordJobWallNs(
                 static_cast<std::uint64_t>(
-                    (spans[i].endUs - spans[i].startUs) * 1000.0));
+                    (span.endUs - span.startUs) * 1000.0));
         }
-        heartbeat.noteJobDone();
-    };
+        heartbeat->noteJobDone();
+    }
+};
 
-    std::vector<SweepPool::Task> tasks;
-    tasks.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        tasks.push_back([&run_one, i](unsigned w) { run_one(i, w); });
-    // Rethrows the first job error; throws JobCancelled when this
-    // thread's client slot was cancelled (c8td: client disconnect).
-    pool->runBatch(scoped ? 0 : SweepPool::currentClient(),
-                   std::move(tasks));
+PendingSweep::PendingSweep(std::unique_ptr<State> state)
+    : _state(std::move(state))
+{
+}
 
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - t0).count();
+PendingSweep::PendingSweep(PendingSweep &&) noexcept = default;
+
+PendingSweep::~PendingSweep()
+{
+    if (!_state)
+        return;
+    // Drain: the queued jobs write into *_state.
+    try {
+        _state->pool->wait(std::move(_state->ticket));
+    } catch (...) {
+    }
+}
+
+std::vector<std::vector<SchemeRunResult>>
+PendingSweep::finish()
+{
+    if (!_state)
+        return {};
+    State &s = *_state;
+    // Rethrows the first job error; throws JobCancelled when the
+    // submitting client slot was cancelled (c8td: client disconnect).
+    s.pool->wait(std::move(s.ticket));
+    const unsigned tracks = s.pool->workers();
 
     {
         // Trace-span emission and the metrics rewrite are in-run
@@ -342,35 +347,89 @@ ParallelSweeper::run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
         // no-op (and cost nothing) when their sink is unset.
         const obs::prof::ScopedPhase serialize_scope(
             obs::prof::Phase::Serialize);
-        emitTraceSpans(label, spans, tracks);
+        emitTraceSpans(s.label, s.spans, tracks, s.t0);
         obs::writeGlobalMetrics();
     }
 
-    obs::prof::PhaseTimes run_phases;
-    if (prof_on) {
-        // The main thread contributed the serialize scope above (per
-        // job, run_one already flushed the workers' thread-locals).
-        run_phases.add(obs::prof::takeThreadTimes());
-        std::vector<double> busy(tracks, 0.0);
-        std::vector<std::uint64_t> worker_jobs(tracks, 0);
-        for (const JobSpan &s : spans) {
-            run_phases.add(s.phases);
-            busy[s.worker] += (s.endUs - s.startUs) * 1e-6;
-            ++worker_jobs[s.worker];
-        }
+    if (s.profOn) {
+        // The calling thread contributed the serialize scope above
+        // and whatever it ran since start() (per job, runOne already
+        // flushed the workers' thread-locals). The pool reported the
+        // workers' busy and idle time when it drained.
+        obs::prof::PhaseTimes run_phases = obs::prof::takeThreadTimes();
+        for (const JobSpan &span : s.spans)
+            run_phases.add(span.phases);
         obs::globalMetrics().addPhaseTimes(run_phases);
-        for (unsigned w = 0; w < tracks; ++w) {
-            obs::globalMetrics().noteWorker(
-                w, busy[w], std::max(0.0, wall - busy[w]),
-                worker_jobs[w]);
-        }
     }
 
     // Keep the exposition file fresh after every run (no-op when no
     // metrics path is configured); this rewrite includes the phase
     // fold above, the scoped one before it does not.
     obs::writeGlobalMetrics();
+    std::vector<std::vector<SchemeRunResult>> results =
+        std::move(s.results);
+    _state.reset();
     return results;
+}
+
+PendingSweep
+ParallelSweeper::start(const std::vector<SweepJob> &jobs,
+                       const RunConfig &rc, const std::string &label) const
+{
+    // SweepPool(0) means "auto-size", so an empty list must not reach
+    // the own pool below.
+    if (jobs.empty())
+        return PendingSweep(nullptr);
+
+    auto state = std::make_unique<PendingSweep::State>(jobs, rc, label);
+    PendingSweep::State &s = *state;
+    if (s.profOn) {
+        // Flush whatever phase time this thread accumulated before
+        // the sweep into the process rollup, so a nested sweep's first
+        // per-job delta on the calling worker starts from zero.
+        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
+    }
+
+    std::uint64_t accesses_per_job = 0;
+    for (const SweepJob &job : jobs) {
+        accesses_per_job = std::max<std::uint64_t>(
+            accesses_per_job,
+            job.configs.size() * (rc.warmupAccesses + rc.measureAccesses));
+    }
+
+    // One executor: the calling worker's pool when nested (submit runs
+    // the batch inline on that worker), else the installed global pool
+    // (c8td), else this sweeper's own pool (default slot only).
+    s.pool = SweepPool::current();
+    if (!s.pool)
+        s.pool = globalSweepPool();
+    if (!s.pool) {
+        const std::lock_guard<std::mutex> lock(_poolMutex);
+        if (!_pool) {
+            _pool = std::make_shared<SweepPool>(static_cast<unsigned>(
+                std::min<std::size_t>(_workers, jobs.size())));
+        }
+        s.ownPool = _pool;
+        s.pool = _pool.get();
+    }
+
+    s.heartbeat.emplace(_progress, s.label, jobs.size(), accesses_per_job,
+                        s.pool->workers(), s.t0);
+
+    std::vector<SweepPool::Task> tasks;
+    tasks.reserve(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        tasks.push_back([&s, i](unsigned w) { s.runOne(i, w); });
+    s.ticket = s.pool->submit(s.ownPool ? 0 : SweepPool::currentClient(),
+                              std::move(tasks));
+    return PendingSweep(std::move(state));
+}
+
+std::vector<std::vector<SchemeRunResult>>
+ParallelSweeper::run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
+                     const std::string &label) const
+{
+    return start(jobs, rc, label).finish();
 }
 
 std::vector<SweepJob>

@@ -15,12 +15,18 @@
  * Worker count resolution: an explicit constructor argument wins, then
  * the C8T_JOBS environment variable, then hardware_concurrency().
  *
+ * A sweep is started and finished separately (start() returns a
+ * PendingSweep), so a caller can queue its next sweep before it
+ * finishes the current one: the explorer keeps two shards in flight
+ * and reduces one while the other runs. run() is start().finish().
+ *
  * Observability (DESIGN.md §6): with C8T_PROGRESS set (or
- * setProgress(true), c8tsim --progress) run() heartbeats a throttled
+ * setProgress(true), c8tsim --progress) a sweep heartbeats a throttled
  * progress line to stderr — jobs done/total, aggregate simulated
  * accesses/s, ETA. With C8T_CHROME_TRACE naming a file (or c8tsim
  * --chrome-trace) every job contributes one span to a Perfetto-
- * loadable Chrome trace, on its worker's track.
+ * loadable Chrome trace, on its worker's track, stamped from the
+ * trace's one epoch.
  */
 
 #ifndef C8T_CORE_SWEEP_HH
@@ -29,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -102,6 +109,38 @@ struct SweepJob
     std::function<void(MultiSchemeRunner &)> inspect;
 };
 
+class SweepPool;
+
+/**
+ * A started sweep: its jobs are queued on the executor and run while
+ * the caller does other work. finish() waits for them and returns the
+ * results. Destroying a sweep that was not finished (an exception on
+ * the caller's path, say) waits for its jobs and drops their results
+ * and errors, so no exit path leaves a job running against freed
+ * state. The job list passed to start() must outlive the sweep.
+ */
+class PendingSweep
+{
+  public:
+    PendingSweep(PendingSweep &&) noexcept;
+    ~PendingSweep();
+
+    /**
+     * Wait for every job and return the per-job result vectors in
+     * submission order. Rethrows the first job exception with its
+     * type; throws JobCancelled when the submitting client's slot was
+     * cancelled (c8td: client disconnect). Call at most once.
+     */
+    std::vector<std::vector<SchemeRunResult>> finish();
+
+  private:
+    friend class ParallelSweeper;
+    struct State;
+    explicit PendingSweep(std::unique_ptr<State> state);
+
+    std::unique_ptr<State> _state;
+};
+
 /**
  * Thread-pool executor for independent sweep jobs.
  */
@@ -139,21 +178,29 @@ class ParallelSweeper
     static bool defaultProgress();
 
     /**
-     * Run every job and collect the per-job result vectors in
-     * submission order.
+     * Queue every job and return without waiting.
      *
      * The jobs run as one SweepPool batch: on the calling worker's
-     * pool when nested, else on the installed global pool, else on a
-     * pool scoped to the call. Every job owns all of its state, so the
-     * schedule cannot influence the numbers — results are bit-identical
-     * for any worker count. The first job exception is rethrown with
-     * its type.
+     * pool when nested (the batch then runs inline, before start
+     * returns), else on the installed global pool, else on this
+     * sweeper's own pool. The own pool is made at first use, sized
+     * min(workers(), jobs), and kept for the sweeper's lifetime, so
+     * consecutive sweeps share one thread team; batches on it run in
+     * start order. Every job owns all of its state, so the schedule
+     * cannot influence the numbers — results are bit-identical for
+     * any worker count.
      *
-     * @param jobs  The work list.
+     * @param jobs  The work list; must outlive the returned sweep.
      * @param rc    Warm-up/measure window (shared by all jobs).
      * @param label Names the run in the heartbeat and on its trace
      *              spans.
      */
+    PendingSweep start(const std::vector<SweepJob> &jobs,
+                       const RunConfig &rc,
+                       const std::string &label = "sweep") const;
+
+    /** start(jobs, rc, label).finish(): run every job and collect the
+     *  per-job result vectors in submission order. */
     std::vector<std::vector<SchemeRunResult>>
     run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
         const std::string &label = "sweep") const;
@@ -161,6 +208,10 @@ class ParallelSweeper
   private:
     unsigned _workers;
     bool _progress = defaultProgress();
+    mutable std::mutex _poolMutex; ///< guards the first use of _pool
+    /** The own pool; shared with every sweep started on it, so a sweep
+     *  outliving the sweeper keeps its workers. */
+    mutable std::shared_ptr<SweepPool> _pool;
 };
 
 /**

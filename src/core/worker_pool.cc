@@ -5,10 +5,13 @@
 
 #include "core/worker_pool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
 #include "core/sweep.hh"
+#include "obs/metrics.hh"
+#include "obs/prof.hh"
 
 namespace c8t::core
 {
@@ -28,6 +31,8 @@ SweepPool::SweepPool(unsigned workers)
     : _workers(workers ? workers : ParallelSweeper::defaultWorkers())
 {
     _stats.workers = _workers;
+    _busySeconds.assign(_workers, 0.0);
+    _tasks.assign(_workers, 0);
     _slots[0]; // the default slot for unregistered submissions
 }
 
@@ -96,26 +101,57 @@ SweepPool::finishOne(Batch &batch, std::exception_ptr error)
 {
     if (error && !batch.error)
         batch.error = error;
-    if (--batch.remaining == 0)
-        _batchCv.notify_all();
+    if (--batch.remaining != 0)
+        return;
+    if (--_batchesInFlight == 0)
+        reportActiveSpan();
+    _batchCv.notify_all();
 }
 
 void
-SweepPool::runBatch(ClientId client, std::vector<Task> tasks)
+SweepPool::reportActiveSpan()
 {
-    if (tasks.empty())
-        return;
+    // The span runs from the first batch queued on an idle pool to the
+    // drain of the last one, so overlapping batches share one span and
+    // a worker's idle time is counted once.
+    if (obs::prof::enabled()) {
+        const double span = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() -
+                                _activeSince)
+                                .count();
+        for (unsigned w = 0; w < _workers; ++w) {
+            obs::globalMetrics().noteWorker(
+                w, _busySeconds[w], std::max(0.0, span - _busySeconds[w]),
+                _tasks[w]);
+        }
+    }
+    std::fill(_busySeconds.begin(), _busySeconds.end(), 0.0);
+    std::fill(_tasks.begin(), _tasks.end(), 0);
+}
 
+SweepPool::Ticket
+SweepPool::submit(ClientId client, std::vector<Task> tasks)
+{
+    Ticket ticket;
+    ticket._client = client;
+    if (tasks.empty())
+        return ticket;
+
+    ticket._batch = std::make_shared<Batch>();
+    Batch &batch = *ticket._batch;
     if (t_pool) {
         // Nested sweep from a worker thread: run inline rather than
         // queueing work this thread would then block on.
-        for (Task &t : tasks)
-            t(t_workerIndex);
-        return;
+        try {
+            for (Task &t : tasks)
+                t(t_workerIndex);
+        } catch (...) {
+            batch.error = std::current_exception();
+        }
+        return ticket;
     }
 
-    const auto batch = std::make_shared<Batch>();
-    batch->remaining = tasks.size();
+    batch.remaining = tasks.size();
     {
         const std::lock_guard<std::mutex> lock(_mutex);
         if (_stopping)
@@ -127,8 +163,10 @@ SweepPool::runBatch(ClientId client, std::vector<Task> tasks)
         if (it->second.cancelled)
             throw JobCancelled();
         for (Task &t : tasks)
-            it->second.queue.push_back(Pending{std::move(t), batch});
+            it->second.queue.push_back(Pending{std::move(t), ticket._batch});
         ++_stats.batches;
+        if (_batchesInFlight++ == 0)
+            _activeSince = std::chrono::steady_clock::now();
     }
     // Start the team once the first batch is queued: a new thread then
     // claims work on the CPU it was created on, where a sleeping one is
@@ -142,14 +180,22 @@ SweepPool::runBatch(ClientId client, std::vector<Task> tasks)
             _threads.emplace_back([this, w] { workerLoop(w); });
     });
     _workCv.notify_all();
+    return ticket;
+}
 
+void
+SweepPool::wait(Ticket ticket)
+{
+    if (!ticket._batch)
+        return;
+    const Batch &batch = *ticket._batch;
     std::unique_lock<std::mutex> lock(_mutex);
-    _batchCv.wait(lock, [&] { return batch->remaining == 0; });
-    if (batch->error)
-        std::rethrow_exception(batch->error);
+    _batchCv.wait(lock, [&batch] { return batch.remaining == 0; });
+    if (batch.error)
+        std::rethrow_exception(batch.error);
     // Every task may have been claimed before the cancel landed; the
     // contract is still "cancelled batches throw".
-    const auto it = _slots.find(client);
+    const auto it = _slots.find(ticket._client);
     if (it != _slots.end() && it->second.cancelled)
         throw JobCancelled();
 }
@@ -189,13 +235,17 @@ SweepPool::workerLoop(unsigned worker)
         }
 
         lock.unlock();
+        const auto t0 = std::chrono::steady_clock::now();
         std::exception_ptr error;
         try {
             pending.fn(worker);
         } catch (...) {
             error = std::current_exception();
         }
+        const auto t1 = std::chrono::steady_clock::now();
         lock.lock();
+        _busySeconds[worker] += std::chrono::duration<double>(t1 - t0).count();
+        ++_tasks[worker];
         ++_stats.tasksRun;
         finishOne(*pending.batch, error);
     }

@@ -1,23 +1,31 @@
 /**
  * @file
  * Sweep worker pool with per-client fair scheduling: the one executor
- * behind every ParallelSweeper::run (DESIGN.md §5). A one-shot sweep
- * runs on a pool scoped to the call; the c8td daemon installs ONE
+ * behind every ParallelSweeper sweep (DESIGN.md §5). A one-shot sweeper
+ * keeps one pool for its own lifetime, so consecutive sweeps (an
+ * explore's shards) share one thread team; the c8td daemon installs ONE
  * process-wide pool that every sweep shares (DESIGN.md §13), so
  * concurrent client jobs neither oversubscribe the machine nor starve
  * each other. Clients register a slot; work is claimed round-robin
- * across slots at task (= SweepJob / explore-shard) granularity, so a
- * client queueing a thousand shards and a client queueing one small
- * run make progress side by side.
+ * across slots at task (= SweepJob) granularity, so a client queueing
+ * a thousand jobs and a client queueing one small run make progress
+ * side by side.
+ *
+ * A batch is submitted and waited for separately (submit / wait), so a
+ * caller can queue its next batch before it waits for the current one
+ * and keep the workers busy across its own serial work (the explorer
+ * keeps two shards in flight). Within a slot, batches run in
+ * submission order.
+ *
  * Cancellation is per-slot: a disconnected client's unclaimed tasks
- * are dropped and its waiting batch completes with JobCancelled;
+ * are dropped and its waiting batches complete with JobCancelled;
  * tasks already running finish (simulation is not interruptible) and
  * their results are discarded by the caller.
  *
  * Installation is by a process global (setGlobalSweepPool):
- * ParallelSweeper::run routes its per-job closures through the pool
- * when one is installed, so runVddSweep / runExplore / every figure
- * driver picks up shared scheduling with zero signature changes. The
+ * ParallelSweeper routes its per-job closures through the pool when
+ * one is installed, so runVddSweep / runExplore / every figure driver
+ * picks up shared scheduling with zero signature changes. The
  * submitting thread is bound to a client slot with ClientScope (a
  * thread-local), because the submission site sits many frames below
  * the daemon's connection handler. Determinism is untouched: the pool
@@ -25,14 +33,21 @@
  * byte-identical to the one-shot drivers.
  *
  * Re-entrancy: a batch submitted from a pool worker thread runs
- * inline on that worker (nested sweeps cannot deadlock waiting for
- * their own thread). A nested ParallelSweeper::run submits to
- * current(), so it spawns no thread and keeps that pool's indices.
+ * inline on that worker, inside submit (nested sweeps cannot deadlock
+ * waiting for their own thread). A nested sweep submits to current(),
+ * so it spawns no thread and keeps that pool's indices.
+ *
+ * Worker telemetry (profiler on): the pool times every task it runs
+ * and, each time it drains (no batch left in flight), reports each
+ * worker's busy time, idle time and task count for the span since it
+ * last went busy. Overlapping batches therefore count a worker's idle
+ * time once.
  */
 
 #ifndef C8T_CORE_WORKER_POOL_HH
 #define C8T_CORE_WORKER_POOL_HH
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -47,8 +62,8 @@
 namespace c8t::core
 {
 
-/** Thrown by SweepPool::runBatch when the submitting client's slot
- *  was cancelled (daemon: the client disconnected mid-job). */
+/** Thrown by SweepPool::wait when the submitting client's slot was
+ *  cancelled (daemon: the client disconnected mid-job). */
 struct JobCancelled : std::runtime_error
 {
     JobCancelled() : std::runtime_error("sweep job cancelled") {}
@@ -78,7 +93,7 @@ class SweepPool
     };
 
     /**
-     * @param workers Worker threads, started by the first runBatch;
+     * @param workers Worker threads, started by the first submit;
      *                0 = resolve like ParallelSweeper (C8T_JOBS, else
      *                hardware_concurrency()).
      */
@@ -101,27 +116,59 @@ class SweepPool
 
     /**
      * Mark @p client cancelled: unclaimed tasks are dropped (their
-     * batches complete with JobCancelled) and future runBatch calls
+     * batches complete with JobCancelled) and future submit calls
      * for the slot throw JobCancelled immediately. Running tasks
      * finish; their batch still reports JobCancelled.
      */
     void cancelClient(ClientId client);
 
+  private:
+    struct Batch
+    {
+        std::size_t remaining = 0;
+        std::exception_ptr error;
+    };
+
+  public:
+    /** A submitted batch, redeemed once by wait(). A default ticket
+     *  (an empty batch) waits for nothing. */
+    class Ticket
+    {
+      private:
+        friend class SweepPool;
+        std::shared_ptr<Batch> _batch;
+        ClientId _client = 0;
+    };
+
     /**
-     * Execute every task on the pool and block until all complete.
-     * Tasks are interleaved round-robin with other clients' pending
-     * work. Rethrows the first task exception after the batch drains;
-     * throws JobCancelled when the slot was cancelled. Called from a
-     * pool worker thread, the batch runs inline on that worker.
+     * Queue every task for @p client and return at once. Tasks are
+     * interleaved round-robin with other clients' pending work, after
+     * the slot's earlier batches. Throws JobCancelled when the slot is
+     * already cancelled. Called from a pool worker thread, the batch
+     * runs inline on that worker before submit returns (stopping at
+     * the first task error, which wait then rethrows).
      */
-    void runBatch(ClientId client, std::vector<Task> tasks);
+    Ticket submit(ClientId client, std::vector<Task> tasks);
+
+    /**
+     * Block until every task of @p ticket has completed or been
+     * dropped. Rethrows the first task exception; throws JobCancelled
+     * when the slot was cancelled.
+     */
+    void wait(Ticket ticket);
+
+    /** Execute every task on the pool and block until all complete. */
+    void runBatch(ClientId client, std::vector<Task> tasks)
+    {
+        wait(submit(client, std::move(tasks)));
+    }
 
     /** Counter snapshot. */
     Stats stats() const;
 
     /**
      * Binds the calling thread to a client slot for the scope's
-     * lifetime; ParallelSweeper::run submits under currentClient().
+     * lifetime; ParallelSweeper submits under currentClient().
      * Nests (restores the previous binding on destruction).
      */
     class ClientScope
@@ -143,12 +190,6 @@ class SweepPool
     static SweepPool *current();
 
   private:
-    struct Batch
-    {
-        std::size_t remaining = 0;
-        std::exception_ptr error;
-    };
-
     struct Pending
     {
         Task fn;
@@ -164,18 +205,26 @@ class SweepPool
     void workerLoop(unsigned worker);
     /** Complete one task against its batch. Requires _mutex held. */
     void finishOne(Batch &batch, std::exception_ptr error);
+    /** Report the worker telemetry of the active span that just ended
+     *  (profiler on only). Requires _mutex held. */
+    void reportActiveSpan();
     /** Drop @p slot's pending tasks as cancelled. Requires _mutex. */
     void dropPending(Slot &slot);
 
     const unsigned _workers;
     mutable std::mutex _mutex;
     std::condition_variable _workCv;  ///< workers wait for tasks
-    std::condition_variable _batchCv; ///< runBatch waits for drain
+    std::condition_variable _batchCv; ///< wait() waits for drain
     std::map<ClientId, Slot> _slots;  ///< ordered: RR walks key order
     ClientId _rrCursor = 0;
     ClientId _nextClient = 0;
     bool _stopping = false;
     Stats _stats;
+    std::size_t _batchesInFlight = 0; ///< submitted, not yet drained
+    /** Telemetry of the current active span (a batch in flight). */
+    std::chrono::steady_clock::time_point _activeSince{};
+    std::vector<double> _busySeconds;  ///< per worker, this span
+    std::vector<std::uint64_t> _tasks; ///< per worker, this span
     std::once_flag _started; ///< the team starts with the first batch
     std::vector<std::thread> _threads;
 };
@@ -185,7 +234,7 @@ SweepPool *globalSweepPool();
 
 /**
  * Install (or, with nullptr, uninstall) the process-wide pool.
- * ParallelSweeper::run routes through it while installed. The caller
+ * ParallelSweeper routes through it while installed. The caller
  * keeps ownership and must keep the pool alive until uninstalled and
  * every in-flight sweep has returned.
  */

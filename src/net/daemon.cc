@@ -74,7 +74,7 @@ struct Daemon::Connection
     std::uint64_t id = 0;
     Fd fd;
     core::SweepPool::ClientId client = 0;
-    double startUs = 0.0; ///< connection open, trace timebase
+    Clock::time_point opened; ///< connection open (trace span)
     std::mutex mutex;     ///< guards the members below
     FrameReader reader;
     std::deque<Job> queue;      ///< accepted, not started, FIFO
@@ -388,7 +388,7 @@ Daemon::runNext()
                 "conn" + std::to_string(c.id) + "/job" +
                     std::to_string(job.index),
                 "daemon", kTracePid, static_cast<int>(c.id) + 1,
-                usSince(Clock::time_point{}) - wall_us - _traceT0Us, wall_us);
+                trace->usAt(job.accepted), wall_us);
         }
         // The job's result-building scopes ran on this thread after its
         // sweep flushed the workers; fold them before the rewrite.
@@ -502,8 +502,8 @@ Daemon::pollLoop(UnixListener &listener)
             if (obs::ChromeTraceWriter *trace = obs::globalTrace()) {
                 trace->completeEvent(
                     "conn" + std::to_string(c->id), "daemon", kTracePid,
-                    static_cast<int>(c->id) + 1, c->startUs - _traceT0Us,
-                    usSince(Clock::time_point{}) - c->startUs,
+                    static_cast<int>(c->id) + 1, trace->usAt(c->opened),
+                    usSince(c->opened),
                     "{\"jobs\":" + std::to_string(c->jobsDone) + "}");
             }
             --_connectionsActive;
@@ -550,7 +550,7 @@ Daemon::pollLoop(UnixListener &listener)
             }
             _connections.push_back(std::make_shared<Connection>(
                 _nextConnId++, std::move(fd), _pool->registerClient(),
-                usSince(Clock::time_point{})));
+                Clock::now()));
             ++_connectionsTotal;
             ++_connectionsActive;
             publishMetrics();
@@ -588,7 +588,6 @@ Daemon::serve()
     UnixListener listener(_cfg.socketPath);
     _pool = std::make_unique<core::SweepPool>(_cfg.workers);
     core::setGlobalSweepPool(_pool.get());
-    _traceT0Us = usSince(Clock::time_point{});
 
     // Every exit, also by exception: cancel what still runs, join the
     // team and uninstall the pool before anyone can use it freed.

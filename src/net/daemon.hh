@@ -154,7 +154,6 @@ class Daemon
      *  it only bounds a long-lived daemon seeing many distinct specs. */
     core::Memo<std::string> _memo{256ull << 20};
 
-    double _traceT0Us = 0.0; ///< serve() start on the steady clock
     std::vector<std::thread> _team; ///< the executors, declared last
 };
 

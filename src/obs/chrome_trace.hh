@@ -28,6 +28,7 @@
 #ifndef C8T_OBS_CHROME_TRACE_HH
 #define C8T_OBS_CHROME_TRACE_HH
 
+#include <chrono>
 #include <fstream>
 #include <mutex>
 #include <string>
@@ -55,6 +56,16 @@ class ChromeTraceWriter
 
     /** The path given at construction. */
     const std::string &path() const { return _path; }
+
+    /**
+     * Microseconds from the trace's epoch (the writer's opening, ts 0)
+     * to @p t. Every span of the process is stamped on this one clock.
+     */
+    double usAt(std::chrono::steady_clock::time_point t) const
+    {
+        return std::chrono::duration<double, std::micro>(t - _epoch)
+            .count();
+    }
 
     /**
      * Name the (pid, tid) track ("thread_name" metadata event);
@@ -96,6 +107,8 @@ class ChromeTraceWriter
     void emit(const std::string &body);
 
     std::string _path;
+    const std::chrono::steady_clock::time_point _epoch =
+        std::chrono::steady_clock::now();
     std::ofstream _os;
     std::mutex _mutex;
     bool _first = true;

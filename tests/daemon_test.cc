@@ -420,6 +420,41 @@ TEST(DaemonTest, MidJobDisconnectCancelsTheJob)
     }));
 }
 
+TEST(DaemonTest, MidExploreDisconnectCancelsAndDrainsTheShardInFlight)
+{
+    net::DaemonConfig cfg;
+    cfg.workers = 2;
+    cfg.heartbeatMs = 10;
+    DaemonFixture fx(cfg);
+
+    const std::uint64_t cancelled_before =
+        obs::globalMetrics().daemon().jobsCancelled;
+    {
+        net::DaemonClient client(fx.socket());
+        // Many one-cell shards, two in flight at a time: the client
+        // vanishes with most of them left.
+        client.submit(
+            "{\"kind\":\"explore\",\"accesses\":200000,\"explore\":{"
+            "\"workloads\":[\"gcc\",\"mcf\"],\"sizes_kb\":[16,32],"
+            "\"ways\":[2,4],\"blocks\":[32],\"shard_cells\":1}}");
+        std::this_thread::sleep_for(50ms);
+        client.close();
+    }
+    EXPECT_TRUE(eventually([&] {
+        return obs::globalMetrics().daemon().jobsCancelled >
+               cancelled_before;
+    }));
+
+    // The daemon is whole: the next explore is answered in full.
+    const std::string small =
+        "{\"kind\":\"explore\",\"accesses\":10000,\"explore\":{"
+        "\"workloads\":[\"gcc\"],\"sizes_kb\":[16],\"ways\":[2],"
+        "\"blocks\":[32]}}";
+    net::DaemonClient client(fx.socket());
+    EXPECT_EQ(client.call(small),
+              app::runJobSpec(core::JobSpec::fromJsonText(small)).document);
+}
+
 TEST(DaemonTest, ConcurrentClientsAllGetCorrectBytes)
 {
     const std::vector<std::string> specs = {

@@ -9,7 +9,13 @@
  *     from its checkpoint directory reproduces the byte-identical
  *     document of an uninterrupted run, and re-running over a
  *     complete directory re-executes nothing;
- *   - safety: checkpoints from a different spec are rejected;
+ *   - safety: checkpoints from a different spec are rejected, and a
+ *     malformed checkpoint (seeded mutants of a real one) either loads
+ *     or fails with an error naming the file;
+ *   - the pipeline: two shards are in flight, a shard budget runs
+ *     exactly that many shards, every exit drains the shard in flight,
+ *     checkpoint bytes are pinned, and shard spans share one trace
+ *     clock;
  *   - dedup: the workload-major expansion keeps the stream-cache hit
  *     rate high;
  *   - one reducer: a single-cell explore summarises exactly what
@@ -18,16 +24,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/explorer.hh"
+#include "core/stream_cache.hh"
 #include "core/vdd_sweep.hh"
+#include "core/worker_pool.hh"
+#include "obs/chrome_trace.hh"
 #include "sram/vmodel.hh"
 #include "trace/markov_stream.hh"
 #include "trace/spec_profiles.hh"
@@ -212,6 +227,343 @@ TEST(Explorer, CheckpointFromDifferentSpecIsRejected)
     RunConfig longer = testWindow();
     longer.measureAccesses *= 2;
     EXPECT_THROW(runExplore(spec, longer, 2), std::invalid_argument);
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
+void
+spit(const std::string &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/** The checkpoint file names in @p dir, sorted. */
+std::vector<std::string>
+checkpointNames(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        if (e.path().extension() == ".ckpt")
+            names.push_back(e.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+/** Stream-cache acquires so far: one per executed explorer job. */
+std::uint64_t
+streamLookups()
+{
+    const core::StreamCache::Stats s = core::globalStreamCache().stats();
+    return s.hits + s.misses + s.bypasses;
+}
+
+/** Wait a little and require that no job ran meanwhile: nothing of
+ *  the explore is left running. */
+void
+expectQuiescent()
+{
+    const std::uint64_t settled = streamLookups();
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_EQ(streamLookups(), settled);
+}
+
+TEST(Explorer, ShardBudgetRunsAndCheckpointsExactlyThatManyShards)
+{
+    for (const unsigned workers : {1u, 4u}) {
+        const std::uint64_t before_full = streamLookups();
+        runExplore(testSpec(), testWindow(), workers);
+        const std::uint64_t full = streamLookups() - before_full;
+
+        for (const std::uint64_t budget : {1u, 2u}) {
+            TempDir dir;
+            ExplorerSpec spec = testSpec();
+            spec.checkpointDir = dir.path;
+            spec.maxShards = budget;
+            const std::uint64_t l0 = streamLookups();
+            const ExploreResult r = runExplore(spec, testWindow(), workers);
+            const std::uint64_t interrupted = streamLookups() - l0;
+            EXPECT_FALSE(r.completed);
+            EXPECT_EQ(r.shardsExecuted, budget) << workers;
+            EXPECT_EQ(checkpointNames(dir.path).size(), budget) << workers;
+
+            // Finishing from the checkpoints runs every job exactly
+            // once in all: the lookahead never ran a shard past the
+            // budget.
+            spec.maxShards = 0;
+            const std::uint64_t l1 = streamLookups();
+            EXPECT_TRUE(runExplore(spec, testWindow(), workers).completed);
+            EXPECT_EQ(interrupted + (streamLookups() - l1), full)
+                << workers << " workers, budget " << budget;
+        }
+    }
+}
+
+TEST(Explorer, CheckpointWriteFailureDrainsTheShardInFlight)
+{
+    // The first two shards' jobs, for reference.
+    std::uint64_t two_shards = 0;
+    {
+        TempDir dir;
+        ExplorerSpec spec = testSpec();
+        spec.checkpointDir = dir.path;
+        spec.maxShards = 2;
+        const std::uint64_t l0 = streamLookups();
+        runExplore(spec, testWindow(), 2);
+        two_shards = streamLookups() - l0;
+    }
+
+    for (const unsigned workers : {1u, 4u}) {
+        TempDir dir;
+        ExplorerSpec spec = testSpec();
+        spec.checkpointDir = dir.path;
+        // A directory where shard 0's temporary file goes: its
+        // checkpoint fails while shard 1 is in flight.
+        std::filesystem::create_directories(dir.path + "/shard-0.ckpt.tmp");
+        const std::uint64_t l0 = streamLookups();
+        EXPECT_THROW(runExplore(spec, testWindow(), workers),
+                     std::runtime_error);
+        // Shard 1 ran to the end before runExplore returned, and
+        // shard 2 never started.
+        EXPECT_EQ(streamLookups() - l0, two_shards) << workers;
+        expectQuiescent();
+        EXPECT_TRUE(checkpointNames(dir.path).empty());
+    }
+}
+
+TEST(Explorer, CancelledClientDrainsTheShardInFlight)
+{
+    // What c8td does when a client vanishes mid-explore: the explore
+    // runs on the installed pool under the client's slot, and the slot
+    // is cancelled once the first shard is checkpointed.
+    core::SweepPool pool(2);
+    core::setGlobalSweepPool(&pool);
+    const core::SweepPool::ClientId client = pool.registerClient();
+
+    TempDir dir;
+    ExplorerSpec spec = testSpec();
+    spec.cellsPerShard = 1; // 8 shards: most are left when it is cut
+    spec.checkpointDir = dir.path;
+    RunConfig rc = testWindow();
+    rc.measureAccesses = 100'000;
+
+    bool cancelled = false;
+    std::thread explore([&] {
+        const core::SweepPool::ClientScope scope(client);
+        try {
+            runExplore(spec, rc, 2);
+        } catch (const core::JobCancelled &) {
+            cancelled = true;
+        }
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!std::filesystem::exists(dir.path + "/shard-0.ckpt") &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    pool.cancelClient(client);
+    explore.join();
+
+    EXPECT_TRUE(cancelled);
+    expectQuiescent();
+    EXPECT_EQ(pool.stats().queuedTasks, 0u);
+    EXPECT_LT(checkpointNames(dir.path).size(), 8u);
+    pool.unregisterClient(client);
+    core::setGlobalSweepPool(nullptr);
+}
+
+TEST(Explorer, CheckpointBytesArePinnedAndWorkerCountInvariant)
+{
+    // FNV-1a over every checkpoint's name and bytes; the pinned value
+    // is what the one-shard-at-a-time explorer wrote, so a pipelined
+    // run must write the same files.
+    const auto digest = [](const std::string &dir) {
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (const std::string &name : checkpointNames(dir)) {
+            for (const char c : name + '\0' + slurp(dir + "/" + name)) {
+                h ^= static_cast<unsigned char>(c);
+                h *= 0x100000001b3ull;
+            }
+        }
+        return h;
+    };
+    for (const unsigned workers : {1u, 4u}) {
+        TempDir dir;
+        ExplorerSpec spec = testSpec();
+        spec.checkpointDir = dir.path;
+        runExplore(spec, testWindow(), workers);
+        EXPECT_EQ(checkpointNames(dir.path).size(), 3u);
+        EXPECT_EQ(digest(dir.path), 0x50addc976ef8c870ull)
+            << workers << " workers";
+    }
+}
+
+TEST(Explorer, ShardSpansShareTheTraceClock)
+{
+    TempDir dir;
+    const std::string path = dir.path + "/trace.json";
+    obs::setGlobalTracePath(path);
+    runExplore(testSpec(), testWindow(), 2);
+    obs::globalTrace()->close();
+    const std::string text = slurp(path);
+
+    // Start and duration of each shard's first job span.
+    const auto firstJob = [&text](int shard) {
+        const std::string key = "\"name\":\"explorer_test:shard" +
+                                std::to_string(shard) + "/job0\"";
+        const std::size_t at = text.find(key);
+        EXPECT_NE(at, std::string::npos) << key;
+        const std::size_t ts = text.find("\"ts\":", at);
+        const std::size_t dur = text.find("\"dur\":", at);
+        return std::pair<double, double>(std::stod(text.substr(ts + 5)),
+                                         std::stod(text.substr(dur + 6)));
+    };
+    const auto s0 = firstJob(0), s1 = firstJob(1), s2 = firstJob(2);
+    // In submission order on one clock: shard 1 is queued behind
+    // shard 0, and shard 2 only once shard 0 has been completed.
+    EXPECT_GE(s1.first, s0.first);
+    EXPECT_GE(s2.first, s1.first);
+    EXPECT_GE(s2.first, s0.first + s0.second);
+}
+
+TEST(Explorer, MalformedCheckpointFieldsNameTheFile)
+{
+    TempDir dir;
+    ExplorerSpec spec = testSpec();
+    spec.checkpointDir = dir.path;
+    spec.maxShards = 1;
+    runExplore(spec, testWindow(), 2);
+    const std::string path = dir.path + "/shard-0.ckpt";
+    const std::string good = slurp(path);
+
+    const auto rejects = [&](const std::string &from, const std::string &to,
+                             const std::string &why) {
+        // Past the signature: every target is a header or point field.
+        std::string bad = good;
+        const std::size_t at = bad.find(from, good.find("\nskipped"));
+        ASSERT_NE(at, std::string::npos) << from;
+        bad.replace(at, from.size(), to);
+        spit(path, bad);
+        try {
+            runExplore(spec, testWindow(), 2);
+            ADD_FAILURE() << "loaded with " << to;
+        } catch (const std::runtime_error &e) {
+            const std::string want =
+                "explorer: malformed checkpoint \"" + path + "\": " + why;
+            EXPECT_EQ(std::string(e.what()).substr(0, want.size()), want);
+        }
+    };
+    rejects(" lru ", " lrx ", "unknown replacement policy: lrx");
+    rejects(" RMW ", " XYZ ", "unknown write scheme: XYZ");
+    rejects(" 0x", " zz0x", "bad number \"zz0x1");
+    rejects("p gcc 16384 ", "p gcc -16384 ", "bad count \"-16384\"");
+    rejects(" 32 lru ", " 32x lru ", "bad count \"32x\"");
+    rejects("skipped 0", "skipped 4",
+            "more cells skipped than the shard holds");
+    rejects("skipped 0", "skipped 1",
+            "point count does not match the cells run");
+    rejects("points 6", "points 5",
+            "point count does not match the cells run");
+    spit(path, good);
+    EXPECT_NO_THROW(runExplore(spec, testWindow(), 2));
+}
+
+/** Up to three random edits of @p s: a byte overwritten, erased or
+ *  inserted, a cut, a token replaced, a line doubled or dropped. */
+std::string
+mutateCheckpoint(std::string s, std::mt19937_64 &rng)
+{
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    static const char *const kTokens[] = {
+        "",     "0",   "1",  "-1",  "2",   "7",    "lrx",  "nan",
+        "inf",  "p",   "RMW", "end", "0x1p+9999", "99999999999999999999",
+        "18446744073709551615", "4294967296", "0x", "sig", "points"};
+    const std::size_t edits = 1 + pick(3);
+    for (std::size_t e = 0; e < edits && !s.empty(); ++e) {
+        switch (pick(7)) {
+          case 0: s[pick(s.size())] = static_cast<char>(rng()); break;
+          case 1: s.erase(pick(s.size()), 1 + pick(8)); break;
+          case 2:
+            s.insert(pick(s.size() + 1), 1,
+                     " 0123456789abcdefpx.-\n"[pick(22)]);
+            break;
+          case 3: s.resize(pick(s.size())); break;
+          case 4: {
+            // Replace the token starting at a random token boundary.
+            std::size_t at = pick(s.size());
+            while (at > 0 && s[at - 1] != ' ' && s[at - 1] != '\n')
+                --at;
+            std::size_t end = at;
+            while (end < s.size() && s[end] != ' ' && s[end] != '\n')
+                ++end;
+            s.replace(at, end - at,
+                      kTokens[pick(sizeof(kTokens) / sizeof(*kTokens))]);
+            break;
+          }
+          default: {
+            // Double or drop one line.
+            std::size_t at = pick(s.size());
+            while (at > 0 && s[at - 1] != '\n')
+                --at;
+            const std::size_t nl = s.find('\n', at);
+            const std::size_t end = nl == std::string::npos ? s.size() : nl + 1;
+            if (pick(2))
+                s.insert(at, s.substr(at, end - at));
+            else
+                s.erase(at, end - at);
+            break;
+          }
+        }
+    }
+    return s;
+}
+
+TEST(Explorer, CheckpointMutantsLoadOrNameTheFile)
+{
+    // One 8-cell shard: a mutant that loads completes the explore
+    // without running anything.
+    TempDir dir;
+    ExplorerSpec spec = testSpec();
+    spec.cellsPerShard = 8;
+    spec.checkpointDir = dir.path;
+    runExplore(spec, testWindow(), 2);
+    const std::string path = dir.path + "/shard-0.ckpt";
+    const std::string original = slurp(path);
+    const std::string malformed =
+        "explorer: malformed checkpoint \"" + path + "\": ";
+    const std::string other_spec = "explorer: checkpoint \"" + path +
+                                   "\" was written by a different spec";
+
+    std::mt19937_64 rng(2012);
+    unsigned loaded = 0, rejected = 0;
+    for (int i = 0; i < 400; ++i) {
+        const std::string mutant = mutateCheckpoint(original, rng);
+        spit(path, mutant);
+        try {
+            const ExploreResult r = runExplore(spec, testWindow(), 2);
+            EXPECT_TRUE(r.completed);
+            EXPECT_EQ(r.shardsExecuted, 0u);
+            ++loaded;
+        } catch (const std::exception &e) {
+            const std::string what = e.what();
+            EXPECT_TRUE(what.rfind(malformed, 0) == 0 ||
+                        what.rfind(other_spec, 0) == 0)
+                << "mutant " << i << ": " << what << "\n"
+                << mutant;
+            ++rejected;
+        }
+    }
+    EXPECT_GT(loaded, 0u);
+    EXPECT_GT(rejected, 300u);
 }
 
 TEST(Explorer, StreamCacheDedupKeepsHitRateHigh)

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/explorer.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
 #include "obs/event_ring.hh"
@@ -436,6 +437,46 @@ TEST(Metrics, SweepPopulatesTheGlobalRegistry)
         jobs_seen += w.jobs;
     EXPECT_EQ(jobs_seen, jobs.size());
 
+    obs::globalMetrics().reset();
+}
+
+TEST(Metrics, PipelinedExploreCountsEachWorkersIdleOnce)
+{
+    // Two shards are in flight on the explore's one pool, so a
+    // per-sweep idle figure would count the overlap twice and push a
+    // worker's busy + idle past the explore's wall time.
+    ProfGuard guard;
+    obs::globalMetrics().reset();
+    obs::prof::setEnabled(true);
+
+    core::ExplorerSpec spec;
+    spec.label = "metrics_explore";
+    spec.workloads = {"gcc", "mcf"};
+    spec.sizesKb = {16, 32};
+    spec.ways = {2, 4};
+    spec.blocks = {32};
+    spec.replacements = {mem::ReplKind::Lru};
+    spec.schemes = {WriteScheme::Rmw, WriteScheme::WriteGroupingReadBypass};
+    spec.vddGrid = {1.0, 0.8};
+    spec.cellsPerShard = 2;
+    spec.faultRows = 128;
+    const auto t0 = std::chrono::steady_clock::now();
+    const core::ExploreResult r = core::runExplore(spec, {500, 3'000}, 2);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    ASSERT_TRUE(r.completed);
+
+    Metrics &m = obs::globalMetrics();
+    EXPECT_EQ(m.shardWall().count(), r.shardsExecuted);
+    const auto workers = m.workers();
+    ASSERT_EQ(workers.size(), 2u);
+    for (std::size_t w = 0; w < workers.size(); ++w) {
+        EXPECT_GT(workers[w].busySeconds, 0.0) << w;
+        EXPECT_LE(workers[w].busySeconds + workers[w].idleSeconds,
+                  wall + 1e-6)
+            << w;
+    }
     obs::globalMetrics().reset();
 }
 

@@ -3,13 +3,16 @@
  * Tests for the parallel sweep engine: results must be bit-identical to
  * the legacy serial loop for every worker count, exceptions must
  * propagate, worker-count resolution must honour C8T_JOBS, nested
- * sweeps must run on the calling worker's pool, and the architectural
+ * sweeps must run on the calling worker's pool, a started sweep must
+ * drain before it is destroyed, one sweeper must keep one pool across
+ * its sweeps, and the architectural
  * memory-equivalence property must hold through the parallel path
  * exactly as it does serially.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <optional>
@@ -147,6 +150,55 @@ TEST(ParallelSweeper, OneWorkerRunsEveryJobBeforeRethrowing)
                  std::out_of_range);
     for (std::size_t i = 1; i < jobs.size(); ++i)
         EXPECT_TRUE(inspected[i]) << i;
+}
+
+TEST(ParallelSweeper, UnfinishedSweepDrainsBeforeItIsDestroyed)
+{
+    // Sweep A fails while sweep B is queued behind it: finishing A
+    // throws, and destroying B unfinished waits for every B job (they
+    // write into B's state) instead of leaving them running.
+    std::vector<SweepJob> failing = makeJobs();
+    failing[0].makeGenerator =
+        []() -> std::unique_ptr<trace::AccessGenerator> {
+        throw std::runtime_error("broken workload");
+    };
+    std::atomic<int> b_done{0};
+    std::vector<SweepJob> queued = makeJobs();
+    for (SweepJob &job : queued) {
+        job.inspect = [&b_done](core::MultiSchemeRunner &) {
+            b_done.fetch_add(1);
+        };
+    }
+    const ParallelSweeper sweeper(2);
+    {
+        core::PendingSweep a = sweeper.start(failing, kRc, "a");
+        core::PendingSweep b = sweeper.start(queued, kRc, "b");
+        EXPECT_THROW(a.finish(), std::runtime_error);
+    }
+    EXPECT_EQ(b_done.load(), static_cast<int>(queued.size()));
+
+    // A finished sweep and an empty one finish to nothing more.
+    core::PendingSweep done = sweeper.start(queued, kRc, "c");
+    EXPECT_EQ(done.finish().size(), queued.size());
+    EXPECT_TRUE(done.finish().empty());
+    EXPECT_TRUE(sweeper.start({}, kRc, "empty").finish().empty());
+}
+
+TEST(ParallelSweeper, OneSweeperKeepsOnePoolAcrossSweeps)
+{
+    // A one-worker sweeper runs both sweeps on the same thread: the
+    // second sweep's job sees what the first left in a thread-local.
+    thread_local int t_jobs = 0;
+    std::vector<int> seen;
+    std::vector<SweepJob> jobs = makeJobs();
+    jobs.resize(1);
+    jobs[0].inspect = [&seen](core::MultiSchemeRunner &) {
+        seen.push_back(t_jobs++);
+    };
+    const ParallelSweeper sweeper(1);
+    sweeper.run(jobs, kRc, "first");
+    sweeper.run(jobs, kRc, "second");
+    EXPECT_EQ(seen, (std::vector<int>{0, 1}));
 }
 
 TEST(ParallelSweeper, EmptyJobListReturnsWithoutSubmitting)

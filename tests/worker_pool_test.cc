@@ -1,18 +1,22 @@
 /**
  * @file
  * SweepPool tests: batch execution, per-client fairness bookkeeping,
- * cancellation semantics and worker-thread re-entrancy (DESIGN.md
- * §13).
+ * cancellation semantics, worker-thread re-entrancy (DESIGN.md §13),
+ * overlapping submit/wait batches and the worker telemetry they
+ * report (DESIGN.md §5).
  */
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/worker_pool.hh"
+#include "obs/metrics.hh"
+#include "obs/prof.hh"
 
 namespace
 {
@@ -145,6 +149,137 @@ TEST(SweepPoolTest, NestedSubmissionRunsInlineOnWorker)
     pool.runBatch(0, std::move(outer));
     EXPECT_EQ(inner_runs.load(), 8);
     EXPECT_EQ(SweepPool::current(), nullptr);
+}
+
+TEST(SweepPoolTest, SubmittedBatchesOverlapAndWaitKeepsFirstError)
+{
+    SweepPool pool(2);
+    std::atomic<int> second_runs{0};
+    std::vector<SweepPool::Task> first;
+    first.push_back([](unsigned) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        throw std::runtime_error("first error");
+    });
+    first.push_back([](unsigned) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw std::logic_error("second error");
+    });
+    std::vector<SweepPool::Task> second;
+    for (int i = 0; i < 16; ++i)
+        second.push_back(
+            [&second_runs](unsigned) { second_runs.fetch_add(1); });
+
+    // Both batches are queued before either is waited for.
+    SweepPool::Ticket a = pool.submit(0, std::move(first));
+    SweepPool::Ticket b = pool.submit(0, std::move(second));
+    EXPECT_THROW(pool.wait(std::move(a)), std::runtime_error);
+    EXPECT_NO_THROW(pool.wait(std::move(b)));
+    EXPECT_EQ(second_runs.load(), 16);
+    EXPECT_EQ(pool.stats().batches, 2u);
+
+    // An empty batch and a default ticket wait for nothing.
+    EXPECT_NO_THROW(pool.wait(pool.submit(0, {})));
+    EXPECT_NO_THROW(pool.wait(SweepPool::Ticket{}));
+}
+
+TEST(SweepPoolTest, CancelledSlotFailsEveryOutstandingTicket)
+{
+    SweepPool pool(1);
+    const SweepPool::ClientId id = pool.registerClient();
+
+    // Hold the single worker so the client's tasks stay queued.
+    std::atomic<bool> blocker_running{false};
+    std::atomic<bool> release{false};
+    std::vector<SweepPool::Task> block;
+    block.push_back([&blocker_running, &release](unsigned) {
+        blocker_running.store(true);
+        while (!release.load())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    SweepPool::Ticket blocker = pool.submit(0, std::move(block));
+    while (!blocker_running.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    std::atomic<int> ran{0};
+    const auto batch = [&ran] {
+        std::vector<SweepPool::Task> tasks;
+        for (int i = 0; i < 4; ++i)
+            tasks.push_back([&ran](unsigned) { ran.fetch_add(1); });
+        return tasks;
+    };
+    SweepPool::Ticket a = pool.submit(id, batch());
+    SweepPool::Ticket b = pool.submit(id, batch());
+    pool.cancelClient(id);
+    release.store(true);
+    EXPECT_THROW(pool.wait(std::move(a)), core::JobCancelled);
+    EXPECT_THROW(pool.wait(std::move(b)), core::JobCancelled);
+    EXPECT_NO_THROW(pool.wait(std::move(blocker)));
+    EXPECT_EQ(ran.load(), 0);
+    EXPECT_EQ(pool.stats().tasksCancelled, 8u);
+    EXPECT_THROW(pool.submit(id, batch()), core::JobCancelled);
+    pool.unregisterClient(id);
+}
+
+TEST(SweepPoolTest, NestedSubmitStopsAtTheFirstErrorAndWaitRethrows)
+{
+    SweepPool pool(2);
+    std::atomic<int> inner_runs{0};
+    std::vector<SweepPool::Task> outer;
+    outer.push_back([&pool, &inner_runs](unsigned) {
+        std::vector<SweepPool::Task> inner;
+        inner.push_back(
+            [&inner_runs](unsigned) { inner_runs.fetch_add(1); });
+        inner.push_back([](unsigned) {
+            throw std::runtime_error("inner error");
+        });
+        inner.push_back(
+            [&inner_runs](unsigned) { inner_runs.fetch_add(1); });
+        // Inline: the batch has run by the time submit returns.
+        SweepPool::Ticket t = pool.submit(0, std::move(inner));
+        EXPECT_EQ(inner_runs.load(), 1);
+        EXPECT_THROW(pool.wait(std::move(t)), std::runtime_error);
+    });
+    pool.runBatch(0, std::move(outer));
+    EXPECT_EQ(inner_runs.load(), 1);
+}
+
+TEST(SweepPoolTest, OverlappingBatchesCountIdleOncePerWorker)
+{
+    obs::prof::setEnabled(true);
+    obs::globalMetrics().reset();
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+        SweepPool pool(2);
+        const auto sleepy = [] {
+            std::vector<SweepPool::Task> tasks;
+            for (int i = 0; i < 6; ++i) {
+                tasks.push_back([](unsigned) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(3));
+                });
+            }
+            return tasks;
+        };
+        SweepPool::Ticket a = pool.submit(0, sleepy());
+        SweepPool::Ticket b = pool.submit(0, sleepy());
+        pool.wait(std::move(a));
+        pool.wait(std::move(b));
+    }
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    obs::prof::setEnabled(false);
+
+    const auto workers = obs::globalMetrics().workers();
+    ASSERT_EQ(workers.size(), 2u);
+    std::uint64_t tasks = 0;
+    for (const auto &w : workers) {
+        EXPECT_GT(w.busySeconds, 0.0);
+        EXPECT_LE(w.busySeconds + w.idleSeconds, wall + 1e-6);
+        tasks += w.jobs;
+    }
+    EXPECT_EQ(tasks, 12u);
+    obs::globalMetrics().reset();
 }
 
 TEST(SweepPoolTest, ClientScopeBindsAndRestores)

@@ -27,9 +27,10 @@
 #      -fno-sanitize-recover=all) and run the voltage-model tests
 #      under it (the numeric subsystem with the most UB surface:
 #      pow/exp/ceil scaling, bit_cast seeding, fault-map index math),
-#      plus the JobSpec, c8tsim option, trace reader and frame decoder
-#      tests (the parsers of outside input: range checks before every
-#      narrowing cast).
+#      plus the JobSpec, c8tsim option, trace reader, frame decoder
+#      and explorer tests (the parsers of outside input: range checks
+#      before every narrowing cast; the explorer test drives seeded
+#      mutants of a real checkpoint through the checkpoint loader).
 #   4. Configure + build a TSan tree (-DC8T_TSAN=ON) and run the
 #      parallel sweep, worker pool, metrics, Vdd sweep, explorer,
 #      fault-map memo, stream cache, daemon and result-memo tests under
@@ -51,10 +52,12 @@
 #      --jobs 4 and require byte-identical --stats-json: a single-level
 #      sweep keeps all four schemes in one job, so a four-member live
 #      (Random) plan group replays over one shared memory end to end.
-#   6. Explorer smoke: the same small design-space explore three ways
-#      — uninterrupted, interrupted after one shard (checkpointed),
-#      and resumed from those checkpoints — and require the resumed
-#      run's --stats-json document to be byte-identical to the
+#   6. Explorer smoke: the same small design-space explore run
+#      uninterrupted at --jobs 1 and --jobs 4 (documents and checkpoint
+#      files must be byte-identical: two shards are in flight at a
+#      time), interrupted after one shard (exactly one checkpoint must
+#      be left), and resumed from that checkpoint; the resumed run's
+#      --stats-json document must be byte-identical to the
 #      uninterrupted one (DESIGN.md §12's resumability contract,
 #      checked end-to-end through the c8tsim CLI).
 #   7. Daemon smoke: start c8td on a throwaway socket, run three
@@ -132,11 +135,11 @@ sanitizer_tests build-asan \
     explorer_test simulator_test vdd_sweep_test word_map_test \
     trace_io_test net_frame_test cache_test packed_repl_property_test
 
-echo "==== ubsan: build + voltage-model, spec-parser, trace-reader and frame-decoder tests ===="
+echo "==== ubsan: build + voltage-model, spec-parser, trace-reader, frame-decoder and checkpoint-loader tests ===="
 cmake -B "$repo_root/build-ubsan" -S "$repo_root" -DC8T_UBSAN=ON
 sanitizer_tests build-ubsan \
     vmodel_test vdd_sweep_test job_spec_test app_options_test \
-    trace_io_test net_frame_test
+    trace_io_test net_frame_test explorer_test
 
 echo "==== tsan: build + parallel sweep, memo and daemon tests ===="
 cmake -B "$repo_root/build-tsan" -S "$repo_root" -DC8T_TSAN=ON
@@ -211,33 +214,49 @@ fi
 rm -rf "$random_dir"
 echo "ci: a shared-memory Random plan group is worker-count independent"
 
-echo "==== explorer: CLI interrupt/resume byte-identity ===="
-# A small explore (16 config-runs over 2 workloads) run three ways:
-# uninterrupted; interrupted after one shard into a checkpoint dir;
-# resumed from those checkpoints. The resumed JSON document must be
-# byte-identical to the uninterrupted one. Uses the tier-1 tree.
+echo "==== explorer: CLI worker-count and interrupt/resume byte-identity ===="
+# A small explore (16 config-runs over 2 workloads in 3 shards, two of
+# them in flight at a time) run uninterrupted at --jobs 1 and --jobs 4
+# with checkpoints: both documents and both checkpoint sets must be
+# byte-identical. Then it is interrupted after one shard, which must
+# leave exactly one checkpoint, and resumed from it: the resumed
+# document must be byte-identical to the uninterrupted one. Uses the
+# tier-1 tree.
 explore_dir=$(mktemp -d)
-explore_a=$(mktemp)
-explore_b=$(mktemp)
 explore_args=(--explore --explore-workloads gcc,mcf
     --explore-sizes 16,32 --explore-ways 2,4 --explore-blocks 32
-    --explore-vdd 1.0,0.8 --accesses 3000 --warmup 300 --jobs 2
-    --shard-cells 3)
-"$repo_root/build/tools/c8tsim" "${explore_args[@]}" \
-    --stats-json "$explore_a" > /dev/null
-"$repo_root/build/tools/c8tsim" "${explore_args[@]}" \
-    --checkpoint-dir "$explore_dir" --explore-max-shards 1 > /dev/null
-"$repo_root/build/tools/c8tsim" "${explore_args[@]}" \
-    --checkpoint-dir "$explore_dir" \
-    --stats-json "$explore_b" > /dev/null
-if ! cmp -s "$explore_a" "$explore_b"; then
+    --explore-vdd 1.0,0.8 --accesses 3000 --warmup 300 --shard-cells 3)
+for j in 1 4; do
+    mkdir "$explore_dir/ckpt-j$j"
+    "$repo_root/build/tools/c8tsim" "${explore_args[@]}" --jobs "$j" \
+        --checkpoint-dir "$explore_dir/ckpt-j$j" \
+        --stats-json "$explore_dir/j$j.json" > /dev/null
+done
+if ! cmp -s "$explore_dir/j1.json" "$explore_dir/j4.json" ||
+    ! diff -r "$explore_dir/ckpt-j1" "$explore_dir/ckpt-j4" > /dev/null; then
+    echo "ci: explore document or checkpoints differ between --jobs 1" \
+         "and --jobs 4" >&2
+    exit 1
+fi
+mkdir "$explore_dir/resume"
+"$repo_root/build/tools/c8tsim" "${explore_args[@]}" --jobs 2 \
+    --checkpoint-dir "$explore_dir/resume" --explore-max-shards 1 > /dev/null
+ckpts=$(find "$explore_dir/resume" -name '*.ckpt' | wc -l)
+if [ "$ckpts" -ne 1 ]; then
+    echo "ci: --explore-max-shards 1 left $ckpts checkpoints, not 1" >&2
+    exit 1
+fi
+"$repo_root/build/tools/c8tsim" "${explore_args[@]}" --jobs 2 \
+    --checkpoint-dir "$explore_dir/resume" \
+    --stats-json "$explore_dir/resumed.json" > /dev/null
+if ! cmp -s "$explore_dir/j1.json" "$explore_dir/resumed.json"; then
     echo "ci: resumed explore JSON differs from uninterrupted run" >&2
-    diff "$explore_a" "$explore_b" >&2 || true
+    diff "$explore_dir/j1.json" "$explore_dir/resumed.json" >&2 || true
     exit 1
 fi
 rm -rf "$explore_dir"
-rm -f "$explore_a" "$explore_b"
-echo "ci: explorer interrupt/resume is byte-identical"
+echo "ci: explorer is worker-count invariant and interrupt/resume is" \
+     "byte-identical"
 
 echo "==== daemon: c8td answers vs one-shot c8tsim + SIGTERM drain ===="
 # Three concurrent clients against one daemon; every answer must be
