@@ -8,7 +8,6 @@
 #include <atomic>
 #include <sstream>
 
-#include "app/options.hh"
 #include "core/controller.hh"
 #include "core/sweep.hh"
 #include "obs/metrics.hh"
@@ -23,27 +22,6 @@ namespace c8t::app
 namespace
 {
 
-/** Resolve the spec's lower levels into controller LevelConfigs
- *  (DESIGN.md §14): a block size of 0 inherits the L1 block. */
-std::vector<core::LevelConfig>
-levelConfigs(const core::JobSpec &spec)
-{
-    std::vector<core::LevelConfig> out;
-    out.reserve(spec.levels.size());
-    for (const core::LevelSpec &l : spec.levels) {
-        core::LevelConfig c;
-        c.cache.sizeBytes = l.sizeKb * 1024;
-        c.cache.ways = l.ways;
-        c.cache.blockBytes =
-            l.blockBytes ? l.blockBytes : spec.cache.blockBytes;
-        c.cache.replacement = l.repl;
-        c.scheme = l.scheme;
-        c.vdd = l.vdd;
-        out.push_back(c);
-    }
-    return out;
-}
-
 /** Execute a kind-Run job: one sweep job per scheme, per-scheme stats
  *  registries captured on the worker, document identical to c8tsim's
  *  historical writeStatsJson. */
@@ -52,41 +30,12 @@ runPlain(const core::JobSpec &spec, unsigned workers,
          const JobHooks &hooks, bool include_profile)
 {
     JobOutcome out;
-    out.kind = core::JobKind::Run;
-
-    const std::vector<core::WriteScheme> schemes =
-        spec.effectiveSchemes();
-    const std::vector<core::LevelConfig> lower = levelConfigs(spec);
-    std::vector<core::ControllerConfig> cfgs;
-    cfgs.reserve(schemes.size());
-    for (core::WriteScheme s : schemes) {
-        core::ControllerConfig c;
-        c.cache = spec.cache;
-        c.scheme = s;
-        c.bufferEntries = spec.bufferEntries;
-        c.silentDetection = spec.silentDetection;
-        c.vdd = spec.vdd;
-        c.lowerLevels = lower;
-        cfgs.push_back(c);
-    }
-
-    const core::RunConfig rc{spec.effectiveWarmup(), spec.accesses};
-
-    std::vector<std::string> stats_json(cfgs.size());
+    std::vector<core::SweepJob> jobs = spec.sweepJobs();
+    std::vector<std::string> stats_json(jobs.size());
     std::atomic<std::uint64_t> done{0};
-    const std::uint64_t total = cfgs.size();
-
-    std::vector<core::SweepJob> jobs(cfgs.size());
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        const std::string scheme = core::toString(cfgs[i].scheme);
-        jobs[i].makeGenerator = [workload = spec.workload] {
-            return makeWorkload(workload);
-        };
-        // One generation shared by every scheme job (and, under the
-        // daemon, by every request for the same workload): the
-        // specifier names a deterministic stream within this process.
-        jobs[i].streamKey = "c8tsim:" + spec.workload;
-        jobs[i].configs = {cfgs[i]};
+    const std::uint64_t total = jobs.size();
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::string scheme = core::toString(jobs[i].configs[0].scheme);
         if (hooks.prepare) {
             jobs[i].prepare = [&hooks, i,
                                scheme](core::MultiSchemeRunner &r) {
@@ -114,10 +63,9 @@ runPlain(const core::JobSpec &spec, unsigned workers,
         };
     }
 
-    core::ParallelSweeper sweeper(workers);
-    const auto per_scheme =
-        sweeper.run(jobs, rc, "c8tsim:" + spec.workload);
-    for (const auto &r : per_scheme)
+    const core::ParallelSweeper sweeper(workers);
+    for (const auto &r :
+         sweeper.run(jobs, spec.runConfig(), spec.streamKey()))
         out.runs.push_back(r.at(0));
 
     const obs::prof::ScopedPhase serialize_scope(
@@ -162,29 +110,11 @@ runVdd(const core::JobSpec &spec, unsigned workers,
        const JobHooks &hooks)
 {
     JobOutcome out;
-    out.kind = core::JobKind::VddSweep;
-
-    core::VddSweepSpec vspec;
-    vspec.cache = spec.cache;
-    vspec.schemes = spec.effectiveSchemes();
-    // A hierarchy spec sweeps the L2: the grid voltage and the scheme
-    // axis apply to the lower level while the 6T L1 stays at nominal.
-    vspec.lowerLevels = levelConfigs(spec);
-    if (spec.vdd > 0.0) {
-        // An explicit operating point narrows the sweep to it (useful
-        // for drilling into one point's fault map).
-        vspec.grid = {spec.vdd};
-    }
-    vspec.makeGenerator = [workload = spec.workload] {
-        return makeWorkload(workload);
-    };
-    vspec.streamKey = "c8tsim:" + spec.workload;
-
-    const core::RunConfig rc{spec.effectiveWarmup(), spec.accesses};
+    const core::VddSweepSpec vspec = spec.vddSweepSpec();
     if (hooks.onProgress)
         hooks.onProgress(0, vspec.grid.size());
     out.vdd = std::make_unique<core::VddSweepResult>(
-        core::runVddSweep(vspec, rc, workers));
+        core::runVddSweep(vspec, spec.runConfig(), workers));
     if (hooks.onProgress)
         hooks.onProgress(vspec.grid.size(), vspec.grid.size());
 
@@ -205,8 +135,7 @@ runVdd(const core::JobSpec &spec, unsigned workers,
 
     std::ostringstream os;
     out.vdd->dumpJson(os);
-    os << "\n";
-    out.document = os.str();
+    out.document = os.str() + "\n";
     return out;
 }
 
@@ -216,14 +145,11 @@ runExploreJob(const core::JobSpec &spec, unsigned workers,
               const JobHooks &hooks)
 {
     JobOutcome out;
-    out.kind = core::JobKind::Explore;
-
     const core::ExplorerSpec espec = spec.explorerSpec();
-    const core::RunConfig rc{spec.effectiveWarmup(), spec.accesses};
     if (hooks.onProgress)
         hooks.onProgress(0, espec.configRunCount());
     out.explore = std::make_unique<core::ExploreResult>(
-        core::runExplore(espec, rc, workers));
+        core::runExplore(espec, spec.runConfig(), workers));
     if (hooks.onProgress) {
         hooks.onProgress(out.explore->configRunsExecuted,
                          out.explore->configRunsTotal);
@@ -243,8 +169,7 @@ runExploreJob(const core::JobSpec &spec, unsigned workers,
 
     std::ostringstream os;
     out.explore->dumpJson(os);
-    os << "\n";
-    out.document = os.str();
+    out.document = os.str() + "\n";
     return out;
 }
 

@@ -69,8 +69,6 @@ struct JobHooks
 /** What a job produced. */
 struct JobOutcome
 {
-    core::JobKind kind = core::JobKind::Run;
-
     /** Per-scheme snapshots, spec order (kind Run). */
     std::vector<core::SchemeRunResult> runs;
 

@@ -12,10 +12,7 @@
 #include "core/stream_cache.hh"
 #include "core/sweep.hh"
 #include "sram/vmodel.hh"
-#include "trace/kernels.hh"
-#include "trace/markov_stream.hh"
-#include "trace/spec_profiles.hh"
-#include "trace/trace_io.hh"
+#include "trace/workload.hh"
 
 namespace c8t::app
 {
@@ -210,13 +207,9 @@ usageText()
           "  --help\n"
           "\n"
           "kernels: ";
-    bool first = true;
-    for (const auto &k : kernelNames()) {
-        if (!first)
-            os << ", ";
-        os << k;
-        first = false;
-    }
+    const std::vector<std::string> kernels = trace::kernelNames();
+    for (std::size_t i = 0; i < kernels.size(); ++i)
+        os << (i ? ", " : "") << kernels[i];
     os << "\nbenchmarks: the 25 calibrated SPEC CPU2006 profiles "
           "(see spec_profiles.cc)\n";
     return os.str();
@@ -245,8 +238,6 @@ parseOptions(const std::vector<std::string> &args)
             job.workload = need_value(i++, a);
         } else if (a == "--accesses") {
             job.accesses = parseU64(a, need_value(i++, a));
-            if (job.accesses == 0)
-                throw std::invalid_argument("--accesses: must be > 0");
         } else if (a == "--warmup") {
             job.warmup = parseU64(a, need_value(i++, a));
         } else if (a == "--record") {
@@ -272,9 +263,6 @@ parseOptions(const std::vector<std::string> &args)
                            core::WriteScheme::WriteGroupingReadBypass};
         } else if (a == "--buffer-entries") {
             job.bufferEntries = parseU32(a, need_value(i++, a));
-            if (job.bufferEntries == 0)
-                throw std::invalid_argument(
-                    "--buffer-entries: must be >= 1");
         } else if (a == "--l2") {
             l2_kb = parseU64(a, need_value(i++, a));
         } else if (a == "--l2-ways") {
@@ -335,9 +323,6 @@ parseOptions(const std::vector<std::string> &args)
         } else if (a == "--shard-cells") {
             job.shardCells = static_cast<std::size_t>(
                 parseU64(a, need_value(i++, a)));
-            if (job.shardCells == 0)
-                throw std::invalid_argument(
-                    "--shard-cells: must be >= 1");
         } else if (a == "--explore-max-shards") {
             job.exploreMaxShards = parseU64(a, need_value(i++, a));
         } else if (a == "--jobs") {
@@ -378,61 +363,10 @@ parseOptions(const std::vector<std::string> &args)
     } else if (!l2_knob.empty()) {
         throw std::invalid_argument(l2_knob + ": requires --l2 KB");
     }
+    // The spec is checked by the one rule set both front ends share.
     if (!opt.help)
-        job.cache.validate();
+        job.validate();
     return opt;
-}
-
-std::vector<std::string>
-kernelNames()
-{
-    return {"stream_copy", "stencil3", "pointer_chase", "hash_update",
-            "transpose", "fill"};
-}
-
-std::unique_ptr<trace::AccessGenerator>
-makeWorkload(const std::string &spec)
-{
-    const auto colon = spec.find(':');
-    if (colon == std::string::npos) {
-        throw std::invalid_argument(
-            "workload must be spec:<bench>, kernel:<name> or "
-            "trace:<path>, got '" + spec + "'");
-    }
-    const std::string kind = spec.substr(0, colon);
-    const std::string name = spec.substr(colon + 1);
-
-    if (kind == "spec") {
-        try {
-            return std::make_unique<trace::MarkovStream>(
-                trace::specProfile(name));
-        } catch (const std::out_of_range &) {
-            throw std::invalid_argument("unknown SPEC benchmark: " + name);
-        }
-    }
-    if (kind == "trace")
-        return std::make_unique<trace::TraceReader>(name);
-    if (kind == "kernel") {
-        // Kernel shapes sized so the default run lengths exercise them
-        // meaningfully; pass a trace file for full control.
-        if (name == "stream_copy")
-            return std::make_unique<trace::StreamCopyKernel>(1'000'000,
-                                                             4);
-        if (name == "stencil3")
-            return std::make_unique<trace::StencilKernel>(1'000'000, 4);
-        if (name == "pointer_chase")
-            return std::make_unique<trace::PointerChaseKernel>(
-                1 << 16, 8'000'000);
-        if (name == "hash_update")
-            return std::make_unique<trace::HashUpdateKernel>(
-                1 << 14, 4'000'000, 0.35, 1.5);
-        if (name == "transpose")
-            return std::make_unique<trace::TransposeKernel>(1024, 8);
-        if (name == "fill")
-            return std::make_unique<trace::FillKernel>(500'000, 8);
-        throw std::invalid_argument("unknown kernel: " + name);
-    }
-    throw std::invalid_argument("unknown workload kind: " + kind);
 }
 
 } // namespace c8t::app

@@ -1,8 +1,8 @@
 /**
  * @file
- * Command-line option parsing and workload construction for the
- * c8tsim command line (tools/c8tsim.cc). Flags parse straight into the
- * shared core::JobSpec; only the result sinks stay on SimOptions.
+ * Command-line option parsing for the c8tsim command line
+ * (tools/c8tsim.cc). Flags parse straight into the shared
+ * core::JobSpec; only the result sinks stay on SimOptions.
  * Lives in the library so it is unit testable and reusable by other
  * front ends.
  */
@@ -11,13 +11,11 @@
 #define C8T_APP_OPTIONS_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/job_spec.hh"
-#include "trace/access.hh"
 
 namespace c8t::app
 {
@@ -85,7 +83,8 @@ struct SimOptions
 };
 
 /**
- * Parse c8tsim arguments (argv[1..]).
+ * Parse c8tsim arguments (argv[1..]) and, unless --help was given,
+ * validate the job (core::JobSpec::validate).
  * @throws std::invalid_argument with a usable message on bad input.
  */
 SimOptions parseOptions(const std::vector<std::string> &args);
@@ -112,19 +111,6 @@ std::size_t parseStreamCacheMb(const std::string &flag,
  *  @throws std::invalid_argument naming @p flag. */
 unsigned parseWorkerCount(const std::string &flag, const std::string &value,
                           bool zero_is_auto);
-
-/**
- * Construct the workload named by @p spec: spec:<benchmark> (one of
- * the 25 calibrated SPEC profiles), kernel:<name> (see kernelNames())
- * or trace:<path> (a binary trace file).
- * @throws std::invalid_argument on an unknown specifier.
- * @throws std::runtime_error when a trace file cannot be opened.
- */
-std::unique_ptr<trace::AccessGenerator>
-makeWorkload(const std::string &spec);
-
-/** All valid kernel names accepted by makeWorkload(). */
-std::vector<std::string> kernelNames();
 
 } // namespace c8t::app
 

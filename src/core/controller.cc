@@ -72,8 +72,7 @@ CacheController::CacheController(const ControllerConfig &config,
     : _config(config), _traits(schemeTraits(config.scheme)),
       _mem(memory), _role(role), _tags(config.cache),
       _array(dataArrayGeometry(config.cache, config.scheme,
-                               config.interleaveDegree)),
-      _energy(_array.geometry(), config.tech)
+                               config.interleaveDegree))
 {
     if (_config.bufferEntries == 0)
         throw std::invalid_argument(

@@ -305,9 +305,6 @@ class CacheController
     /** The port scheduler (contention statistics). */
     const sram::PortScheduler &ports() const { return _ports; }
 
-    /** The energy model used for accounting. */
-    const sram::EnergyModel &energyModel() const { return _energy; }
-
     /** True when a non-nominal supply point is attached. */
     bool vddActive() const { return _vddActive; }
 
@@ -763,7 +760,6 @@ class CacheController
     MemoryRole _role;
     mem::TagArray _tags;
     sram::SRAMArray _array;
-    sram::EnergyModel _energy;
     sram::PortScheduler _ports;
     std::unique_ptr<TagBuffer> _tagBuffer;
     std::unique_ptr<SetBuffer> _setBuffer;

@@ -28,6 +28,7 @@
 #include "stats/json.hh"
 #include "stats/registry.hh"
 #include "trace/markov_stream.hh"
+#include "trace/rng.hh"
 #include "trace/spec_profiles.hh"
 
 namespace c8t::core
@@ -55,17 +56,6 @@ parseDoubleToken(const std::string &tok)
     if (!end || *end != '\0' || end == tok.c_str())
         throw std::runtime_error("bad number \"" + tok + "\"");
     return v;
-}
-
-/** splitmix64 step (the shard-shuffle PRNG; no global RNG state). */
-std::uint64_t
-splitmix64(std::uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e9b5ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
 }
 
 /** One cell of the cross-product: its workload and the
@@ -330,8 +320,9 @@ struct ShardRun
     std::vector<VddFaultTable> faults; ///< written by the jobs
     std::vector<SweepJob> jobs;
     std::vector<std::size_t> cellJobs; ///< [vi]: first job of cell vi
-    /** Declared last, so destruction drains the jobs before the state
-     *  they read and write goes. */
+    /** Declared last, so destruction abandons the jobs (drops the
+     *  unclaimed, waits for the running) before the state they read
+     *  and write goes. */
     std::optional<PendingSweep> sweep;
 };
 
@@ -358,18 +349,11 @@ startShard(const ExplorerSpec &spec, const RunConfig &rc,
     for (std::uint64_t ci = first; ci < first + count; ++ci) {
         CellSweep cell = decodeCell(spec, ci);
         const mem::CacheConfig &cache = cell.sweep.cache;
+        // An L2 that cannot hold the L1 breaks inclusion: skipped like
+        // any other invalid geometry, deterministically from the spec.
         try {
             cache.validate();
-            if (!cell.sweep.lowerLevels.empty()) {
-                // An L2 that cannot hold the L1 breaks inclusion —
-                // skipped like any other invalid geometry,
-                // deterministically from the spec.
-                const mem::CacheConfig &l2 =
-                    cell.sweep.lowerLevels.front().cache;
-                l2.validate();
-                if (l2.sizeBytes < cache.sizeBytes)
-                    throw std::invalid_argument("L2 smaller than L1");
-            }
+            validateLevels(cache, cell.sweep.lowerLevels);
         } catch (const std::invalid_argument &) {
             ++run->skipped;
             continue;
@@ -427,21 +411,10 @@ ExplorerSpec::validate() const
             throw std::invalid_argument(
                 "ExplorerSpec: L2 sizes must be > 0");
     }
-    for (std::size_t i = 1; i < vddGrid.size(); ++i) {
-        if (!(vddGrid[i] < vddGrid[i - 1]))
-            throw std::invalid_argument(
-                "ExplorerSpec: grid must be strictly descending");
-    }
-    if (!vddGrid.empty() && vddGrid.back() <= 0.0)
-        throw std::invalid_argument(
-            "ExplorerSpec: grid voltages must be > 0");
-    if (faultRows == 0)
-        throw std::invalid_argument(
-            "ExplorerSpec: faultRows must be >= 1");
+    validateOperatingPoints(vddGrid, faultRows, model, "ExplorerSpec");
     if (cellsPerShard == 0)
         throw std::invalid_argument(
             "ExplorerSpec: cellsPerShard must be >= 1");
-    model.validate();
 }
 
 std::uint64_t
@@ -654,7 +627,7 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
         std::uint64_t state = spec.shuffleSeed;
         for (std::size_t i = order.size() - 1; i > 0; --i) {
             const std::size_t j = static_cast<std::size_t>(
-                splitmix64(state) % (i + 1));
+                trace::splitmix64(state) % (i + 1));
             std::swap(order[i], order[j]);
         }
     }
@@ -667,50 +640,13 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
     std::uint64_t shards_accounted = 0;
     std::uint64_t cells_accounted = 0;
 
-    const auto heartbeat = [&](bool final_beat) {
-        if (!progress_on)
-            return;
+    // Explorer progress gauges and the stderr heartbeat (throttled but
+    // for the final beat), after every shard accounted (loaded or
+    // executed) and once at the end.
+    const auto note_progress = [&](bool final_beat) {
         const auto now = std::chrono::steady_clock::now();
-        if (!final_beat &&
-            std::chrono::duration<double>(now - last_beat).count() < 0.5)
-            return;
-        last_beat = now;
         const double elapsed =
             std::chrono::duration<double>(now - t0).count();
-        const std::uint64_t runs_done =
-            cells_accounted * spec.runsPerCell();
-        const double exec_rate =
-            elapsed > 0.0
-                ? static_cast<double>(result.configRunsExecuted) / elapsed
-                : 0.0;
-        const std::uint64_t runs_left =
-            result.configRunsTotal > runs_done
-                ? result.configRunsTotal - runs_done
-                : 0;
-        const double eta = exec_rate > 0.0
-                               ? static_cast<double>(runs_left) /
-                                     exec_rate
-                               : 0.0;
-        std::fprintf(
-            stderr,
-            "\r[%s] shards %llu/%llu · config-runs %llu/%llu · "
-            "%.1f runs/s · ETA %.0fs · cache-hit %.0f%%%s",
-            spec.label.c_str(),
-            static_cast<unsigned long long>(shards_accounted),
-            static_cast<unsigned long long>(result.shardsTotal),
-            static_cast<unsigned long long>(runs_done),
-            static_cast<unsigned long long>(result.configRunsTotal),
-            exec_rate, eta, 100.0 * stream_hit_rate(),
-            final_beat ? "\n" : "");
-        std::fflush(stderr);
-    };
-
-    // Explorer progress gauges and the stderr heartbeat, after every
-    // shard accounted (loaded or executed).
-    const auto note_progress = [&] {
-        const double elapsed = std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count();
         obs::Metrics::ExplorerSnapshot snap;
         snap.shardsDone = shards_accounted;
         snap.shardsTotal = result.shardsTotal;
@@ -718,17 +654,33 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
         snap.configRunsTotal = result.configRunsTotal;
         snap.configRunsPerSec =
             elapsed > 0.0
-                ? static_cast<double>(result.configRunsExecuted) /
-                      elapsed
+                ? static_cast<double>(result.configRunsExecuted) / elapsed
                 : 0.0;
         snap.etaSeconds =
-            snap.configRunsPerSec > 0.0
+            snap.configRunsPerSec > 0.0 &&
+                    snap.configRunsTotal > snap.configRunsDone
                 ? static_cast<double>(snap.configRunsTotal -
                                       snap.configRunsDone) /
                       snap.configRunsPerSec
                 : 0.0;
         obs::globalMetrics().noteExplorer(snap);
-        heartbeat(false);
+        if (!progress_on ||
+            (!final_beat &&
+             std::chrono::duration<double>(now - last_beat).count() < 0.5))
+            return;
+        last_beat = now;
+        std::fprintf(
+            stderr,
+            "\r[%s] shards %llu/%llu · config-runs %llu/%llu · "
+            "%.1f runs/s · ETA %.0fs · cache-hit %.0f%%%s",
+            spec.label.c_str(),
+            static_cast<unsigned long long>(snap.shardsDone),
+            static_cast<unsigned long long>(snap.shardsTotal),
+            static_cast<unsigned long long>(snap.configRunsDone),
+            static_cast<unsigned long long>(snap.configRunsTotal),
+            snap.configRunsPerSec, snap.etaSeconds,
+            100.0 * stream_hit_rate(), final_beat ? "\n" : "");
+        std::fflush(stderr);
     };
 
     // Wait for a started shard, reduce it to summaries and checkpoint
@@ -767,14 +719,15 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
             std::chrono::duration<double, std::nano>(
                 std::chrono::steady_clock::now() - run.t0)
                 .count()));
-        note_progress();
+        note_progress(false);
     };
 
     // Two shards in flight: shard k+1 is expanded and queued before
     // shard k is completed, so the workers run it while this thread
     // reduces and checkpoints shard k. At most two shards' jobs are
-    // alive. On every exit, by exception too, the destructors drain
-    // the shard still in flight before runExplore returns.
+    // alive. On an exception the destructors abandon the shard still
+    // in flight: its unclaimed jobs are dropped and its running ones
+    // finish before runExplore returns.
     std::uint64_t shards_started = 0;
     std::unique_ptr<ShardRun> in_flight;
     for (const std::uint64_t shard : order) {
@@ -792,7 +745,7 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
             ++result.shardsResumed;
             ++shards_accounted;
             cells_accounted += count;
-            note_progress();
+            note_progress(false);
         } else if (!spec.maxShards || shards_started < spec.maxShards) {
             ++shards_started;
             std::unique_ptr<ShardRun> next =
@@ -864,7 +817,7 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
         wall > 0.0 ? static_cast<double>(result.configRunsExecuted) / wall
                    : 0.0;
     result.streamCacheHitRate = stream_hit_rate();
-    heartbeat(true);
+    note_progress(true);
     // The last shard's explorer snapshot postdates its sweep's rewrite.
     obs::writeGlobalMetrics();
     return result;

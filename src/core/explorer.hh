@@ -31,8 +31,9 @@
  *    before shard k is reduced and checkpointed on the calling thread,
  *    so the workers never idle at a shard barrier. Raw per-point rows
  *    are never materialized beyond those two shards, so memory stays
- *    flat regardless of grid size; every exit drains the shard in
- *    flight before runExplore returns.
+ *    flat regardless of grid size. A failed explore abandons the
+ *    shard in flight: its unclaimed jobs are dropped and its running
+ *    ones finish before runExplore returns.
  *
  *  * **Resumable checkpointing.** With a checkpoint directory set,
  *    every completed shard writes its reduced summaries to

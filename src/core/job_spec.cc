@@ -14,6 +14,7 @@
 #include "sram/vmodel.hh"
 #include "stats/json.hh"
 #include "trace/spec_profiles.hh"
+#include "trace/workload.hh"
 
 namespace c8t::core
 {
@@ -273,23 +274,26 @@ specFail(const std::string &what)
     throw std::invalid_argument("job spec: " + what);
 }
 
-/** CacheConfig::validate(), with the failure reported under the spec
- *  object @p where the shape came from ("cache" or "levels[]"). */
+/** Run the check @p check, reporting its failure as a spec error
+ *  prefixed with @p where. */
+template <typename Check>
 void
-validateShape(const mem::CacheConfig &c, const char *where)
+specCheck(const char *where, Check check)
 {
     try {
-        c.validate();
+        check();
     } catch (const std::invalid_argument &e) {
-        specFail(std::string(where) + ": " + e.what());
+        specFail(where + std::string(e.what()));
     }
 }
 
-/** Reject any member of @p v whose key is not in @p known. */
+/** Require @p v to be an object whose keys are all in @p known. */
 void
-rejectUnknownKeys(const JsonValue &v, const char *where,
-                  std::initializer_list<const char *> known)
+expectObject(const JsonValue &v, const char *where,
+             std::initializer_list<const char *> known)
 {
+    if (!v.isObject())
+        specFail(std::string(where) + ": expected an object");
     for (const auto &m : v.members) {
         bool ok = false;
         for (const char *k : known)
@@ -349,6 +353,8 @@ asBool(const JsonValue &v, const char *key)
     return v.boolean;
 }
 
+/** A non-empty array whose items @p item parses, each reported as
+ *  "<key>[]". */
 template <typename T, typename Fn>
 std::vector<T>
 asList(const JsonValue &v, const char *key, Fn item)
@@ -357,11 +363,74 @@ asList(const JsonValue &v, const char *key, Fn item)
         specFail(std::string(key) + ": expected an array");
     if (v.items.empty())
         specFail(std::string(key) + ": empty list");
+    const std::string item_key = std::string(key) + "[]";
     std::vector<T> out;
     out.reserve(v.items.size());
     for (const JsonValue &e : v.items)
-        out.push_back(item(e));
+        out.push_back(item(e, item_key.c_str()));
     return out;
+}
+
+mem::ReplKind
+asRepl(const JsonValue &v, const char *key)
+{
+    return mem::parseReplKind(asString(v, key));
+}
+
+WriteScheme
+asScheme(const JsonValue &v, const char *key)
+{
+    return parseWriteScheme(asString(v, key));
+}
+
+/** One "levels" entry: an object with the LevelSpec keys. */
+LevelSpec
+asLevel(const JsonValue &e, const char *)
+{
+    expectObject(e, "levels[]",
+                 {"size_kb", "ways", "block", "repl", "scheme", "vdd"});
+    LevelSpec l;
+    if (const JsonValue *s = e.find("size_kb"))
+        l.sizeKb = asU64(*s, "levels[].size_kb");
+    if (const JsonValue *w = e.find("ways"))
+        l.ways = asU32(*w, "levels[].ways");
+    if (const JsonValue *b = e.find("block"))
+        l.blockBytes = asU32(*b, "levels[].block");
+    if (const JsonValue *r = e.find("repl"))
+        l.repl = asRepl(*r, "levels[].repl");
+    if (const JsonValue *s = e.find("scheme"))
+        l.scheme = asScheme(*s, "levels[].scheme");
+    if (const JsonValue *d = e.find("vdd")) {
+        l.vdd = asDouble(*d, "levels[].vdd");
+        if (l.vdd <= 0.0)
+            specFail("levels[].vdd: must be > 0");
+    }
+    return l;
+}
+
+/** The supply grid of @p spec's Vdd sweep: the default grid, or the
+ *  one point an explicit vdd narrows it to (useful for drilling into
+ *  one point's fault map). */
+std::vector<double>
+sweepGrid(const JobSpec &spec)
+{
+    if (spec.vdd > 0.0)
+        return {spec.vdd};
+    return sram::VddModel::defaultGrid();
+}
+
+/** Write @p items as a JSON array, each item through @p item. */
+template <typename T, typename Fn>
+void
+writeList(std::ostream &os, const std::vector<T> &items, Fn item)
+{
+    os << '[';
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        if (i)
+            os << ',';
+        item(items[i]);
+    }
+    os << ']';
 }
 
 } // anonymous namespace
@@ -416,6 +485,59 @@ JobSpec::effectiveSchemes() const
     return voltageStorySchemes();
 }
 
+std::vector<LevelConfig>
+JobSpec::levelConfigs() const
+{
+    std::vector<LevelConfig> out;
+    out.reserve(levels.size());
+    for (const LevelSpec &l : levels) {
+        LevelConfig &c = out.emplace_back();
+        c.cache.sizeBytes = levelBytesFromKb(l.sizeKb, "levels[].size_kb");
+        c.cache.ways = l.ways;
+        c.cache.blockBytes = l.blockBytes ? l.blockBytes : cache.blockBytes;
+        c.cache.replacement = l.repl;
+        c.scheme = l.scheme;
+        c.vdd = l.vdd;
+    }
+    return out;
+}
+
+std::vector<SweepJob>
+JobSpec::sweepJobs() const
+{
+    const trace::WorkloadFactory make = trace::makeWorkload(workload);
+    const std::vector<LevelConfig> lower = levelConfigs();
+    std::vector<SweepJob> jobs;
+    for (const WriteScheme s : effectiveSchemes()) {
+        SweepJob &job = jobs.emplace_back();
+        job.makeGenerator = make;
+        job.streamKey = streamKey();
+        ControllerConfig &c = job.configs.emplace_back();
+        c.cache = cache;
+        c.scheme = s;
+        c.bufferEntries = bufferEntries;
+        c.silentDetection = silentDetection;
+        c.vdd = vdd;
+        c.lowerLevels = lower;
+    }
+    return jobs;
+}
+
+VddSweepSpec
+JobSpec::vddSweepSpec() const
+{
+    VddSweepSpec v;
+    v.cache = cache;
+    v.schemes = effectiveSchemes();
+    // A hierarchy spec sweeps the L2: the grid voltage and the scheme
+    // axis apply to the lower level while the 6T L1 stays at nominal.
+    v.lowerLevels = levelConfigs();
+    v.grid = sweepGrid(*this);
+    v.makeGenerator = trace::makeWorkload(workload);
+    v.streamKey = streamKey();
+    return v;
+}
+
 ExplorerSpec
 JobSpec::explorerSpec() const
 {
@@ -443,8 +565,7 @@ JobSpec::configRuns() const
 {
     switch (kind) {
     case JobKind::VddSweep:
-        return satMul(effectiveSchemes().size(),
-                      vdd > 0.0 ? 1 : sram::VddModel::defaultGrid().size());
+        return satMul(effectiveSchemes().size(), sweepGrid(*this).size());
     case JobKind::Explore:
         return explorerSpec().configRunCount();
     case JobKind::Run:
@@ -492,32 +613,14 @@ JobSpec::validate() const
         levelBytesFromKb(kb, "explore.sizes_kb[]");
     for (const std::uint64_t kb : exploreL2SizesKb)
         levelBytesFromKb(kb, "explore.l2_sizes_kb[]");
-    std::uint64_t upper_bytes = cache.sizeBytes;
-    for (const LevelSpec &l : levels) {
-        mem::CacheConfig lc;
-        lc.sizeBytes = levelBytesFromKb(l.sizeKb, "levels[].size_kb");
-        lc.ways = l.ways;
-        lc.blockBytes = l.blockBytes ? l.blockBytes : cache.blockBytes;
-        lc.replacement = l.repl;
-        validateShape(lc, "levels[]");
-        if (l.blockBytes && l.blockBytes != cache.blockBytes)
-            specFail("levels[].block must match the L1 block size");
-        if (l.vdd < 0.0)
-            specFail("levels[].vdd must be > 0");
-        // Inclusion needs the room (core::LevelStack): admission
-        // rejects what a worker could only fail on.
-        if (lc.sizeBytes < upper_bytes)
-            specFail("levels[].size_kb " + std::to_string(l.sizeKb) +
-                     " is smaller than the level above it (" +
-                     std::to_string(upper_bytes / 1024) + " KB)");
-        upper_bytes = lc.sizeBytes;
-    }
-    if (workload.find(':') == std::string::npos) {
-        specFail("workload must be spec:<bench>, kernel:<name> or "
-                 "trace:<path>, got '" + workload + "'");
-    }
-    validateShape(cache, "cache");
-    if (kind == JobKind::Explore && shardCells == 0)
+    // Admission rejects what a worker could only fail on: the level
+    // shapes core::LevelStack needs, and the workload, which the
+    // parser checks without building its generator or opening a file.
+    const std::vector<LevelConfig> lower = levelConfigs();
+    specCheck("", [&] { validateLevels(cache, lower); });
+    specCheck("", [&] { trace::makeWorkload(workload); });
+    specCheck("cache: ", [&] { cache.validate(); });
+    if (shardCells == 0)
         specFail("shard_cells must be >= 1");
     if (const std::uint64_t runs = configRuns(); runs > kMaxJobConfigRuns) {
         throw JobTooLarge("job spec: too large: " + std::to_string(runs) +
@@ -538,10 +641,10 @@ JobSpec::fromJson(const JsonValue &v)
 {
     if (!v.isObject())
         specFail("expected a JSON object");
-    rejectUnknownKeys(v, "spec",
-                      {"kind", "workload", "accesses", "warmup", "cache",
-                       "schemes", "buffer_entries", "silent_detection",
-                       "levels", "vdd", "explore"});
+    expectObject(v, "spec",
+                 {"kind", "workload", "accesses", "warmup", "cache",
+                  "schemes", "buffer_entries", "silent_detection", "levels",
+                  "vdd", "explore"});
 
     JobSpec spec;
     const JsonValue *kind = v.find("kind");
@@ -557,10 +660,7 @@ JobSpec::fromJson(const JsonValue &v)
         spec.warmup = asU64(*w, "warmup");
 
     if (const JsonValue *c = v.find("cache")) {
-        if (!c->isObject())
-            specFail("cache: expected an object");
-        rejectUnknownKeys(*c, "cache",
-                          {"size_kb", "ways", "block", "repl"});
+        expectObject(*c, "cache", {"size_kb", "ways", "block", "repl"});
         if (const JsonValue *s = c->find("size_kb"))
             spec.cache.sizeBytes =
                 levelBytesFromKb(asU64(*s, "cache.size_kb"),
@@ -569,56 +669,18 @@ JobSpec::fromJson(const JsonValue &v)
             spec.cache.ways = asU32(*w, "cache.ways");
         if (const JsonValue *b = c->find("block"))
             spec.cache.blockBytes = asU32(*b, "cache.block");
-        if (const JsonValue *r = c->find("repl")) {
-            spec.cache.replacement =
-                mem::parseReplKind(asString(*r, "cache.repl"));
-        }
+        if (const JsonValue *r = c->find("repl"))
+            spec.cache.replacement = asRepl(*r, "cache.repl");
     }
 
-    if (const JsonValue *s = v.find("schemes")) {
-        spec.schemes = asList<WriteScheme>(
-            *s, "schemes", [](const JsonValue &e) {
-                return parseWriteScheme(asString(e, "schemes[]"));
-            });
-    }
+    if (const JsonValue *s = v.find("schemes"))
+        spec.schemes = asList<WriteScheme>(*s, "schemes", asScheme);
     if (const JsonValue *b = v.find("buffer_entries"))
         spec.bufferEntries = asU32(*b, "buffer_entries");
     if (const JsonValue *s = v.find("silent_detection"))
         spec.silentDetection = asBool(*s, "silent_detection");
-    if (const JsonValue *lv = v.find("levels")) {
-        if (!lv->isArray())
-            specFail("levels: expected an array");
-        if (lv->items.empty())
-            specFail("levels: empty list");
-        for (const JsonValue &e : lv->items) {
-            if (!e.isObject())
-                specFail("levels[]: expected an object");
-            rejectUnknownKeys(e, "levels[]",
-                              {"size_kb", "ways", "block", "repl",
-                               "scheme", "vdd"});
-            LevelSpec l;
-            if (const JsonValue *s = e.find("size_kb"))
-                l.sizeKb = asU64(*s, "levels[].size_kb");
-            if (const JsonValue *w = e.find("ways"))
-                l.ways = asU32(*w, "levels[].ways");
-            if (const JsonValue *b = e.find("block"))
-                l.blockBytes = asU32(*b, "levels[].block");
-            if (const JsonValue *r = e.find("repl")) {
-                l.repl =
-                    mem::parseReplKind(asString(*r, "levels[].repl"));
-            }
-            if (const JsonValue *s = e.find("scheme")) {
-                l.scheme =
-                    parseWriteScheme(asString(*s, "levels[].scheme"));
-            }
-            if (const JsonValue *d = e.find("vdd")) {
-                l.vdd = asDouble(*d, "levels[].vdd");
-                if (l.vdd <= 0.0)
-                    specFail("levels[].vdd: must be > 0");
-            }
-            spec.levels.push_back(l);
-        }
-    }
+    if (const JsonValue *lv = v.find("levels"))
+        spec.levels = asList<LevelSpec>(*lv, "levels", asLevel);
     if (const JsonValue *d = v.find("vdd")) {
         spec.vdd = asDouble(*d, "vdd");
         if (spec.vdd <= 0.0)
@@ -628,53 +690,29 @@ JobSpec::fromJson(const JsonValue &v)
     if (const JsonValue *e = v.find("explore")) {
         if (spec.kind != JobKind::Explore)
             specFail("explore axes given for a non-explore kind");
-        if (!e->isObject())
-            specFail("explore: expected an object");
-        rejectUnknownKeys(*e, "explore",
-                          {"workloads", "sizes_kb", "ways", "blocks",
-                           "repl", "vdd", "l2_sizes_kb", "shard_cells"});
+        expectObject(*e, "explore",
+                     {"workloads", "sizes_kb", "ways", "blocks", "repl",
+                      "vdd", "l2_sizes_kb", "shard_cells"});
         if (const JsonValue *w = e->find("workloads")) {
-            spec.exploreWorkloads = asList<std::string>(
-                *w, "explore.workloads", [](const JsonValue &i) {
-                    return asString(i, "explore.workloads[]");
-                });
+            spec.exploreWorkloads =
+                asList<std::string>(*w, "explore.workloads", asString);
         }
-        if (const JsonValue *s = e->find("sizes_kb")) {
-            spec.exploreSizesKb = asList<std::uint64_t>(
-                *s, "explore.sizes_kb", [](const JsonValue &i) {
-                    return asU64(i, "explore.sizes_kb[]");
-                });
-        }
-        if (const JsonValue *w = e->find("ways")) {
-            spec.exploreWays = asList<std::uint32_t>(
-                *w, "explore.ways", [](const JsonValue &i) {
-                    return asU32(i, "explore.ways[]");
-                });
-        }
-        if (const JsonValue *b = e->find("blocks")) {
-            spec.exploreBlocks = asList<std::uint32_t>(
-                *b, "explore.blocks", [](const JsonValue &i) {
-                    return asU32(i, "explore.blocks[]");
-                });
-        }
-        if (const JsonValue *r = e->find("repl")) {
-            spec.exploreRepls = asList<mem::ReplKind>(
-                *r, "explore.repl", [](const JsonValue &i) {
-                    return mem::parseReplKind(
-                        asString(i, "explore.repl[]"));
-                });
-        }
-        if (const JsonValue *g = e->find("vdd")) {
-            spec.exploreVdd = asList<double>(
-                *g, "explore.vdd", [](const JsonValue &i) {
-                    return asDouble(i, "explore.vdd[]");
-                });
-        }
+        if (const JsonValue *s = e->find("sizes_kb"))
+            spec.exploreSizesKb =
+                asList<std::uint64_t>(*s, "explore.sizes_kb", asU64);
+        if (const JsonValue *w = e->find("ways"))
+            spec.exploreWays = asList<std::uint32_t>(*w, "explore.ways", asU32);
+        if (const JsonValue *b = e->find("blocks"))
+            spec.exploreBlocks =
+                asList<std::uint32_t>(*b, "explore.blocks", asU32);
+        if (const JsonValue *r = e->find("repl"))
+            spec.exploreRepls =
+                asList<mem::ReplKind>(*r, "explore.repl", asRepl);
+        if (const JsonValue *g = e->find("vdd"))
+            spec.exploreVdd = asList<double>(*g, "explore.vdd", asDouble);
         if (const JsonValue *l = e->find("l2_sizes_kb")) {
-            spec.exploreL2SizesKb = asList<std::uint64_t>(
-                *l, "explore.l2_sizes_kb", [](const JsonValue &i) {
-                    return asU64(i, "explore.l2_sizes_kb[]");
-                });
+            spec.exploreL2SizesKb =
+                asList<std::uint64_t>(*l, "explore.l2_sizes_kb", asU64);
         }
         if (const JsonValue *s = e->find("shard_cells")) {
             spec.shardCells = static_cast<std::size_t>(
@@ -696,6 +734,8 @@ std::string
 JobSpec::toJson() const
 {
     std::ostringstream os;
+    const auto number = [&os](auto v) { os << v; };
+    const auto volts = [&os](double v) { stats::jsonNumber(os, v); };
     os << "{\"kind\":\"" << toString(kind) << "\""
        << ",\"workload\":\"" << stats::jsonEscape(workload) << "\""
        << ",\"accesses\":" << accesses << ",\"warmup\":" << warmup
@@ -703,82 +743,58 @@ JobSpec::toJson() const
        << ",\"ways\":" << cache.ways << ",\"block\":" << cache.blockBytes
        << ",\"repl\":\"" << mem::toString(cache.replacement) << "\"}";
     if (!schemes.empty()) {
-        os << ",\"schemes\":[";
-        for (std::size_t i = 0; i < schemes.size(); ++i) {
-            os << (i ? "," : "") << "\""
-               << core::toString(schemes[i]) << "\"";
-        }
-        os << "]";
+        os << ",\"schemes\":";
+        writeList(os, schemes, [&os](WriteScheme s) {
+            os << '"' << core::toString(s) << '"';
+        });
     }
     os << ",\"buffer_entries\":" << bufferEntries
        << ",\"silent_detection\":"
        << (silentDetection ? "true" : "false");
     if (!levels.empty()) {
-        os << ",\"levels\":[";
-        for (std::size_t i = 0; i < levels.size(); ++i) {
-            const LevelSpec &l = levels[i];
-            os << (i ? "," : "") << "{\"size_kb\":" << l.sizeKb
-               << ",\"ways\":" << l.ways << ",\"block\":" << l.blockBytes
-               << ",\"repl\":\"" << mem::toString(l.repl)
-               << "\",\"scheme\":\"" << core::toString(l.scheme) << "\"";
+        os << ",\"levels\":";
+        writeList(os, levels, [&](const LevelSpec &l) {
+            os << "{\"size_kb\":" << l.sizeKb << ",\"ways\":" << l.ways
+               << ",\"block\":" << l.blockBytes << ",\"repl\":\""
+               << mem::toString(l.repl) << "\",\"scheme\":\""
+               << core::toString(l.scheme) << "\"";
             if (l.vdd > 0.0) {
                 os << ",\"vdd\":";
-                stats::jsonNumber(os, l.vdd);
+                volts(l.vdd);
             }
             os << "}";
-        }
-        os << "]";
+        });
     }
     if (vdd > 0.0) {
         os << ",\"vdd\":";
-        stats::jsonNumber(os, vdd);
+        volts(vdd);
     }
     if (kind == JobKind::Explore) {
         os << ",\"explore\":{";
-        bool first = true;
-        const auto sep = [&] {
-            if (!first)
-                os << ",";
-            first = false;
-        };
         if (!exploreWorkloads.empty()) {
-            sep();
-            os << "\"workloads\":[";
-            for (std::size_t i = 0; i < exploreWorkloads.size(); ++i) {
-                os << (i ? "," : "") << "\""
-                   << stats::jsonEscape(exploreWorkloads[i]) << "\"";
-            }
-            os << "]";
+            os << "\"workloads\":";
+            writeList(os, exploreWorkloads, [&os](const std::string &w) {
+                os << '"' << stats::jsonEscape(w) << '"';
+            });
+            os << ",";
         }
-        sep();
-        os << "\"sizes_kb\":[";
-        for (std::size_t i = 0; i < exploreSizesKb.size(); ++i)
-            os << (i ? "," : "") << exploreSizesKb[i];
-        os << "],\"ways\":[";
-        for (std::size_t i = 0; i < exploreWays.size(); ++i)
-            os << (i ? "," : "") << exploreWays[i];
-        os << "],\"blocks\":[";
-        for (std::size_t i = 0; i < exploreBlocks.size(); ++i)
-            os << (i ? "," : "") << exploreBlocks[i];
-        os << "],\"repl\":[";
-        for (std::size_t i = 0; i < exploreRepls.size(); ++i) {
-            os << (i ? "," : "") << "\""
-               << mem::toString(exploreRepls[i]) << "\"";
-        }
-        os << "]";
+        os << "\"sizes_kb\":";
+        writeList(os, exploreSizesKb, number);
+        os << ",\"ways\":";
+        writeList(os, exploreWays, number);
+        os << ",\"blocks\":";
+        writeList(os, exploreBlocks, number);
+        os << ",\"repl\":";
+        writeList(os, exploreRepls, [&os](mem::ReplKind r) {
+            os << '"' << mem::toString(r) << '"';
+        });
         if (!exploreVdd.empty()) {
-            os << ",\"vdd\":[";
-            for (std::size_t i = 0; i < exploreVdd.size(); ++i) {
-                os << (i ? "," : "");
-                stats::jsonNumber(os, exploreVdd[i]);
-            }
-            os << "]";
+            os << ",\"vdd\":";
+            writeList(os, exploreVdd, volts);
         }
         if (!exploreL2SizesKb.empty()) {
-            os << ",\"l2_sizes_kb\":[";
-            for (std::size_t i = 0; i < exploreL2SizesKb.size(); ++i)
-                os << (i ? "," : "") << exploreL2SizesKb[i];
-            os << "]";
+            os << ",\"l2_sizes_kb\":";
+            writeList(os, exploreL2SizesKb, number);
         }
         os << ",\"shard_cells\":" << shardCells << "}";
     }

@@ -29,6 +29,8 @@
 #include <vector>
 
 #include "core/explorer.hh"
+#include "core/sweep.hh"
+#include "core/vdd_sweep.hh"
 #include "core/write_scheme.hh"
 #include "mem/cache.hh"
 #include "mem/replacement.hh"
@@ -151,7 +153,7 @@ struct JobSpec
 {
     JobKind kind = JobKind::Run;
 
-    /** Workload specifier (spec:/kernel:/trace:, app::makeWorkload). */
+    /** Workload specifier (spec:/kernel:/trace:, trace::makeWorkload). */
     std::string workload = "spec:gcc";
 
     /** Measured accesses. */
@@ -202,13 +204,36 @@ struct JobSpec
         return warmup ? warmup : accesses / 10;
     }
 
+    /** The warm-up/measure window of every run of the job. */
+    RunConfig runConfig() const { return {effectiveWarmup(), accesses}; }
+
     /** Scheme set with the kind default applied. */
     std::vector<WriteScheme> effectiveSchemes() const;
 
-    /** Controller runs the job executes: schemes x Vdd grid points
-     *  for a vdd_sweep, explorerSpec().configRunCount() for an
-     *  explore (saturating). */
+    /** Controller runs the job executes: one per scheme for a run,
+     *  schemes x vddSweepSpec() grid points for a vdd_sweep,
+     *  explorerSpec().configRunCount() for an explore (saturating). */
     std::uint64_t configRuns() const;
+
+    /** Stream memoization key of the workload: every job of the spec
+     *  (and, under the daemon, every request for the same workload)
+     *  replays one generation, since the specifier names a
+     *  deterministic stream within this process. */
+    std::string streamKey() const { return "c8tsim:" + workload; }
+
+    /** The lower levels as controller configs (DESIGN.md §14): a block
+     *  size of 0 inherits the L1 block. */
+    std::vector<LevelConfig> levelConfigs() const;
+
+    /** The sweep jobs a run job executes: one per scheme, each with
+     *  one controller config, all replaying the workload's one
+     *  stream. */
+    std::vector<SweepJob> sweepJobs() const;
+
+    /** The voltage sweep a vdd_sweep job runs (DESIGN.md §10). A
+     *  hierarchy spec sweeps its L2; a non-zero vdd narrows the grid
+     *  to that one point. */
+    VddSweepSpec vddSweepSpec() const;
 
     /** The explorer spec an explore job runs (DESIGN.md §12): the
      *  explore axes, the kind-default schemes and the CLI-only
@@ -219,7 +244,7 @@ struct JobSpec
     std::uint64_t simulatedAccesses() const;
 
     /** Shape/range validation shared by both front ends, including
-     *  the admission bounds.
+     *  the workload specifier and the admission bounds.
      *  @throws JobTooLarge over an admission bound,
      *          std::invalid_argument otherwise. */
     void validate() const;

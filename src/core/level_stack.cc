@@ -44,27 +44,43 @@ levelStatsPrefix(std::size_t i)
     return prefix;
 }
 
+void
+validateLevels(const mem::CacheConfig &top,
+               const std::vector<LevelConfig> &lower)
+{
+    std::uint64_t upper_bytes = top.sizeBytes;
+    for (const LevelConfig &l : lower) {
+        try {
+            l.cache.validate();
+        } catch (const std::invalid_argument &e) {
+            throw std::invalid_argument(std::string("levels[]: ") +
+                                        e.what());
+        }
+        if (l.cache.blockBytes != top.blockBytes)
+            throw std::invalid_argument(
+                "levels[].block must match the L1 block size");
+        if (l.vdd < 0.0)
+            throw std::invalid_argument("levels[].vdd must be > 0");
+        if (l.cache.sizeBytes < upper_bytes)
+            throw std::invalid_argument(
+                "levels[].size_kb " +
+                std::to_string(l.cache.sizeBytes / 1024) +
+                " is smaller than the level above it (" +
+                std::to_string(upper_bytes / 1024) + " KB)");
+        upper_bytes = l.cache.sizeBytes;
+    }
+}
+
 LevelStack::LevelStack(const ControllerConfig &config,
                        mem::FunctionalMemory &memory, MemoryRole role)
     : _mem(memory)
 {
+    validateLevels(config.cache, config.lowerLevels);
     // Every level gets @p role; only the bottom one, which has no next
     // level, ever writes a victim to the memory.
     _levels.reserve(1 + config.lowerLevels.size());
     _levels.push_back(std::make_unique<CacheController>(config, _mem, role));
-
-    std::uint64_t upper_size = config.cache.sizeBytes;
     for (std::size_t i = 1; i <= config.lowerLevels.size(); ++i) {
-        const LevelConfig &lvl = config.lowerLevels[i - 1];
-        if (lvl.cache.blockBytes != config.cache.blockBytes)
-            throw std::invalid_argument(
-                "LevelStack: every level must use the top level's "
-                "block size");
-        if (lvl.cache.sizeBytes < upper_size)
-            throw std::invalid_argument(
-                "LevelStack: a lower level must be at least as large "
-                "as the level above it (inclusion needs the room)");
-        upper_size = lvl.cache.sizeBytes;
         _levels.push_back(std::make_unique<CacheController>(
             levelConfig(config, i), _mem, role));
     }

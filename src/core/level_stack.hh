@@ -40,6 +40,15 @@ namespace c8t::core
 {
 
 /**
+ * The hierarchy shape rule: every level of @p lower is a valid cache
+ * shape with the block size of @p top, a supply >= 0, and at least the
+ * capacity of the level above it (inclusion needs the room).
+ * @throws std::invalid_argument naming the "levels[]" field at fault.
+ */
+void validateLevels(const mem::CacheConfig &top,
+                    const std::vector<LevelConfig> &lower);
+
+/**
  * An inclusive write-back stack of cache levels behind one functional
  * memory. Non-copyable and non-movable: the inter-level wiring holds
  * pointers into the stack.
@@ -57,9 +66,8 @@ class LevelStack
      * group's followers share their first member's memory and do not
      * (CacheController::applyPlanGroup()).
      *
-     * @throws std::invalid_argument when a lower level's block size
-     *         differs from the top's or its capacity is smaller than
-     *         the level above it (inclusion needs the room).
+     * @throws std::invalid_argument when the lower levels break
+     *         validateLevels().
      */
     LevelStack(const ControllerConfig &config,
                mem::FunctionalMemory &memory,

@@ -322,9 +322,10 @@ PendingSweep::~PendingSweep()
 {
     if (!_state)
         return;
-    // Drain: the queued jobs write into *_state.
+    // Abandon: drop the unclaimed jobs and wait for the running ones,
+    // which write into *_state.
     try {
-        _state->pool->wait(std::move(_state->ticket));
+        _state->pool->wait(std::move(_state->ticket), true);
     } catch (...) {
     }
 }

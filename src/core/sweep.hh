@@ -115,9 +115,10 @@ class SweepPool;
  * A started sweep: its jobs are queued on the executor and run while
  * the caller does other work. finish() waits for them and returns the
  * results. Destroying a sweep that was not finished (an exception on
- * the caller's path, say) waits for its jobs and drops their results
- * and errors, so no exit path leaves a job running against freed
- * state. The job list passed to start() must outlive the sweep.
+ * the caller's path, say) abandons it: its unclaimed jobs are dropped,
+ * the running ones are waited for and their results and errors are
+ * discarded, so no exit path leaves a job running against freed state.
+ * The job list passed to start() must outlive the sweep.
  */
 class PendingSweep
 {

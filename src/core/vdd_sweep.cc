@@ -15,6 +15,7 @@
 #include "obs/prof.hh"
 #include "sram/energy.hh"
 #include "stats/json.hh"
+#include "stats/registry.hh"
 
 namespace c8t::core
 {
@@ -27,26 +28,13 @@ validate(const VddSweepSpec &spec)
 {
     if (spec.grid.empty())
         throw std::invalid_argument("VddSweepSpec: empty grid");
-    for (std::size_t i = 1; i < spec.grid.size(); ++i) {
-        if (!(spec.grid[i] < spec.grid[i - 1]))
-            throw std::invalid_argument(
-                "VddSweepSpec: grid must be strictly descending");
-    }
-    if (spec.grid.back() <= 0.0)
-        throw std::invalid_argument("VddSweepSpec: grid voltages must be > 0");
+    validateOperatingPoints(spec.grid, spec.faultRows, spec.model,
+                            "VddSweepSpec");
     if (spec.schemes.empty())
         throw std::invalid_argument("VddSweepSpec: no schemes");
     if (!spec.makeGenerator)
         throw std::invalid_argument("VddSweepSpec: no workload factory");
-    if (spec.faultRows == 0)
-        throw std::invalid_argument("VddSweepSpec: faultRows must be >= 1");
-    for (const LevelConfig &l : spec.lowerLevels) {
-        if (l.cache.blockBytes != spec.cache.blockBytes)
-            throw std::invalid_argument(
-                "VddSweepSpec: lower-level block size must match the "
-                "top level's");
-    }
-    spec.model.validate();
+    validateLevels(spec.cache, spec.lowerLevels);
 }
 
 /** The cache shape whose array the swept scheme runs on: the L1 for a
@@ -169,28 +157,21 @@ VddSweepResult::curve(WriteScheme scheme) const
 }
 
 void
-VddSweepResult::registerStats(stats::Registry &reg)
+validateOperatingPoints(const std::vector<double> &grid,
+                        std::uint32_t faultRows,
+                        const sram::VddModelParams &model,
+                        const std::string &owner)
 {
-    for (const VddCurve &c : curves) {
-        auto min_vdd = std::make_unique<stats::Gauge>(
-            "vdd_sweep." + c.scheme + ".min_vdd",
-            "lowest operational supply voltage (V)");
-        min_vdd->set(c.minVdd);
-        reg.add(*min_vdd);
-        _gauges.push_back(std::move(min_vdd));
-
-        // Energy per access at the min-Vdd point (the paper's payoff
-        // number: what the low-voltage mode actually costs).
-        const VddPointResult *at_min = minVddPoint(c);
-        const double energy_at_min =
-            at_min ? at_min->energyPerAccess : 0.0;
-        auto energy = std::make_unique<stats::Gauge>(
-            "vdd_sweep." + c.scheme + ".energy_per_access_at_min",
-            "total energy per access at min-Vdd (J)");
-        energy->set(energy_at_min);
-        reg.add(*energy);
-        _gauges.push_back(std::move(energy));
+    for (std::size_t i = 1; i < grid.size(); ++i) {
+        if (!(grid[i] < grid[i - 1]))
+            throw std::invalid_argument(
+                owner + ": grid must be strictly descending");
     }
+    if (!grid.empty() && grid.back() <= 0.0)
+        throw std::invalid_argument(owner + ": grid voltages must be > 0");
+    if (faultRows == 0)
+        throw std::invalid_argument(owner + ": faultRows must be >= 1");
+    model.validate();
 }
 
 void

@@ -55,7 +55,6 @@
 #include "mem/cache.hh"
 #include "sram/fault_injection.hh"
 #include "sram/vmodel.hh"
-#include "stats/registry.hh"
 #include "trace/access.hh"
 
 namespace c8t::core
@@ -176,9 +175,8 @@ struct VddCurve
 };
 
 /** Result of a voltage sweep. */
-class VddSweepResult
+struct VddSweepResult
 {
-  public:
     /** Workload name (from the generator). */
     std::string workload;
 
@@ -199,24 +197,24 @@ class VddSweepResult
     const VddCurve *curve(WriteScheme scheme) const;
 
     /**
-     * Register summary statistics (per-scheme min-Vdd and the energy
-     * per access at min-Vdd) as gauges named
-     * "vdd_sweep.<scheme>.min_vdd" / ".energy_per_access_at_min".
-     * The gauges are owned by this result and live as long as it does.
-     */
-    void registerStats(stats::Registry &reg);
-
-    /**
      * Dump the full result as one JSON object (curves with every
      * per-point quantity). Key order is fixed, so output is
      * deterministic; schema documented in DESIGN.md §10.
      */
     void dumpJson(std::ostream &os) const;
-
-  private:
-    /** Backing storage for registerStats() gauges. */
-    std::vector<std::unique_ptr<stats::Gauge>> _gauges;
 };
+
+/**
+ * The operating-point checks a VddSweepSpec and an ExplorerSpec share:
+ * @p grid strictly descending with every voltage > 0 (an empty grid
+ * passes), @p faultRows >= 1 and a valid @p model. Messages start with
+ * @p owner.
+ * @throws std::invalid_argument.
+ */
+void validateOperatingPoints(const std::vector<double> &grid,
+                             std::uint32_t faultRows,
+                             const sram::VddModelParams &model,
+                             const std::string &owner);
 
 /** Fault-map campaign outcomes of one sweep, [grid point][scheme]. */
 using VddFaultTable = std::vector<std::vector<sram::FaultMapStats>>;

@@ -65,12 +65,9 @@ SweepPool::unregisterClient(ClientId client)
 {
     if (client == 0)
         return; // the default slot is permanent
+    cancelClient(client);
     const std::lock_guard<std::mutex> lock(_mutex);
-    const auto it = _slots.find(client);
-    if (it == _slots.end())
-        return;
-    dropPending(it->second);
-    _slots.erase(it);
+    _slots.erase(client);
 }
 
 void
@@ -87,13 +84,15 @@ SweepPool::cancelClient(ClientId client)
 }
 
 void
-SweepPool::dropPending(Slot &slot)
+SweepPool::dropPending(Slot &slot, const Batch *batch)
 {
-    for (Pending &p : slot.queue) {
+    std::erase_if(slot.queue, [&](const Pending &p) {
+        if (batch && p.batch.get() != batch)
+            return false;
         ++_stats.tasksCancelled;
         finishOne(*p.batch, std::make_exception_ptr(JobCancelled()));
-    }
-    slot.queue.clear();
+        return true;
+    });
 }
 
 void
@@ -184,12 +183,16 @@ SweepPool::submit(ClientId client, std::vector<Task> tasks)
 }
 
 void
-SweepPool::wait(Ticket ticket)
+SweepPool::wait(Ticket ticket, bool abandon)
 {
     if (!ticket._batch)
         return;
     const Batch &batch = *ticket._batch;
     std::unique_lock<std::mutex> lock(_mutex);
+    if (abandon) {
+        if (const auto it = _slots.find(ticket._client); it != _slots.end())
+            dropPending(it->second, &batch);
+    }
     _batchCv.wait(lock, [&batch] { return batch.remaining == 0; });
     if (batch.error)
         std::rethrow_exception(batch.error);

@@ -20,7 +20,9 @@
  * Cancellation is per-slot: a disconnected client's unclaimed tasks
  * are dropped and its waiting batches complete with JobCancelled;
  * tasks already running finish (simulation is not interruptible) and
- * their results are discarded by the caller.
+ * their results are discarded by the caller. A caller that gives up on
+ * one batch abandons it the same way (wait with abandon set): only
+ * that batch's unclaimed tasks are dropped.
  *
  * Installation is by a process global (setGlobalSweepPool):
  * ParallelSweeper routes its per-job closures through the pool when
@@ -153,15 +155,11 @@ class SweepPool
     /**
      * Block until every task of @p ticket has completed or been
      * dropped. Rethrows the first task exception; throws JobCancelled
-     * when the slot was cancelled.
+     * when the slot was cancelled. With @p abandon, the batch's
+     * unclaimed tasks are dropped first, so only its running tasks are
+     * waited for; a dropped task fails the batch with JobCancelled.
      */
-    void wait(Ticket ticket);
-
-    /** Execute every task on the pool and block until all complete. */
-    void runBatch(ClientId client, std::vector<Task> tasks)
-    {
-        wait(submit(client, std::move(tasks)));
-    }
+    void wait(Ticket ticket, bool abandon = false);
 
     /** Counter snapshot. */
     Stats stats() const;
@@ -208,8 +206,9 @@ class SweepPool
     /** Report the worker telemetry of the active span that just ended
      *  (profiler on only). Requires _mutex held. */
     void reportActiveSpan();
-    /** Drop @p slot's pending tasks as cancelled. Requires _mutex. */
-    void dropPending(Slot &slot);
+    /** Drop @p slot's pending tasks as cancelled, only those of
+     *  @p batch when given. Requires _mutex. */
+    void dropPending(Slot &slot, const Batch *batch = nullptr);
 
     const unsigned _workers;
     mutable std::mutex _mutex;

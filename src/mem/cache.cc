@@ -68,27 +68,11 @@ TagArray::TagArray(const CacheConfig &config)
     }
 }
 
-void
-TagArray::markDirty(Addr addr)
-{
-    const LookupResult r = probe(addr);
-    assert(r.hit && "markDirty on a non-resident block");
-    markDirtyWay(_layout.setOf(addr), r.way);
-}
-
 Addr
 TagArray::blockAddrAt(std::uint32_t set, std::uint32_t way) const
 {
     assert(isValid(set, way));
     return _layout.blockAddr(tagAt(set, way), set);
-}
-
-std::vector<Addr>
-TagArray::tagsOfSet(std::uint32_t set) const
-{
-    std::vector<Addr> tags(_config.ways, 0);
-    copyTagsOfSet(set, tags.data());
-    return tags;
 }
 
 void

@@ -267,11 +267,7 @@ class TagArray
         _dirty[set] &= ~bit;
     }
 
-    /** Mark the block holding @p addr dirty (must be resident). */
-    void markDirty(Addr addr);
-
-    /** Mark (set, way) dirty directly — the hot path uses this when
-     *  the way is already known from the lookup. */
+    /** Mark (set, way) dirty; the way comes from the lookup. */
     void markDirtyWay(std::uint32_t set, std::uint32_t way)
     {
         _dirty[set] |= 1ull << way;
@@ -304,12 +300,9 @@ class TagArray
     /** Block base address stored in (set, way); requires valid. */
     Addr blockAddrAt(std::uint32_t set, std::uint32_t way) const;
 
-    /** All tags of @p set (invalid ways report tag 0). Used to load
-     *  the Tag-Buffer, which mirrors a whole set. */
-    std::vector<Addr> tagsOfSet(std::uint32_t set) const;
-
-    /** Allocation-free variant: write the @c ways tags of @p set into
-     *  @p out (caller-provided, at least @c ways entries). */
+    /** Write the @c ways tags of @p set into @p out (caller-provided,
+     *  at least @c ways entries; invalid ways report tag 0). Used to
+     *  load the Tag-Buffer, which mirrors a whole set. */
     void copyTagsOfSet(std::uint32_t set, Addr *out) const;
 
     /** Valid-way bitmask of @p set. */

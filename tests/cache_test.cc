@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "mem/cache.hh"
 
@@ -13,6 +14,16 @@ namespace
 {
 
 using namespace c8t::mem;
+
+/** Mark the resident block holding @p addr dirty, through the way
+ *  its lookup resolves, as the controller does. */
+void
+markDirty(TagArray &t, Addr addr)
+{
+    const LookupResult r = t.probe(addr);
+    ASSERT_TRUE(r.hit);
+    t.markDirtyWay(t.layout().setOf(addr), r.way);
+}
 
 CacheConfig
 baseline()
@@ -136,7 +147,7 @@ TEST(TagArray, EvictionReportsDirtyState)
     const Addr set_span = 32 * 512;
     for (std::uint64_t i = 0; i < 4; ++i)
         t.fill(0x2000 + i * set_span);
-    t.markDirty(0x2000); // block 0 dirty
+    markDirty(t, 0x2000); // block 0 dirty
     for (std::uint64_t i = 1; i < 4; ++i)
         t.access(0x2000 + i * set_span); // make block 0 LRU
 
@@ -154,7 +165,7 @@ TEST(TagArray, DirtyBitLifecycle)
     const std::uint32_t set = t.layout().setOf(0x3000);
     const std::uint32_t way = t.probe(0x3000).way;
     EXPECT_FALSE(t.isDirty(set, way));
-    t.markDirty(0x3000);
+    markDirty(t, 0x3000);
     EXPECT_TRUE(t.isDirty(set, way));
     t.clearDirty(set, way);
     EXPECT_FALSE(t.isDirty(set, way));
@@ -167,11 +178,13 @@ TEST(TagArray, TagsOfSetMirrorsContents)
     t.fill(0x4000);
     t.fill(0x4000 + set_span);
     const std::uint32_t set = t.layout().setOf(0x4000);
-    const auto tags = t.tagsOfSet(set);
-    ASSERT_EQ(tags.size(), 4u);
+    std::vector<Addr> tags(4, ~Addr{0});
+    t.copyTagsOfSet(set, tags.data());
     EXPECT_EQ(t.validMask(set), 0b0011u);
     EXPECT_EQ(tags[0], t.layout().tagOf(0x4000));
     EXPECT_EQ(tags[1], t.layout().tagOf(0x4000 + set_span));
+    EXPECT_EQ(tags[2], 0u); // invalid ways report tag 0
+    EXPECT_EQ(tags[3], 0u);
 }
 
 TEST(TagArray, BlockAddrAtRebuilds)
@@ -191,7 +204,7 @@ TEST(TagArray, FillClearsDirty)
     // line must start clean.
     for (std::uint64_t i = 0; i < 4; ++i) {
         t.fill(0x5000 + i * set_span);
-        t.markDirty(0x5000 + i * set_span);
+        markDirty(t, 0x5000 + i * set_span);
     }
     const FillResult f = t.fill(0x5000 + 4 * set_span);
     EXPECT_FALSE(t.isDirty(t.layout().setOf(0x5000), f.way));

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/controller.hh"
+#include "core/policies.hh"
 #include "core/simulator.hh"
 #include "mem/functional_mem.hh"
 #include "obs/snapshot.hh"
@@ -47,7 +48,19 @@ using c8t::trace::specProfile;
  *  logs the ordered (event, bytes) sequence. */
 struct ReferenceAccumulator
 {
-    const CacheController *ctrl = nullptr;
+    /** Audit @p c from now on, pricing each event with the energy
+     *  model of its data array. */
+    explicit ReferenceAccumulator(CacheController &c)
+        : ctrl(&c),
+          em(dataArrayGeometry(c.config().cache, c.config().scheme,
+                               c.config().interleaveDegree),
+             c.config().tech)
+    {
+        c.setEnergyAudit(&ReferenceAccumulator::hook, this);
+    }
+
+    const CacheController *ctrl;
+    const c8t::sram::EnergyModel em;
     double energy = 0.0;
     std::uint64_t events = 0;
     std::vector<std::pair<CacheController::EnergyEvent, std::uint32_t>>
@@ -57,7 +70,7 @@ struct ReferenceAccumulator
                      std::uint32_t bytes)
     {
         auto *self = static_cast<ReferenceAccumulator *>(ctx);
-        const auto &em = self->ctrl->energyModel();
+        const c8t::sram::EnergyModel &em = self->em;
         ++self->events;
         self->sequence.emplace_back(ev, bytes);
         switch (ev) {
@@ -108,9 +121,7 @@ TEST_P(DeferredEnergyScheme, MaterializationMatchesSequentialSum)
     FunctionalMemory memory;
     CacheController ctrl(cfg, memory);
 
-    ReferenceAccumulator ref;
-    ref.ctrl = &ctrl;
-    ctrl.setEnergyAudit(&ReferenceAccumulator::hook, &ref);
+    ReferenceAccumulator ref(ctrl);
 
     MarkovStream gen(specProfile("gcc"));
     MemAccess a;
@@ -139,11 +150,7 @@ TEST_P(DeferredEnergyScheme, ChunkedReplayAuditsIdentically)
     CacheController perAccess(cfg, memA);
     CacheController chunked(cfg, memB);
 
-    ReferenceAccumulator refA, refB;
-    refA.ctrl = &perAccess;
-    refB.ctrl = &chunked;
-    perAccess.setEnergyAudit(&ReferenceAccumulator::hook, &refA);
-    chunked.setEnergyAudit(&ReferenceAccumulator::hook, &refB);
+    ReferenceAccumulator refA(perAccess), refB(chunked);
 
     std::vector<MemAccess> stream;
     MarkovStream gen(specProfile("leslie3d"));

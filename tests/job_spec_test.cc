@@ -8,10 +8,13 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "app/job_runner.hh"
 #include "core/job_spec.hh"
+#include "trace/workload.hh"
 
 namespace
 {
@@ -345,6 +348,63 @@ TEST(JobSpecTest, ConfigRunsFollowTheKind)
     EXPECT_EQ(grid.configRuns(), 1u * 4 * 3 * 2 * 2 * 3 * 4);
     EXPECT_EQ(grid.simulatedAccesses(),
               grid.configRuns() * (1'000'000u + 100'000u));
+}
+
+TEST(JobSpecTest, UnknownWorkloadsAreRejectedWithTheParsersMessage)
+{
+    for (const std::string w :
+         {"spec:nosuch", "kernel:nosuch", "mars:rover", "gcc"}) {
+        std::string parser;
+        try {
+            trace::makeWorkload(w);
+        } catch (const std::invalid_argument &e) {
+            parser = e.what();
+        }
+        ASSERT_FALSE(parser.empty()) << w;
+        expectParseError(
+            "{\"kind\":\"run\",\"workload\":\"" + w + "\"}", parser);
+    }
+    // A trace file is opened by the job that replays it, not at
+    // admission.
+    EXPECT_NO_THROW(JobSpec::fromJsonText(
+        "{\"kind\":\"run\",\"workload\":\"trace:/no/such/file.trc\"}"));
+}
+
+TEST(JobSpecTest, ConfigRunsCountTheRunsAVddSweepExecutes)
+{
+    for (const std::string extra :
+         {"", ",\"vdd\":0.7", ",\"levels\":[{\"size_kb\":256}]",
+          ",\"vdd\":0.7,\"levels\":[{\"size_kb\":256}]"}) {
+        const JobSpec spec = JobSpec::fromJsonText(
+            "{\"kind\":\"vdd_sweep\",\"accesses\":2000,\"warmup\":200" +
+            extra + "}");
+        const app::JobOutcome out = app::runJobSpec(spec, 2);
+        std::uint64_t runs = 0;
+        for (const core::VddCurve &c : out.vdd->curves)
+            runs += c.points.size();
+        EXPECT_EQ(spec.configRuns(), runs) << extra;
+    }
+}
+
+TEST(JobSpecTest, EngineSpecsShareTheLevelShape)
+{
+    // A level block of 0 inherits the L1 block, in every engine spec.
+    const JobSpec spec = JobSpec::fromJsonText(
+        "{\"kind\":\"run\",\"cache\":{\"block\":64},"
+        "\"levels\":[{\"size_kb\":512,\"ways\":16}]}");
+    const std::vector<core::LevelConfig> lower = spec.levelConfigs();
+    ASSERT_EQ(lower.size(), 1u);
+    EXPECT_EQ(lower[0].cache.sizeBytes, 512u * 1024);
+    EXPECT_EQ(lower[0].cache.ways, 16u);
+    EXPECT_EQ(lower[0].cache.blockBytes, 64u);
+    EXPECT_EQ(spec.vddSweepSpec().lowerLevels, lower);
+    const std::vector<core::SweepJob> jobs = spec.sweepJobs();
+    ASSERT_EQ(jobs.size(), spec.configRuns());
+    for (const core::SweepJob &job : jobs) {
+        ASSERT_EQ(job.configs.size(), 1u);
+        EXPECT_EQ(job.configs[0].lowerLevels, lower);
+        EXPECT_EQ(job.streamKey, spec.streamKey());
+    }
 }
 
 TEST(JobSpecTest, AdmissionLimitRejectsHugeAccesses)

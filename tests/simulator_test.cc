@@ -15,12 +15,12 @@
 #include <string>
 #include <vector>
 
-#include "app/options.hh"
 #include "core/simulator.hh"
 #include "obs/event_ring.hh"
 #include "trace/kernels.hh"
 #include "trace/markov_stream.hh"
 #include "trace/spec_profiles.hh"
+#include "trace/workload.hh"
 
 namespace
 {
@@ -281,7 +281,7 @@ groupStreams()
     std::vector<std::string> out;
     for (const std::string &b : c8t::trace::specBenchmarkNames())
         out.push_back("spec:" + b);
-    for (const std::string &k : c8t::app::kernelNames())
+    for (const std::string &k : c8t::trace::kernelNames())
         out.push_back("kernel:" + k);
     return out;
 }
@@ -300,7 +300,7 @@ streamCaseName(const ::testing::TestParamInfo<std::string> &info)
 std::vector<MemAccess>
 pullStream(const std::string &workload, std::size_t n)
 {
-    const auto gen = c8t::app::makeWorkload(workload);
+    const auto gen = c8t::trace::makeWorkload(workload)();
     std::vector<MemAccess> out(n);
     std::size_t got = 0;
     while (got < n) {
@@ -542,7 +542,7 @@ TEST_P(SharedGroupMemory, MatchesSeparateMemories)
     MultiSchemeRunner fused(cfgs);
     for (std::size_t i = 0; i < cfgs.size(); ++i)
         attachRing(fused.controller(i));
-    const auto fused_gen = c8t::app::makeWorkload(GetParam());
+    const auto fused_gen = c8t::trace::makeWorkload(GetParam())();
     const std::vector<SchemeRunResult> fused_res = fused.run(*fused_gen, rc);
     ASSERT_EQ(fused_res.size(), cfgs.size());
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
@@ -558,7 +558,7 @@ TEST_P(SharedGroupMemory, MatchesSeparateMemories)
         alone.push_back(std::make_unique<MultiSchemeRunner>(
             std::vector<ControllerConfig>{cfgs[i]}));
         attachRing(alone.back()->controller(0));
-        const auto gen = c8t::app::makeWorkload(GetParam());
+        const auto gen = c8t::trace::makeWorkload(GetParam())();
         const std::vector<SchemeRunResult> res = alone.back()->run(*gen, rc);
         ASSERT_EQ(res.size(), 1u);
         EXPECT_EQ(res[0], fused_res[i]) << "config " << i;

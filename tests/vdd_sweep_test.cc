@@ -310,24 +310,6 @@ TEST(VddSweep, DumpJsonIsVersionedAndWellFormed)
     EXPECT_EQ(out.find(",]"), std::string::npos);
 }
 
-TEST(VddSweep, RegisterStatsExposesPerSchemeSummaries)
-{
-    VddSweepSpec spec = testSpec();
-    spec.grid = {1.0, 0.7};
-    VddSweepResult r = core::runVddSweep(spec, RunConfig{500, 5'000});
-
-    stats::Registry reg;
-    r.registerStats(reg);
-    for (const char *name :
-         {"vdd_sweep.6T.min_vdd", "vdd_sweep.RMW.min_vdd",
-          "vdd_sweep.WG.min_vdd", "vdd_sweep.WG+RB.min_vdd",
-          "vdd_sweep.WG+RB.energy_per_access_at_min"}) {
-        ASSERT_NE(reg.gauge(name), nullptr) << name;
-    }
-    EXPECT_DOUBLE_EQ(reg.gauge("vdd_sweep.6T.min_vdd")->value(),
-                     r.curve(WriteScheme::SixTDirect)->minVdd);
-}
-
 TEST(VddSweep, SpecValidationRejectsBrokenInput)
 {
     const RunConfig rc{100, 1'000};

@@ -37,7 +37,7 @@ TEST(SweepPoolTest, RunsEveryTaskExactlyOnce)
             hits[i].fetch_add(1);
         });
     }
-    pool.runBatch(0, std::move(tasks));
+    pool.wait(pool.submit(0, std::move(tasks)));
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 
@@ -56,7 +56,7 @@ TEST(SweepPoolTest, RethrowsFirstTaskError)
         throw std::runtime_error("task exploded");
     });
     tasks.push_back([](unsigned) {});
-    EXPECT_THROW(pool.runBatch(0, std::move(tasks)),
+    EXPECT_THROW(pool.wait(pool.submit(0, std::move(tasks))),
                  std::runtime_error);
 }
 
@@ -72,7 +72,7 @@ TEST(SweepPoolTest, ConcurrentClientsAllComplete)
             for (int i = 0; i < 16; ++i)
                 tasks.push_back(
                     [&total](unsigned) { total.fetch_add(1); });
-            pool.runBatch(id, std::move(tasks));
+            pool.wait(pool.submit(id, std::move(tasks)));
             pool.unregisterClient(id);
         });
     }
@@ -100,7 +100,7 @@ TEST(SweepPoolTest, CancelledSlotThrowsJobCancelled)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
         });
-        pool.runBatch(0, std::move(tasks));
+        pool.wait(pool.submit(0, std::move(tasks)));
     });
     while (!blocker_running.load())
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -110,7 +110,7 @@ TEST(SweepPoolTest, CancelledSlotThrowsJobCancelled)
         std::vector<SweepPool::Task> tasks;
         tasks.push_back(
             [&victim_ran](unsigned) { victim_ran.store(true); });
-        EXPECT_THROW(pool.runBatch(id, std::move(tasks)),
+        EXPECT_THROW(pool.wait(pool.submit(id, std::move(tasks))),
                      core::JobCancelled);
     });
 
@@ -127,7 +127,7 @@ TEST(SweepPoolTest, CancelledSlotThrowsJobCancelled)
     // A cancelled slot rejects future submissions outright.
     std::vector<SweepPool::Task> more;
     more.push_back([](unsigned) {});
-    EXPECT_THROW(pool.runBatch(id, std::move(more)),
+    EXPECT_THROW(pool.wait(pool.submit(id, std::move(more))),
                  core::JobCancelled);
     pool.unregisterClient(id);
 }
@@ -144,9 +144,9 @@ TEST(SweepPoolTest, NestedSubmissionRunsInlineOnWorker)
             inner.push_back(
                 [&inner_runs](unsigned) { inner_runs.fetch_add(1); });
         // Must not deadlock even with every other worker busy.
-        pool.runBatch(0, std::move(inner));
+        pool.wait(pool.submit(0, std::move(inner)));
     });
-    pool.runBatch(0, std::move(outer));
+    pool.wait(pool.submit(0, std::move(outer)));
     EXPECT_EQ(inner_runs.load(), 8);
     EXPECT_EQ(SweepPool::current(), nullptr);
 }
@@ -220,6 +220,42 @@ TEST(SweepPoolTest, CancelledSlotFailsEveryOutstandingTicket)
     pool.unregisterClient(id);
 }
 
+TEST(SweepPoolTest, AbandonedBatchDropsOnlyItsUnclaimedTasks)
+{
+    SweepPool pool(1);
+
+    // The single worker holds batch a's first task until a's other
+    // three tasks have been dropped.
+    std::atomic<bool> first_running{false};
+    std::atomic<int> ran_a{0};
+    std::atomic<int> ran_b{0};
+    std::vector<SweepPool::Task> a_tasks;
+    a_tasks.push_back([&](unsigned) {
+        first_running.store(true);
+        while (pool.stats().tasksCancelled < 3)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ran_a.fetch_add(1);
+    });
+    for (int i = 0; i < 3; ++i)
+        a_tasks.push_back([&ran_a](unsigned) { ran_a.fetch_add(1); });
+    std::vector<SweepPool::Task> b_tasks;
+    for (int i = 0; i < 2; ++i)
+        b_tasks.push_back([&ran_b](unsigned) { ran_b.fetch_add(1); });
+
+    SweepPool::Ticket a = pool.submit(0, std::move(a_tasks));
+    SweepPool::Ticket b = pool.submit(0, std::move(b_tasks));
+    while (!first_running.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    // Returns once the running task is done; the slot stays usable.
+    EXPECT_THROW(pool.wait(std::move(a), true), core::JobCancelled);
+    EXPECT_EQ(ran_a.load(), 1);
+    EXPECT_NO_THROW(pool.wait(std::move(b)));
+    EXPECT_EQ(ran_b.load(), 2);
+    EXPECT_EQ(pool.stats().tasksCancelled, 3u);
+    EXPECT_EQ(pool.stats().queuedTasks, 0u);
+}
+
 TEST(SweepPoolTest, NestedSubmitStopsAtTheFirstErrorAndWaitRethrows)
 {
     SweepPool pool(2);
@@ -239,7 +275,7 @@ TEST(SweepPoolTest, NestedSubmitStopsAtTheFirstErrorAndWaitRethrows)
         EXPECT_EQ(inner_runs.load(), 1);
         EXPECT_THROW(pool.wait(std::move(t)), std::runtime_error);
     });
-    pool.runBatch(0, std::move(outer));
+    pool.wait(pool.submit(0, std::move(outer)));
     EXPECT_EQ(inner_runs.load(), 1);
 }
 

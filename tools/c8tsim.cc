@@ -11,6 +11,7 @@
  *          --chrome-trace trace.json --trace-events 65536 --progress
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -31,6 +32,7 @@
 #include "obs/snapshot.hh"
 #include "stats/table.hh"
 #include "trace/trace_io.hh"
+#include "trace/workload.hh"
 
 namespace
 {
@@ -38,109 +40,107 @@ namespace
 using namespace c8t;
 
 /**
- * Per-scheme observability plumbing, shared between the single-run
- * and sweep paths. Slots are written by at most one worker each;
- * the sweep join provides the happens-before for the main-thread
- * reads below.
+ * A run's per-scheme observability plumbing (event rings, interval
+ * snapshots, --stats dumps), attached through the job hooks. Slots are
+ * written by at most one worker each; the sweep join provides the
+ * happens-before for the main-thread reads.
  */
-struct ObsPlumbing
+class ObsPlumbing
 {
-    std::uint64_t ringCapacity = 0;
-    /** One ring per (scheme, cache level): rings[i][0] is the L1's,
-     *  deeper entries follow the hierarchy (DESIGN.md §14). */
-    std::vector<std::vector<std::unique_ptr<obs::EventRing>>> rings;
-    std::vector<std::unique_ptr<stats::Registry>> registries;
-    std::vector<std::unique_ptr<obs::IntervalSnapshotter>> snapshotters;
-    std::vector<std::string> statsText;
-    std::unique_ptr<std::ofstream> intervalOs;
-    std::mutex intervalMutex;
-};
-
-/** Attach rings / interval sampling to a just-constructed runner. */
-void
-prepareRunner(const app::SimOptions &opt, ObsPlumbing &obs_state,
-              std::size_t i, const std::string &scheme,
-              core::MultiSchemeRunner &runner)
-{
-    core::LevelStack &stack = runner.stack(0);
-    if (obs_state.ringCapacity) {
-        obs_state.rings[i].resize(stack.depth());
-        for (std::size_t lvl = 0; lvl < stack.depth(); ++lvl) {
-            obs_state.rings[i][lvl] = std::make_unique<obs::EventRing>(
-                static_cast<std::size_t>(obs_state.ringCapacity));
-            stack.level(lvl).attachEventRing(
-                obs_state.rings[i][lvl].get());
+  public:
+    explicit ObsPlumbing(const app::SimOptions &opt)
+        : statsText(opt.job.effectiveSchemes().size()), _opt(opt),
+          _rings(statsText.size()), _registries(statsText.size()),
+          _snapshotters(statsText.size())
+    {
+        if (opt.job.kind != core::JobKind::Run ||
+            opt.intervalStatsFile.empty())
+            return;
+        _intervalOs = std::make_unique<std::ofstream>(
+            opt.intervalStatsFile, std::ios::app);
+        if (!*_intervalOs) {
+            throw std::runtime_error("--interval-stats: cannot open \"" +
+                                     opt.intervalStatsFile +
+                                     "\" for append");
         }
     }
-    if (obs_state.intervalOs) {
-        obs_state.registries[i] = std::make_unique<stats::Registry>();
-        // Whole-stack registration: the top level keeps the historical
-        // unprefixed names, lower levels sample under "l2."/"l3.".
-        stack.registerStats(*obs_state.registries[i]);
-        obs_state.snapshotters[i] =
-            std::make_unique<obs::IntervalSnapshotter>(
-                *obs_state.registries[i], *obs_state.intervalOs, scheme,
-                &obs_state.intervalMutex);
-        obs::IntervalSnapshotter *snap = obs_state.snapshotters[i].get();
-        runner.setIntervalHook(
-            opt.intervalAccesses,
-            [snap](std::uint64_t access) { snap->sample(access); });
-    }
-}
 
-/** Collect stats dumps / trace slices after a runner has completed. */
-void
-inspectRunner(const app::SimOptions &opt, ObsPlumbing &obs_state,
-              std::size_t i, const std::string &scheme,
-              core::MultiSchemeRunner &runner)
-{
-    core::LevelStack &stack = runner.stack(0);
-    if (opt.dumpStats) {
-        // Equivalent to CacheController::dumpStats for a single level;
-        // a hierarchy folds the lower levels in under their prefixes.
-        stats::Registry reg;
-        stack.registerStats(reg);
-        std::ostringstream os;
-        reg.dump(os);
-        obs_state.statsText[i] = os.str();
+    /** Attach rings / interval sampling to a just-constructed runner. */
+    void prepare(std::size_t i, const std::string &scheme,
+                 core::MultiSchemeRunner &runner)
+    {
+        core::LevelStack &stack = runner.stack(0);
+        if (_opt.traceEvents) {
+            _rings[i].resize(stack.depth());
+            for (std::size_t lvl = 0; lvl < stack.depth(); ++lvl) {
+                _rings[i][lvl] = std::make_unique<obs::EventRing>(
+                    static_cast<std::size_t>(_opt.traceEvents));
+                stack.level(lvl).attachEventRing(_rings[i][lvl].get());
+            }
+        }
+        if (_intervalOs) {
+            _registries[i] = std::make_unique<stats::Registry>();
+            // Whole-stack registration: the top level keeps the
+            // historical unprefixed names, lower levels sample under
+            // "l2."/"l3.".
+            stack.registerStats(*_registries[i]);
+            _snapshotters[i] = std::make_unique<obs::IntervalSnapshotter>(
+                *_registries[i], *_intervalOs, scheme, &_intervalMutex);
+            obs::IntervalSnapshotter *snap = _snapshotters[i].get();
+            runner.setIntervalHook(
+                _opt.intervalAccesses,
+                [snap](std::uint64_t access) { snap->sample(access); });
+        }
     }
-    if (!obs_state.rings[i].empty()) {
+
+    /** Collect stats dumps / trace slices after a runner has completed. */
+    void inspect(std::size_t i, const std::string &scheme,
+                 core::MultiSchemeRunner &runner)
+    {
+        core::LevelStack &stack = runner.stack(0);
+        if (_opt.dumpStats) {
+            // Equivalent to CacheController::dumpStats for a single
+            // level; a hierarchy folds the lower levels in under their
+            // prefixes.
+            stats::Registry reg;
+            stack.registerStats(reg);
+            std::ostringstream os;
+            reg.dump(os);
+            statsText[i] = os.str();
+        }
+        if (_rings[i].empty())
+            return;
         // pid 2 is the per-access track family (pid 1 holds the sweep
         // worker spans); one tid per scheme, lower cache levels on
         // their own tids ("WG/l2", ...) so the per-level event streams
         // stay separable in the viewer.
         if (obs::ChromeTraceWriter *trace = obs::globalTrace()) {
             trace->processName(2, "accesses");
-            for (std::size_t lvl = 0; lvl < obs_state.rings[i].size();
-                 ++lvl) {
+            for (std::size_t lvl = 0; lvl < _rings[i].size(); ++lvl) {
                 const std::string track =
-                    lvl ? scheme + "/l" + std::to_string(lvl + 1)
-                        : scheme;
-                obs::appendEventRing(*trace, *obs_state.rings[i][lvl],
-                                     track, 2,
+                    lvl ? scheme + "/l" + std::to_string(lvl + 1) : scheme;
+                obs::appendEventRing(*trace, *_rings[i][lvl], track, 2,
                                      static_cast<int>(i) + 1 +
                                          100 * static_cast<int>(lvl));
             }
         }
-        for (std::size_t lvl = 0; lvl < obs_state.rings[i].size(); ++lvl)
+        for (std::size_t lvl = 0; lvl < _rings[i].size(); ++lvl)
             stack.level(lvl).attachEventRing(nullptr);
     }
-}
 
-/**
- * Flush this thread's phase times into the process rollup and write
- * the Prometheus exposition file (no-op without a metrics path).
- */
-void
-finishMetrics()
-{
-    if (obs::prof::enabled())
-        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
-    obs::writeGlobalMetrics();
-    const std::string path = obs::resolvedMetricsPath();
-    if (!path.empty())
-        std::cerr << "wrote metrics exposition to " << path << "\n";
-}
+    /** --stats registry dumps, one per scheme. */
+    std::vector<std::string> statsText;
+
+  private:
+    const app::SimOptions &_opt;
+    /** One ring per (scheme, cache level): rings[i][0] is the L1's,
+     *  deeper entries follow the hierarchy (DESIGN.md §14). */
+    std::vector<std::vector<std::unique_ptr<obs::EventRing>>> _rings;
+    std::vector<std::unique_ptr<stats::Registry>> _registries;
+    std::vector<std::unique_ptr<obs::IntervalSnapshotter>> _snapshotters;
+    std::unique_ptr<std::ofstream> _intervalOs;
+    std::mutex _intervalMutex;
+};
 
 /**
  * Write the canonical result document (built by app::runJobSpec — the
@@ -186,30 +186,100 @@ setupSinks(const app::SimOptions &opt)
     }
 }
 
-/** Close out the Chrome trace (if any) with a pointer to the viewer. */
+/**
+ * Close out the Chrome trace (if any) with a pointer to the viewer,
+ * fold this thread's phase times into the process rollup and write
+ * the Prometheus exposition file (no-op without a metrics path).
+ */
 void
-finishTrace()
+finish()
 {
     if (obs::ChromeTraceWriter *trace = obs::globalTrace()) {
         trace->close();
         std::cerr << "wrote Chrome trace to " << trace->path()
                   << " (load in https://ui.perfetto.dev)\n";
     }
+    if (obs::prof::enabled())
+        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
+    obs::writeGlobalMetrics();
+    const std::string path = obs::resolvedMetricsPath();
+    if (!path.empty())
+        std::cerr << "wrote metrics exposition to " << path << "\n";
+}
+
+/** Print @p t to stdout, as CSV with --csv. */
+void
+printTable(const app::SimOptions &opt, const stats::Table &t)
+{
+    if (opt.csv)
+        t.printCsv(std::cout);
+    else
+        t.print(std::cout);
 }
 
 /**
- * --vdd-sweep: every scheme over the default Vdd grid. Prints the
- * energy-per-access curve (pJ) with non-operational points marked, the
- * per-scheme min-Vdd summary, and writes the full curve document to
- * --stats-json when given.
+ * A run: the per-scheme table, the reduction against RMW when it ran
+ * and, with --stats, every scheme's registry dump.
  */
-int
-runVddSweepCli(const app::SimOptions &opt)
+void
+printRun(const app::SimOptions &opt, const app::JobOutcome &outcome,
+         const std::vector<std::string> &stats_text)
 {
-    setupSinks(opt);
-
     const core::JobSpec &job = opt.job;
-    const app::JobOutcome outcome = app::runJobSpec(job, opt.jobs);
+    const std::vector<core::SchemeRunResult> &results = outcome.runs;
+    stats::Table t("c8tsim: " + job.workload + " on " +
+                   job.cache.toString());
+    t.setHeader({"scheme", "requests", "hits", "demand ops",
+                 "fill ops", "grouped", "bypassed", "silent",
+                 "read lat", "energy (uJ)"});
+    t.setPrecision(2);
+    for (const auto &r : results) {
+        t.addRow({r.scheme, static_cast<std::int64_t>(r.requests),
+                  static_cast<std::int64_t>(r.hits),
+                  static_cast<std::int64_t>(r.demandAccesses),
+                  static_cast<std::int64_t>(r.fillAccesses),
+                  static_cast<std::int64_t>(r.groupedWrites),
+                  static_cast<std::int64_t>(r.bypassedReads),
+                  static_cast<std::int64_t>(r.silentWritesDetected),
+                  r.meanReadLatency, r.dynamicEnergy * 1e6});
+    }
+    printTable(opt, t);
+
+    // Relative view when a baseline RMW run is present.
+    const auto rmw =
+        std::find_if(results.begin(), results.end(),
+                     [](const auto &r) { return r.scheme == "RMW"; });
+    if (rmw != results.end()) {
+        std::cout << "\nreduction vs RMW:";
+        for (const auto &r : results) {
+            if (r.scheme != "RMW") {
+                std::cout << "  " << r.scheme << " "
+                          << 100.0 * (1.0 - static_cast<double>(
+                                                r.demandAccesses) /
+                                                rmw->demandAccesses)
+                          << "%";
+            }
+        }
+        std::cout << "\n";
+    }
+
+    if (opt.dumpStats) {
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            std::cout << "\n---- stats: " << results[i].scheme
+                      << " ----\n"
+                      << stats_text[i];
+        }
+    }
+}
+
+/**
+ * --vdd-sweep: the energy-per-access curve (pJ) with non-operational
+ * points marked, then the per-scheme min-Vdd summary.
+ */
+void
+printVddSweep(const app::SimOptions &opt, const app::JobOutcome &outcome)
+{
+    const core::JobSpec &job = opt.job;
     const core::VddSweepResult &result = *outcome.vdd;
 
     // In hierarchy mode (--l2) the grid sweeps the L2's supply while
@@ -239,10 +309,7 @@ runVddSweepCli(const app::SimOptions &opt)
         }
         t.addRow(row);
     }
-    if (opt.csv)
-        t.printCsv(std::cout);
-    else
-        t.print(std::cout);
+    printTable(opt, t);
 
     std::cout << "\nmin operational "
               << (result.hierarchy ? "L2 " : "")
@@ -257,202 +324,118 @@ runVddSweepCli(const app::SimOptions &opt)
             std::cout << "none";
     }
     std::cout << "\n";
-
-    if (!opt.statsJsonFile.empty())
-        writeDocument(opt.statsJsonFile, outcome.document,
-                      "vdd sweep JSON");
-    finishTrace();
-    finishMetrics();
-    return 0;
 }
 
 /**
- * --explore: run the design-space explorer (DESIGN.md §12) and print
- * the per-workload Pareto frontier. An interrupted explore (shard
- * budget exhausted) prints a resume hint instead of a frontier.
+ * --explore (DESIGN.md §12): the per-workload Pareto frontier, or a
+ * resume hint when the shard budget interrupted the explore.
  */
-int
-runExploreCli(const app::SimOptions &opt)
+void
+printExplore(const app::SimOptions &opt, const app::JobOutcome &outcome)
 {
-    setupSinks(opt);
-
-    app::JobOutcome outcome = app::runJobSpec(opt.job, opt.jobs);
     const core::ExploreResult &result = *outcome.explore;
-
-    {
-        const obs::prof::ScopedPhase serialize_scope(
-            obs::prof::Phase::Serialize);
-        if (!result.completed) {
-            std::cerr << "explore interrupted after "
-                      << result.shardsExecuted << " of "
-                      << result.shardsTotal << " shards ("
-                      << result.configRunsExecuted
-                      << " config-runs); rerun with the same "
-                         "--checkpoint-dir to resume\n";
-        } else {
-            stats::Table t(
-                "explore frontier (" +
-                std::to_string(result.summaries.size()) +
-                " design points; energy pJ, EDP pJ*ns at min Vdd)");
-            t.setHeader({"workload", "config", "repl", "scheme",
-                         "cell", "minVdd", "energy", "EDP", "cyc/acc",
-                         "miss%"});
-            t.setPrecision(3);
-            for (const std::string &w : result.workloads) {
-                for (const core::DesignPointSummary *p :
-                     result.frontier(w)) {
-                    std::ostringstream cfg;
-                    cfg << (p->sizeBytes >> 10) << "K/" << p->ways
-                        << "w/" << p->blockBytes << "B";
-                    if (p->l2SizeBytes)
-                        cfg << "+L2:" << (p->l2SizeBytes >> 10) << "K";
-                    t.addRow({w, cfg.str(), mem::toString(p->repl),
-                              p->scheme, sram::toString(p->cell),
-                              p->minVdd, p->energyPerAccess * 1e12,
-                              p->edpPerAccess * 1e21,
-                              p->cyclesPerAccess, p->missRate * 100.0});
-                }
+    if (!result.completed) {
+        std::cerr << "explore interrupted after " << result.shardsExecuted
+                  << " of " << result.shardsTotal << " shards ("
+                  << result.configRunsExecuted
+                  << " config-runs); rerun with the same "
+                     "--checkpoint-dir to resume\n";
+    } else {
+        stats::Table t("explore frontier (" +
+                       std::to_string(result.summaries.size()) +
+                       " design points; energy pJ, EDP pJ*ns at min Vdd)");
+        t.setHeader({"workload", "config", "repl", "scheme", "cell",
+                     "minVdd", "energy", "EDP", "cyc/acc", "miss%"});
+        t.setPrecision(3);
+        for (const std::string &w : result.workloads) {
+            for (const core::DesignPointSummary *p : result.frontier(w)) {
+                std::ostringstream cfg;
+                cfg << (p->sizeBytes >> 10) << "K/" << p->ways << "w/"
+                    << p->blockBytes << "B";
+                if (p->l2SizeBytes)
+                    cfg << "+L2:" << (p->l2SizeBytes >> 10) << "K";
+                t.addRow({w, cfg.str(), mem::toString(p->repl), p->scheme,
+                          sram::toString(p->cell), p->minVdd,
+                          p->energyPerAccess * 1e12,
+                          p->edpPerAccess * 1e21, p->cyclesPerAccess,
+                          p->missRate * 100.0});
             }
-            if (opt.csv)
-                t.printCsv(std::cout);
-            else
-                t.print(std::cout);
         }
-        std::cerr << "explore: " << result.configRunsExecuted << "/"
-                  << result.configRunsTotal << " config-runs in "
-                  << result.wallSeconds << " s ("
-                  << result.configRunsPerSec
-                  << " config-runs/s, stream-cache hit rate "
-                  << 100.0 * result.streamCacheHitRate << "%"
-                  << (result.shardsResumed
-                          ? ", " + std::to_string(result.shardsResumed) +
-                                " shards resumed"
-                          : std::string())
-                  << ")\n";
-
-        if (!opt.statsJsonFile.empty())
-            writeDocument(opt.statsJsonFile, outcome.document,
-                          "explore JSON");
+        printTable(opt, t);
     }
-    finishTrace();
-    finishMetrics();
-    return 0;
+    std::cerr << "explore: " << result.configRunsExecuted << "/"
+              << result.configRunsTotal << " config-runs in "
+              << result.wallSeconds << " s ("
+              << result.configRunsPerSec
+              << " config-runs/s, stream-cache hit rate "
+              << 100.0 * result.streamCacheHitRate << "%"
+              << (result.shardsResumed
+                      ? ", " + std::to_string(result.shardsResumed) +
+                            " shards resumed"
+                      : std::string())
+              << ")\n";
 }
 
+/** Write the first --record'ed accesses of the run's workload stream. */
+void
+recordStream(const core::JobSpec &job, const std::string &path)
+{
+    auto workload = trace::makeWorkload(job.workload)();
+    trace::TraceWriter writer(path);
+    trace::MemAccess a;
+    const std::uint64_t total = job.effectiveWarmup() + job.accesses;
+    for (std::uint64_t i = 0; i < total && workload->next(a); ++i)
+        writer.write(a);
+    writer.finish();
+    std::cerr << "recorded " << writer.count() << " accesses to " << path
+              << "\n";
+}
+
+/**
+ * The one driver for every job kind: sinks, the shared job path
+ * (DESIGN.md §13), that kind's table, the --stats-json document and
+ * the trace/metrics close-out.
+ */
 int
 run(const app::SimOptions &opt)
 {
     const core::JobSpec &job = opt.job;
-    if (job.kind == core::JobKind::Explore)
-        return runExploreCli(opt);
-    if (job.kind == core::JobKind::VddSweep)
-        return runVddSweepCli(opt);
     setupSinks(opt);
+    if (job.kind == core::JobKind::Run && !opt.recordTrace.empty())
+        recordStream(job, opt.recordTrace);
 
-    // Optionally record the exact stream being simulated.
-    if (!opt.recordTrace.empty()) {
-        auto workload = app::makeWorkload(job.workload);
-        trace::TraceWriter writer(opt.recordTrace);
-        trace::MemAccess a;
-        const std::uint64_t total = job.effectiveWarmup() + job.accesses;
-        for (std::uint64_t i = 0; i < total && workload->next(a); ++i)
-            writer.write(a);
-        writer.finish();
-        std::cerr << "recorded " << writer.count() << " accesses to "
-                  << opt.recordTrace << "\n";
-    }
-
-    ObsPlumbing obs_state;
-    obs_state.ringCapacity = opt.traceEvents;
-    const std::size_t n_schemes = job.effectiveSchemes().size();
-    obs_state.rings.resize(n_schemes);
-    obs_state.registries.resize(n_schemes);
-    obs_state.snapshotters.resize(n_schemes);
-    obs_state.statsText.resize(n_schemes);
-    if (!opt.intervalStatsFile.empty()) {
-        obs_state.intervalOs = std::make_unique<std::ofstream>(
-            opt.intervalStatsFile, std::ios::app);
-        if (!*obs_state.intervalOs) {
-            throw std::runtime_error("--interval-stats: cannot open \"" +
-                                     opt.intervalStatsFile +
-                                     "\" for append");
-        }
-    }
-
-    // Execution goes through the shared job path (DESIGN.md §13): one
-    // sweep job per scheme, each replaying the workload from its own
-    // (stream-cache-memoized) generation, so results are identical to
-    // the historical serial path — and byte-identical to what the c8td
-    // daemon produces for the same spec. The CLI-only event-ring /
-    // interval-snapshot plumbing rides along on the hooks.
+    // The document is byte-identical to what c8td answers for the
+    // spec; a run's CLI-only plumbing rides along on the job hooks.
+    ObsPlumbing plumbing(opt);
     app::JobHooks hooks;
-    hooks.prepare = [&opt, &obs_state](std::size_t i,
-                                       const std::string &scheme,
-                                       core::MultiSchemeRunner &r) {
-        prepareRunner(opt, obs_state, i, scheme, r);
+    hooks.prepare = [&plumbing](std::size_t i, const std::string &scheme,
+                                core::MultiSchemeRunner &r) {
+        plumbing.prepare(i, scheme, r);
     };
-    hooks.inspect = [&opt, &obs_state](std::size_t i,
-                                       const std::string &scheme,
-                                       core::MultiSchemeRunner &r) {
-        inspectRunner(opt, obs_state, i, scheme, r);
+    hooks.inspect = [&plumbing](std::size_t i, const std::string &scheme,
+                                core::MultiSchemeRunner &r) {
+        plumbing.inspect(i, scheme, r);
     };
     const app::JobOutcome outcome =
         app::runJobSpec(job, opt.jobs, hooks, obs::prof::enabled());
-    const std::vector<core::SchemeRunResult> &results = outcome.runs;
 
-    stats::Table t("c8tsim: " + job.workload + " on " +
-                   job.cache.toString());
-    t.setHeader({"scheme", "requests", "hits", "demand ops",
-                 "fill ops", "grouped", "bypassed", "silent",
-                 "read lat", "energy (uJ)"});
-    t.setPrecision(2);
-    for (const auto &r : results) {
-        t.addRow({r.scheme, static_cast<std::int64_t>(r.requests),
-                  static_cast<std::int64_t>(r.hits),
-                  static_cast<std::int64_t>(r.demandAccesses),
-                  static_cast<std::int64_t>(r.fillAccesses),
-                  static_cast<std::int64_t>(r.groupedWrites),
-                  static_cast<std::int64_t>(r.bypassedReads),
-                  static_cast<std::int64_t>(r.silentWritesDetected),
-                  r.meanReadLatency, r.dynamicEnergy * 1e6});
-    }
-
-    if (opt.csv)
-        t.printCsv(std::cout);
-    else
-        t.print(std::cout);
-
-    // Relative view when a baseline RMW run is present.
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (results[i].scheme != "RMW")
-            continue;
-        std::cout << "\nreduction vs RMW:";
-        for (const auto &r : results) {
-            if (r.scheme == "RMW")
-                continue;
-            std::cout << "  " << r.scheme << " "
-                      << 100.0 * (1.0 -
-                                  static_cast<double>(r.demandAccesses) /
-                                      results[i].demandAccesses)
-                      << "%";
-        }
-        std::cout << "\n";
+    const char *what = "stats JSON";
+    switch (job.kind) {
+    case core::JobKind::Run:
+        printRun(opt, outcome, plumbing.statsText);
+        break;
+    case core::JobKind::VddSweep:
+        printVddSweep(opt, outcome);
+        what = "vdd sweep JSON";
+        break;
+    case core::JobKind::Explore:
+        printExplore(opt, outcome);
+        what = "explore JSON";
         break;
     }
-
-    if (opt.dumpStats) {
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            std::cout << "\n---- stats: " << results[i].scheme
-                      << " ----\n"
-                      << obs_state.statsText[i];
-        }
-    }
-
     if (!opt.statsJsonFile.empty())
-        writeDocument(opt.statsJsonFile, outcome.document,
-                      "stats JSON");
-    finishTrace();
-    finishMetrics();
+        writeDocument(opt.statsJsonFile, outcome.document, what);
+    finish();
     return 0;
 }
 

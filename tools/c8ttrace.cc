@@ -15,6 +15,7 @@
 #include "app/options.hh"
 #include "core/simulator.hh"
 #include "trace/trace_io.hh"
+#include "trace/workload.hh"
 
 namespace
 {
@@ -41,7 +42,7 @@ cmdGen(const std::vector<std::string> &args)
     if (out.empty())
         throw std::invalid_argument("gen: --out PATH is required");
 
-    auto gen = app::makeWorkload(workload);
+    auto gen = trace::makeWorkload(workload)();
     trace::TraceWriter writer(out);
     trace::MemAccess a;
     for (std::uint64_t i = 0; i < accesses && gen->next(a); ++i)

@@ -12,6 +12,9 @@
 #      explorer tests (row views index one flat buffer per array),
 #      the simulator tests (a plan group's members share one
 #      FunctionalMemory and copy each miss fill from one staged block),
+#      the two-level tests (l2_test, hierarchy_test: the L2 fetch,
+#      write-back and back-invalidation paths are the newest
+#      pointer-heavy surface),
 #      the tag-array and packed-replacement tests (the live path and
 #      the chunk planner share one set of replacement transitions, and
 #      the planner indexes a stack-local tag copy),
@@ -41,6 +44,7 @@
 #      against the shared FaultMapCache, and c8td coalesces concurrent
 #      identical requests on its result memo — all three instances of
 #      the one single-flight core::Memo).
+#   Stages 5-8 drive the binaries of the tier-1 tree.
 #   5. Metrics smoke: run the fig11 sweep with the phase profiler off
 #      and on (C8T_PROF=1 + C8T_METRICS) and require byte-identical
 #      stdout plus a non-empty Prometheus exposition — profiling must
@@ -66,11 +70,8 @@
 #      c8tsim --stats-json document for the same operating point; then
 #      exercise the SIGTERM drain — a job submitted just before the
 #      signal must still be answered and the daemon must exit 0.
-#   8. Hierarchy smoke: build the two-level tests (l2_test,
-#      hierarchy_test) under the ASan tree and run them — the
-#      fetch/writeback/back-invalidation paths are the newest
-#      pointer-heavy surface — then run a two-level run spec and a
-#      two-level vdd_sweep spec through c8td and require each answer
+#   8. Hierarchy smoke: run a two-level run spec and a two-level
+#      vdd_sweep spec through c8td and require each answer
 #      byte-identical to the one-shot c8tsim --l2 document for the
 #      same operating point (the shared-JobSpec contract extended to
 #      the hierarchy), and require a small two-level explore to write
@@ -106,6 +107,45 @@ sanitizer_tests() {
     done
 }
 
+# Run the tier-1 c8tsim with the remaining arguments at --jobs 1 and
+# --jobs 4 in directory $1 (documents j1.json/j4.json, checkpoint
+# directories ckpt-j1/ckpt-j4, which only an explore fills) and fail
+# unless both the --stats-json documents and the checkpoint sets are
+# byte-identical. $2 names the run in the failure message.
+same_at_jobs_1_and_4() {
+    local dir=$1 what=$2
+    shift 2
+    for j in 1 4; do
+        mkdir "$dir/ckpt-j$j"
+        "$repo_root/build/tools/c8tsim" "$@" --jobs "$j" \
+            --checkpoint-dir "$dir/ckpt-j$j" \
+            --stats-json "$dir/j$j.json" > /dev/null
+    done
+    if ! cmp -s "$dir/j1.json" "$dir/j4.json" ||
+        ! diff -r "$dir/ckpt-j1" "$dir/ckpt-j4" > /dev/null; then
+        echo "ci: $what differs between --jobs 1 and --jobs 4" >&2
+        diff "$dir/j1.json" "$dir/j4.json" >&2 || true
+        exit 1
+    fi
+}
+
+# Fail unless the c8td answer $1/$2.json is byte-identical to the
+# one-shot tier-1 c8tsim --stats-json document for the remaining
+# arguments (the shared-JobSpec contract, end-to-end through the real
+# binaries). Stops the daemon (daemon_pid) on a mismatch.
+same_as_one_shot() {
+    local dir=$1 name=$2
+    shift 2
+    "$repo_root/build/tools/c8tsim" "$@" \
+        --stats-json "$dir/$name.ref" > /dev/null
+    if ! cmp -s "$dir/$name.json" "$dir/$name.ref"; then
+        echo "ci: daemon answer '$name' differs from one-shot c8tsim" >&2
+        diff "$dir/$name.json" "$dir/$name.ref" >&2 || true
+        kill "$daemon_pid" 2>/dev/null || true
+        exit 1
+    fi
+}
+
 # Start the tier-1 c8td on socket $1 in the background and wait for the
 # socket to appear; sets daemon_pid. Fails the script if it never does.
 start_daemon() {
@@ -125,7 +165,7 @@ cmake -B "$repo_root/build" -S "$repo_root"
 cmake --build "$repo_root/build" -j "$jobs"
 ctest --test-dir "$repo_root/build" --output-on-failure -j "$jobs"
 
-echo "==== asan: build + stream/sweep/simulator/vdd/pool/alloc/ecc/memo/daemon/array/trace/frame/cache tests ===="
+echo "==== asan: build + stream/sweep/simulator/vdd/pool/alloc/ecc/memo/daemon/array/trace/frame/cache/two-level tests ===="
 cmake -B "$repo_root/build-asan" -S "$repo_root" -DC8T_ASAN=ON
 sanitizer_tests build-asan \
     stream_identity_test simd_identity_test sweep_test \
@@ -133,7 +173,8 @@ sanitizer_tests build-asan \
     ecc_test fault_injection_test daemon_test result_memo_test \
     fault_cache_test array_test set_buffer_test controller_test \
     explorer_test simulator_test vdd_sweep_test word_map_test \
-    trace_io_test net_frame_test cache_test packed_repl_property_test
+    trace_io_test net_frame_test cache_test packed_repl_property_test \
+    l2_test hierarchy_test
 
 echo "==== ubsan: build + voltage-model, spec-parser, trace-reader, frame-decoder and checkpoint-loader tests ===="
 cmake -B "$repo_root/build-ubsan" -S "$repo_root" -DC8T_UBSAN=ON
@@ -153,10 +194,6 @@ echo "---- tsan: stream_identity_test (StreamCacheBehaviour.*) ----"
     --gtest_filter='StreamCacheBehaviour.*'
 
 echo "==== metrics: profiling byte-identity + exposition ===="
-# The profiler must be invisible to results: the same fig11 sweep with
-# profiling on and off must print byte-identical tables, and a
-# profiling run must leave a non-empty Prometheus exposition behind.
-# Uses the tier-1 tree built above.
 metrics_plain=$(mktemp)
 metrics_prof=$(mktemp)
 metrics_expo=$(mktemp)
@@ -201,43 +238,18 @@ rm -rf "$trace_dir"
 echo "ci: tracing byte-identity holds on the 16-way shape"
 
 random_dir=$(mktemp -d)
-for j in 1 4; do
-    "$repo_root/build/tools/c8tsim" --vdd-sweep --repl random \
-        --accesses 20000 --jobs "$j" \
-        --stats-json "$random_dir/j$j.json" > /dev/null
-done
-if ! cmp -s "$random_dir/j1.json" "$random_dir/j4.json"; then
-    echo "ci: c8tsim --vdd-sweep --repl random differs between" \
-         "--jobs 1 and --jobs 4" >&2
-    exit 1
-fi
+same_at_jobs_1_and_4 "$random_dir" "c8tsim --vdd-sweep --repl random" \
+    --vdd-sweep --repl random --accesses 20000
 rm -rf "$random_dir"
 echo "ci: a shared-memory Random plan group is worker-count independent"
 
 echo "==== explorer: CLI worker-count and interrupt/resume byte-identity ===="
-# A small explore (16 config-runs over 2 workloads in 3 shards, two of
-# them in flight at a time) run uninterrupted at --jobs 1 and --jobs 4
-# with checkpoints: both documents and both checkpoint sets must be
-# byte-identical. Then it is interrupted after one shard, which must
-# leave exactly one checkpoint, and resumed from it: the resumed
-# document must be byte-identical to the uninterrupted one. Uses the
-# tier-1 tree.
 explore_dir=$(mktemp -d)
 explore_args=(--explore --explore-workloads gcc,mcf
     --explore-sizes 16,32 --explore-ways 2,4 --explore-blocks 32
     --explore-vdd 1.0,0.8 --accesses 3000 --warmup 300 --shard-cells 3)
-for j in 1 4; do
-    mkdir "$explore_dir/ckpt-j$j"
-    "$repo_root/build/tools/c8tsim" "${explore_args[@]}" --jobs "$j" \
-        --checkpoint-dir "$explore_dir/ckpt-j$j" \
-        --stats-json "$explore_dir/j$j.json" > /dev/null
-done
-if ! cmp -s "$explore_dir/j1.json" "$explore_dir/j4.json" ||
-    ! diff -r "$explore_dir/ckpt-j1" "$explore_dir/ckpt-j4" > /dev/null; then
-    echo "ci: explore document or checkpoints differ between --jobs 1" \
-         "and --jobs 4" >&2
-    exit 1
-fi
+same_at_jobs_1_and_4 "$explore_dir" "explore document or checkpoint set" \
+    "${explore_args[@]}"
 mkdir "$explore_dir/resume"
 "$repo_root/build/tools/c8tsim" "${explore_args[@]}" --jobs 2 \
     --checkpoint-dir "$explore_dir/resume" --explore-max-shards 1 > /dev/null
@@ -259,10 +271,6 @@ echo "ci: explorer is worker-count invariant and interrupt/resume is" \
      "byte-identical"
 
 echo "==== daemon: c8td answers vs one-shot c8tsim + SIGTERM drain ===="
-# Three concurrent clients against one daemon; every answer must be
-# byte-identical to the one-shot driver's --stats-json document for
-# the same operating point (the shared-JobSpec contract, end-to-end
-# through the real binaries). Uses the tier-1 tree.
 daemon_dir=$(mktemp -d)
 daemon_sock="$daemon_dir/c8td.sock"
 start_daemon "$daemon_sock"
@@ -279,19 +287,11 @@ daemon_cb=$!
     '{"kind":"vdd_sweep","workload":"spec:gcc","accesses":20000}' &
 daemon_cc=$!
 wait "$daemon_ca" "$daemon_cb" "$daemon_cc"
-"$repo_root/build/tools/c8tsim" --workload spec:gcc --accesses 20000 \
-    --stats-json "$daemon_dir/a.ref" > /dev/null
-"$repo_root/build/tools/c8tsim" --workload spec:mcf --accesses 20000 \
-    --size 32 --stats-json "$daemon_dir/b.ref" > /dev/null
-"$repo_root/build/tools/c8tsim" --vdd-sweep --workload spec:gcc \
-    --accesses 20000 --stats-json "$daemon_dir/c.ref" > /dev/null
-for f in a b c; do
-    if ! cmp -s "$daemon_dir/$f.json" "$daemon_dir/$f.ref"; then
-        echo "ci: daemon answer '$f' differs from one-shot c8tsim" >&2
-        kill "$daemon_pid" 2>/dev/null || true
-        exit 1
-    fi
-done
+same_as_one_shot "$daemon_dir" a --workload spec:gcc --accesses 20000
+same_as_one_shot "$daemon_dir" b --workload spec:mcf --accesses 20000 \
+    --size 32
+same_as_one_shot "$daemon_dir" c --vdd-sweep --workload spec:gcc \
+    --accesses 20000
 # SIGTERM drain: a job in flight when the signal lands must still get
 # its final frame, and the daemon must exit cleanly.
 "$repo_root/build/tools/c8tctl" --socket "$daemon_sock" \
@@ -309,14 +309,7 @@ fi
 rm -rf "$daemon_dir"
 echo "ci: daemon bytes match one-shot; SIGTERM drain delivered finals"
 
-echo "==== hierarchy: ASan two-level tests + daemon golden diff ===="
-# The two-level paths (L2 fetch, dirty-victim write-back bursts,
-# back-invalidation on L2 eviction) are the newest pointer-heavy
-# surface; run their tests under the ASan tree built above.
-sanitizer_tests build-asan l2_test hierarchy_test
-# One two-level JobSpec through the daemon must answer byte-identical
-# to the one-shot driver — same contract the single-level stage checks,
-# now with a "levels" array in the spec.
+echo "==== hierarchy: daemon golden diff + worker-count invariance ===="
 hier_dir=$(mktemp -d)
 hier_sock="$hier_dir/c8td.sock"
 start_daemon "$hier_sock"
@@ -328,33 +321,17 @@ start_daemon "$hier_sock"
     '{"kind":"vdd_sweep","workload":"spec:gcc","accesses":20000,"levels":[{"size_kb":256}]}'
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
-"$repo_root/build/tools/c8tsim" --workload spec:gcc --accesses 20000 \
-    --l2 256 --stats-json "$hier_dir/h.ref" > /dev/null
-"$repo_root/build/tools/c8tsim" --vdd-sweep --workload spec:gcc \
-    --accesses 20000 --l2 256 --stats-json "$hier_dir/v.ref" > /dev/null
-for f in h v; do
-    if ! cmp -s "$hier_dir/$f.json" "$hier_dir/$f.ref"; then
-        echo "ci: daemon two-level answer '$f' differs from one-shot" \
-             "c8tsim" >&2
-        diff "$hier_dir/$f.json" "$hier_dir/$f.ref" >&2 || true
-        exit 1
-    fi
-done
-hier_explore=(--explore --explore-workloads gcc --explore-sizes 16,32
-    --explore-ways 4 --explore-blocks 32 --explore-vdd 1.0,0.8
-    --explore-l2-sizes 256 --accesses 3000 --warmup 300)
-for j in 1 4; do
-    "$repo_root/build/tools/c8tsim" "${hier_explore[@]}" --jobs "$j" \
-        --stats-json "$hier_dir/e$j.json" > /dev/null
-done
-if ! cmp -s "$hier_dir/e1.json" "$hier_dir/e4.json"; then
-    echo "ci: two-level explore differs between --jobs 1 and 4" >&2
-    diff "$hier_dir/e1.json" "$hier_dir/e4.json" >&2 || true
-    exit 1
-fi
+same_as_one_shot "$hier_dir" h --workload spec:gcc --accesses 20000 \
+    --l2 256
+same_as_one_shot "$hier_dir" v --vdd-sweep --workload spec:gcc \
+    --accesses 20000 --l2 256
+same_at_jobs_1_and_4 "$hier_dir" "two-level explore" \
+    --explore --explore-workloads gcc --explore-sizes 16,32 \
+    --explore-ways 4 --explore-blocks 32 --explore-vdd 1.0,0.8 \
+    --explore-l2-sizes 256 --accesses 3000 --warmup 300
 rm -rf "$hier_dir"
-echo "ci: two-level tests clean under ASan; daemon hierarchy bytes match;" \
-     "two-level explore is worker-count invariant"
+echo "ci: daemon hierarchy bytes match; two-level explore is" \
+     "worker-count invariant"
 
 echo "==== perf: perfbench A/B against the parent commit ===="
 if [ "${C8T_CI_SKIP_PERF:-0}" = 1 ]; then
