@@ -139,7 +139,8 @@ BM_MarkovStreamNextLoop(benchmark::State &state)
 }
 BENCHMARK(BM_MarkovStreamNextLoop)->Arg(64)->Arg(1024)->Arg(4096);
 
-/** Zero-copy replay of a cached stream (the StreamCache hit path). */
+/** Replay of a cached stream: unpacking its 16-byte records (the
+ *  StreamCache hit path). */
 void
 BM_ReplayFillChunk(benchmark::State &state)
 {

@@ -110,13 +110,13 @@ runVdd(const core::JobSpec &spec, unsigned workers,
        const JobHooks &hooks)
 {
     JobOutcome out;
-    const core::VddSweepSpec vspec = spec.vddSweepSpec();
+    const std::uint64_t runs = spec.configRuns();
     if (hooks.onProgress)
-        hooks.onProgress(0, vspec.grid.size());
+        hooks.onProgress(0, runs);
     out.vdd = std::make_unique<core::VddSweepResult>(
-        core::runVddSweep(vspec, spec.runConfig(), workers));
+        core::runVddSweep(spec.vddSweepSpec(), spec.runConfig(), workers));
     if (hooks.onProgress)
-        hooks.onProgress(vspec.grid.size(), vspec.grid.size());
+        hooks.onProgress(runs, runs);
 
     const obs::prof::ScopedPhase serialize_scope(
         obs::prof::Phase::Serialize);

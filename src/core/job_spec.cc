@@ -622,6 +622,8 @@ JobSpec::validate() const
     specCheck("cache: ", [&] { cache.validate(); });
     if (shardCells == 0)
         specFail("shard_cells must be >= 1");
+    if (kind == JobKind::Explore)
+        specCheck("", [&] { explorerSpec().validate(); });
     if (const std::uint64_t runs = configRuns(); runs > kMaxJobConfigRuns) {
         throw JobTooLarge("job spec: too large: " + std::to_string(runs) +
                           " config-runs exceed the admission limit of " +

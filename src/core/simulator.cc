@@ -63,6 +63,19 @@ snapshotLevel(const std::string &workload, const CacheController &ctrl,
     return r;
 }
 
+/**
+ * The calling thread's chunk buffer, kChunkAccesses records long. A
+ * grid runs thousands of short jobs on a few threads, so each thread
+ * allocates one buffer for its lifetime instead of each job its own.
+ */
+trace::MemAccess *
+threadChunk()
+{
+    thread_local std::vector<trace::MemAccess> chunk(
+        MultiSchemeRunner::kChunkAccesses);
+    return chunk.data();
+}
+
 } // anonymous namespace
 
 bool
@@ -139,6 +152,7 @@ MultiSchemeRunner::replayWindow(trace::AccessGenerator &gen,
     // One atomic read per window, not per chunk; the scopes below are
     // completely inert (no clock read) when the profiler is off.
     const bool prof_on = obs::prof::enabled();
+    trace::MemAccess *const chunk = threadChunk();
 
     std::uint64_t done = 0;
     while (done < accesses) {
@@ -151,21 +165,11 @@ MultiSchemeRunner::replayWindow(trace::AccessGenerator &gen,
             want = std::min(want,
                             _intervalAccesses - done % _intervalAccesses);
         }
-        // Prefer a zero-copy view (ReplayGenerator lends its buffer);
-        // fall back to copying into the local chunk otherwise.
         std::size_t got = 0;
-        const trace::MemAccess *chunk = nullptr;
         {
             const obs::prof::ScopedPhase gen_scope(
                 obs::prof::Phase::StreamGenerate, prof_on);
-            chunk = gen.borrowChunk(static_cast<std::size_t>(want), got);
-            if (!chunk) {
-                if (_chunk.empty())
-                    _chunk.resize(kChunkAccesses);
-                got = gen.fillChunk(_chunk.data(),
-                                    static_cast<std::size_t>(want));
-                chunk = _chunk.data();
-            }
+            got = gen.fillChunk(chunk, static_cast<std::size_t>(want));
         }
         if (got == 0)
             break;

@@ -224,10 +224,11 @@ class MultiSchemeRunner
     }
 
     /** Accesses pulled per chunk in run(). 4096 records = 96 KiB of
-     *  scratch: large enough to amortise the per-chunk dispatch, small
-     *  enough to stay cache-resident while every controller replays
-     *  it. Each planned group's first member sizes its planner scratch
-     *  to the first chunk it plans (at most this many accesses). */
+     *  scratch, one buffer per thread: large enough to amortise the
+     *  per-chunk dispatch, small enough to stay cache-resident while
+     *  every controller replays it. Each planned group's first member
+     *  sizes its planner scratch to the first chunk it plans (at most
+     *  this many accesses). */
     static constexpr std::size_t kChunkAccesses =
         CacheController::kReplayChunkAccesses;
 
@@ -256,9 +257,6 @@ class MultiSchemeRunner
      * stage-1 plan, when it plans, is exact for the whole group.
      */
     std::vector<std::vector<CacheController *>> _groups;
-    /** Copy buffer for generators that cannot lend a chunk
-     *  (borrowChunk() returns null); allocated on first such chunk. */
-    std::vector<trace::MemAccess> _chunk;
 
     std::uint64_t _intervalAccesses = 0;
     std::function<void(std::uint64_t)> _intervalHook;

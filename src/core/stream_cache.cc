@@ -5,6 +5,7 @@
 
 #include "core/stream_cache.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
@@ -19,8 +20,11 @@ namespace
 {
 
 /** Fallback budget: 512 MiB holds every default-length figure sweep
- *  (25 profiles × 330 k accesses × 24 B ≈ 198 MiB) with headroom. */
+ *  (25 profiles × 330 k accesses × 16 B ≈ 126 MiB) with headroom. */
 constexpr std::size_t kDefaultBudgetBytes = 512ull << 20;
+
+/** Accesses generated per fillChunk() call on a miss. */
+constexpr std::size_t kGenerateChunk = 4096;
 
 } // anonymous namespace
 
@@ -74,16 +78,16 @@ StreamCache::acquire(const std::string &key, std::uint64_t accesses,
     // Streams that alone exceed the budget are never buffered, so the
     // cap bounds transient memory too, not just residency.
     const std::size_t budget = byteBudget();
-    if (budget == 0 || accesses > budget / sizeof(trace::MemAccess)) {
+    if (budget == 0 || accesses > budget / sizeof(trace::PackedAccess)) {
         _bypasses.fetch_add(1, std::memory_order_relaxed);
         return make();
     }
 
-    // Miss (or a shorter buffer than this request needs): build the
-    // workload and capture the whole requested window in one pass.
-    // This is the bulk of the process's stream-generation time, so it
-    // carries the StreamGenerate phase scope (replays out of the
-    // buffer are near-free and show up under Replay instead).
+    // Miss (or a shorter stream than this request needs): build the
+    // workload and pack the requested window chunk by chunk through
+    // one reused scratch window. This is the bulk of the process's
+    // stream-generation time, so it carries the StreamGenerate phase
+    // scope (replays only unpack, a small fraction of that cost).
     const auto generate = [&] {
         const obs::prof::ScopedPhase gen_scope(
             obs::prof::Phase::StreamGenerate);
@@ -93,13 +97,21 @@ StreamCache::acquire(const std::string &key, std::uint64_t accesses,
                 "StreamCache: factory returned null");
         gen->reset();
 
-        Stream s;
-        s.accesses.resize(static_cast<std::size_t>(accesses));
-        const std::size_t filled = gen->fillChunk(
-            s.accesses.data(), static_cast<std::size_t>(accesses));
-        s.exhausted = filled < accesses;
-        s.accesses.resize(filled);
-        s.accesses.shrink_to_fit();
+        const auto want = static_cast<std::size_t>(accesses);
+        Stream s{trace::PackedStream(want), {}, false};
+        std::vector<trace::MemAccess> window(
+            std::min(want, kGenerateChunk));
+        while (s.accesses.size() < want) {
+            const std::size_t n =
+                std::min(window.size(), want - s.accesses.size());
+            const std::size_t got = gen->fillChunk(window.data(), n);
+            s.accesses.append(window.data(), got);
+            if (got < n) {
+                s.exhausted = true;
+                break;
+            }
+        }
+        s.accesses.shrinkToFit();
         s.name = gen->name();
         return s;
     };
@@ -109,10 +121,10 @@ StreamCache::acquire(const std::string &key, std::uint64_t accesses,
 
     bool hit = false;
     const auto stream = _memo.getOrCompute(key, generate, hit, covers);
-    // The replay buffer aliases the memo's value, keeping it alive.
+    // The replayed stream aliases the memo's value, keeping it alive.
     return std::make_unique<trace::ReplayGenerator>(
         stream->name,
-        trace::ReplayGenerator::Buffer(stream, &stream->accesses));
+        trace::ReplayGenerator::Packed(stream, &stream->accesses));
 }
 
 StreamCache &

@@ -6,8 +6,8 @@
  * (cache config × scheme) combinations: every job regenerating its
  * MarkovStream from scratch is redundant work whose outcome is known
  * in advance. StreamCache generates each distinct workload once into
- * an immutable ref-counted buffer and hands every subsequent job a
- * zero-copy trace::ReplayGenerator over it.
+ * an immutable ref-counted trace::PackedStream (16 bytes an access)
+ * and hands every subsequent job a trace::ReplayGenerator over it.
  *
  * Keying: a deterministic workload signature string (for SPEC profiles
  * trace::streamSignature, which serialises every generation-relevant
@@ -18,7 +18,7 @@
  *
  * Storage is a core::Memo (core/memo.hh): concurrent first requests
  * for one key generate once, a failing workload leaves no entry, and
- * buffers are charged their bytes against a budget from
+ * streams are charged their packed bytes against a budget from
  * C8T_STREAM_CACHE_MB (default 512 MiB, "0" disables) or c8tsim
  * --stream-cache, evicted least-recently-used. Two rules stay here: a
  * stream whose requested length alone exceeds the budget bypasses the
@@ -115,7 +115,7 @@ class StreamCache
     /** One generated window of a workload. */
     struct Stream
     {
-        std::vector<trace::MemAccess> accesses;
+        trace::PackedStream accesses;
         std::string name;       ///< the generator's reported name
         bool exhausted = false; ///< the generator ended early
     };
@@ -125,7 +125,7 @@ class StreamCache
         std::uint64_t operator()(const std::string &,
                                  const Stream &s) const
         {
-            return s.accesses.size() * sizeof(trace::MemAccess);
+            return s.accesses.bytes();
         }
     };
 

@@ -69,7 +69,7 @@ struct SweepJob
      * equal keys promise byte-identical streams (use
      * trace::streamSignature for SPEC profiles). The first job with a
      * given key generates the stream once; later jobs replay the
-     * shared buffer zero-copy, which cannot change any result.
+     * shared packed stream, which cannot change any result.
      */
     std::string streamKey;
 

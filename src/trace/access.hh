@@ -103,7 +103,7 @@ class AccessGenerator
      * hot generators (MarkovStream, the kernels, ReplayGenerator)
      * override it with a tight non-virtual inner loop so the sweep
      * engine pays one virtual dispatch per chunk instead of one per
-     * access.
+     * access. It is the engine's only way to pull a chunk.
      *
      * @param dst Destination array with room for @p n records.
      * @param n   Maximum number of accesses to produce.
@@ -119,9 +119,9 @@ class AccessGenerator
      * (the base implementation; callers then fall back to
      * fillChunk()). A returned pointer stays valid until the next
      * call that advances or resets the stream. The lent records are
-     * byte-identical to what fillChunk() would have copied out, so
-     * replay consumers (MultiSchemeRunner) skip one bulk copy per
-     * chunk with no observable difference.
+     * byte-identical to what fillChunk() would have copied out. No
+     * generator in the library lends and the engine never calls it;
+     * it stays for the benchmark harness's generator decorators.
      *
      * @param n   Maximum number of accesses to produce.
      * @param got Set to the number of accesses in the returned view

@@ -10,7 +10,8 @@
  * allocates on the shadow map's amortized capacity doublings. It also
  * pins the cost of building a config-run: a controller's allocation
  * count does not grow with its size, and planner scratch exists only
- * where a plan is built (DESIGN.md §5).
+ * where a plan is built (DESIGN.md §5). A job replaying a cached
+ * stream pulls its chunks into its thread's buffer, allocating none.
  */
 
 #include <gtest/gtest.h>
@@ -20,10 +21,13 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "core/controller.hh"
 #include "core/level_stack.hh"
+#include "core/simulator.hh"
+#include "core/stream_cache.hh"
 #include "obs/event_ring.hh"
 #include "obs/histogram.hh"
 #include "obs/metrics.hh"
@@ -37,6 +41,9 @@ namespace
 
 std::atomic<std::uint64_t> g_allocations{0};
 std::atomic<std::uint64_t> g_allocatedBytes{0};
+/** Allocations of exactly g_watchSize bytes (0: none watched). */
+std::atomic<std::size_t> g_watchSize{0};
+std::atomic<std::uint64_t> g_watchHits{0};
 
 } // anonymous namespace
 
@@ -51,6 +58,8 @@ operator new(std::size_t size)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     g_allocatedBytes.fetch_add(size, std::memory_order_relaxed);
+    if (size == g_watchSize.load(std::memory_order_relaxed))
+        g_watchHits.fetch_add(1, std::memory_order_relaxed);
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();
@@ -438,7 +447,7 @@ TEST(HotPathAllocations, ReplayGeneratorChunkedReplayIsAllocationFree)
 
     const std::uint64_t before =
         g_allocations.load(std::memory_order_relaxed);
-    // Replaying a cached stream is a pure copy loop: strictly zero
+    // Replaying a cached stream is a pure unpack loop: strictly zero
     // heap traffic, including the reset between passes.
     for (int pass = 0; pass < 3; ++pass) {
         while (replay.fillChunk(chunk.data(), chunk.size()) > 0) {
@@ -451,6 +460,42 @@ TEST(HotPathAllocations, ReplayGeneratorChunkedReplayIsAllocationFree)
     EXPECT_EQ(delta, 0u)
         << delta << " heap allocations replaying " << kMeasure
         << " cached accesses three times";
+}
+
+TEST(HotPathAllocations, SecondJobOnAThreadAllocatesNoChunk)
+{
+    // MultiSchemeRunner pulls every chunk into one buffer per thread.
+    // On a fresh thread the first job allocates that buffer; a second
+    // job there, replaying a stream-cache hit, allocates no chunk.
+    constexpr std::size_t kChunkBytes =
+        core::MultiSchemeRunner::kChunkAccesses * sizeof(trace::MemAccess);
+    const core::RunConfig rc{2'000, 20'000};
+    core::StreamCache cache(64u << 20);
+    const core::StreamCache::GeneratorFactory gcc = [] {
+        return std::make_unique<trace::MarkovStream>(
+            trace::specProfile("gcc"));
+    };
+    const auto job = [&] {
+        auto gen = cache.acquire(
+            "gcc", rc.warmupAccesses + rc.measureAccesses, gcc);
+        core::MultiSchemeRunner runner({ControllerConfig{}});
+        g_watchHits.store(0);
+        g_watchSize.store(kChunkBytes);
+        runner.run(*gen, rc);
+        g_watchSize.store(0);
+        return g_watchHits.load();
+    };
+    std::uint64_t first = 0;
+    std::uint64_t second = 0;
+    std::thread([&] {
+        first = job();
+        second = job();
+    }).join();
+
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(first, 1u) << "the thread's first job allocates its buffer";
+    EXPECT_EQ(second, 0u) << second
+                          << " chunk allocations in a second job";
 }
 
 TEST(RunConstruction, ControllerAllocationCountDoesNotGrowWithSize)

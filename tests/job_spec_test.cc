@@ -6,8 +6,10 @@
  */
 
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -248,7 +250,7 @@ TEST(JobSpecTest, ExploreSpecParses)
         "{\"kind\":\"explore\",\"accesses\":50000,"
         "\"explore\":{\"workloads\":[\"gcc\",\"mcf\"],"
         "\"sizes_kb\":[16,32],\"ways\":[2],\"blocks\":[64],"
-        "\"repl\":[\"lru\"],\"vdd\":[0.7,0.8],\"shard_cells\":4}}");
+        "\"repl\":[\"lru\"],\"vdd\":[0.8,0.7],\"shard_cells\":4}}");
     EXPECT_EQ(spec.kind, JobKind::Explore);
     EXPECT_EQ(spec.exploreWorkloads.size(), 2u);
     EXPECT_EQ(spec.exploreSizesKb.size(), 2u);
@@ -378,12 +380,36 @@ TEST(JobSpecTest, ConfigRunsCountTheRunsAVddSweepExecutes)
         const JobSpec spec = JobSpec::fromJsonText(
             "{\"kind\":\"vdd_sweep\",\"accesses\":2000,\"warmup\":200" +
             extra + "}");
-        const app::JobOutcome out = app::runJobSpec(spec, 2);
+        std::mutex mutex;
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> progress;
+        app::JobHooks hooks;
+        hooks.onProgress = [&](std::uint64_t done, std::uint64_t total) {
+            const std::lock_guard<std::mutex> lock(mutex);
+            progress.emplace_back(done, total);
+        };
+        const app::JobOutcome out = app::runJobSpec(spec, 2, hooks);
         std::uint64_t runs = 0;
         for (const core::VddCurve &c : out.vdd->curves)
             runs += c.points.size();
         EXPECT_EQ(spec.configRuns(), runs) << extra;
+        // Progress counts config-runs, not grid points.
+        ASSERT_FALSE(progress.empty()) << extra;
+        for (const auto &[done, total] : progress)
+            EXPECT_EQ(total, runs) << extra;
+        EXPECT_EQ(progress.back().first, runs) << extra;
     }
+}
+
+TEST(JobSpecTest, ExploreAxesAreCheckedAtAdmission)
+{
+    // What the explorer would reject on a worker fails when the spec
+    // is parsed, with the explorer's message.
+    expectParseError(
+        R"({"kind":"explore","explore":{"workloads":["nosuch"]}})",
+        "job spec: ExplorerSpec: unknown workload \"nosuch\"");
+    expectParseError(
+        R"({"kind":"explore","explore":{"workloads":["gcc"],"vdd":[0.7,0.8]}})",
+        "job spec: ExplorerSpec: grid must be strictly descending");
 }
 
 TEST(JobSpecTest, EngineSpecsShareTheLevelShape)

@@ -10,9 +10,10 @@
  *     repeated next() for every calibrated SPEC profile and every
  *     kernel (including end-of-stream behaviour), across awkward
  *     chunk sizes.
- *  2. ReplayGenerator replays a captured buffer byte-identically, and
- *     StreamCache hit/miss/bypass/eviction behaviour is observable
- *     and bounded by its byte budget.
+ *  2. PackedStream round-trips every field edge, escaping the records
+ *     that do not fit; ReplayGenerator replays a captured buffer
+ *     byte-identically, and StreamCache hit/miss/bypass/eviction
+ *     behaviour is observable and bounded by its byte budget.
  *  3. ParallelSweeper results are bit-identical with the cache
  *     enabled vs disabled, for 1/2/8 workers.
  */
@@ -24,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <iterator>
 #include <latch>
 #include <memory>
@@ -32,6 +34,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/simulator.hh"
 #include "core/stream_cache.hh"
 #include "core/sweep.hh"
@@ -39,6 +43,7 @@
 #include "trace/markov_stream.hh"
 #include "trace/replay.hh"
 #include "trace/spec_profiles.hh"
+#include "trace/trace_io.hh"
 
 namespace
 {
@@ -47,6 +52,14 @@ using namespace c8t;
 using core::StreamCache;
 using trace::AccessGenerator;
 using trace::MemAccess;
+using trace::PackedStream;
+
+/** What a cached stream of @p n ordinary accesses is charged. */
+constexpr std::uint64_t
+packedBytes(std::uint64_t n)
+{
+    return n * sizeof(trace::PackedAccess);
+}
 
 /** Drain @p n accesses via next(). */
 std::vector<MemAccess>
@@ -168,8 +181,85 @@ TEST(ReplayGenerator, ReplaysBufferByteIdentically)
     for (std::size_t i = 0; i < kAccesses; ++i)
         ASSERT_TRUE(via_chunk[i] == (*buffer)[i]) << i;
 
-    EXPECT_THROW(trace::ReplayGenerator("x", nullptr),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        trace::ReplayGenerator("x", trace::ReplayGenerator::Buffer{}),
+        std::invalid_argument);
+    EXPECT_THROW(
+        trace::ReplayGenerator("x", trace::ReplayGenerator::Packed{}),
+        std::invalid_argument);
+}
+
+/** A record with every field set. */
+MemAccess
+record(std::uint64_t addr, std::uint32_t gap, std::uint8_t size,
+       trace::AccessType type)
+{
+    MemAccess a;
+    a.addr = addr;
+    a.data = 0x0123456789abcdefull ^ addr ^ gap;
+    a.gap = gap;
+    a.size = size;
+    a.type = type;
+    return a;
+}
+
+TEST(PackedStream, RoundTripsEveryFieldEdge)
+{
+    const std::uint64_t top = PackedStream::kAddrLimit;
+    struct Case
+    {
+        MemAccess a;
+        bool escapes;
+    };
+    std::vector<Case> cases;
+    for (const auto type : {trace::AccessType::Read,
+                            trace::AccessType::Write}) {
+        for (const std::uint8_t size : {1, 2, 4, 8}) {
+            cases.push_back({record(top - 8, 0, size, type), false});
+            cases.push_back({record(0x40, 4095, size, type), false});
+        }
+        cases.push_back({record(top, 1, 8, type), true});
+        cases.push_back({record(~std::uint64_t{7}, 1, 8, type), true});
+        cases.push_back({record(0x40, 4096, 8, type), true});
+        cases.push_back({record(0x40, UINT32_MAX, 8, type), true});
+        // Outside the MemAccess contract (no trace reader accepts
+        // these), still stored whole rather than mangled.
+        for (const std::uint8_t size : {0, 3, 16})
+            cases.push_back({record(0x40, 1, size, type), true});
+    }
+    MemAccess bad_type = record(0x40, 1, 8, trace::AccessType::Read);
+    bad_type.type = static_cast<trace::AccessType>(2);
+    cases.push_back({bad_type, true});
+
+    std::vector<MemAccess> in;
+    std::size_t escapes = 0;
+    for (const Case &c : cases) {
+        in.push_back(c.a);
+        escapes += c.escapes ? 1 : 0;
+        PackedStream one(1);
+        one.append(&c.a, 1);
+        EXPECT_EQ(one.bytes(),
+                  packedBytes(1) + (c.escapes ? sizeof(MemAccess) : 0))
+            << c.a.toString();
+        MemAccess out;
+        one.unpack(0, &out, 1);
+        EXPECT_TRUE(out == c.a) << c.a.toString() << " -> "
+                                << out.toString();
+    }
+
+    // Packed together, escaped records keep their place in the order.
+    const PackedStream all(in);
+    ASSERT_EQ(all.size(), in.size());
+    EXPECT_EQ(all.bytes(),
+              packedBytes(in.size()) + escapes * sizeof(MemAccess));
+    std::vector<MemAccess> out(in.size());
+    all.unpack(0, out.data(), out.size());
+    for (std::size_t i = 0; i < in.size(); ++i)
+        EXPECT_TRUE(out[i] == in[i]) << i << ": " << in[i].toString();
+
+    PackedStream full(1);
+    full.append(in.data(), 1);
+    EXPECT_THROW(full.append(in.data(), 1), std::length_error);
 }
 
 TEST(StreamSignature, DistinguishesEveryProfileAndSeed)
@@ -212,7 +302,7 @@ TEST(StreamCacheBehaviour, HitMissBypassAndBudget)
     EXPECT_EQ(s.misses, 1u);
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.entries, 1u);
-    EXPECT_EQ(s.bytes, kAccesses * sizeof(MemAccess));
+    EXPECT_EQ(s.bytes, packedBytes(kAccesses));
 
     // Both must replay the byte-identical stream a live generator
     // produces.
@@ -276,7 +366,7 @@ TEST(StreamCacheBudget, EnvTakesOnlyDigitsThatFit)
 TEST(StreamCacheBehaviour, EvictsLeastRecentlyUsedToFitBudget)
 {
     constexpr std::uint64_t kAccesses = 1'000;
-    constexpr std::size_t kStreamBytes = kAccesses * sizeof(MemAccess);
+    constexpr std::size_t kStreamBytes = packedBytes(kAccesses);
     // Room for two streams, not three.
     StreamCache cache(2 * kStreamBytes);
 
@@ -366,7 +456,53 @@ TEST(StreamCacheBehaviour, FailedFactoryLeavesNoEntry)
     s = cache.stats();
     EXPECT_EQ(s.entries, 1u);
     EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.bytes, 1'000 * sizeof(MemAccess));
+    EXPECT_EQ(s.bytes, packedBytes(1'000));
+}
+
+TEST(StreamCacheBehaviour, TraceWithEscapedRecordsReplaysLikeTheReader)
+{
+    // A trace file may hold addresses and gaps too wide to pack; the
+    // cached replay must still equal the live reader, across chunk
+    // boundaries of the cache's generation window.
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("c8t_escaped_" + std::to_string(::getpid()) + ".trc");
+    constexpr std::size_t kRecords = 10'000;
+    std::size_t wide = 0;
+    {
+        trace::MarkovStream gen(trace::specProfile("gcc"));
+        trace::TraceWriter w(path.string());
+        MemAccess a;
+        for (std::size_t i = 0; i < kRecords && gen.next(a); ++i) {
+            if (i % 97 == 0) {
+                a.addr |= PackedStream::kAddrLimit << 4;
+                ++wide;
+            } else if (i % 89 == 0) {
+                a.gap = PackedStream::kGapLimit +
+                        static_cast<std::uint32_t>(i);
+                ++wide;
+            }
+            w.write(a);
+        }
+        w.finish();
+    }
+    const auto reader = [&path]() -> std::unique_ptr<AccessGenerator> {
+        return std::make_unique<trace::TraceReader>(path.string());
+    };
+
+    StreamCache cache(64u << 20);
+    auto cached = cache.acquire("trace", kRecords, reader);
+    EXPECT_EQ(cache.stats().bytes,
+              packedBytes(kRecords) + wide * sizeof(MemAccess));
+    const auto live = reader();
+    const auto want = collectNext(*live, kRecords);
+    const auto got = collectChunked(*cached, kRecords);
+    std::filesystem::remove(path);
+    ASSERT_EQ(want.size(), kRecords);
+    ASSERT_EQ(got.size(), kRecords);
+    for (std::size_t i = 0; i < kRecords; ++i)
+        ASSERT_TRUE(got[i] == want[i]) << i << ": " << want[i].toString();
+    EXPECT_EQ(cached->name(), live->name());
 }
 
 TEST(StreamCacheBehaviour, ConcurrentFirstAcquiresGenerateOnce)

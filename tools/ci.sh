@@ -33,7 +33,9 @@
 #      plus the JobSpec, c8tsim option, trace reader, frame decoder
 #      and explorer tests (the parsers of outside input: range checks
 #      before every narrowing cast; the explorer test drives seeded
-#      mutants of a real checkpoint through the checkpoint loader).
+#      mutants of a real checkpoint through the checkpoint loader),
+#      and the stream-identity tests (the stream cache packs every
+#      access into 16 bytes with shifts and masks).
 #   4. Configure + build a TSan tree (-DC8T_TSAN=ON) and run the
 #      parallel sweep, worker pool, metrics, Vdd sweep, explorer,
 #      fault-map memo, stream cache, daemon and result-memo tests under
@@ -176,11 +178,11 @@ sanitizer_tests build-asan \
     trace_io_test net_frame_test cache_test packed_repl_property_test \
     l2_test hierarchy_test
 
-echo "==== ubsan: build + voltage-model, spec-parser, trace-reader, frame-decoder and checkpoint-loader tests ===="
+echo "==== ubsan: build + voltage-model, spec-parser, trace-reader, frame-decoder, checkpoint-loader and stream-packing tests ===="
 cmake -B "$repo_root/build-ubsan" -S "$repo_root" -DC8T_UBSAN=ON
 sanitizer_tests build-ubsan \
     vmodel_test vdd_sweep_test job_spec_test app_options_test \
-    trace_io_test net_frame_test explorer_test
+    trace_io_test net_frame_test explorer_test stream_identity_test
 
 echo "==== tsan: build + parallel sweep, memo and daemon tests ===="
 cmake -B "$repo_root/build-tsan" -S "$repo_root" -DC8T_TSAN=ON
